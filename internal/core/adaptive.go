@@ -176,6 +176,13 @@ func (a *Adaptive) recoverStateCtx(ctx context.Context, id string, opts RecoverO
 // themselves recovered directly, which is exactly the U4 sweep pattern.
 // leafChecked means the depth-0 caller (RecoverState) already probed the
 // cache for id, so probing again would double-count the miss.
+//
+// The checksum is verified once, at the requested model — or, when that
+// was saved without one, at its nearest ancestor that has one: every
+// link's state feeds the next, so a corrupt ancestor still fails the check
+// below it, and hashing the full state at each link only multiplied the
+// verify cost by the chain depth. The model that verifies clears
+// VerifyChecksums for the recursion beneath it.
 func (a *Adaptive) recover(ctx context.Context, id string, opts RecoverOptions, cache *RecoveryCache, dm *datasetMemo, depth int, leafChecked bool) (*RecoveredModel, error) {
 	t0 := time.Now()
 	if cache != nil && !(depth == 0 && leafChecked) {
@@ -199,7 +206,11 @@ func (a *Adaptive) recover(ctx context.Context, id string, opts RecoverOptions, 
 	case doc.BaseID == "":
 		return nil, fmt.Errorf("core: derived model %s has no base reference", id)
 	default:
-		if rec, err = a.recover(ctx, doc.BaseID, opts, cache, dm, depth+1, false); err != nil {
+		baseOpts := opts
+		if doc.StateHash != "" {
+			baseOpts.VerifyChecksums = false
+		}
+		if rec, err = a.recover(ctx, doc.BaseID, baseOpts, cache, dm, depth+1, false); err != nil {
 			return nil, err
 		}
 		switch {

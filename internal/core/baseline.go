@@ -190,6 +190,7 @@ func saveSnapshot(ctx context.Context, stores Stores, info SaveInfo, approach st
 // visible to the caller.
 func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict, withDigests bool) (int64, string, error) {
 	pr, pw := io.Pipe()
+	defer pr.Close() // releases the writer if the store stopped reading early
 	go func() {
 		var err error
 		if withDigests {

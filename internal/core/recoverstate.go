@@ -43,10 +43,14 @@ type RecoveredState struct {
 }
 
 // Instantiate builds a fresh net from the recovered state: architecture
-// construction, parameter copy-in, layer freezing. The net owns its
-// tensors — it never aliases the recovered (possibly shared) state.
+// construction, parameter copy-in, layer freezing. The architecture is
+// built without weight initialization — LoadInto is strict (every key,
+// every shape), so it overwrites whatever an initializer would have drawn
+// — and without gradient tensors, which the net allocates if it is ever
+// trained. The net owns its tensors — it never aliases the recovered
+// (possibly shared) state.
 func (rs *RecoveredState) Instantiate() (nn.Module, error) {
-	net, err := models.Instantiate(rs.Spec)
+	net, err := rs.Spec.Build()
 	if err != nil {
 		return nil, err
 	}

@@ -85,16 +85,20 @@ func timeFigure(w io.Writer, o Opts, recover bool) error {
 }
 
 // Figure12 regenerates the baseline TTR breakdown per architecture for the
-// U3-1-3 model: loading the model data, recovering the model from the data
-// (including the framework constructor, which is where GoogLeNet's
-// truncated-normal initialization shows up as a peak), and verifying the
-// recovered parameters. The environment check adds a constant time
-// regardless of architecture; like the paper, it is reported separately and
-// excluded from the per-architecture comparison.
+// U3-1-3 model: loading the model data, recovering the model from the data,
+// and verifying the recovered parameters. The paper's recover step includes
+// the framework constructor's weight initialization — where GoogLeNet's
+// truncated-normal initializer shows up as a peak — although the loaded
+// state dict overwrites all of it. Recovery here builds the architecture
+// without initializing it, so that constructor is timed on its own, in a
+// column that is not part of the total: it reproduces the paper's anomaly
+// as a measurement of what a recovery no longer pays. The environment check
+// adds a constant time regardless of architecture; like the paper, it is
+// reported separately and excluded from the per-architecture comparison.
 func Figure12(w io.Writer, o Opts) error {
 	header(w, "Figure 12: baseline TTR breakdown at U3-1-3 (check-env reported separately)")
 	tw := newTab(w)
-	fmt.Fprintln(tw, "MODEL\tLOAD\tRECOVER\tVERIFY\tTOTAL (w/o check env)\tCHECK ENV")
+	fmt.Fprintln(tw, "MODEL\tLOAD\tRECOVER\tVERIFY\tTOTAL (w/o check env)\tCHECK ENV\tFRAMEWORK INIT (not paid at recovery)")
 	for _, arch := range evaluationArchs {
 		stores, cleanup, err := newLocalStores(o.WorkDir)
 		if err != nil {
@@ -125,15 +129,22 @@ func Figure12(w io.Writer, o Opts) error {
 			cleanup()
 			return err
 		}
+		t0 := time.Now()
+		_, err = models.Instantiate(spec)
+		initTime := time.Since(t0)
+		if err != nil {
+			cleanup()
+			return err
+		}
 		t := rec.Timing
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n",
-			arch, ms(t.Load), ms(t.Recover), ms(t.Verify), ms(t.Load+t.Recover+t.Verify), ms(t.CheckEnv))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
+			arch, ms(t.Load), ms(t.Recover), ms(t.Verify), ms(t.Load+t.Recover+t.Verify), ms(t.CheckEnv), ms(initTime))
 		cleanup()
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "expected: load/recover/verify grow with parameters; GoogLeNet's recover step peaks (expensive constructor initialization)")
+	fmt.Fprintln(w, "expected: load/recover/verify grow with parameters; GoogLeNet's framework init peaks (expensive constructor initialization) — the paper pays it inside recover, this recovery skips it")
 	return nil
 }
 

@@ -191,3 +191,37 @@ func TestLayerCountsReasonable(t *testing.T) {
 		}
 	}
 }
+
+// Recovery builds with Spec.Build and loads the saved state into it, so
+// the uninitialized build must expose exactly the state an initialized
+// model has: same keys, same order, same shapes — for every registered
+// architecture. A key Build lacked, or a tensor it shaped differently,
+// would be a parameter recovery leaves at its zero value.
+func TestBuildHasTheStateOfNew(t *testing.T) {
+	for _, arch := range Names() {
+		spec := Spec{Arch: arch, NumClasses: 10}
+		built, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		created, err := New(arch, spec.NumClasses, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := nn.StateDictOf(built).Entries(), nn.StateDictOf(created).Entries()
+		if len(got) != len(want) {
+			t.Fatalf("%s: Build has %d state entries, New has %d", arch, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key != want[i].Key || !got[i].Tensor.SameShape(want[i].Tensor) {
+				t.Errorf("%s: entry %d is %s %v, New has %s %v", arch, i,
+					got[i].Key, got[i].Tensor.Shape(), want[i].Key, want[i].Tensor.Shape())
+			}
+		}
+		for _, p := range nn.NamedParams(built) {
+			if p.Param.Grad != nil {
+				t.Fatalf("%s: %s has a gradient tensor before any backward pass", arch, p.Path)
+			}
+		}
+	}
+}

@@ -102,12 +102,14 @@ func ParseSpec(b []byte) (Spec, error) {
 }
 
 // Instantiate builds an architecture the way a framework constructor does:
-// structure plus default weight initialization. Model recovery uses it so
-// the recover-time breakdown honestly includes initialization cost — the
-// paper's Figure 12 attributes GoogLeNet's recovery peak to its
+// structure plus default weight initialization. It is what creating a
+// model costs, and what the paper's recovery paid before loading the state
+// dict: Figure 12 attributes GoogLeNet's recovery peak to its
 // "disproportional[ly] high computation time for ... initialization"
 // (torchvision's scipy truncated normal), which our GoogLeNet initializer
-// reproduces. The loaded state dict overwrites the initialized weights.
+// reproduces. Recovery here does not call it — a strict state-dict load
+// overwrites every initialized weight, so core builds with Spec.Build —
+// and Figure 12 times it as its own column.
 func Instantiate(s Spec) (nn.Module, error) {
 	m, err := s.Build()
 	if err != nil {

@@ -138,7 +138,7 @@ func (b *BatchNorm2d) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor
 	gradX := tensor.Zeros(x.Shape()...)
 	gxd := gradX.Data()
 	gamma := b.Weight.Value.Data()
-	gW, gB := b.Weight.Grad.Data(), b.Bias.Grad.Data()
+	gW, gB := b.Weight.EnsureGrad().Data(), b.Bias.EnsureGrad().Data()
 
 	for c := 0; c < b.C; c++ {
 		var sumDy, sumDyXHat float32

@@ -128,10 +128,10 @@ func (c *Conv2d) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	ohw := oh * ow
 
 	gradX := tensor.Zeros(x.Shape()...)
-	gW := c.Weight.Grad.Data()
+	gW := c.Weight.EnsureGrad().Data()
 	var gB []float32
 	if c.Bias != nil {
-		gB = c.Bias.Grad.Data()
+		gB = c.Bias.EnsureGrad().Data()
 	}
 
 	// Per-sample work producing local weight/bias gradient partials. In

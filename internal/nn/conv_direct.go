@@ -71,10 +71,10 @@ func (c *Conv2d) backwardDirect(x, grad *tensor.Tensor, n, h, w, oh, ow int) *te
 	gradX := tensor.Zeros(x.Shape()...)
 	xd, gd, wd := x.Data(), grad.Data(), c.Weight.Value.Data()
 	gxd := gradX.Data()
-	gW := c.Weight.Grad.Data()
+	gW := c.Weight.EnsureGrad().Data()
 	var gB []float32
 	if c.Bias != nil {
-		gB = c.Bias.Grad.Data()
+		gB = c.Bias.EnsureGrad().Data()
 	}
 	cg := c.InC / c.Groups
 	ocg := c.OutC / c.Groups

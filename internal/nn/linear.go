@@ -60,7 +60,7 @@ func (l *Linear) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	gradX := tensor.Zeros(n, l.In)
 	xd, wd := x.Data(), l.Weight.Value.Data()
 	gd, gxd := grad.Data(), gradX.Data()
-	gW, gB := l.Weight.Grad.Data(), l.Bias.Grad.Data()
+	gW, gB := l.Weight.EnsureGrad().Data(), l.Bias.EnsureGrad().Data()
 
 	// Weight/bias gradients accumulate over samples in fixed order; the
 	// sample count is small relative to conv work, so a serial loop keeps

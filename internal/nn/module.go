@@ -49,7 +49,11 @@ type Param struct {
 	Name string
 	// Value holds the parameter data.
 	Value *tensor.Tensor
-	// Grad accumulates gradients; it has the same shape as Value.
+	// Grad accumulates gradients; it has the same shape as Value. It is
+	// nil until something needs it — the first backward pass, ZeroGrads,
+	// an optimizer step — so a net that is only recovered, hashed or
+	// served holds one tensor per parameter, not two. Writers go through
+	// EnsureGrad.
 	Grad *tensor.Tensor
 	// Trainable marks whether the optimizer may update this parameter. The
 	// paper's partially updated model versions freeze parameters at layer
@@ -57,9 +61,19 @@ type Param struct {
 	Trainable bool
 }
 
-// NewParam creates a trainable parameter initialized with v.
+// NewParam creates a trainable parameter initialized with v. Its gradient
+// tensor is allocated on demand (see EnsureGrad).
 func NewParam(name string, v *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: v, Grad: tensor.Zeros(v.Shape()...), Trainable: true}
+	return &Param{Name: name, Value: v, Trainable: true}
+}
+
+// EnsureGrad returns the gradient accumulator, allocating it zero-filled
+// on first use.
+func (p *Param) EnsureGrad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.Zeros(p.Value.Shape()...)
+	}
+	return p.Grad
 }
 
 // Buffer is a non-trainable tensor that is part of the model state, such as
@@ -182,10 +196,15 @@ func NumTrainableParams(m Module) int {
 	return n
 }
 
-// ZeroGrads clears every parameter gradient in the tree.
+// ZeroGrads clears every parameter gradient in the tree, allocating the
+// ones that do not exist yet.
 func ZeroGrads(m Module) {
 	for _, p := range NamedParams(m) {
-		p.Param.Grad.Zero()
+		if p.Param.Grad == nil {
+			p.Param.EnsureGrad() // fresh tensors are already zero
+		} else {
+			p.Param.Grad.Zero()
+		}
 	}
 }
 

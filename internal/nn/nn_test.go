@@ -522,3 +522,52 @@ func TestLayerPaths(t *testing.T) {
 		t.Fatalf("LayerPaths = %v", got)
 	}
 }
+
+// Gradient tensors exist from the first use on, not from construction: a
+// backward pass without a prior ZeroGrads allocates them zero-filled and
+// accumulates exactly what a pre-zeroed net accumulates.
+func TestGradsAllocateOnDemand(t *testing.T) {
+	build := func() Module {
+		m := NewNamedSequential(
+			Child{Name: "conv", Module: NewConv2d(2, 3, 3, 1, 1, 1, true)},
+			Child{Name: "bn", Module: NewBatchNorm2d(3)},
+			Child{Name: "pool", Module: NewGlobalAvgPool2d()},
+			Child{Name: "flat", Module: NewFlatten()},
+			Child{Name: "fc", Module: NewLinear(3, 2)},
+		)
+		rng := tensor.NewRNG(4)
+		for _, p := range NamedParams(m) {
+			copy(p.Param.Value.Data(), tensor.Uniform(rng, -1, 1, p.Param.Value.Len()).Data())
+		}
+		return m
+	}
+	x := tensor.Uniform(tensor.NewRNG(8), -1, 1, 2, 2, 5, 5)
+	for _, mode := range []tensor.Mode{tensor.Deterministic, tensor.Parallel} {
+		lazy, eager := build(), build()
+		for _, p := range NamedParams(lazy) {
+			if p.Param.Grad != nil {
+				t.Fatalf("%s has a gradient tensor at construction", p.Path)
+			}
+		}
+		ZeroGrads(eager)
+		for _, p := range NamedParams(eager) {
+			if p.Param.Grad == nil || !p.Param.Grad.SameShape(p.Param.Value) || tensor.MaxAbs(p.Param.Grad) != 0 {
+				t.Fatalf("ZeroGrads left %s without a zero gradient of its shape", p.Path)
+			}
+		}
+		ctx := &Context{Training: true, Mode: mode}
+		for _, m := range []Module{lazy, eager} {
+			out := m.Forward(ctx, x)
+			m.Backward(ctx, tensor.Full(1, out.Shape()...))
+		}
+		lp, ep := NamedParams(lazy), NamedParams(eager)
+		for i := range ep {
+			if lp[i].Param.Grad == nil {
+				t.Fatalf("backward left %s without a gradient", lp[i].Path)
+			}
+			if mode == tensor.Deterministic && !lp[i].Param.Grad.Equal(ep[i].Param.Grad) {
+				t.Fatalf("%s: on-demand gradient differs from the pre-zeroed one", lp[i].Path)
+			}
+		}
+	}
+}

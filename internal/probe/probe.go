@@ -109,7 +109,7 @@ func Run(m nn.Module, cfg Config) (summary Summary, err error) {
 		LossBits:    float32bits(loss),
 	}
 	for _, p := range nn.NamedParams(m) {
-		s.GradHashes = append(s.GradHashes, nn.KeyHash{Key: p.Path, Hash: p.Param.Grad.Hash()})
+		s.GradHashes = append(s.GradHashes, nn.KeyHash{Key: p.Path, Hash: p.Param.EnsureGrad().Hash()})
 	}
 	nn.ZeroGrads(m)
 	return s, nil

@@ -3,10 +3,8 @@ package tensor
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"hash"
 	"io"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -15,16 +13,18 @@ import (
 
 // Content hashing is on the save/recover hot path: every checksummed save
 // and every verified recovery digests all parameter bytes. This file keeps
-// that pass cheap (pooled staging buffers, raw digests without hex round
-// trips), single (a fused serialize+digest writer), and parallel (a bounded
-// worker pool over independent per-tensor digests).
+// that pass cheap (tensor memory fed to SHA-256 in place where the platform's
+// byte order allows, raw digests without hex round trips), single (a fused
+// serialize+digest writer), and parallel (a bounded worker pool over
+// independent per-tensor digests).
 
-// chunkElems is the number of float32 values converted per staging-buffer
-// fill during serialization and hashing.
+// chunkElems is the number of float32 values handed to the hash and the
+// writer per step of a fused serialize+digest pass, and the size of a
+// staging-buffer fill where one is needed.
 const chunkElems = 4096
 
-// stagingPool recycles the 16 KB float32→little-endian staging buffers used
-// by Hash, Digest, WriteTo, and ReadFrom, instead of allocating one per call.
+// stagingPool recycles the 16 KB little-endian staging buffers of ReadFrom
+// and of big-endian builds' writeFloats, instead of allocating one per call.
 var stagingPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 4*chunkElems)
@@ -61,20 +61,7 @@ func (t *Tensor) digestShapeInto(h hash.Hash) {
 func (t *Tensor) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	t.digestShapeInto(h)
-	bufp := stagingPool.Get().(*[]byte)
-	buf := *bufp
-	for off := 0; off < len(t.data); off += chunkElems {
-		end := off + chunkElems
-		if end > len(t.data) {
-			end = len(t.data)
-		}
-		chunk := t.data[off:end]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
-		h.Write(buf[:len(chunk)*4])
-	}
-	stagingPool.Put(bufp)
+	writeFloats(t.data, h, nil) // a hash never fails a write
 	digestOps.Add(1)
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
@@ -84,59 +71,14 @@ func (t *Tensor) Digest() [sha256.Size]byte {
 // WriteToWithDigest serializes t to w in the binary tensor format while
 // feeding the same little-endian data bytes into a SHA-256 state, so one
 // pass over the tensor's data yields both the serialized stream and the
-// tensor's content digest (identical to Digest). Unlike WriteTo, w is not
-// wrapped in a bufio.Writer; callers stream many tensors and supply their
-// own buffered writer.
+// tensor's content digest (identical to Digest).
 func (t *Tensor) WriteToWithDigest(w io.Writer) (int64, [sha256.Size]byte, error) {
 	var d [sha256.Size]byte
 	h := sha256.New()
 	t.digestShapeInto(h)
-
-	var n int64
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], magic)
-	binary.LittleEndian.PutUint16(hdr[4:6], formatVersion)
-	if len(t.shape) > math.MaxUint16 {
-		return n, d, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
-	}
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(t.shape)))
-	m, err := w.Write(hdr[:])
-	n += int64(m)
+	n, err := t.writeTo(w, h)
 	if err != nil {
 		return n, d, err
-	}
-	var dim [4]byte
-	for _, s := range t.shape {
-		if s > math.MaxUint32 {
-			return n, d, fmt.Errorf("tensor: dimension %d too large to serialize", s)
-		}
-		binary.LittleEndian.PutUint32(dim[:], uint32(s))
-		m, err = w.Write(dim[:])
-		n += int64(m)
-		if err != nil {
-			return n, d, err
-		}
-	}
-
-	bufp := stagingPool.Get().(*[]byte)
-	defer stagingPool.Put(bufp)
-	buf := *bufp
-	for off := 0; off < len(t.data); off += chunkElems {
-		end := off + chunkElems
-		if end > len(t.data) {
-			end = len(t.data)
-		}
-		chunk := t.data[off:end]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
-		raw := buf[:len(chunk)*4]
-		h.Write(raw)
-		m, err = w.Write(raw)
-		n += int64(m)
-		if err != nil {
-			return n, d, err
-		}
 	}
 	digestOps.Add(1)
 	h.Sum(d[:0])

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 )
@@ -26,63 +27,33 @@ const (
 )
 
 // WriteTo serializes t to w in the binary tensor format and returns the
-// number of bytes written.
+// number of bytes written: one Write for the header, one for the data.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	put32 := func(v uint32) error {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		m, err := bw.Write(b[:])
-		n += int64(m)
-		return err
-	}
-	put16 := func(v uint16) error {
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], v)
-		m, err := bw.Write(b[:])
-		n += int64(m)
-		return err
-	}
-	if err := put32(magic); err != nil {
-		return n, err
-	}
-	if err := put16(formatVersion); err != nil {
-		return n, err
-	}
+	return t.writeTo(w, nil)
+}
+
+// writeTo is WriteTo that additionally feeds the data bytes (not the
+// header) into h when h is non-nil.
+func (t *Tensor) writeTo(w io.Writer, h hash.Hash) (int64, error) {
 	if len(t.shape) > math.MaxUint16 {
-		return n, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
+		return 0, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
 	}
-	if err := put16(uint16(len(t.shape))); err != nil {
-		return n, err
-	}
+	hdr := make([]byte, 8, 8+4*len(t.shape))
+	binary.LittleEndian.PutUint32(hdr[:4], magic)
+	binary.LittleEndian.PutUint16(hdr[4:6], formatVersion)
+	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(t.shape)))
 	for _, d := range t.shape {
 		if d > math.MaxUint32 {
-			return n, fmt.Errorf("tensor: dimension %d too large to serialize", d)
+			return 0, fmt.Errorf("tensor: dimension %d too large to serialize", d)
 		}
-		if err := put32(uint32(d)); err != nil {
-			return n, err
-		}
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
 	}
-	bufp := stagingPool.Get().(*[]byte)
-	defer stagingPool.Put(bufp)
-	buf := *bufp
-	for off := 0; off < len(t.data); off += chunkElems {
-		end := off + chunkElems
-		if end > len(t.data) {
-			end = len(t.data)
-		}
-		chunk := t.data[off:end]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
-		}
-		m, err := bw.Write(buf[:len(chunk)*4])
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
+	m, err := w.Write(hdr)
+	if err != nil {
+		return int64(m), err
 	}
-	return n, bw.Flush()
+	n, err := writeFloats(t.data, h, w)
+	return int64(m) + n, err
 }
 
 // ReadFrom deserializes a tensor from r.

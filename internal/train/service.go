@@ -166,10 +166,30 @@ type ServiceDoc struct {
 	DatasetRef string                `json:"dataset_ref,omitempty"`
 }
 
+// maxDocSeed bounds the seeds a provenance document can record: document
+// stores carry JSON numbers as float64, which rounds integers from 2^53
+// up, and a rounded seed replays a different training run — the model
+// could be saved but never recovered.
+const maxDocSeed = 1 << 53
+
+func checkDocSeed(what string, seed uint64) error {
+	if seed >= maxDocSeed {
+		return fmt.Errorf("train: %s seed %d cannot be replayed: provenance documents record numbers as float64, use a seed below 2^53", what, seed)
+	}
+	return nil
+}
+
 // Describe implements Service. It returns the provenance document together
 // with the live optimizer (whose state the caller persists to a state file)
-// and the dataset (which the caller archives).
+// and the dataset (which the caller archives). A seed the document cannot
+// record exactly is an error here, before any training is spent on it.
 func (s *ImageClassifierTrainService) Describe() (ServiceDoc, *SGD, *dataset.Dataset, error) {
+	if err := checkDocSeed("service", s.Config.Seed); err != nil {
+		return ServiceDoc{}, nil, nil, err
+	}
+	if err := checkDocSeed("dataloader", s.Loader.Config.Seed); err != nil {
+		return ServiceDoc{}, nil, nil, err
+	}
 	cfg, err := json.Marshal(s.Config)
 	if err != nil {
 		return ServiceDoc{}, nil, nil, err

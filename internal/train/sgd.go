@@ -38,7 +38,7 @@ func clipGradients(m nn.Module, maxNorm float32) {
 		if !p.Param.Trainable {
 			continue
 		}
-		for _, g := range p.Param.Grad.Data() {
+		for _, g := range p.Param.EnsureGrad().Data() {
 			sq += float64(g) * float64(g)
 		}
 	}
@@ -51,7 +51,7 @@ func clipGradients(m nn.Module, maxNorm float32) {
 		if !p.Param.Trainable {
 			continue
 		}
-		g := p.Param.Grad.Data()
+		g := p.Param.EnsureGrad().Data()
 		for i := range g {
 			g[i] *= scale
 		}
@@ -85,7 +85,7 @@ func (s *SGD) Step(m nn.Module) {
 			continue
 		}
 		w := p.Param.Value.Data()
-		g := p.Param.Grad.Data()
+		g := p.Param.EnsureGrad().Data()
 		if s.Config.WeightDecay != 0 {
 			wd := s.Config.WeightDecay
 			for i := range g {

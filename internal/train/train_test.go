@@ -112,7 +112,7 @@ func TestAccuracy(t *testing.T) {
 func TestSGDStepBasics(t *testing.T) {
 	l := nn.NewLinear(2, 1)
 	copy(l.Weight.Value.Data(), []float32{1, 1})
-	l.Weight.Grad.Data()[0] = 1
+	l.Weight.EnsureGrad().Data()[0] = 1
 	opt := NewSGD(SGDConfig{LR: 0.1})
 	opt.Step(l)
 	if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)-0.9) > 1e-6 {
@@ -126,8 +126,8 @@ func TestSGDStepBasics(t *testing.T) {
 
 func TestSGDRespectsTrainableFlag(t *testing.T) {
 	l := nn.NewLinear(2, 1)
-	l.Weight.Grad.Fill(1)
-	l.Bias.Grad.Fill(1)
+	l.Weight.EnsureGrad().Fill(1)
+	l.Bias.EnsureGrad().Fill(1)
 	nn.FreezeAllExcept(l, "bias")
 	before := l.Weight.Value.Clone()
 	NewSGD(SGDConfig{LR: 0.5}).Step(l)
@@ -146,9 +146,9 @@ func TestSGDRespectsTrainableFlag(t *testing.T) {
 func TestSGDMomentumAccumulates(t *testing.T) {
 	l := nn.NewLinear(1, 1)
 	opt := NewSGD(SGDConfig{LR: 1, Momentum: 0.5})
-	l.Weight.Grad.Fill(1)
+	l.Weight.EnsureGrad().Fill(1)
 	opt.Step(l) // v=1, w=-1
-	l.Weight.Grad.Fill(1)
+	l.Weight.EnsureGrad().Fill(1)
 	opt.Step(l) // v=1.5, w=-2.5
 	if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)+2.5) > 1e-6 {
 		t.Fatalf("weight = %v, want -2.5", got)
@@ -161,8 +161,8 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 func TestSGDStateRoundTrip(t *testing.T) {
 	l := nn.NewLinear(2, 2)
 	opt := NewSGD(SGDConfig{LR: 0.1, Momentum: 0.9})
-	l.Weight.Grad.Fill(0.5)
-	l.Bias.Grad.Fill(0.25)
+	l.Weight.EnsureGrad().Fill(0.5)
+	l.Bias.EnsureGrad().Fill(0.25)
 	opt.Step(l)
 
 	var buf bytes.Buffer
@@ -180,8 +180,8 @@ func TestSGDStateRoundTrip(t *testing.T) {
 	l2 := nn.NewLinear(2, 2)
 	copy(l2.Weight.Value.Data(), l.Weight.Value.Data())
 	copy(l2.Bias.Value.Data(), l.Bias.Value.Data())
-	l.Weight.Grad.Fill(0.5)
-	l2.Weight.Grad.Fill(0.5)
+	l.Weight.EnsureGrad().Fill(0.5)
+	l2.Weight.EnsureGrad().Fill(0.5)
 	opt.Step(l)
 	opt2.Step(l2)
 	if !l.Weight.Value.Equal(l2.Weight.Value) {

@@ -9,6 +9,11 @@
 #   5. go test -race — the concurrency-heavy packages under the race detector
 #   6. bench smoke   — the hot-path benchmarks run once, so a broken
 #                      benchmark cannot reach main unnoticed
+#   7. bench module  — bench/ is its own module (repro/bench) that ./...
+#                      never reaches; vet and test it so an API change in
+#                      models/nn/core that breaks the benchmark fails here
+#   8. big-endian    — cross-build tensor and nn for s390x, the only way
+#                      the staging fallback of alias_fallback.go is compiled
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -29,5 +34,11 @@ go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/f
 
 echo "==> go test -bench smoke (hot-path benchmarks, one iteration)"
 go test -run '^$' -bench 'BenchmarkStateDictHashWorkers|BenchmarkStateDictSerialize$|BenchmarkStateDictDeserializeWorkers|BenchmarkBARecoverChecksums|BenchmarkPUARecoverChecksums|BenchmarkRecoverStateHit|BenchmarkShardedSaveRecover$|BenchmarkServe$' -benchtime 1x .
+
+echo "==> (cd bench && go vet . && go test .)"
+(cd bench && go vet . && go test .)
+
+echo "==> GOARCH=s390x go build ./internal/tensor/... ./internal/nn/..."
+GOARCH=s390x go build ./internal/tensor/... ./internal/nn/...
 
 echo "verify: all gates green"
