@@ -143,10 +143,8 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("recover needs -out FILE"))
 		}
-		// The adaptive service recovers any chain regardless of the
-		// approaches its links were saved with.
-		svc := core.NewAdaptive(stores)
-		rec, err := svc.Recover(id, core.RecoverOptions{VerifyChecksums: true})
+		// Any service recovers any stored model; only saves differ.
+		rec, err := core.NewBaseline(stores).Recover(id, core.RecoverOptions{VerifyChecksums: true})
 		if err != nil {
 			fatal(err)
 		}

@@ -139,7 +139,8 @@ func readonlyHandles(p *Package, file *ast.File) map[types.Object]bool {
 // span with its tracer, so an *obs.Span that is started but never ended
 // silently drops itself — and its place in the tree — from the trace
 // file. Every span variable assigned from a call must have a lexical
-// End() call somewhere in the enclosing function (closure bodies count).
+// End() or EndAfter(d) call somewhere in the enclosing function (closure
+// bodies count).
 // Spans that escape the function — returned, passed to another call,
 // aliased, stored in a composite literal, sent on a channel, or address-
 // taken — are the recipient's responsibility and are skipped.
@@ -204,7 +205,7 @@ func spanCheckFile(p *Package, file *ast.File) []Finding {
 					}
 				}
 			case *ast.CallExpr:
-				if sel, ok := st.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "End" && len(st.Args) == 0 {
+				if sel, ok := st.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "End" && len(st.Args) == 0 || sel.Sel.Name == "EndAfter" && len(st.Args) == 1) {
 					if obj := spanObj(sel.X); obj != nil {
 						ended[obj] = true
 					}

@@ -3,7 +3,10 @@
 // import path ends in "obs".
 package obs
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // Span is one in-flight operation.
 type Span struct {
@@ -20,3 +23,6 @@ func (s *Span) Arg(k, v string) *Span { return s }
 
 // End completes the span.
 func (s *Span) End() {}
+
+// EndAfter completes the span with a caller-measured duration.
+func (s *Span) EndAfter(time.Duration) {}

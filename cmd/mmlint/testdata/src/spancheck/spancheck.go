@@ -5,6 +5,7 @@ package spancheck
 import (
 	"context"
 	"errors"
+	"time"
 
 	"repro/cmd/mmlint/testdata/src/spancheck/obs"
 )
@@ -43,6 +44,14 @@ func CleanPerPath(ctx context.Context, fail bool) error {
 	}
 	sp.End()
 	return nil
+}
+
+// CleanEndAfter ends the span with a duration it measured itself: not
+// flagged.
+func CleanEndAfter(ctx context.Context) {
+	_, sp := obs.StartSpan(ctx, "timed")
+	start := time.Now()
+	sp.EndAfter(time.Since(start))
 }
 
 // CleanEscapeReturn hands the span to its caller, which then owns ending

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"time"
+	"context"
 
 	"repro/internal/obs"
 )
@@ -82,8 +82,9 @@ func (c *RecoveryCache) coalescing() bool {
 // themselves from the cache entry the leader inserted, under their own
 // RecoverOptions (a follower that asked for checksum verification still
 // gets it). Followers fall back to their own miss() when the leader failed
-// or when the recovered state was not cacheable (too large for the bound).
-func recoverCoalesced(cache *RecoveryCache, id string, opts RecoverOptions, miss func() (*RecoveredState, error)) (*RecoveredState, error) {
+// or when the recovered state was not cacheable (too large for the bound),
+// and stop waiting when their own ctx is cancelled.
+func recoverCoalesced(ctx context.Context, cache *RecoveryCache, id string, opts RecoverOptions, miss func() (*RecoveredState, error)) (*RecoveredState, error) {
 	if cache == nil || !cache.coalescing() {
 		return miss()
 	}
@@ -93,12 +94,26 @@ func recoverCoalesced(cache *RecoveryCache, id string, opts RecoverOptions, miss
 		cache.endFlight(id, fl, err)
 		return rs, err
 	}
-	t0 := time.Now()
-	<-fl.done
+	var timing RecoverTiming
+	err := phase(ctx, "flight.wait", &timing.Load, func(*obs.Span) error {
+		select {
+		case <-fl.done:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
 	if fl.err == nil {
 		if cr, ok := cache.Get(id); ok {
-			return stateFromCache(id, cr, opts, RecoverTiming{Load: time.Since(t0)})
+			return stateFromCache(ctx, id, cr, opts, timing)
 		}
 	}
-	return miss()
+	rs, err := miss()
+	if err == nil {
+		rs.Timing.add(timing) // the wait is part of this caller's time to recover
+	}
+	return rs, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -33,13 +34,13 @@ func TestRecoverCoalescedFollowersShareLeader(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rs, err := recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+		rs, err := recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 			leaderRuns.Add(1)
 			close(entered)
 			<-release
 			cache.Put("m", rec)
 			cr, _ := cache.Get("m")
-			return stateFromCache("m", cr, RecoverOptions{}, RecoverTiming{})
+			return stateFromCache(context.Background(), "m", cr, RecoverOptions{}, RecoverTiming{})
 		})
 		if err != nil || rs == nil {
 			t.Errorf("leader recover: %v", err)
@@ -53,7 +54,7 @@ func TestRecoverCoalescedFollowersShareLeader(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			rs, err := recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+			rs, err := recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 				t.Error("follower must not run its own recovery when the leader succeeds")
 				return nil, errors.New("unexpected")
 			})
@@ -96,7 +97,7 @@ func TestRecoverCoalescedLeaderFailureDoesNotPoisonFollowers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+		_, err := recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 			close(entered)
 			<-release
 			return nil, errors.New("injected: leader's connection died")
@@ -112,13 +113,13 @@ func TestRecoverCoalescedLeaderFailureDoesNotPoisonFollowers(t *testing.T) {
 	for i := 0; i < followers; i++ {
 		go func() {
 			defer wg.Done()
-			rs, err := recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+			rs, err := recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 				// The follower's own attempt succeeds: the fault was the
 				// leader's alone and must not fan out.
 				fallbacks.Add(1)
 				cr := rec
 				cr.VerifiedHash = cr.StateHash
-				return stateFromCache("m", cr, RecoverOptions{}, RecoverTiming{})
+				return stateFromCache(context.Background(), "m", cr, RecoverOptions{}, RecoverTiming{})
 			})
 			if err != nil || rs == nil {
 				t.Errorf("follower fallback: %v", err)
@@ -143,7 +144,7 @@ func TestRecoverCoalescedDisabled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+		recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 			<-block
 			return nil, errors.New("slow")
 		})
@@ -153,7 +154,7 @@ func TestRecoverCoalescedDisabled(t *testing.T) {
 	// not wait on the first.
 	done := make(chan struct{})
 	go func() {
-		recoverCoalesced(cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
+		recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
 			return nil, errors.New("fast")
 		})
 		close(done)

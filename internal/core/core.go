@@ -14,7 +14,14 @@
 //     compressed training dataset, the environment, and a base-model
 //     reference. Recovery re-executes the training deterministically.
 //
-// All approaches persist JSON documents in a docdb.Store (MongoDB in the
+// The approaches are save policies. A stored model is a chain of typed
+// links — snapshot, parameter update, provenance — and each service decides
+// per save which kind to write (the adaptive one, Section 4.7, by expected
+// storage); the three link writers and the one recovery that walks any
+// chain are shared (service.go, walker.go), so every service recovers every
+// stored model.
+//
+// Everything persists as JSON documents in a docdb.Store (MongoDB in the
 // paper) organized hierarchically, and opaque artifacts in a
 // filestore.Store (the paper's shared file system). A saved model and its
 // recovered counterpart are equal in the paper's strict sense: identical
@@ -22,6 +29,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,11 +94,6 @@ type SaveInfo struct {
 	// Provenance must be set for derived saves with the provenance
 	// approach; other approaches ignore it.
 	Provenance *ProvenanceRecord
-	// extraLayerHashes, when set by the adaptive approach, persists a
-	// per-layer hash document alongside a derived provenance save — inside
-	// the same transaction — so a later PUA save can diff against this
-	// model even though MPA itself stores no parameters.
-	extraLayerHashes []nn.KeyHash
 }
 
 // SaveResult reports a completed save.
@@ -157,18 +160,33 @@ type RecoveredModel struct {
 	Net nn.Module
 	// BaseID is the recovered model's base reference (empty for roots).
 	BaseID string
-	// Timing is the TTR breakdown, aggregated over recursive recoveries.
+	// Timing is the TTR breakdown over the whole chain.
 	Timing RecoverTiming
 }
 
-// SaveService is the common interface of the three approaches.
+// SaveService is what all four services (BA, PUA, MPA, adaptive) are. They
+// differ only in how Save represents a model; every one of them recovers
+// every stored model, whichever service saved it. Each operation has a
+// plain form and a Ctx form taking a context: a tracer the context carries
+// receives the operation's spans, and cancelling it abandons a recovery.
 type SaveService interface {
 	// Approach returns the approach identifier.
 	Approach() string
 	// Save persists the model and returns its identifier and metrics.
 	Save(info SaveInfo) (SaveResult, error)
-	// Recover reconstructs the model saved under id.
+	SaveCtx(ctx context.Context, info SaveInfo) (SaveResult, error)
+	// Recover reconstructs the model saved under id as a fresh net:
+	// RecoverState, then RecoveredState.Instantiate.
 	Recover(id string, opts RecoverOptions) (*RecoveredModel, error)
+	RecoverCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredModel, error)
+	// RecoverState reconstructs the model's state dict without building a
+	// net — the serving tier's entry point, O(1) on a cache hit.
+	RecoverState(id string, opts RecoverOptions) (*RecoveredState, error)
+	RecoverStateCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error)
+	// SetRecoveryCache memoizes recoveries through c (nil disables): a hit
+	// on the requested model skips the store, a hit on an ancestor leaves
+	// only the links above it to apply.
+	SetRecoveryCache(c *RecoveryCache)
 }
 
 // modelDoc is the root metadata document of a saved model. Sub-documents
@@ -233,33 +251,23 @@ func mapToDoc(doc docdb.Document, v any) error {
 	return nil
 }
 
+// loadDoc fetches and decodes one document.
+func loadDoc[T any](meta docdb.Store, col, id string) (T, error) {
+	var v T
+	raw, err := meta.Get(col, id)
+	if err != nil {
+		return v, fmt.Errorf("core: loading %s/%s: %w", col, id, err)
+	}
+	return v, mapToDoc(raw, &v)
+}
+
 // getModelDoc fetches and decodes a model's root document.
 func getModelDoc(meta docdb.Store, id string) (modelDoc, error) {
-	raw, err := meta.Get(ColModels, id)
+	doc, err := loadDoc[modelDoc](meta, ColModels, id)
 	if errors.Is(err, docdb.ErrNotFound) {
 		return modelDoc{}, fmt.Errorf("%w: %s", ErrModelNotFound, id)
 	}
-	if err != nil {
-		return modelDoc{}, err
-	}
-	var doc modelDoc
-	if err := mapToDoc(raw, &doc); err != nil {
-		return modelDoc{}, err
-	}
-	return doc, nil
-}
-
-// envFromDoc loads an environment document.
-func envFromDoc(meta docdb.Store, id string) (environment.Info, error) {
-	raw, err := meta.Get(ColEnvironments, id)
-	if err != nil {
-		return environment.Info{}, fmt.Errorf("core: loading environment %s: %w", id, err)
-	}
-	var env environment.Info
-	if err := mapToDoc(raw, &env); err != nil {
-		return environment.Info{}, err
-	}
-	return env, nil
+	return doc, err
 }
 
 // captureEnv returns info.Env or captures the current environment.

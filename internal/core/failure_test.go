@@ -155,28 +155,6 @@ func TestMPARecoverWithMissingDataset(t *testing.T) {
 	}
 }
 
-func TestRecoverSnapshotRejectsProvenanceOnlyModel(t *testing.T) {
-	stores := testStores(t)
-	mpa := NewProvenance(stores)
-	ba := NewBaseline(stores)
-	ds := tinyDataset(t)
-	net := tinyNet(t, 36)
-	u1, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := trainDerived(t, net, ds)
-	res, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: u1.ID, Provenance: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The baseline cannot recover a provenance-only model: it has no
-	// parameter snapshot.
-	if _, err := ba.Recover(res.ID, RecoverOptions{}); err == nil {
-		t.Fatal("baseline recovered a model that has no snapshot")
-	}
-}
-
 // Invariant: for any subset of changed layers, merging the update into the
 // base reproduces the derived state exactly — the PUA recovery equation.
 func TestMergeSubsetInvariant(t *testing.T) {

@@ -1,21 +1,15 @@
 package core
 
-import (
-	"repro/internal/docdb"
-	"repro/internal/environment"
-	"repro/internal/filestore"
-)
-
 // Pipelined chain loading. Recovering a derived model walks its base chain
 // through the metadata store; the documents must be fetched sequentially
-// (each link's BaseID is only known once its document arrives), but the
-// artifact blobs they reference — parameter files, model code, dataset
-// archives, optimizer state — are independent. Each blob fetch is launched
-// as soon as its reference is known and runs while the walk continues, so
-// a chain of depth k pays one round-trip ladder for the documents plus the
-// slowest blob, not the sum of all blob transfers. Over the networked
-// docdb (and under faultnet's injected delays) this is the difference
-// between k serial round-trips and one.
+// (each link's BaseID is only known once its document arrives), but what
+// they reference — parameter files, model code, environment and service
+// documents, dataset archives, optimizer state — is independent. Each of
+// those fetches is launched as soon as its reference is known and runs
+// while the walk continues, so a chain of depth k pays one round-trip
+// ladder for the root documents plus the slowest fetch, not the sum of
+// them all. Over the networked docdb (and under faultnet's injected
+// delays) this is the difference between k serial round-trips and one.
 
 // fetch is a single-use future: goFetch launches fn on its own goroutine
 // and wait blocks until it finishes.
@@ -41,20 +35,9 @@ func (f *fetch[T]) wait() (T, error) {
 	return f.val, f.err
 }
 
-// fetchBlob starts an asynchronous read of a file-store blob.
-func fetchBlob(files filestore.Blobs, id string) *fetch[[]byte] {
-	return goFetch(func() ([]byte, error) { return files.ReadAll(id) })
-}
-
-// fetchMapped starts an asynchronous mapped open of a file-store blob —
-// the parameter-blob path: when mmap is available the "load" is O(1) and
-// the bytes page in lazily as decoding (or aliased tensors) touch them;
-// otherwise the blob is read fully, like fetchBlob.
-func fetchMapped(files filestore.Blobs, id string) *fetch[*filestore.Mapping] {
-	return goFetch(func() (*filestore.Mapping, error) { return files.OpenMapped(id) })
-}
-
-// fetchEnv starts an asynchronous load of an environment document.
-func fetchEnv(meta docdb.Store, id string) *fetch[environment.Info] {
-	return goFetch(func() (environment.Info, error) { return envFromDoc(meta, id) })
+// settled is wait for a caller that only needs to know the fetch is over
+// and whether it failed, whatever its type.
+func (f *fetch[T]) settled() error {
+	<-f.done
+	return f.err
 }

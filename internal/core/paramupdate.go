@@ -3,12 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/environment"
-	"repro/internal/filestore"
 	"repro/internal/merkle"
-	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -19,183 +15,89 @@ import (
 // save path find the changed layers by comparing Merkle trees, so saving a
 // derived model never recovers the base model's parameters.
 type ParamUpdate struct {
-	stores Stores
+	service
 	// UseMerkle selects Merkle-tree layer diffing; when false the diff
 	// compares every layer hash pairwise. The flag exists for the ablation
 	// benchmark of the Merkle optimization.
 	UseMerkle bool
-	cache     *RecoveryCache
 }
 
 // NewParamUpdate creates a parameter update save service.
 func NewParamUpdate(stores Stores) *ParamUpdate {
-	return &ParamUpdate{stores: stores, UseMerkle: true}
+	p := &ParamUpdate{UseMerkle: true}
+	p.service = service{stores: stores, name: ParamUpdateApproach, plan: p.plan}
+	return p
 }
 
-var _ SaveService = (*ParamUpdate)(nil)
-var _ RecoveryCacher = (*ParamUpdate)(nil)
-
-// SetRecoveryCache memoizes recoveries through c (nil disables). A chain
-// walk that finds any prefix of its base chain in the cache merges only
-// the suffix updates onto the cached state.
-func (p *ParamUpdate) SetRecoveryCache(c *RecoveryCache) { p.cache = c }
-
-// Approach implements SaveService.
-func (p *ParamUpdate) Approach() string { return ParamUpdateApproach }
-
-// Save implements SaveService. An initial model (no BaseID) is saved as a
-// full snapshot, augmented with the per-layer hash document; a derived
-// model is saved as a parameter update.
-func (p *ParamUpdate) Save(info SaveInfo) (SaveResult, error) {
-	return p.SaveCtx(context.Background(), info)
-}
-
-var _ ContextService = (*ParamUpdate)(nil)
-var _ ContextStateRecoverer = (*ParamUpdate)(nil)
-
-// SaveCtx is Save with context propagation: a tracer carried by ctx
-// receives a "save.pua" root span with per-phase children (for derived
-// saves notably "diff", the Merkle comparison that finds changed layers).
-func (p *ParamUpdate) SaveCtx(ctx context.Context, info SaveInfo) (SaveResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "save.pua")
-	defer sp.End()
-	res, err := p.saveCtx(ctx, info)
-	if err != nil {
-		noteSave(res, err)
-		return SaveResult{}, err
-	}
-	sp.Arg("model", res.ID)
-	noteSave(res, nil)
-	return res, nil
-}
-
-func (p *ParamUpdate) saveCtx(ctx context.Context, info SaveInfo) (res SaveResult, retErr error) {
-	start := time.Now()
+// plan is the PUA policy: an initial model (no BaseID) is a full snapshot
+// augmented with the per-layer hash document, a derived model a parameter
+// update.
+func (p *ParamUpdate) plan(info SaveInfo) savePlan {
+	plan := savePlan{kind: updateLink, approach: ParamUpdateApproach, layerHashes: true, pairwiseDiff: !p.UseMerkle}
 	if info.BaseID == "" {
-		res, err := saveSnapshot(ctx, p.stores, info, ParamUpdateApproach, true)
-		if err != nil {
-			return SaveResult{}, err
-		}
-		res.Duration = time.Since(start)
-		return res, nil
+		plan.kind = snapshotLink
 	}
+	return plan
+}
 
-	res = SaveResult{Approach: ParamUpdateApproach}
+// writeUpdate writes a parameter-update link: the tensors of the layers
+// whose hashes differ from the base model's, and this model's own layer
+// hashes so the next derived save can diff against it.
+func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan) (_ SaveResult, retErr error) {
+	sv := s.beginSaving(ctx, info, plan)
+	defer func() { sv.txn.end(retErr) }()
 
 	// Load the base model's layer hashes (never its parameters) and find
-	// the changed layers against them. Everything up to here only reads,
-	// so the transaction begins after the diff.
-	_, spDiff := obs.StartSpan(ctx, "diff")
-	baseDoc, err := getModelDoc(p.stores.Meta, info.BaseID)
-	if err != nil {
-		spDiff.End()
-		return SaveResult{}, err
-	}
-	if baseDoc.HashDocID == "" {
-		spDiff.End()
-		return SaveResult{}, fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
-	}
-	baseHashes, err := loadLayerHashes(p.stores.Meta, baseDoc.HashDocID)
-	if err != nil {
-		spDiff.End()
-		return SaveResult{}, err
-	}
-
-	// Extract this model's layer hashes and compare. The precomputed
-	// digest cache makes this the derived save's only hashing pass:
-	// LayerHashes, the state hash below, and the update subset all read
-	// the same per-tensor digests.
+	// the changed layers against them. This only reads, so nothing is
+	// staged before it. The precomputed digest cache makes it the save's
+	// only hashing pass: LayerHashes, the state hash and the update subset
+	// all read the same per-tensor digests.
 	sd := nn.StateDictOf(info.Net)
-	sd.PrecomputeDigests()
-	curHashes := sd.LayerHashes()
-	changed, err := diffLayerHashes(baseHashes, curHashes, p.UseMerkle)
-	spDiff.End()
+	var curHashes []nn.KeyHash
+	err := phase(ctx, "diff", nil, func(*obs.Span) error {
+		baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
+		if err != nil {
+			return err
+		}
+		if baseDoc.HashDocID == "" {
+			return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
+		}
+		baseHashes, err := loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
+		if err != nil {
+			return err
+		}
+		sd.PrecomputeDigests()
+		curHashes = sd.LayerHashes()
+		sv.doc.UpdatedLayers, err = diffLayerHashes(baseHashes, curHashes, !plan.pairwiseDiff)
+		return err
+	})
 	if err != nil {
 		return SaveResult{}, err
-	}
-
-	// The parameter update: only the changed layers' tensors. The subset
-	// inherits the changed layers' digests, so serializing it below never
-	// re-hashes them.
-	update := sd.SubsetByLayers(changed)
-
-	doc := modelDoc{
-		Approach:          ParamUpdateApproach,
-		BaseID:            info.BaseID,
-		UpdatedLayers:     changed,
-		TrainablePrefixes: nn.TrainablePrefixes(info.Net),
 	}
 	if info.WithChecksums {
-		doc.StateHash = sd.Hash()
+		sv.doc.StateHash = sd.Hash()
 	}
 
-	// Stage every pending identifier and write the commit record first;
-	// any error past this point rolls the staged artifacts back.
-	txn := beginSave(p.stores, ColModels)
-	defer func() { txn.end(retErr) }()
-	paramsID := txn.stageBlob()
-	envID := txn.stageDoc(ColEnvironments)
-	hashID := txn.stageDoc(ColLayerHashes)
-	if err := txn.writeAhead(); err != nil {
+	paramsID := sv.txn.stageBlob()
+	envID := sv.txn.stageDoc(ColEnvironments)
+	hashID := sv.txn.stageDoc(ColLayerHashes)
+	if err := sv.txn.writeAhead(); err != nil {
 		return SaveResult{}, err
 	}
-
-	// Environment document (architecture is inherited from the base model,
-	// but the environment may differ and is always recorded).
-	_, spEnv := obs.StartSpan(ctx, "save.env")
-	env := captureEnv(info)
-	envDoc, envSize, err := docToMap(env)
-	if err != nil {
-		spEnv.End()
+	// The architecture is inherited from the base model, but the
+	// environment may differ and is always recorded.
+	if err := sv.putEnv(envID, info); err != nil {
 		return SaveResult{}, err
 	}
-	err = txn.putDoc(ColEnvironments, envID, "env", envDoc)
-	spEnv.End()
-	if err != nil {
+	// The subset inherits the changed layers' digests, so serializing it
+	// never re-hashes them.
+	if err := sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), true); err != nil {
 		return SaveResult{}, err
 	}
-	doc.EnvDocID = envID
-	res.MetaBytes += envSize
-
-	// Serialized parameter update (digests inherited above, so the fused
-	// writer degrades to a plain serialize).
-	_, spParams := obs.StartSpan(ctx, "save.params")
-	paramsSize, paramsHash, err := saveStateDict(txn, paramsID, update, true)
-	spParams.End()
-	if err != nil {
+	if err := sv.putLayerHashes(hashID, curHashes); err != nil {
 		return SaveResult{}, err
 	}
-	doc.ParamsFileRef = paramsID
-	doc.ParamsFileHash = paramsHash
-	res.FileBytes += paramsSize
-
-	// Layer hashes for this model, so the next derived save can diff
-	// against us.
-	_, spHashes := obs.StartSpan(ctx, "save.layerhashes")
-	hashSize, err := saveLayerHashes(txn, hashID, curHashes)
-	spHashes.End()
-	if err != nil {
-		return SaveResult{}, err
-	}
-	doc.HashDocID = hashID
-	res.MetaBytes += hashSize
-
-	_, spDoc := obs.StartSpan(ctx, "save.doc")
-	rootDoc, rootSize, err := docToMap(doc)
-	if err != nil {
-		spDoc.End()
-		return SaveResult{}, err
-	}
-	id, err := txn.commit(ctx, rootDoc)
-	spDoc.End()
-	if err != nil {
-		return SaveResult{}, err
-	}
-	res.MetaBytes += rootSize
-	res.ID = id
-	res.StorageBytes = res.MetaBytes + res.FileBytes
-	res.Duration = time.Since(start)
-	return res, nil
+	return sv.commit()
 }
 
 // diffLayerHashes returns the names of layers whose hashes differ. With
@@ -238,237 +140,4 @@ func toLeaves(hashes []nn.KeyHash) []merkle.Leaf {
 		out[i] = merkle.Leaf{Name: h.Key, Hash: h.Hash}
 	}
 	return out
-}
-
-// Recover implements SaveService. Recovery is recursive: the chain of base
-// references is followed down to a full snapshot, then parameter updates
-// are merged upward with the derived model's layers taking priority.
-//
-// Two optimizations keep the walk cheap. Blob fetches are pipelined: each
-// link's parameter (and code) read starts as soon as its document names
-// the reference, and runs while the walk follows the next BaseID. And
-// when a recovery cache is configured, the walk stops at the first cached
-// ancestor: a leaf hit skips the store entirely, a mid-chain hit merges
-// only the suffix of updates onto the cached state.
-func (p *ParamUpdate) Recover(id string, opts RecoverOptions) (*RecoveredModel, error) {
-	return p.RecoverCtx(context.Background(), id, opts)
-}
-
-// RecoverCtx is Recover with context propagation.
-func (p *ParamUpdate) RecoverCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredModel, error) {
-	rs, err := p.RecoverStateCtx(ctx, id, opts)
-	if err != nil {
-		return nil, err
-	}
-	return modelFromState(rs)
-}
-
-var _ StateRecoverer = (*ParamUpdate)(nil)
-
-// RecoverState implements StateRecoverer: the chain walk of Recover at
-// the state level. A leaf cache hit is O(1); a miss maps every parameter
-// blob (tensor data aliases the mappings where alignment allows), merges
-// updates root-to-leaf, seals the result, verifies the checksum once, and
-// populates the cache zero-copy.
-func (p *ParamUpdate) RecoverState(id string, opts RecoverOptions) (*RecoveredState, error) {
-	return p.RecoverStateCtx(context.Background(), id, opts)
-}
-
-// RecoverStateCtx is RecoverState with context propagation: a tracer
-// carried by ctx receives a "recover.pua" root span with the chain walk
-// broken into phases (cache.get, fetch, decode, env.check, seal,
-// hash.verify, cache.put).
-func (p *ParamUpdate) RecoverStateCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error) {
-	ctx, sp := obs.StartSpan(ctx, "recover.pua")
-	sp.Arg("model", id)
-	defer sp.End()
-	rs, err := recoverCoalesced(cacheFor(p.cache, opts), id, opts, func() (*RecoveredState, error) {
-		return p.recoverStateCtx(ctx, id, opts)
-	})
-	if err != nil {
-		noteRecover(RecoverTiming{}, err)
-		return nil, err
-	}
-	noteRecover(rs.Timing, nil)
-	return rs, nil
-}
-
-func (p *ParamUpdate) recoverStateCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error) {
-	cache := cacheFor(p.cache, opts)
-	var timing RecoverTiming
-
-	// Probe the cache for the requested model itself: a leaf hit is the
-	// O(1) path and skips the walk entirely.
-	t0 := time.Now()
-	if cache != nil {
-		_, spCache := obs.StartSpan(ctx, "cache.get")
-		cr, ok := cache.Get(id)
-		spCache.End()
-		if ok {
-			timing.Load = time.Since(t0)
-			return stateFromCache(id, cr, opts, timing)
-		}
-	}
-
-	// Walk the chain from the requested model toward the snapshot root,
-	// launching blob fetches as references appear (the "load" bucket).
-	// Ancestor cache probes happen inside the walk: a mid-chain hit
-	// terminates it.
-	type link struct {
-		id     string
-		doc    modelDoc
-		params *fetch[*filestore.Mapping]
-		code   *fetch[[]byte]
-		env    *fetch[environment.Info]
-	}
-	var chain []link
-	var cached *CachedRecovery // cached ancestor that terminated the walk
-	cur := id
-	_, spFetch := obs.StartSpan(ctx, "fetch")
-	for {
-		if cache != nil && len(chain) > 0 {
-			if cr, ok := cache.Get(cur); ok {
-				cached = &cr
-				break
-			}
-		}
-		doc, err := getModelDoc(p.stores.Meta, cur)
-		if err != nil {
-			spFetch.End()
-			return nil, err
-		}
-		l := link{id: cur, doc: doc}
-		l.env = fetchEnv(p.stores.Meta, doc.EnvDocID)
-		if doc.ParamsFileRef != "" {
-			l.params = fetchMapped(p.stores.Files, doc.ParamsFileRef)
-		}
-		if doc.CodeFileRef != "" {
-			l.code = fetchBlob(p.stores.Files, doc.CodeFileRef)
-		}
-		chain = append(chain, l)
-		if doc.CodeFileRef != "" {
-			break // reached a full snapshot (derived saves carry no code file)
-		}
-		if doc.BaseID == "" {
-			spFetch.End()
-			return nil, fmt.Errorf("core: model %s is an update without a base reference", cur)
-		}
-		cur = doc.BaseID
-	}
-	spFetch.Arg("links", fmt.Sprint(len(chain)))
-
-	// Collect the in-flight fetches; this closes the load bucket.
-	params := make([]*filestore.Mapping, len(chain))
-	var rootCode []byte
-	var targetEnv environment.Info
-	for i, l := range chain {
-		env, err := l.env.wait()
-		if err != nil {
-			spFetch.End()
-			return nil, err
-		}
-		if i == 0 {
-			targetEnv = env
-		}
-		if l.params != nil {
-			if params[i], err = l.params.wait(); err != nil {
-				spFetch.End()
-				return nil, fmt.Errorf("core: loading parameters %s: %w", l.doc.ParamsFileRef, err)
-			}
-		}
-		if l.code != nil {
-			if rootCode, err = l.code.wait(); err != nil {
-				spFetch.End()
-				return nil, fmt.Errorf("core: loading model code: %w", err)
-			}
-		}
-	}
-	spFetch.End()
-	timing.Load = time.Since(t0)
-
-	// Recover: deserialize the snapshot (or start from the cached
-	// ancestor's shared state), then merge updates root-to-leaf. Merge
-	// shares tensors — from the mappings and from the cached ancestor —
-	// which is safe because every shared source is immutable.
-	t1 := time.Now()
-	_, spDecode := obs.StartSpan(ctx, "decode")
-	var spec models.Spec
-	var state *nn.StateDict
-	start := len(chain) - 1
-	if cached != nil {
-		spec, state = cached.Spec, cached.State
-	} else {
-		var err error
-		spec, err = models.ParseSpec(rootCode)
-		if err != nil {
-			spDecode.End()
-			return nil, err
-		}
-		state, err = nn.ReadStateDictMapped(params[start].Bytes(), params[start])
-		if err != nil {
-			spDecode.End()
-			return nil, err
-		}
-		start--
-	}
-	for i := start; i >= 0; i-- {
-		update, err := nn.ReadStateDictMapped(params[i].Bytes(), params[i])
-		if err != nil {
-			spDecode.End()
-			return nil, fmt.Errorf("core: reading update %s: %w", chain[i].id, err)
-		}
-		state = nn.Merge(state, update)
-	}
-	spDecode.End()
-	target := chain[0]
-	timing.Recover = time.Since(t1)
-
-	if opts.CheckEnv {
-		t2 := time.Now()
-		_, spEnv := obs.StartSpan(ctx, "env.check")
-		err := environment.Check(targetEnv)
-		spEnv.End()
-		if err != nil {
-			return nil, err
-		}
-		timing.CheckEnv = time.Since(t2)
-	}
-
-	// Seal before verifying when caching: one digest pass serves the
-	// checksum below and the cache's insert hash.
-	if cache != nil {
-		t4 := time.Now()
-		_, spSeal := obs.StartSpan(ctx, "seal")
-		state.Seal()
-		spSeal.End()
-		timing.Recover += time.Since(t4)
-	}
-	if opts.VerifyChecksums && target.doc.StateHash != "" {
-		t3 := time.Now()
-		_, spVerify := obs.StartSpan(ctx, "hash.verify")
-		got := state.Hash()
-		spVerify.End()
-		if got != target.doc.StateHash {
-			return nil, fmt.Errorf("core: checksum mismatch for model %s", id)
-		}
-		timing.Verify = time.Since(t3)
-	}
-
-	out := state
-	if cache != nil {
-		t4 := time.Now()
-		_, spPut := obs.StartSpan(ctx, "cache.put")
-		cache.Put(id, CachedRecovery{
-			Spec: spec, BaseID: target.doc.BaseID, State: state, Env: targetEnv,
-			TrainablePrefixes: target.doc.TrainablePrefixes, StateHash: target.doc.StateHash,
-		})
-		out = state.Share()
-		spPut.End()
-		timing.Recover += time.Since(t4)
-	}
-	return &RecoveredState{
-		ID: id, Spec: spec, State: out, BaseID: target.doc.BaseID, Env: targetEnv,
-		TrainablePrefixes: target.doc.TrainablePrefixes, StateHash: target.doc.StateHash,
-		Timing: timing,
-	}, nil
 }

@@ -5,11 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/environment"
-	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/train"
@@ -21,60 +18,30 @@ import (
 // parameters. Recovery re-executes the training deterministically, which
 // requires the training service to have been run in deterministic mode.
 type Provenance struct {
-	stores Stores
+	service
 	// DatasetByReference enables the external-dataset-manager mode of
 	// Section 3.3 ("Managing Data sets"): instead of archiving the dataset
 	// into the file store, only a reference to an externally managed
 	// dataset is recorded. Recovery then resolves the reference through
 	// ResolveDataset.
 	DatasetByReference bool
-	// ResolveDataset resolves an external dataset reference when
-	// DatasetByReference is set.
-	ResolveDataset func(ref string) (*dataset.Dataset, error)
-	cache          *RecoveryCache
 }
 
 // NewProvenance creates a model provenance save service.
 func NewProvenance(stores Stores) *Provenance {
-	return &Provenance{stores: stores}
+	p := &Provenance{}
+	p.service = service{stores: stores, name: ProvenanceApproach, plan: p.plan}
+	return p
 }
 
-var _ SaveService = (*Provenance)(nil)
-var _ RecoveryCacher = (*Provenance)(nil)
-
-// SetRecoveryCache memoizes recoveries through c (nil disables). A chain
-// walk that finds any ancestor in the cache replays only the training
-// links above it, which is what makes re-execution-based recovery usable
-// in a U4-style sweep.
-func (p *Provenance) SetRecoveryCache(c *RecoveryCache) { p.cache = c }
-
-// datasetMemo memoizes dataset loads by reference within one recovery.
-// Consecutive fine-tuning steps routinely train on the same dataset, so a
-// chain replay would otherwise fetch and decompress the same archive once
-// per link. The memo hands out shared fetch futures: the first request
-// launches the load, later requests join it. It is confined to a single
-// recovery (each Recover creates its own), so it needs no lock.
-type datasetMemo struct {
-	p *Provenance
-	m map[string]*fetch[*dataset.Dataset]
-}
-
-func (p *Provenance) newDatasetMemo() *datasetMemo {
-	return &datasetMemo{p: p, m: make(map[string]*fetch[*dataset.Dataset])}
-}
-
-// fetch returns the future for ref, starting the load on first request.
-func (dm *datasetMemo) fetch(ref string) *fetch[*dataset.Dataset] {
-	if f, ok := dm.m[ref]; ok {
-		return f
+// plan is the MPA policy: an initial model is a full snapshot, a derived
+// model its provenance only — no parameters.
+func (p *Provenance) plan(info SaveInfo) savePlan {
+	if info.BaseID == "" {
+		return savePlan{kind: snapshotLink, approach: ProvenanceApproach}
 	}
-	f := goFetch(func() (*dataset.Dataset, error) { return dm.p.loadDataset(ref) })
-	dm.m[ref] = f
-	return f
+	return savePlan{kind: provenanceLink, approach: ProvenanceApproach, datasetByRef: p.DatasetByReference}
 }
-
-// Approach implements SaveService.
-func (p *Provenance) Approach() string { return ProvenanceApproach }
 
 // ProvenanceRecord captures everything needed to reproduce a training run:
 // the service document, the pre-training optimizer state, the dataset, and
@@ -126,175 +93,83 @@ func (r *ProvenanceRecord) Train(net nn.Module) (train.Stats, error) {
 	return stats, nil
 }
 
-// Save implements SaveService. An initial model is saved as a full snapshot
-// (the BA logic); a derived model is saved as provenance data only — no
-// parameters.
-func (p *Provenance) Save(info SaveInfo) (SaveResult, error) {
-	return p.SaveCtx(context.Background(), info)
-}
-
-var _ ContextService = (*Provenance)(nil)
-var _ ContextStateRecoverer = (*Provenance)(nil)
-
-// SaveCtx is Save with context propagation: a tracer carried by ctx
-// receives a "save.mpa" root span with per-phase children.
-func (p *Provenance) SaveCtx(ctx context.Context, info SaveInfo) (SaveResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "save.mpa")
-	defer sp.End()
-	res, err := p.saveCtx(ctx, info)
-	if err != nil {
-		noteSave(res, err)
-		return SaveResult{}, err
-	}
-	sp.Arg("model", res.ID)
-	noteSave(res, nil)
-	return res, nil
-}
-
-func (p *Provenance) saveCtx(ctx context.Context, info SaveInfo) (res SaveResult, retErr error) {
-	start := time.Now()
-	if info.BaseID == "" {
-		res, err := saveSnapshot(ctx, p.stores, info, ProvenanceApproach, false)
-		if err != nil {
-			return SaveResult{}, err
-		}
-		res.Duration = time.Since(start)
-		return res, nil
-	}
+// writeProvenance writes a provenance link: the train-service document,
+// the dataset (archived, or by reference), the optimizer's pre-training
+// state, the environment — everything needed to run the training again,
+// and no parameters.
+func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan savePlan) (_ SaveResult, retErr error) {
 	rec := info.Provenance
-	if rec == nil {
+	switch {
+	case rec == nil:
 		return SaveResult{}, fmt.Errorf("core: provenance approach needs a ProvenanceRecord for derived saves")
-	}
-	if !rec.trained {
+	case !rec.trained:
 		return SaveResult{}, fmt.Errorf("core: provenance record was not trained; call Train before Save")
-	}
-	if p.DatasetByReference && rec.externalRef == "" {
+	case plan.datasetByRef && rec.externalRef == "":
 		return SaveResult{}, fmt.Errorf("core: dataset-by-reference mode needs an external dataset reference")
-	}
-	if !p.DatasetByReference && rec.ds == nil {
+	case !plan.datasetByRef && rec.ds == nil:
 		return SaveResult{}, fmt.Errorf("core: provenance record has no dataset")
 	}
-
-	res = SaveResult{Approach: ProvenanceApproach}
-	doc := modelDoc{
-		Approach:          ProvenanceApproach,
-		BaseID:            info.BaseID,
-		TrainablePrefixes: nn.TrainablePrefixes(info.Net),
-	}
+	sv := s.beginSaving(ctx, info, plan)
+	defer func() { sv.txn.end(retErr) }()
 	if info.WithChecksums {
-		doc.StateHash = rec.resultHash
+		sv.doc.StateHash = rec.resultHash
 	}
-
-	// Stage every pending identifier and write the commit record first;
-	// any error past this point rolls the staged artifacts back.
-	txn := beginSave(p.stores, ColModels)
-	defer func() { txn.end(retErr) }()
-	envID := txn.stageDoc(ColEnvironments)
-	svcID := txn.stageDoc(ColServices)
+	envID := sv.txn.stageDoc(ColEnvironments)
+	svcID := sv.txn.stageDoc(ColServices)
 	var dsID, optStateID, hashID string
-	if !p.DatasetByReference {
-		dsID = txn.stageBlob()
+	if !plan.datasetByRef {
+		dsID = sv.txn.stageBlob()
 	}
 	if len(rec.optState) > 0 {
-		optStateID = txn.stageBlob()
+		optStateID = sv.txn.stageBlob()
 	}
-	if len(info.extraLayerHashes) > 0 {
-		hashID = txn.stageDoc(ColLayerHashes)
+	if plan.layerHashes {
+		hashID = sv.txn.stageDoc(ColLayerHashes)
 	}
-	if err := txn.writeAhead(); err != nil {
+	if err := sv.txn.writeAhead(); err != nil {
 		return SaveResult{}, err
 	}
 
-	// Training environment document.
-	_, spEnv := obs.StartSpan(ctx, "save.env")
-	env := captureEnv(info)
-	envDoc, envSize, err := docToMap(env)
-	if err != nil {
-		spEnv.End()
+	if err := sv.putEnv(envID, info); err != nil {
 		return SaveResult{}, err
 	}
-	err = txn.putDoc(ColEnvironments, envID, "env", envDoc)
-	spEnv.End()
-	if err != nil {
-		return SaveResult{}, err
-	}
-	doc.EnvDocID = envID
-	res.MetaBytes += envSize
-
-	// Dataset: archived into the file store, or referenced externally.
 	svcDoc := rec.doc
-	if p.DatasetByReference {
-		svcDoc.DatasetRef = "external:" + rec.externalRef
-	} else {
-		_, spDS := obs.StartSpan(ctx, "save.dataset")
-		dsSize, err := saveDatasetArchive(txn, dsID, rec.ds)
-		spDS.End()
+	svcDoc.DatasetRef = "external:" + rec.externalRef
+	if !plan.datasetByRef {
+		svcDoc.DatasetRef = dsID
+		err := phase(ctx, "save.dataset", nil, func(*obs.Span) error {
+			size, err := saveDatasetArchive(sv.txn, dsID, rec.ds)
+			sv.res.FileBytes += size
+			return err
+		})
 		if err != nil {
 			return SaveResult{}, err
 		}
-		svcDoc.DatasetRef = dsID
-		res.FileBytes += dsSize
 	}
-
-	// Optimizer state file (the wrapper object's state). The blob hash is
-	// recorded alongside the reference — the store computes it while
-	// writing, so it costs no extra read.
+	// The optimizer's state is the wrapper object's state file; its content
+	// hash is recorded beside the reference.
 	if len(rec.optState) > 0 {
-		_, spOpt := obs.StartSpan(ctx, "save.optstate")
-		stateSize, stateHash, err := txn.saveBlob(optStateID, "optstate", bytes.NewReader(rec.optState))
-		spOpt.End()
-		if err != nil {
-			return SaveResult{}, fmt.Errorf("core: saving optimizer state: %w", err)
-		}
 		w := svcDoc.Wrappers["optimizer"]
 		w.StateFileRef = optStateID
-		w.StateFileHash = stateHash
-		svcDoc.Wrappers["optimizer"] = w
-		res.FileBytes += stateSize
-	}
-
-	// Per-layer hash document on the adaptive approach's behalf, inside the
-	// same transaction, so a later PUA save can diff against this model.
-	if len(info.extraLayerHashes) > 0 {
-		_, spHashes := obs.StartSpan(ctx, "save.layerhashes")
-		hashSize, err := saveLayerHashes(txn, hashID, info.extraLayerHashes)
-		spHashes.End()
-		if err != nil {
+		var err error
+		if w.StateFileHash, err = sv.putBlob(optStateID, "optstate", rec.optState); err != nil {
 			return SaveResult{}, err
 		}
-		doc.HashDocID = hashID
-		res.MetaBytes += hashSize
+		svcDoc.Wrappers["optimizer"] = w
 	}
-
-	// Train service document and root document.
-	_, spDoc := obs.StartSpan(ctx, "save.doc")
-	svcRaw, svcSize, err := docToMap(svcDoc)
-	if err != nil {
-		spDoc.End()
+	// Layer hashes on the adaptive policy's behalf, inside the same
+	// transaction: a later parameter update can then diff against this
+	// model although it stores no parameters.
+	if plan.layerHashes {
+		if err := sv.putLayerHashes(hashID, nn.StateDictOf(info.Net).LayerHashes()); err != nil {
+			return SaveResult{}, err
+		}
+	}
+	sv.doc.ServiceDocID = svcID
+	if err := sv.putDoc(ColServices, svcID, "service", svcDoc); err != nil {
 		return SaveResult{}, err
 	}
-	if err := txn.putDoc(ColServices, svcID, "service", svcRaw); err != nil {
-		spDoc.End()
-		return SaveResult{}, err
-	}
-	doc.ServiceDocID = svcID
-	res.MetaBytes += svcSize
-
-	rootDoc, rootSize, err := docToMap(doc)
-	if err != nil {
-		spDoc.End()
-		return SaveResult{}, err
-	}
-	id, err := txn.commit(ctx, rootDoc)
-	spDoc.End()
-	if err != nil {
-		return SaveResult{}, err
-	}
-	res.MetaBytes += rootSize
-	res.ID = id
-	res.StorageBytes = res.MetaBytes + res.FileBytes
-	res.Duration = time.Since(start)
-	return res, nil
+	return sv.commit()
 }
 
 // saveDatasetArchive streams the dataset's compressed archive into the
@@ -310,339 +185,4 @@ func saveDatasetArchive(txn *saveTxn, id string, ds *dataset.Dataset) (int64, er
 		return 0, fmt.Errorf("core: archiving dataset: %w", err)
 	}
 	return size, nil
-}
-
-// Recover implements SaveService by instantiating RecoverState's result.
-// Recovery walks the base chain down to the snapshot root, recovers the
-// root model, and then reproduces each training step in order — the
-// recursive process of Section 3.3, with training in place of parameter
-// merging.
-//
-// The load side is pipelined: each link's dataset archive, optimizer
-// state, and environment document start fetching the moment its documents
-// name them, while the walk follows the next BaseID; datasets are
-// additionally memoized by reference, so a chain fine-tuned on one
-// dataset decompresses its archive once. With a recovery cache the walk
-// stops at the first cached ancestor and replays only the trainings above
-// it — for MPA this is the difference between re-executing the whole
-// history and re-executing one link.
-func (p *Provenance) Recover(id string, opts RecoverOptions) (*RecoveredModel, error) {
-	return p.RecoverCtx(context.Background(), id, opts)
-}
-
-// RecoverCtx is Recover with context propagation.
-func (p *Provenance) RecoverCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredModel, error) {
-	rs, err := p.RecoverStateCtx(ctx, id, opts)
-	if err != nil {
-		return nil, err
-	}
-	return modelFromState(rs)
-}
-
-var _ StateRecoverer = (*Provenance)(nil)
-
-// RecoverState implements StateRecoverer. A cache hit for the requested
-// model is O(1) — no training replay, no net. A miss replays the chain
-// onto a scratch net, then transfers the net's state into the cache
-// zero-copy (the net is discarded, so no clone is needed) and returns a
-// shared view of it.
-func (p *Provenance) RecoverState(id string, opts RecoverOptions) (*RecoveredState, error) {
-	return p.RecoverStateCtx(context.Background(), id, opts)
-}
-
-// RecoverStateCtx is RecoverState with context propagation: a tracer
-// carried by ctx receives a "recover.mpa" root span with the chain walk,
-// the snapshot-root recovery, and one "train.replay" child per reproduced
-// training link.
-func (p *Provenance) RecoverStateCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error) {
-	ctx, sp := obs.StartSpan(ctx, "recover.mpa")
-	sp.Arg("model", id)
-	defer sp.End()
-	rs, err := recoverCoalesced(cacheFor(p.cache, opts), id, opts, func() (*RecoveredState, error) {
-		return p.recoverStateCtx(ctx, id, opts)
-	})
-	if err != nil {
-		noteRecover(RecoverTiming{}, err)
-		return nil, err
-	}
-	noteRecover(rs.Timing, nil)
-	return rs, nil
-}
-
-func (p *Provenance) recoverStateCtx(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error) {
-	cache := cacheFor(p.cache, opts)
-	var timing RecoverTiming
-	t0 := time.Now()
-	if cache != nil {
-		_, spCache := obs.StartSpan(ctx, "cache.get")
-		cr, ok := cache.Get(id)
-		spCache.End()
-		if ok {
-			timing.Load = time.Since(t0)
-			return stateFromCache(id, cr, opts, timing)
-		}
-	}
-
-	type link struct {
-		id       string
-		doc      modelDoc
-		svcDoc   train.ServiceDoc
-		ds       *fetch[*dataset.Dataset]
-		optState *fetch[[]byte]
-		env      *fetch[environment.Info]
-	}
-
-	// Load phase: walk the documents, launching artifact fetches as their
-	// references appear. The requested model itself was already probed
-	// above, so the cache check applies to ancestors only.
-	dm := p.newDatasetMemo()
-	var chain []link
-	var cached *CachedRecovery // cached ancestor that terminated the walk
-	cur := id
-	_, spFetch := obs.StartSpan(ctx, "fetch")
-	for {
-		if cache != nil && len(chain) > 0 {
-			if cr, ok := cache.Get(cur); ok {
-				cached = &cr
-				break
-			}
-		}
-		doc, err := getModelDoc(p.stores.Meta, cur)
-		if err != nil {
-			spFetch.End()
-			return nil, err
-		}
-		l := link{id: cur, doc: doc}
-		l.env = fetchEnv(p.stores.Meta, doc.EnvDocID)
-		if doc.CodeFileRef != "" {
-			// Snapshot root: recovered below with the baseline logic (we
-			// re-fetch there; the double document read is negligible next
-			// to parameter loading).
-			chain = append(chain, l)
-			break
-		}
-		if doc.ServiceDocID == "" {
-			spFetch.End()
-			return nil, fmt.Errorf("core: model %s has neither snapshot nor provenance data", cur)
-		}
-		svcRaw, err := p.stores.Meta.Get(ColServices, doc.ServiceDocID)
-		if err != nil {
-			spFetch.End()
-			return nil, fmt.Errorf("core: loading train service %s: %w", doc.ServiceDocID, err)
-		}
-		if err := mapToDoc(svcRaw, &l.svcDoc); err != nil {
-			spFetch.End()
-			return nil, err
-		}
-		l.ds = dm.fetch(l.svcDoc.DatasetRef)
-		if ref := l.svcDoc.Wrappers["optimizer"].StateFileRef; ref != "" {
-			l.optState = fetchBlob(p.stores.Files, ref)
-		}
-		chain = append(chain, l)
-		if doc.BaseID == "" {
-			spFetch.End()
-			return nil, fmt.Errorf("core: provenance model %s has no base reference", cur)
-		}
-		cur = doc.BaseID
-	}
-	spFetch.Arg("links", fmt.Sprint(len(chain)))
-
-	// Collect the in-flight fetches; this closes the load bucket.
-	envs := make([]environment.Info, len(chain))
-	datasets := make([]*dataset.Dataset, len(chain))
-	optStates := make([][]byte, len(chain))
-	for i, l := range chain {
-		var err error
-		if envs[i], err = l.env.wait(); err != nil {
-			spFetch.End()
-			return nil, err
-		}
-		if l.ds != nil {
-			if datasets[i], err = l.ds.wait(); err != nil {
-				spFetch.End()
-				return nil, err
-			}
-		}
-		if l.optState != nil {
-			if optStates[i], err = l.optState.wait(); err != nil {
-				spFetch.End()
-				return nil, fmt.Errorf("core: loading optimizer state: %w", err)
-			}
-		}
-	}
-	spFetch.End()
-	timing.Load = time.Since(t0)
-
-	// Recover the chain's starting point: the cached ancestor's state, or
-	// the snapshot root.
-	var net nn.Module
-	var spec models.Spec
-	start := len(chain) - 1
-	if cached != nil {
-		base, err := rebuildFromCache(cur, *cached, opts, RecoverTiming{})
-		if err != nil {
-			return nil, err
-		}
-		timing.add(base.Timing)
-		net, spec = base.Net, base.Spec
-	} else {
-		root := chain[start]
-		rootModel, err := recoverSnapshot(ctx, p.stores, root.id, RecoverOptions{CheckEnv: opts.CheckEnv, VerifyChecksums: opts.VerifyChecksums})
-		if err != nil {
-			return nil, err
-		}
-		timing.add(rootModel.Timing)
-		net, spec = rootModel.Net, rootModel.Spec
-		start--
-	}
-
-	// Reproduce each training step from the starting point to the target.
-	for i := start; i >= 0; i-- {
-		l := chain[i]
-		_, spReplay := obs.StartSpan(ctx, "train.replay")
-		spReplay.Arg("model", l.id)
-
-		if opts.CheckEnv {
-			t2 := time.Now()
-			if err := environment.Check(envs[i]); err != nil {
-				spReplay.End()
-				return nil, err
-			}
-			timing.CheckEnv += time.Since(t2)
-		}
-
-		t1 := time.Now()
-		restoreTrainable(net, l.doc.TrainablePrefixes)
-		svc, err := train.Restore(l.svcDoc, datasets[i], optStates[i])
-		if err != nil {
-			spReplay.End()
-			return nil, err
-		}
-		if _, err := svc.Train(net); err != nil {
-			spReplay.End()
-			return nil, fmt.Errorf("core: reproducing training for %s: %w", l.id, err)
-		}
-		timing.Recover += time.Since(t1)
-
-		if opts.VerifyChecksums && l.doc.StateHash != "" {
-			t3 := time.Now()
-			_, spVerify := obs.StartSpan(ctx, "hash.verify")
-			got := nn.StateDictOf(net).Hash()
-			spVerify.End()
-			if got != l.doc.StateHash {
-				spReplay.End()
-				return nil, fmt.Errorf("core: reproduced training for %s did not match the saved model (non-deterministic training?)", l.id)
-			}
-			timing.Verify += time.Since(t3)
-		}
-		spReplay.End()
-	}
-
-	target := chain[0]
-	state := nn.StateDictOf(net)
-	out := state
-	if cache != nil {
-		t4 := time.Now()
-		// The scratch net is discarded here — the caller receives the state,
-		// and Recover instantiates its own net from it — so the net's dict
-		// transfers into the cache zero-copy: seal, insert, share.
-		_, spPut := obs.StartSpan(ctx, "cache.put")
-		state.Seal()
-		cache.Put(id, CachedRecovery{
-			Spec: spec, BaseID: target.doc.BaseID, State: state, Env: envs[0],
-			TrainablePrefixes: target.doc.TrainablePrefixes, StateHash: target.doc.StateHash,
-		})
-		out = state.Share()
-		spPut.End()
-		timing.Recover += time.Since(t4)
-	}
-	return &RecoveredState{
-		ID: id, Spec: spec, State: out, BaseID: target.doc.BaseID, Env: envs[0],
-		TrainablePrefixes: target.doc.TrainablePrefixes, StateHash: target.doc.StateHash,
-		Timing: timing,
-	}, nil
-}
-
-// applyTrainingLink loads one provenance link's service document, dataset,
-// and optimizer state, then reproduces its training on net. It is used by
-// the adaptive approach to apply a single provenance step inside a chain
-// that mixes approaches. The dataset is resolved through dm, so several
-// provenance links in one recovery share a single archive load.
-func (p *Provenance) applyTrainingLink(ctx context.Context, id string, doc modelDoc, net nn.Module, opts RecoverOptions, dm *datasetMemo) (RecoverTiming, error) {
-	_, sp := obs.StartSpan(ctx, "train.replay")
-	sp.Arg("model", id)
-	defer sp.End()
-	var timing RecoverTiming
-	t0 := time.Now()
-	svcRaw, err := p.stores.Meta.Get(ColServices, doc.ServiceDocID)
-	if err != nil {
-		return timing, fmt.Errorf("core: loading train service %s: %w", doc.ServiceDocID, err)
-	}
-	var svcDoc train.ServiceDoc
-	if err := mapToDoc(svcRaw, &svcDoc); err != nil {
-		return timing, err
-	}
-	// Dataset and optimizer state fetch concurrently.
-	dsF := dm.fetch(svcDoc.DatasetRef)
-	var optF *fetch[[]byte]
-	if ref := svcDoc.Wrappers["optimizer"].StateFileRef; ref != "" {
-		optF = fetchBlob(p.stores.Files, ref)
-	}
-	ds, err := dsF.wait()
-	if err != nil {
-		return timing, err
-	}
-	var optState []byte
-	if optF != nil {
-		if optState, err = optF.wait(); err != nil {
-			return timing, fmt.Errorf("core: loading optimizer state: %w", err)
-		}
-	}
-	timing.Load = time.Since(t0)
-
-	if opts.CheckEnv {
-		env, err := envFromDoc(p.stores.Meta, doc.EnvDocID)
-		if err != nil {
-			return timing, err
-		}
-		t2 := time.Now()
-		if err := environment.Check(env); err != nil {
-			return timing, err
-		}
-		timing.CheckEnv = time.Since(t2)
-	}
-
-	t1 := time.Now()
-	restoreTrainable(net, doc.TrainablePrefixes)
-	svc, err := train.Restore(svcDoc, ds, optState)
-	if err != nil {
-		return timing, err
-	}
-	if _, err := svc.Train(net); err != nil {
-		return timing, fmt.Errorf("core: reproducing training for %s: %w", id, err)
-	}
-	timing.Recover = time.Since(t1)
-	return timing, nil
-}
-
-func (p *Provenance) loadDataset(ref string) (*dataset.Dataset, error) {
-	if ref == "" {
-		return nil, fmt.Errorf("core: provenance document has no dataset reference")
-	}
-	if len(ref) > 9 && ref[:9] == "external:" {
-		if p.ResolveDataset == nil {
-			return nil, fmt.Errorf("core: dataset %q is externally managed but no resolver is configured", ref)
-		}
-		return p.ResolveDataset(ref[9:])
-	}
-	rc, err := p.stores.Files.Open(ref)
-	if err != nil {
-		return nil, fmt.Errorf("core: opening dataset archive %s: %w", ref, err)
-	}
-	defer rc.Close()
-	ds, err := dataset.ReadArchive(rc)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading dataset archive: %w", err)
-	}
-	return ds, nil
 }

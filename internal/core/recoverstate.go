@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/environment"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/obs"
 )
 
 // State-level recovery — the serving tier's entry point. Recover returns
@@ -40,6 +41,10 @@ type RecoveredState struct {
 	CacheHit bool
 	// Timing is the TTR breakdown for this recovery.
 	Timing RecoverTiming
+	// net is the net a recovery that replayed training ended up with, when
+	// State is that net's own dict (no cache took it): Recover returns it
+	// instead of building a second one.
+	net nn.Module
 }
 
 // Instantiate builds a fresh net from the recovered state: architecture
@@ -50,21 +55,37 @@ type RecoveredState struct {
 // trained. The net owns its tensors — it never aliases the recovered
 // (possibly shared) state.
 func (rs *RecoveredState) Instantiate() (nn.Module, error) {
-	net, err := rs.Spec.Build()
+	net, err := instantiate(rs.Spec, rs.State, rs.ID)
 	if err != nil {
 		return nil, err
-	}
-	if err := rs.State.LoadInto(net); err != nil {
-		return nil, fmt.Errorf("core: restoring recovered state for %s: %w", rs.ID, err)
 	}
 	restoreTrainable(net, rs.TrainablePrefixes)
 	return net, nil
 }
 
-// StateRecoverer is implemented by save services that can recover at the
-// state level. All four services (BA, PUA, MPA, adaptive) do.
-type StateRecoverer interface {
-	RecoverState(id string, opts RecoverOptions) (*RecoveredState, error)
+// instantiate builds spec's architecture and copies state into it.
+func instantiate(spec models.Spec, state *nn.StateDict, id string) (nn.Module, error) {
+	net, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	if err := state.LoadInto(net); err != nil {
+		return nil, fmt.Errorf("core: restoring recovered state for %s: %w", id, err)
+	}
+	return net, nil
+}
+
+// restoreTrainable reapplies the recorded layer freezing.
+func restoreTrainable(net nn.Module, prefixes []string) {
+	if len(prefixes) > 0 {
+		nn.FreezeAllExcept(net, prefixes...)
+	}
+}
+
+// checksumOK reports whether the state the cache holds hashed, at insert,
+// to the checksum the model was saved with (vacuously so without one).
+func (cr CachedRecovery) checksumOK() bool {
+	return cr.StateHash == "" || cr.VerifiedHash == cr.StateHash
 }
 
 // stateFromCache turns a cache hit into a RecoveredState. This is the
@@ -72,15 +93,14 @@ type StateRecoverer interface {
 // a field comparison, and checksum verification compares the document
 // hash against the hash the cache verified at insert (re-derived from
 // the bytes on this very hit when the cache is Paranoid).
-func stateFromCache(id string, cr CachedRecovery, opts RecoverOptions, timing RecoverTiming) (*RecoveredState, error) {
+func stateFromCache(ctx context.Context, id string, cr CachedRecovery, opts RecoverOptions, timing RecoverTiming) (*RecoveredState, error) {
 	if opts.CheckEnv {
-		t2 := time.Now()
-		if err := environment.Check(cr.Env); err != nil {
+		err := phase(ctx, "env.check", &timing.CheckEnv, func(*obs.Span) error { return environment.Check(cr.Env) })
+		if err != nil {
 			return nil, err
 		}
-		timing.CheckEnv += time.Since(t2)
 	}
-	if opts.VerifyChecksums && cr.StateHash != "" && cr.VerifiedHash != cr.StateHash {
+	if opts.VerifyChecksums && !cr.checksumOK() {
 		return nil, fmt.Errorf("core: checksum mismatch for model %s", id)
 	}
 	return &RecoveredState{
@@ -88,30 +108,4 @@ func stateFromCache(id string, cr CachedRecovery, opts RecoverOptions, timing Re
 		TrainablePrefixes: cr.TrainablePrefixes, StateHash: cr.StateHash,
 		CacheHit: true, Timing: timing,
 	}, nil
-}
-
-// modelFromState instantiates a RecoveredState into the net-level
-// RecoveredModel the SaveService interface promises, folding the
-// instantiation into the recover bucket.
-func modelFromState(rs *RecoveredState) (*RecoveredModel, error) {
-	t1 := time.Now()
-	net, err := rs.Instantiate()
-	if err != nil {
-		return nil, err
-	}
-	rs.Timing.Recover += time.Since(t1)
-	return &RecoveredModel{ID: rs.ID, Spec: rs.Spec, Net: net, BaseID: rs.BaseID, Timing: rs.Timing}, nil
-}
-
-// stateOfRecovered wraps a net-level recovery (MPA and adaptive recover
-// by replaying onto a live net) into a state-level result. The net was
-// built by this recovery and is discarded by the caller, so its state
-// dict transfers without cloning. doc supplies the metadata a
-// RecoveredModel does not carry.
-func stateOfRecovered(rec *RecoveredModel, doc modelDoc, env environment.Info) *RecoveredState {
-	return &RecoveredState{
-		ID: rec.ID, Spec: rec.Spec, State: nn.StateDictOf(rec.Net), BaseID: rec.BaseID,
-		Env: env, TrainablePrefixes: doc.TrainablePrefixes, StateHash: doc.StateHash,
-		Timing: rec.Timing,
-	}
 }

@@ -54,7 +54,7 @@ func buildMPAChain(t *testing.T, stores Stores, seed uint64) []string {
 
 type approachCase struct {
 	name string
-	sr   StateRecoverer
+	sr   SaveService
 	ids  []string
 }
 
@@ -73,9 +73,9 @@ func buildApproachCases(t *testing.T, stores Stores, seed uint64) []approachCase
 	puaIDs := buildPUAChain(t, stores, seed+10)
 	mpaIDs := buildMPAChain(t, stores, seed+20)
 
-	mk := func(svc SaveService) StateRecoverer {
-		svc.(RecoveryCacher).SetRecoveryCache(NewRecoveryCache(0))
-		return svc.(StateRecoverer)
+	mk := func(svc SaveService) SaveService {
+		svc.SetRecoveryCache(NewRecoveryCache(0))
+		return svc
 	}
 	return []approachCase{
 		{"BA", mk(NewBaseline(stores)), baIDs},

@@ -288,9 +288,3 @@ func (c *RecoveryCache) Stats() RecoveryCacheStats {
 func stateBytes(sd *nn.StateDict) int64 {
 	return sd.SerializedSize()
 }
-
-// RecoveryCacher is implemented by save services whose Recover path can
-// memoize through a RecoveryCache.
-type RecoveryCacher interface {
-	SetRecoveryCache(*RecoveryCache)
-}

@@ -231,11 +231,7 @@ func assertCachedSweepMatchesUncached(t *testing.T, cached, uncached SaveService
 
 func withCache(t *testing.T, svc SaveService) SaveService {
 	t.Helper()
-	rc, ok := svc.(RecoveryCacher)
-	if !ok {
-		t.Fatalf("%T does not support a recovery cache", svc)
-	}
-	rc.SetRecoveryCache(NewRecoveryCache(0))
+	svc.SetRecoveryCache(NewRecoveryCache(0))
 	return svc
 }
 

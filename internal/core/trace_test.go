@@ -79,7 +79,7 @@ func TestRecoverSpansNestPhases(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	root := rootOf(t, byName, "recover.baseline")
+	root := rootOf(t, byName, "recover")
 	if root.Args["model"] != res.ID {
 		t.Errorf("root span args = %v, want model=%s", root.Args, res.ID)
 	}
@@ -97,7 +97,7 @@ func TestRecoverSpansNestPhases(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	root = rootOf(t, byName, "recover.baseline")
+	root = rootOf(t, byName, "recover")
 	assertNestedUnder(t, byName, root, "cache.get")
 	for _, miss := range []string{"fetch", "decode", "hash.verify"} {
 		if len(byName[miss]) != 0 {
@@ -127,7 +127,7 @@ func TestPUAChainSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	root := rootOf(t, byName, "recover.pua")
+	root := rootOf(t, byName, "recover")
 	assertNestedUnder(t, byName, root, "fetch", "decode", "hash.verify")
 	fetch := byName["fetch"][0]
 	if fetch.Args["links"] != "2" {
@@ -142,7 +142,10 @@ func TestPUAChainSpans(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	root = rootOf(t, byName, "save.pua")
+	root = rootOf(t, byName, "save")
+	if root.Args["approach"] != ParamUpdateApproach {
+		t.Errorf("save span args = %v, want approach=%s", root.Args, ParamUpdateApproach)
+	}
 	assertNestedUnder(t, byName, root, "diff", "save.params", "save.env", "save.doc")
 }
 

@@ -229,14 +229,12 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 	}
 	var cache *core.RecoveryCache
 	if cfg.UseRecoveryCache {
-		if rc, ok := serverSvc.(core.RecoveryCacher); ok {
-			if cfg.ParanoidCache {
-				cache = core.NewParanoidRecoveryCache(cfg.RecoveryCacheBytes)
-			} else {
-				cache = core.NewRecoveryCache(cfg.RecoveryCacheBytes)
-			}
-			rc.SetRecoveryCache(cache)
+		if cfg.ParanoidCache {
+			cache = core.NewParanoidRecoveryCache(cfg.RecoveryCacheBytes)
+		} else {
+			cache = core.NewRecoveryCache(cfg.RecoveryCacheBytes)
 		}
+		serverSvc.SetRecoveryCache(cache)
 	}
 
 	spec := models.Spec{Arch: cfg.Arch, NumClasses: cfg.NumClasses}
@@ -250,7 +248,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 		return nil, err
 	}
 	applyRelation(cfg, initial)
-	u1Save, err := core.SaveWith(ctx, serverSvc, core.SaveInfo{Spec: spec, Net: initial, WithChecksums: cfg.WithChecksums})
+	u1Save, err := serverSvc.SaveCtx(ctx, core.SaveInfo{Spec: spec, Net: initial, WithChecksums: cfg.WithChecksums})
 	if err != nil {
 		return nil, fmt.Errorf("evalflow: U1 save: %w", err)
 	}
@@ -278,7 +276,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 	if err != nil {
 		return nil, fmt.Errorf("evalflow: U2 training: %w", err)
 	}
-	u2Save, err := core.SaveWith(ctx, serverSvc, core.SaveInfo{
+	u2Save, err := serverSvc.SaveCtx(ctx, core.SaveInfo{
 		Spec: spec, Net: u2Net, BaseID: u1Save.ID,
 		WithChecksums: cfg.WithChecksums, Provenance: u2Rec,
 	})
@@ -315,7 +313,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 func runU4(ctx context.Context, svc core.SaveService, cfg Config, ms []Measurement) error {
 	recoverOne := func(i int) error {
 		m := &ms[i]
-		rec, err := core.RecoverWith(ctx, svc, m.ModelID, cfg.RecoverOpts)
+		rec, err := svc.RecoverCtx(ctx, m.ModelID, cfg.RecoverOpts)
 		if err != nil {
 			return fmt.Errorf("evalflow: recovering %s (%s): %w", m.ModelID, m.UseCase, err)
 		}
@@ -465,7 +463,7 @@ func runOneNode(ctx context.Context, provider StoreProvider, cfg Config, spec mo
 		if err != nil {
 			return nil, fmt.Errorf("evalflow: node %d U3-%d-%d training: %w", node, phase, iter, err)
 		}
-		save, err := core.SaveWith(ctx, svc, core.SaveInfo{
+		save, err := svc.SaveCtx(ctx, core.SaveInfo{
 			Spec: spec, Net: net, BaseID: prevID,
 			WithChecksums: cfg.WithChecksums, Provenance: rec,
 		})

@@ -207,7 +207,7 @@ func Registry() map[string]Func {
 		"abl-faults":     AblationFaults,
 		"abl-shards":     AblationShards,
 
-		// The serving-tier load generator (DESIGN.md §9).
+		// The serving-tier load generator (DESIGN.md §6.2).
 		"serve": Serve,
 	}
 }

@@ -166,7 +166,7 @@ func serveColdStart(w io.Writer, o Opts, stores core.Stores, id string, clients 
 				defer wg.Done()
 				<-start
 				t := time.Now()
-				rs, err := core.RecoverStateWith(o.ctx(), svc, id, core.RecoverOptions{VerifyChecksums: true})
+				rs, err := svc.RecoverStateCtx(o.ctx(), id, core.RecoverOptions{VerifyChecksums: true})
 				lats[c] = time.Since(t)
 				if err != nil {
 					errs[c] = err
@@ -240,7 +240,7 @@ func saveServeChain(stores core.Stores, arch string) ([]string, error) {
 // so the shared owner's identity is a version tag), and runs an inference
 // every inferEvery-th request to prove the served net is usable while
 // other clients share the same cached state.
-func runServeLoad(ctx context.Context, svc core.StateRecoverer, ids []string, input *tensor.Tensor, clients, requests, inferEvery int) (*serveLoad, error) {
+func runServeLoad(ctx context.Context, svc core.SaveService, ids []string, input *tensor.Tensor, clients, requests, inferEvery int) (*serveLoad, error) {
 	opts := core.RecoverOptions{VerifyChecksums: true}
 	perClient := make([][]time.Duration, clients)
 	errs := make([]error, clients)
@@ -263,7 +263,7 @@ func runServeLoad(ctx context.Context, svc core.StateRecoverer, ids []string, in
 			var local int64
 			for j := 0; j < requests; j++ {
 				t := time.Now()
-				rs, err := core.RecoverStateWith(ctx, svc, id, opts)
+				rs, err := svc.RecoverStateCtx(ctx, id, opts)
 				if err != nil {
 					errs[c] = err
 					return
@@ -309,7 +309,7 @@ func runServeLoad(ctx context.Context, svc core.StateRecoverer, ids []string, in
 	// bit-identical states.
 	load.hashes = map[string]string{}
 	for _, id := range ids {
-		rs, err := core.RecoverStateWith(ctx, svc, id, opts)
+		rs, err := svc.RecoverStateCtx(ctx, id, opts)
 		if err != nil {
 			return nil, err
 		}

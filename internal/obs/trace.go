@@ -126,7 +126,26 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	end := time.Since(s.tr.base)
+	s.EndAfter(time.Since(s.tr.base) - s.start)
+}
+
+// Began returns the instant the span started — on a nil span, now — so a
+// caller that accounts the operation's duration itself starts its clock
+// where the span did.
+func (s *Span) Began() time.Time {
+	if s == nil {
+		return time.Now()
+	}
+	return s.tr.base.Add(s.start)
+}
+
+// EndAfter is End for a caller that timed the operation itself, from
+// Began: the span records d, so the trace and the caller's own accounting
+// report one reading instead of two that almost agree.
+func (s *Span) EndAfter(d time.Duration) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
@@ -141,7 +160,7 @@ func (s *Span) End() {
 		Root:   s.root,
 		Name:   s.name,
 		Start:  s.start,
-		Dur:    end - s.start,
+		Dur:    d,
 		Args:   args,
 	}
 	s.tr.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestStartSpanWithoutTracerIsNoop(t *testing.T) {
@@ -241,4 +242,28 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("concurrent trace output is not valid JSON")
 	}
+}
+
+// A caller that times an operation itself, from Began, and ends the span
+// with EndAfter records exactly its own reading, and the span still ends
+// where End would have ended it.
+func TestEndAfterRecordsTheCallersReading(t *testing.T) {
+	tr := NewTracer()
+	ctx, root := StartSpan(WithTracer(context.Background(), tr), "root")
+	_, child := StartSpan(ctx, "child")
+	d := time.Since(child.Began())
+	child.EndAfter(d)
+	root.End()
+	recs := tr.Records()
+	if len(recs) != 2 || recs[1].Name != "child" || recs[1].Dur != d {
+		t.Fatalf("records = %+v, want the child with Dur %v", recs, d)
+	}
+	if end := recs[1].Start + recs[1].Dur; end > recs[0].Start+recs[0].Dur {
+		t.Fatalf("child ends at %v, after its root at %v", end, recs[0].Start+recs[0].Dur)
+	}
+	var none *Span
+	if none.Began().IsZero() {
+		t.Fatal("a nil span's Began must read the clock")
+	}
+	none.EndAfter(d)
 }

@@ -3,7 +3,8 @@
 // (Strassenburg, Tolovski, Rabl — EDBT 2022).
 //
 // The library saves and recovers *exact* deep-learning model
-// representations with three interchangeable approaches:
+// representations. A stored model is a chain of typed links, and the
+// approaches are policies for which kind of link a save writes:
 //
 //   - Baseline: complete independent snapshots of every model.
 //   - ParamUpdate: derived models store only their changed layers, found
@@ -11,6 +12,11 @@
 //   - Provenance: derived models store their training provenance (train
 //     service, compressed dataset, environment) and are recovered by
 //     re-executing the training deterministically.
+//   - Adaptive: per save, whichever of the above is expected to store least.
+//
+// Recovery is the same for all of them — follow base references down to a
+// snapshot, then merge or replay each link on the way back up — so every
+// service recovers every stored model, whichever service saved it.
 //
 // A typical workflow:
 //
@@ -47,7 +53,10 @@ import (
 
 // Core save/recover types.
 type (
-	// SaveService saves and recovers models with one of the approaches.
+	// SaveService saves models with one of the approaches and recovers
+	// any stored model: Save, Recover (a fresh net), RecoverState (the
+	// state dict, O(1) on a cache hit) — each also in a Ctx form taking a
+	// context that carries a tracer and cancels — and SetRecoveryCache.
 	SaveService = core.SaveService
 	// SaveInfo describes a model to save.
 	SaveInfo = core.SaveInfo
@@ -57,6 +66,12 @@ type (
 	RecoverOptions = core.RecoverOptions
 	// RecoveredModel is a recovered model with its TTR breakdown.
 	RecoveredModel = core.RecoveredModel
+	// RecoveredState is a recovered state dict — sealed and shared when it
+	// came from a cache — with everything needed to Instantiate a net.
+	RecoveredState = core.RecoveredState
+	// RecoveryCache memoizes recovered states by model id; set one with
+	// SaveService.SetRecoveryCache.
+	RecoveryCache = core.RecoveryCache
 	// RecoverTiming is the load/recover/check-env/verify time split.
 	RecoverTiming = core.RecoverTiming
 	// Stores bundles the metadata database and the shared file store.
@@ -116,6 +131,10 @@ func NewProvenance(s Stores) SaveService { return core.NewProvenance(s) }
 // NewAdaptive creates the adaptive service that picks an approach per model
 // (the future-work heuristic of the paper's Section 4.7).
 func NewAdaptive(s Stores) SaveService { return core.NewAdaptive(s) }
+
+// NewRecoveryCache creates a recovery cache bounded to approximately
+// maxBytes of cached state (<= 0 selects a 256 MB default).
+func NewRecoveryCache(maxBytes int64) *RecoveryCache { return core.NewRecoveryCache(maxBytes) }
 
 // NewProvenanceRecord snapshots a training service's pre-training state.
 // Call it before training, run ProvenanceRecord.Train, and pass the record
@@ -328,8 +347,8 @@ func NewProvenanceWithManager(s Stores, mgr *DatasetManager) SaveService {
 	return p
 }
 
-// NewAdaptiveWithManager creates an adaptive service whose provenance saves
-// and recoveries go through the dataset warehouse.
+// NewAdaptiveWithManager creates an adaptive service whose provenance
+// links reference the dataset warehouse instead of archiving datasets.
 func NewAdaptiveWithManager(s Stores, mgr *DatasetManager) SaveService {
 	a := core.NewAdaptive(s)
 	a.SetDatasetResolver(mgr.Resolve)

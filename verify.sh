@@ -7,6 +7,10 @@
 #                      panic discipline, goroutine plumbing); see cmd/mmlint
 #   4. go test       — unit and integration tests
 #   5. go test -race — the concurrency-heavy packages under the race detector
+#      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
+#                      disturb on a single P, so "byte-identical" and
+#                      "pipelined" are not properties of one scheduler
+#                      configuration (default-procs is gate 4, -race this one)
 #   6. bench smoke   — the hot-path benchmarks run once, so a broken
 #                      benchmark cannot reach main unnoticed
 #   7. bench module  — bench/ is its own module (repro/bench) that ./...
@@ -31,6 +35,9 @@ go test ./...
 
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs
+
+echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest"
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest
 
 echo "==> go test -bench smoke (hot-path benchmarks, one iteration)"
 go test -run '^$' -bench 'BenchmarkStateDictHashWorkers|BenchmarkStateDictSerialize$|BenchmarkStateDictDeserializeWorkers|BenchmarkBARecoverChecksums|BenchmarkPUARecoverChecksums|BenchmarkRecoverStateHit|BenchmarkShardedSaveRecover$|BenchmarkServe$' -benchtime 1x .
