@@ -610,10 +610,16 @@ func isDigestEntry(f *funcFacts) bool {
 			strings.HasPrefix(name, "Hash") || name == "LayerHashes" ||
 			name == "EntryHashes" || name == "PrecomputeDigests"
 	case pathHasSegment(path, "core"):
-		return name == "saveStateDict"
+		return name == coreDigestEntry
 	}
 	return false
 }
+
+// coreDigestEntry names core's digest entry point: the function that hands
+// a state dict to the file store. The rule matches by name, so renaming
+// that function must rename this constant; TestCoreDigestEntryExists fails
+// when the repository's core package has no function of this name.
+const coreDigestEntry = "saveStateDict"
 
 // chain renders the entry → … → fn call path recorded in reach.
 func (prog *Program) chain(reach map[FuncID]*reachNode, id FuncID) string {

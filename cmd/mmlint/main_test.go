@@ -25,6 +25,7 @@ var fixturePackages = []string{
 	"./testdata/src/panicchain/caller",
 	"./testdata/src/hashpurity/clock",
 	"./testdata/src/hashpurity/tensor",
+	"./testdata/src/hashpurity/core",
 	"./testdata/src/deadline/docdb",
 	"./testdata/src/lockheld",
 	"./testdata/src/boundedgo",
@@ -80,7 +81,7 @@ func TestFixtureAnalyzerCoverage(t *testing.T) {
 		nameCloseCheck:     5, // three discarded close-like errors, two leaked spans
 		namePanicFree:      3, // one direct site, one seeded depot panic, one cross-package escape
 		nameNakedGoroutine: 3, // two seeded launches, one untracked demux reader
-		nameHashPurity:     5, // clock, rand, %p, env, map order — clock via a cross-package call
+		nameHashPurity:     6, // clock, rand, %p, env, map order — clock via a cross-package call — and a clock under core's entry point
 		nameDeadlineCheck:  3, // direct conn.Read, conn handed to an io.Reader parameter, undeadlined demux read loop
 		nameLockHeld:       4, // sleep, deferred-unlock file I/O, transitive channel receive, waiter send under the demux lock
 		nameBoundedGo:      3, // range-over-slice spawn, for{} spawn, per-request spawn off a request channel
@@ -175,6 +176,22 @@ func TestRepoIsClean(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("unexpected finding: %s", f)
 	}
+}
+
+// TestCoreDigestEntryExists keeps hashpurity anchored in the real core
+// package: its entry point there is matched by name, so a rename would
+// otherwise turn the bytes-are-pure check off without a single finding.
+func TestCoreDigestEntryExists(t *testing.T) {
+	pkgs, modulePath, err := loadPackages([]string{"../../internal/core"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range buildProgram(pkgs, modulePath).fns {
+		if strings.HasSuffix(f.pkg.ImportPath, "/internal/core") && isDigestEntry(f) {
+			return
+		}
+	}
+	t.Fatalf("internal/core has no function named %s: hashpurity has lost its entry point there", coreDigestEntry)
 }
 
 // TestExitCodes runs the binary the way CI does and checks the contract:

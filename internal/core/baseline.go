@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/docdb"
+	"repro/internal/filestore"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -181,27 +181,19 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 	return sv.commit()
 }
 
-// saveStateDict streams a state dict into the transaction's staged blob id
+// saveStateDict writes a state dict into the transaction's staged blob id
 // and returns the stored size and the content hash the store computed
-// while writing. With withDigests the serializer additionally populates
-// sd's per-tensor digest cache from the same pass (a no-op when the cache
-// already exists), so subsequent Hash/LayerHashes calls on sd are free of
-// parameter-byte passes. The pipe writer goroutine finishes before the
-// store returns (it drains the pipe to EOF), so the cache is safely
-// visible to the caller.
+// while writing. The dict serializes itself straight into the store's
+// writer, on this goroutine. With withDigests the serializer additionally
+// populates sd's per-tensor digest cache from the same pass (a no-op when
+// the cache already exists), so subsequent Hash/LayerHashes calls on sd
+// are free of parameter-byte passes.
 func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict, withDigests bool) (int64, string, error) {
-	pr, pw := io.Pipe()
-	defer pr.Close() // releases the writer if the store stopped reading early
-	go func() {
-		var err error
-		if withDigests {
-			_, err = sd.WriteToWithDigests(pw)
-		} else {
-			_, err = sd.WriteTo(pw)
-		}
-		pw.CloseWithError(err)
-	}()
-	size, hash, err := txn.saveBlob(id, "params", pr)
+	write := sd.WriteTo
+	if withDigests {
+		write = sd.WriteToWithDigests
+	}
+	size, hash, err := txn.saveBlob(id, "params", filestore.Source(write))
 	if err != nil {
 		return 0, "", fmt.Errorf("core: saving parameters: %w", err)
 	}

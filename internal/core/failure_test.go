@@ -1,9 +1,14 @@
 package core
 
 import (
+	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/nn"
 )
@@ -216,6 +221,53 @@ func TestConcurrentSavesShareStores(t *testing.T) {
 		}
 		if nn.StateDictOf(rec.Net).Hash() != o.hash {
 			t.Fatal("concurrent save recovered wrong model")
+		}
+	}
+}
+
+// fullBlobs is a store that fails every SaveAs after taking the first KB
+// of the blob, like a disk that fills up.
+type fullBlobs struct{ filestore.Blobs }
+
+var errStoreFull = errors.New("store full")
+
+func (fullBlobs) SaveAs(_ string, r io.Reader) (int64, string, error) {
+	io.CopyN(io.Discard, r, 1<<10)
+	return 0, "", errStoreFull
+}
+
+// A save whose store fails mid-blob returns the store's error and leaves
+// no goroutine behind: every blob is written on the saving goroutine, so
+// a store that stops consuming cannot strand a writer.
+func TestFailedBlobSaveLeaksNoGoroutine(t *testing.T) {
+	stores := testStores(t)
+	net := tinyNet(t, 36)
+	u1, err := NewProvenance(stores).Save(SaveInfo{Spec: tinySpec(), Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trainDerived(t, net, tinyDataset(t))
+	full := stores
+	full.Files = fullBlobs{stores.Files}
+	saves := map[string]func() error{
+		"MPA, archived dataset": func() error {
+			_, err := NewProvenance(full).Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: u1.ID, Provenance: rec})
+			return err
+		},
+		"BA, parameters": func() error {
+			_, err := NewBaseline(full).Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+			return err
+		},
+	}
+	for name, save := range saves {
+		before := runtime.NumGoroutine()
+		if err := save(); !errors.Is(err, errStoreFull) {
+			t.Fatalf("%s: save error = %v, want the store's", name, err)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines before the failed save, %d after", name, before, runtime.NumGoroutine())
+			}
 		}
 	}
 }

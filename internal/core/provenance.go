@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/dataset"
+	"repro/internal/filestore"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/train"
@@ -172,15 +172,10 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 	return sv.commit()
 }
 
-// saveDatasetArchive streams the dataset's compressed archive into the
+// saveDatasetArchive writes the dataset's compressed archive into the
 // staged blob id.
 func saveDatasetArchive(txn *saveTxn, id string, ds *dataset.Dataset) (int64, error) {
-	pr, pw := io.Pipe()
-	go func() {
-		_, err := ds.WriteArchive(pw)
-		pw.CloseWithError(err)
-	}()
-	size, _, err := txn.saveBlob(id, "dataset", pr)
+	size, _, err := txn.saveBlob(id, "dataset", filestore.Source(ds.WriteArchive))
 	if err != nil {
 		return 0, fmt.Errorf("core: archiving dataset: %w", err)
 	}

@@ -34,7 +34,9 @@ import (
 // Rollback (on a live error path) and RecoverOrphans (after a crash)
 // delete artifacts before the staging record, so an interrupted cleanup
 // still leaves the record behind for the next pass — cleanup is
-// idempotent, never lossy.
+// idempotent, never lossy. RecoverOrphans also removes the temp files of
+// the staged blob ids (Blobs.DeleteTemps): a process killed inside SaveAs
+// leaves one behind that only the staging record, through the id, names.
 //
 // RecoverOrphans must only run while no save is in flight against the same
 // stores (startup, or an offline fsck): an in-flight save is
@@ -342,6 +344,14 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 			// artifacts is a no-op).
 			rep.RolledBack++
 			for _, b := range rec.Blobs {
+				// A save killed inside SaveAs leaves the blob's temp file,
+				// which nothing else names. Never a blob, so not counted
+				// in the report.
+				if apply {
+					if derr := stores.Files.DeleteTemps(b); derr != nil {
+						return rep, derr
+					}
+				}
 				size, serr := stores.Files.Size(b)
 				if errors.Is(serr, filestore.ErrNotFound) {
 					continue // never written, or reclaimed by an earlier pass

@@ -16,7 +16,6 @@ package datamgr
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -32,7 +31,7 @@ var ErrUnknownRef = errors.New("datamgr: unknown dataset reference")
 // concurrent use.
 type Manager struct {
 	mu    sync.Mutex
-	files *filestore.Store
+	files filestore.Blobs
 	// refs maps content hashes to entry bookkeeping.
 	refs map[string]*entry
 }
@@ -45,7 +44,7 @@ type entry struct {
 }
 
 // New creates a manager persisting archives in files.
-func New(files *filestore.Store) *Manager {
+func New(files filestore.Blobs) *Manager {
 	return &Manager{files: files, refs: make(map[string]*entry)}
 }
 
@@ -65,12 +64,7 @@ func (m *Manager) Publish(ds *dataset.Dataset) (ref string, dedup bool, err erro
 
 	// Archive outside the lock; publishing is idempotent per content hash.
 	blobID := filestore.NewID()
-	pr, pw := io.Pipe()
-	go func() {
-		_, werr := ds.WriteArchive(pw)
-		pw.CloseWithError(werr)
-	}()
-	size, _, err := m.files.SaveAs(blobID, pr)
+	size, _, err := m.files.SaveAs(blobID, filestore.Source(ds.WriteArchive))
 	if err != nil {
 		return "", false, fmt.Errorf("datamgr: archiving dataset: %w", err)
 	}

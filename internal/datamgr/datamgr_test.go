@@ -2,8 +2,11 @@ package datamgr
 
 import (
 	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -237,5 +240,40 @@ func TestProvenanceWithDatasetManager(t *testing.T) {
 	}
 	if !nn.StateDictOf(got.Net).Equal(nn.StateDictOf(net)) {
 		t.Fatal("recovered model differs through the dataset manager")
+	}
+}
+
+// fullBlobs is a store that fails every SaveAs after taking the first KB
+// of the blob, like a disk that fills up.
+type fullBlobs struct{ filestore.Blobs }
+
+var errStoreFull = errors.New("store full")
+
+func (fullBlobs) SaveAs(_ string, r io.Reader) (int64, string, error) {
+	io.CopyN(io.Discard, r, 1<<10)
+	return 0, "", errStoreFull
+}
+
+// A Publish whose store fails mid-archive returns the store's error and
+// leaves no goroutine behind: the archive is written on the publishing
+// goroutine, so a store that stops consuming cannot strand a writer.
+func TestFailedPublishLeaksNoGoroutine(t *testing.T) {
+	files, err := filestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(fullBlobs{files})
+	ds := testDS(t, 9)
+	before := runtime.NumGoroutine()
+	if _, _, err := m.Publish(ds); !errors.Is(err, errStoreFull) {
+		t.Fatalf("Publish error = %v, want the store's", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the failed Publish, %d after", before, runtime.NumGoroutine())
+		}
+	}
+	if len(m.List()) != 0 {
+		t.Fatal("a failed Publish registered the dataset")
 	}
 }

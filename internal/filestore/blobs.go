@@ -16,8 +16,19 @@ type Blobs interface {
 	// Save streams r into a new blob and returns its identifier, size, and
 	// hex SHA-256 content hash.
 	Save(r io.Reader) (id string, size int64, hash string, err error)
-	// SaveAs streams r into the blob with the given identifier,
+	// SaveAs stores the blob r produces under the given identifier,
 	// overwriting any existing blob, and returns size and content hash.
+	//
+	// SaveAs consumes r as io.Copy does: when r implements io.WriterTo,
+	// the store calls r.WriteTo once with its own writer (temp file,
+	// content hash, bandwidth pacing) and never calls Read, so the source
+	// writes itself into the store on the caller's goroutine with no copy
+	// in between; any other reader is copied through a buffer. Source
+	// builds such a reader from a serializing function. An implementation
+	// that wraps another Blobs must hand r through unwrapped, or the blob
+	// takes the slow path (Source's Read serializes into memory first).
+	// When WriteTo or Read fails, SaveAs returns that error and stores
+	// nothing.
 	SaveAs(id string, r io.Reader) (int64, string, error)
 	// SaveBytes stores b as a new blob.
 	SaveBytes(b []byte) (id string, size int64, hash string, err error)
@@ -34,6 +45,11 @@ type Blobs interface {
 	Hash(id string) (string, error)
 	// Delete removes a blob; deleting a missing blob returns ErrNotFound.
 	Delete(id string) error
+	// DeleteTemps removes what a SaveAs(id) that never returned — its
+	// process died mid-write — left behind: staged bytes no other method
+	// shows. Only safe while no SaveAs of that id is in flight; removing
+	// nothing is not an error.
+	DeleteTemps(id string) error
 	// Exists reports whether a blob with the given identifier exists.
 	Exists(id string) bool
 	// List returns the identifiers of all stored blobs in unspecified order.

@@ -87,7 +87,13 @@ func (l *link) wait(n, bps int64) {
 	}
 }
 
-// linkReader paces reads through a store's shared link.
+// linkQuantum caps how many bytes a throttled stream moves per wait on
+// the link, so concurrent streams interleave smoothly instead of trading
+// whole blobs.
+const linkQuantum = 16 << 10
+
+// linkReader paces reads of a stored blob through the store's shared link
+// (saves are paced on the writer side, by blobWriter).
 type linkReader struct {
 	r   io.Reader
 	l   *link
@@ -95,10 +101,8 @@ type linkReader struct {
 }
 
 func (t *linkReader) Read(p []byte) (int, error) {
-	// Cap single reads to a 16 KiB quantum so concurrent streams
-	// interleave smoothly instead of trading whole blobs.
-	if len(p) > 16<<10 {
-		p = p[:16<<10]
+	if len(p) > linkQuantum {
+		p = p[:linkQuantum]
 	}
 	n, err := t.r.Read(p)
 	t.l.wait(int64(n), t.bps)

@@ -418,6 +418,13 @@ func (sd *StateDict) writeTo(w io.Writer, withDigests bool) (int64, error) {
 	if tee {
 		digests = make([][sha256.Size]byte, len(sd.entries))
 	}
+	// The buffer coalesces the small header writes and, in front of a
+	// file, turns the 16 KB tensor chunks of a fused pass into 64 KB writes
+	// at 64 KB offsets. For tensor data that is a copy, and it stays on
+	// measurement: fused chunks larger than the buffer bypass it and reach
+	// the file straight from tensor memory, at odd offsets, and a ResNet-18
+	// save then took 87 / 93 / 98 ms at 64 / 128 / 256 KB chunks against
+	// 84 ms through the buffer.
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var n int64
 	var b8 [8]byte

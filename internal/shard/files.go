@@ -130,6 +130,14 @@ func (f *Files) Delete(id string) error {
 	return f.stores[i].Delete(id)
 }
 
+// DeleteTemps implements filestore.Blobs: a blob's temp files live on the
+// shard that owns its identifier.
+func (f *Files) DeleteTemps(id string) error {
+	i := f.owner(id)
+	defer f.observe(i, time.Now())
+	return f.stores[i].DeleteTemps(id)
+}
+
 // Exists implements filestore.Blobs.
 func (f *Files) Exists(id string) bool {
 	i := f.owner(id)

@@ -18,6 +18,9 @@
 #                      models/nn/core that breaks the benchmark fails here
 #   8. big-endian    — cross-build tensor and nn for s390x, the only way
 #                      the staging fallback of alias_fallback.go is compiled
+#   9. non-linux     — cross-build filestore for darwin, the only way the
+#                      !linux side of its build tags (no mmap, no write-back
+#                      hint) is compiled
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -47,5 +50,8 @@ echo "==> (cd bench && go vet . && go test .)"
 
 echo "==> GOARCH=s390x go build ./internal/tensor/... ./internal/nn/..."
 GOARCH=s390x go build ./internal/tensor/... ./internal/nn/...
+
+echo "==> GOOS=darwin go build ./internal/filestore/..."
+GOOS=darwin go build ./internal/filestore/...
 
 echo "verify: all gates green"
