@@ -7,7 +7,8 @@
 //	mmbench -list                  # list experiment identifiers
 //
 // Experiment identifiers follow the per-experiment index in DESIGN.md
-// (tab1..tab3, fig2..fig15, abl-*).
+// (tab1..tab3, fig2..fig15, abl-*). How fast the system itself runs is
+// measured by bench/ (bash bench/run.sh), not here.
 package main
 
 import (
@@ -15,52 +16,34 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/filestore"
 	"repro/internal/obs"
-	"repro/internal/tensor"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		list     = flag.Bool("list", false, "list experiment identifiers and exit")
-		trace    = flag.String("trace", "", "write every save/recovery span of the run as a Chrome trace-event file (load in chrome://tracing or ui.perfetto.dev)")
-		metrics  = flag.String("metrics-out", "", "write the final metrics-registry snapshot to this file as JSON")
-		workers  = flag.Int("workers", 0, "goroutines for parallel hashing and tensor reductions (0 = one per CPU; results are bit-identical for any value)")
-		rworkers = flag.Int("recover-workers", 0, "goroutines for recovery-side tensor deserialization (0 = follow -workers; results are bit-identical for any value)")
-		rcache   = flag.Bool("recover-cache", false, "memoize recoveries in the measured U4 sweeps through a recovery cache")
-		paper    = flag.Bool("paper", false, "run at paper scale (full dataset sizes, 5-run medians, DIST-20)")
-		scale    = flag.Float64("scale", 0, "override dataset scale (1.0 = Table 1 sizes)")
-		runs     = flag.Int("runs", 0, "override repetitions for medians")
-		nodes    = flag.Int("nodes", 0, "override node count for distributed flows")
-		u3       = flag.Int("u3", 0, "override U3 iterations per phase for distributed flows")
-		archs    = flag.String("archs", "", "comma-separated architecture override (e.g. mobilenetv2,resnet152)")
-		outdir   = flag.String("workdir", "", "directory for experiment scratch stores (default: system temp)")
-		frate    = flag.Float64("fault-rate", 0, "per-operation fault probability injected into distributed-flow metadata connections (0 = healthy network)")
-		fseed    = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule (same seed = same faults)")
-		shards   = flag.Int("shards", 0, "shard the distributed flows' metadata/file tier this many ways behind a consistent-hash ring (0 or 1 = single backend)")
-		psize    = flag.Int("pool-size", 0, "pipelined connections per metadata shard (0 = default)")
-		sclients = flag.Int("serve-clients", 0, "concurrent clients of the serve experiment (0 = 100)")
-		sreqs    = flag.Int("serve-requests", 0, "recoveries per serve client (0 = 6)")
-		sinfer   = flag.Int("serve-infer-every", 0, "run an inference every k-th serve request (0 = 3)")
-		mmap     = flag.Bool("mmap", true, "read parameter blobs through memory mappings where the platform supports it (false = plain reads; results are bit-identical either way)")
-		mem      = flag.Bool("mem", false, "report runtime.ReadMemStats deltas (allocated bytes, GC cycles) after each experiment")
+		exp     = flag.String("exp", "all", "experiment id (see -list) or 'all'")
+		list    = flag.Bool("list", false, "list experiment identifiers and exit")
+		trace   = flag.String("trace", "", "write every save/recovery span of the run as a Chrome trace-event file (load in chrome://tracing or ui.perfetto.dev)")
+		metrics = flag.String("metrics-out", "", "write the final metrics-registry snapshot to this file as JSON")
+		rcache  = flag.Bool("recover-cache", false, "memoize recoveries in the measured U4 sweeps through a recovery cache")
+		paper   = flag.Bool("paper", false, "run at paper scale (full dataset sizes, 5-run medians, DIST-20)")
+		scale   = flag.Float64("scale", 0, "override dataset scale (1.0 = Table 1 sizes)")
+		runs    = flag.Int("runs", 0, "override repetitions for medians")
+		nodes   = flag.Int("nodes", 0, "override node count for distributed flows")
+		u3      = flag.Int("u3", 0, "override U3 iterations per phase for distributed flows")
+		archs   = flag.String("archs", "", "comma-separated architecture override (e.g. mobilenetv2,resnet152)")
+		outdir  = flag.String("workdir", "", "directory for experiment scratch stores (default: system temp)")
+		frate   = flag.Float64("fault-rate", 0, "per-operation fault probability injected into distributed-flow metadata connections (0 = healthy network)")
+		fseed   = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule (same seed = same faults)")
+		shards  = flag.Int("shards", 0, "shard the distributed flows' metadata/file tier this many ways behind a consistent-hash ring (0 or 1 = single backend)")
+		psize   = flag.Int("pool-size", 0, "pipelined connections per metadata shard (0 = default)")
 	)
 	applyLog := obs.LogFlags(flag.CommandLine)
 	flag.Parse()
 	applyLog()
-
-	if *workers > 0 {
-		tensor.SetWorkers(*workers)
-	}
-	if *rworkers > 0 {
-		tensor.SetDecodeWorkers(*rworkers)
-	}
-	filestore.SetMmapEnabled(*mmap)
 
 	if *list {
 		for _, id := range experiments.Order() {
@@ -94,10 +77,6 @@ func main() {
 	opts.Shards = *shards
 	opts.PoolSize = *psize
 	opts.RecoverCache = *rcache
-	opts.RecoverWorkers = *rworkers
-	opts.ServeClients = *sclients
-	opts.ServeRequests = *sreqs
-	opts.ServeInferEvery = *sinfer
 	if *trace != "" {
 		opts.Tracer = obs.NewTracer()
 	}
@@ -117,20 +96,8 @@ func main() {
 	}
 
 	for _, id := range ids {
-		var before runtime.MemStats
-		if *mem {
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-		}
 		if err := reg[id](os.Stdout, opts); err != nil {
 			obs.Fatalf("mmbench: %s: %v", id, err)
-		}
-		if *mem {
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			fmt.Printf("mem %s: %.1f MB allocated, %.1f MB heap live, %d GC cycles\n",
-				id, float64(after.TotalAlloc-before.TotalAlloc)/1e6,
-				float64(after.HeapAlloc)/1e6, after.NumGC-before.NumGC)
 		}
 	}
 

@@ -19,8 +19,8 @@ package main
 //
 // Calls: static calls resolve to their callee directly. A call through an
 // interface method declared in this module is over-approximated by the
-// method set: it may reach every analyzed named type implementing the
-// interface. Dispatch through a standard-library interface (io.Writer,
+// method set: it may reach every analyzed named type whose methods match
+// the interface's by name and printed signature (see implementation). Dispatch through a standard-library interface (io.Writer,
 // most prominently) is deliberately not expanded — the digest path writes
 // *through* io.Writer, and what the destination does with the bytes can
 // change neither the bytes nor the caller's locks. Calls through plain
@@ -220,10 +220,7 @@ func (prog *Program) implementers(fn *types.Func) []FuncID {
 	if sig != nil && sig.Recv() != nil {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
 			for _, t := range prog.named {
-				if !types.Implements(t, iface) && !types.Implements(types.NewPointer(t), iface) {
-					continue
-				}
-				if m := lookupMethod(t, fn.Name()); m != nil {
+				if m := implementation(t, iface, fn.Name()); m != nil {
 					out = append(out, funcID(m))
 				}
 			}
@@ -232,6 +229,48 @@ func (prog *Program) implementers(fn *types.Func) []FuncID {
 	sort.Strings(out)
 	prog.impl[id] = out
 	return out
+}
+
+// implementation returns *t's method of the given name when *t has every
+// method of iface, else nil. Signatures are compared as printed — package
+// path and type name — not by object identity: the interface a call site
+// sees comes from export data while t was type-checked from source, so a
+// signature that mentions a type of t's own package (filestore.Blobs'
+// OpenMapped returns *filestore.Mapping) names two different objects and
+// types.Implements would report that *filestore.Store is not a Blobs. A
+// parameter of function type matches only when its own parameter names do.
+func implementation(t types.Type, iface *types.Interface, name string) *types.Func {
+	var found *types.Func
+	for i := 0; i < iface.NumMethods(); i++ {
+		want := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, want.Pkg(), want.Name())
+		got, _ := obj.(*types.Func)
+		if got == nil || sigKey(got) != sigKey(want) {
+			return nil
+		}
+		if want.Name() == name {
+			found = got
+		}
+	}
+	return found
+}
+
+// sigKey renders a method's parameter and result types with full package
+// paths and without the parameters' names.
+func sigKey(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil))
+			b.WriteByte(',')
+		}
+		b.WriteByte(';')
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
 
 // ---- per-package fact extraction ----

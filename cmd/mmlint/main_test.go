@@ -26,6 +26,8 @@ var fixturePackages = []string{
 	"./testdata/src/hashpurity/clock",
 	"./testdata/src/hashpurity/tensor",
 	"./testdata/src/hashpurity/core",
+	"./testdata/src/implementer/filestore",
+	"./testdata/src/implementer/core",
 	"./testdata/src/deadline/docdb",
 	"./testdata/src/lockheld",
 	"./testdata/src/boundedgo",
@@ -81,7 +83,7 @@ func TestFixtureAnalyzerCoverage(t *testing.T) {
 		nameCloseCheck:     5, // three discarded close-like errors, two leaked spans
 		namePanicFree:      3, // one direct site, one seeded depot panic, one cross-package escape
 		nameNakedGoroutine: 3, // two seeded launches, one untracked demux reader
-		nameHashPurity:     6, // clock, rand, %p, env, map order — clock via a cross-package call — and a clock under core's entry point
+		nameHashPurity:     7, // clock, rand, %p, env, map order — clock via a cross-package call — a clock under core's entry point, and one behind an interface whose implementer lives in the interface's own package
 		nameDeadlineCheck:  3, // direct conn.Read, conn handed to an io.Reader parameter, undeadlined demux read loop
 		nameLockHeld:       4, // sleep, deferred-unlock file I/O, transitive channel receive, waiter send under the demux lock
 		nameBoundedGo:      3, // range-over-slice spawn, for{} spawn, per-request spawn off a request channel

@@ -42,8 +42,7 @@ func main() {
 		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight connections before force-closing them")
 		frate     = flag.Float64("fault-rate", 0, "chaos testing: inject connection faults (drops, torn frames, delays) into every accepted connection at this per-operation probability")
 		fseed     = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-		workers   = flag.Int("workers-per-conn", 0, "concurrent requests served per multiplexed v2 connection (0 = default)")
-		v1only    = flag.Bool("v1", false, "refuse the v2 protocol hello and serve every connection serially, emulating a pre-v2 server")
+		workers   = flag.Int("workers-per-conn", 0, "concurrent requests served per connection (0 = default)")
 	)
 	applyLog := obs.LogFlags(flag.CommandLine)
 	flag.Parse()
@@ -89,10 +88,7 @@ func main() {
 		ln = faultnet.WrapListener(ln, faultnet.Config{Seed: *fseed, Rate: *frate})
 		obs.Warnf("mmserver: injecting faults at rate %.3f (seed %d)", *frate, *fseed)
 	}
-	srv := docdb.NewServerWith(backend, ln, docdb.ServerOptions{
-		WorkersPerConn: *workers,
-		DisableV2:      *v1only,
-	})
+	srv := docdb.NewServerWith(backend, ln, docdb.ServerOptions{WorkersPerConn: *workers})
 	obs.Infof("mmserver listening on %s (persistence: %s)", srv.Addr(), orMem(*data))
 
 	var debug *obs.DebugServer

@@ -73,12 +73,11 @@ func (o ClientOptions) withDefaults() ClientOptions {
 }
 
 // Client is a Store implementation that talks to a Server over TCP. One
-// connection is shared by all callers; under protocol v2 it is multiplexed
-// — every goroutine's request is tagged with a correlation sequence number,
-// a writer goroutine pipelines the frames, and a demux reader pairs each
-// response with its waiter, so many operations overlap on the wire instead
-// of queueing behind one another. Against a v1 server the same Client
-// degrades to the serial one-round-trip-at-a-time exchange.
+// connection is shared by all callers and multiplexed — every goroutine's
+// request is tagged with a correlation sequence number, a writer goroutine
+// pipelines the frames, and a demux reader pairs each response with its
+// waiter, so many operations overlap on the wire instead of queueing behind
+// one another.
 //
 // The client assumes the link is allowed to fail. Any frame error poisons
 // the current connection — it is closed immediately, every in-flight waiter
@@ -118,12 +117,12 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialOptions connects to a docdb server at addr with explicit
-// fault-tolerance options. The connection and the protocol handshake are
-// established eagerly so an unreachable server fails the dial, not the
-// first operation. A server that was reached but whose handshake frames
-// were lost to a link fault does NOT fail the dial: that is the flaky-link
-// case the client's retries exist for, so the client is returned and heals
-// by redialing on first use.
+// fault-tolerance options. The connection and the protocol version check
+// happen eagerly so an unreachable server, or one that speaks another
+// version, fails the dial, not the first operation. A server that was
+// reached but whose handshake frames were lost to a link fault does NOT
+// fail the dial: that is the flaky-link case the client's retries exist
+// for, so the client is returned and heals by redialing on first use.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 	c := &Client{addr: addr, opts: opts.withDefaults()}
 	if _, err := c.getMux(); err != nil && !errors.Is(err, errHandshake) {
@@ -254,8 +253,8 @@ func (c *Client) roundTrip(req request) (response, error) {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				cliDeadline.Inc()
 			}
-			// A failed exchange retires the whole conn, v1-style: a link
-			// that ate one response is not trusted with the others, and a
+			// A failed exchange retires the whole conn: a link that ate
+			// one response is not trusted with the others, and a
 			// zombie conn must not stay checked in. Concurrent waiters fail
 			// fast and retry here on the fresh conn.
 			c.drop(m, err)

@@ -56,9 +56,13 @@ func TestOldClientMispairsResponsesAfterFrameError(t *testing.T) {
 	// (modeled by an already-expired read deadline). The old client
 	// returned the error but kept the connection; doc1's response is still
 	// in flight.
+	sent := srvBytesOut.Value()
 	if _, err := writeFrame(conn, request{Op: "get", Collection: "models", ID: "doc1"}); err != nil {
 		t.Fatal(err)
 	}
+	// The server answers in completion order, so the demonstration waits
+	// until doc1's response is on the wire before asking for doc2.
+	waitFor(t, 5*time.Second, func() bool { return srvBytesOut.Value() > sent })
 	if err := conn.SetReadDeadline(time.Now().Add(-time.Second)); err != nil {
 		t.Fatal(err)
 	}

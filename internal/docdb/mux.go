@@ -12,14 +12,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Multiplexed connection (protocol v2). One muxConn carries many in-flight
+// Multiplexed connection. One muxConn carries many in-flight
 // operations: requesting goroutines marshal their frame, register a waiter
 // under the request's correlation sequence number, and hand the frame to a
 // single writer goroutine; a single demux reader pairs each response with
 // its waiter by the echoed sequence number, so responses are free to arrive
-// out of order. This removes the one-round-trip-at-a-time ceiling of the v1
-// client: under a high-latency link, throughput is bounded by the pipe, not
-// by latency × operation count.
+// out of order: under a high-latency link, throughput is bounded by the
+// pipe, not by latency × operation count.
 //
 // Failure discipline. Three distinct failures are kept apart:
 //
@@ -52,13 +51,11 @@ var errMuxClosed = errors.New("docdb: client closed")
 // absorb.
 var errHandshake = errors.New("docdb: protocol handshake failed")
 
-// muxConn is one negotiated connection. In v2 mode the writer and reader
-// goroutines run and do() multiplexes; in legacy mode (the peer did not
-// speak v2) do() falls back to the serial v1 exchange under a lock.
+// muxConn is one connection that passed the version check; its writer and
+// reader goroutines run until it is poisoned.
 type muxConn struct {
 	conn      net.Conn
 	opTimeout time.Duration
-	legacy    bool
 
 	seq  atomic.Uint64
 	done chan struct{} // closed when poisoned
@@ -73,16 +70,13 @@ type muxConn struct {
 	// writeq hands finished frames to the writer goroutine. Its capacity
 	// only smooths bursts; backpressure is the requester's own timeout.
 	writeq chan []byte
-
-	// lmu serializes legacy-mode exchanges (v1 has no correlation ids, so
-	// requests and responses must strictly alternate).
-	lmu sync.Mutex
 }
 
-// dialMux establishes a connection and negotiates the protocol generation
-// with an in-band hello. A peer that rejects the hello (a v1 server answers
-// "unknown operation") yields a legacy connection that speaks strict serial
-// v1; a frame-level failure during the handshake fails the dial.
+// dialMux establishes a connection and checks the peer's protocol version
+// with an in-band hello. A peer that refuses the hello or answers any other
+// version fails the dial the way an unreachable address does: it is a
+// configuration error, and no retry will change the answer. A frame-level
+// failure during the exchange fails the dial with errHandshake.
 func dialMux(addr string, opts ClientOptions) (*muxConn, error) {
 	conn, err := opts.Dialer(addr)
 	if err != nil {
@@ -100,26 +94,25 @@ func dialMux(addr string, opts ClientOptions) (*muxConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("docdb: arming deadline: %w", err)
 	}
-	n, err := writeFrame(conn, request{Op: opHello, Version: protocolV2, Seq: m.seq.Add(1)})
+	n, err := writeFrame(conn, request{Op: opHello, Version: protocolVersion, Seq: m.seq.Add(1)})
 	cliBytesOut.Add(int64(n))
+	var resp response
 	if err == nil {
-		var resp response
 		n, err = readFrame(conn, &resp)
 		cliBytesIn.Add(int64(n))
-		if err == nil {
-			m.legacy = !resp.OK || resp.Version < protocolV2
-		}
 	}
 	if err != nil {
-		//mmlint:ignore closecheck the handshake failed; the conn never carried a request and the frame error is what the caller reports
+		err = fmt.Errorf("%w: %s: %w", errHandshake, addr, err)
+	} else if !resp.OK || resp.Version != protocolVersion {
+		err = fmt.Errorf("docdb: %s answered the hello with protocol version %d (%q); this client speaks version %d", addr, resp.Version, resp.Error, protocolVersion)
+	}
+	if err != nil {
+		//mmlint:ignore closecheck the hello failed; the conn never carried a request and the frame or version error is what the caller reports
 		conn.Close()
-		return nil, fmt.Errorf("%w: %s: %w", errHandshake, addr, err)
+		return nil, err
 	}
-	if m.legacy {
-		return m, nil
-	}
-	// v2 negotiated: from here on the writer and reader own the conn's
-	// deadlines, armed per frame in their loops.
+	// From here on the writer and reader own the conn's deadlines, armed
+	// per frame in their loops.
 	m.wg.Add(2)
 	go m.writeLoop()
 	go m.readLoop()
@@ -207,12 +200,9 @@ func (m *muxConn) deliver(resp response) {
 	ch <- resp // buffered; the demux reader never blocks on a waiter
 }
 
-// do performs one operation. In v2 mode it multiplexes; in legacy mode it
-// runs the strict serial v1 exchange.
+// do performs one operation: register a waiter, hand the frame to the
+// writer, wait for the demux reader to deliver the response.
 func (m *muxConn) do(req request) (response, error) {
-	if m.legacy {
-		return m.doLegacy(req)
-	}
 	seq := m.seq.Add(1)
 	req.Seq = seq
 	frame, err := marshalFrame(req)
@@ -245,43 +235,6 @@ func (m *muxConn) do(req request) (response, error) {
 		m.forget(seq)
 		return response{}, fmt.Errorf("docdb: %s: awaiting response: %w", req.Op, os.ErrDeadlineExceeded)
 	}
-}
-
-// doLegacy is the v1 exchange: exclusive use of the connection for one
-// request/response pair under the per-op deadline.
-func (m *muxConn) doLegacy(req request) (response, error) {
-	req.Seq = 0 // v1 peers neither expect nor echo correlation ids
-	frame, err := marshalFrame(req)
-	if err != nil {
-		return response{}, err // a local encoding error; the conn is untouched
-	}
-	//mmlint:ignore lockheld a legacy peer requires strictly alternating frames, so the exchange must own the conn exclusively; the per-attempt SetDeadline bounds how long the lock is held
-	m.lmu.Lock()
-	defer m.lmu.Unlock()
-	if err := m.poisonErr(); err != nil {
-		return response{}, err
-	}
-	if err := m.conn.SetDeadline(time.Now().Add(m.opTimeout)); err != nil {
-		err = fmt.Errorf("docdb: arming deadline: %w", err)
-		m.poison(err)
-		return response{}, err
-	}
-	n, err := m.conn.Write(frame)
-	cliBytesOut.Add(int64(n))
-	if err != nil {
-		err = fmt.Errorf("docdb: sending request: %w", err)
-		m.poison(err)
-		return response{}, err
-	}
-	var resp response
-	n, err = readFrame(m.conn, &resp)
-	cliBytesIn.Add(int64(n))
-	if err != nil {
-		err = fmt.Errorf("docdb: reading response: %w", err)
-		m.poison(err)
-		return response{}, err
-	}
-	return resp, nil
 }
 
 // writeLoop is the single writer: it owns outbound framing, arming the

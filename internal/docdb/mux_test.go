@@ -1,6 +1,6 @@
 package docdb
 
-// Hostile-wire tests for the multiplexed v2 protocol. The correlation-id
+// Hostile-wire tests for the multiplexed protocol. The correlation-id
 // discipline has one promise: no matter what the link does — delays,
 // reorderings, torn frames, mid-read closes — a response is either paired
 // with the exact request that asked for it or discarded. These tests drive
@@ -12,14 +12,16 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultnet"
 )
 
-// fakeServer accepts exactly one connection, completes the v2 hello, and
+// fakeServer accepts exactly one connection, completes the hello, and
 // then hands the connection to serve. It returns the listener address.
 func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 	t.Helper()
@@ -38,7 +40,7 @@ func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 			conn.Close()
 			return
 		}
-		if _, err := writeFrame(conn, response{OK: true, Version: protocolV2, Seq: hello.Seq}); err != nil {
+		if _, err := writeFrame(conn, response{OK: true, Version: protocolVersion, Seq: hello.Seq}); err != nil {
 			conn.Close()
 			return
 		}
@@ -121,9 +123,6 @@ func TestMuxPoisonFailsAllInflightWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.close()
-	if m.legacy {
-		t.Fatal("fake server should have negotiated v2")
-	}
 
 	errs := make(chan error, inflight)
 	for i := 0; i < inflight; i++ {
@@ -275,60 +274,112 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// TestV2ClientAgainstV1Server: the hello must degrade gracefully — a
-// server that refuses v2 gets a strictly serial client that still passes
-// concurrent traffic correctly.
-func TestV2ClientAgainstV1Server(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestDialFailsFastOnOldServer: a peer that refuses the hello, or answers
+// it with another version, is a configuration error. The dial fails on the
+// first connection with an error naming both versions — it is not retried
+// and never yields a usable client.
+func TestDialFailsFastOnOldServer(t *testing.T) {
+	answers := map[string]response{
+		"refuses hello":    {Error: "docdb: unknown operation hello"},
+		"answers version1": {OK: true, Version: 1},
 	}
-	srv := NewServerWith(NewMemStore(), ln, ServerOptions{DisableV2: true})
-	defer srv.Close()
-
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	dials := map[string]func(addr string, opts ClientOptions) (Store, error){
+		"DialOptions": func(addr string, opts ClientOptions) (Store, error) { return DialOptions(addr, opts) },
+		"DialPool":    func(addr string, opts ClientOptions) (Store, error) { return DialPool(addr, 3, opts) },
 	}
-	defer c.Close()
-	m, err := c.getMux()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.legacy {
-		t.Fatal("client negotiated v2 against a v1-only server")
-	}
-
-	const workers, ops = 8, 10
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := 0; j < ops; j++ {
-				key := fmt.Sprintf("w%d-%d", w, j)
-				if err := c.Put("legacy", key, Document{"payload": key}); err != nil {
-					errs[w] = err
-					return
-				}
-				doc, err := c.Get("legacy", key)
+	for aname, answer := range answers {
+		for dname, dial := range dials {
+			t.Run(aname+"/"+dname, func(t *testing.T) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
-					errs[w] = err
-					return
+					t.Fatal(err)
 				}
-				if doc["payload"] != key {
-					errs[w] = fmt.Errorf("legacy mode mispaired: key %s got %v", key, doc["payload"])
-					return
+				defer ln.Close()
+				var accepted atomic.Int64
+				go func() {
+					for {
+						conn, err := ln.Accept()
+						if err != nil {
+							return
+						}
+						accepted.Add(1)
+						var hello request
+						if _, err := readFrame(conn, &hello); err == nil {
+							resp := answer
+							resp.Seq = hello.Seq
+							writeFrame(conn, resp)
+						}
+						conn.Close()
+					}
+				}()
+				// A backoff this long would blow the deadline below if the
+				// dial slept even once.
+				opts := ClientOptions{RetryBackoff: time.Minute, MaxBackoff: time.Minute}
+				start := time.Now()
+				st, err := dial(ln.Addr().String(), opts)
+				if err == nil {
+					st.Close()
+					t.Fatal("dial to a peer that does not speak this protocol version returned a client")
 				}
-			}
-		}(w)
+				if time.Since(start) > 10*time.Second {
+					t.Fatalf("dial took %v: a version mismatch must not be retried", time.Since(start))
+				}
+				for _, want := range []string{fmt.Sprintf("version %d", answer.Version), fmt.Sprintf("version %d", protocolVersion)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+				if errors.Is(err, errHandshake) {
+					t.Errorf("version mismatch classed as a link fault: %v", err)
+				}
+				if n := accepted.Load(); n != 1 {
+					t.Errorf("dial opened %d connections, want exactly 1", n)
+				}
+			})
+		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+}
+
+// TestSerialPeerWithoutHelloIsServed: the server runs one loop for every
+// peer. A raw connection that never says hello and strictly alternates
+// request and response is answered in order with its Seq (zero) echoed, and
+// a hello in mid-stream is an ordinary operation that leaves the stream
+// usable.
+func TestSerialPeerWithoutHelloIsServed(t *testing.T) {
+	srv, err := NewServer(NewMemStore(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(req request) response {
+		t.Helper()
+		if _, err := writeFrame(conn, req); err != nil {
 			t.Fatal(err)
 		}
+		var resp response
+		if _, err := readFrame(conn, &resp); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		if !resp.OK || resp.Seq != req.Seq {
+			t.Fatalf("%s: response %+v", req.Op, resp)
+		}
+		return resp
+	}
+	exchange(request{Op: "put", Collection: "c", ID: "k", Doc: Document{"v": "1"}})
+	if got := exchange(request{Op: "get", Collection: "c", ID: "k"}); got.Doc["v"] != "1" {
+		t.Fatalf("get returned %+v", got.Doc)
+	}
+	exchange(request{Op: "ping"})
+	if got := exchange(request{Op: opHello, Version: protocolVersion, Seq: 7}); got.Version != protocolVersion {
+		t.Fatalf("mid-stream hello answered version %d, want %d", got.Version, protocolVersion)
+	}
+	if got := exchange(request{Op: "ids", Collection: "c"}); len(got.IDs) != 1 || got.IDs[0] != "k" {
+		t.Fatalf("stream unusable after a mid-stream hello: %+v", got)
 	}
 }
 

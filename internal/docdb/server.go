@@ -24,7 +24,6 @@ var (
 	srvBytesOut  = obs.Default().Counter("docdb.server.bytes_out")
 	srvConns     = obs.Default().Gauge("docdb.server.conns")
 	srvInflight  = obs.Default().Gauge("docdb.server.inflight")
-	srvMuxConns  = obs.Default().Counter("docdb.server.mux_conns")
 )
 
 // dedupLimit bounds how many insert responses the server remembers for
@@ -88,15 +87,11 @@ type ServerOptions struct {
 	// goroutine count bounded no matter how many clients dial.
 	MaxConns int
 	// WorkersPerConn caps concurrently executing requests on one
-	// multiplexed (protocol v2) connection. A pipelined client can have
-	// arbitrarily many requests in flight; this bound keeps the server's
-	// goroutine count at MaxConns × WorkersPerConn worst case. Requests
-	// beyond the bound wait their turn in arrival order.
+	// connection. A pipelined client can have arbitrarily many requests in
+	// flight; this bound keeps the server's goroutine count at MaxConns ×
+	// WorkersPerConn worst case. Requests beyond the bound wait their turn
+	// in arrival order.
 	WorkersPerConn int
-	// DisableV2 refuses the protocol-v2 hello, forcing every connection
-	// onto the serial v1 contract. It exists so compatibility tests can
-	// stand in for an old server; there is no operational reason to set it.
-	DisableV2 bool
 }
 
 // Default per-connection discipline: generous enough that no legitimate
@@ -205,6 +200,12 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serveConn is the one connection loop: requests are dispatched to worker
+// goroutines as they arrive and responses are written as they finish, in
+// completion order, each echoing its request's correlation sequence number.
+// The worker semaphore bounds per-connection concurrency; when it is full
+// the read loop itself blocks on acquiring a slot, which stops draining the
+// socket and pushes backpressure onto the client.
 func (s *Server) serveConn(conn net.Conn) {
 	srvConns.Add(1)
 	defer s.wg.Done()
@@ -217,49 +218,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		<-s.sem
 		srvConns.Add(-1)
 	}()
-	first := true
-	for {
-		// Arm the read deadline per frame, mirroring the client's OpTimeout
-		// discipline (client.go): a peer that stalls mid-frame or idles
-		// forever is cut off instead of pinning this goroutine.
-		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		var req request
-		n, err := readFrame(conn, &req)
-		srvBytesIn.Add(int64(n))
-		if err != nil {
-			s.logConnErr(err)
-			return
-		}
-		// A v2 client announces itself with a hello as the very first
-		// frame; accepting it switches this connection to the multiplexed
-		// contract. Anything else — including a refused hello — keeps the
-		// serial v1 contract, and a hello that reaches handle falls through
-		// to "unknown operation", which is exactly what a real v1 server
-		// answers and what tells the client to fall back.
-		if first && !s.opts.DisableV2 && req.Op == opHello && req.Version >= protocolV2 {
-			if !s.writeResp(conn, response{OK: true, Version: protocolV2, Seq: req.Seq}) {
-				return
-			}
-			srvMuxConns.Inc()
-			s.serveMux(conn)
-			return
-		}
-		first = false
-		resp := s.handle(req)
-		resp.Seq = req.Seq // harmless on true v1 peers: they ignore it
-		if !s.writeResp(conn, resp) {
-			return
-		}
-	}
-}
-
-// serveMux is the protocol-v2 connection loop: requests are dispatched to
-// worker goroutines as they arrive and responses are written as they
-// finish, in completion order, each echoing its request's correlation
-// sequence number. The worker semaphore bounds per-connection concurrency;
-// when it is full the read loop itself blocks on acquiring a slot, which
-// stops draining the socket and pushes backpressure onto the client.
-func (s *Server) serveMux(conn net.Conn) {
 	var (
 		wg  sync.WaitGroup
 		wmu sync.Mutex // serializes response frames onto the shared conn
@@ -267,6 +225,9 @@ func (s *Server) serveMux(conn net.Conn) {
 	workers := make(chan struct{}, s.opts.WorkersPerConn)
 	defer wg.Wait()
 	for {
+		// Arm the read deadline per frame, mirroring the client's OpTimeout
+		// discipline (client.go): a peer that stalls mid-frame or idles
+		// forever is cut off instead of pinning this goroutine.
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		var req request
 		n, err := readFrame(conn, &req)
@@ -373,6 +334,8 @@ func (s *Server) handle(req request) response {
 		return response{OK: true, Stats: &st}
 	case "ping":
 		return response{OK: true}
+	case opHello:
+		return response{OK: true, Version: protocolVersion}
 	default:
 		return response{Error: "docdb: unknown operation " + req.Op}
 	}

@@ -14,24 +14,26 @@ import (
 // third machine" is a real network boundary for metadata, not an efficient
 // binary protocol.
 //
-// Protocol v2 multiplexes one connection: every request carries a
-// correlation sequence number (Seq) that the server echoes on the matching
-// response, so responses may arrive out of order and many operations can be
-// in flight at once. A v2 session is negotiated by a "hello" request as the
-// first frame on a connection; peers that do not understand it keep the v1
-// contract — strictly serial, in-order request/response pairs — because JSON
-// decoding ignores the unknown fields either side may send.
+// One connection is multiplexed: every request carries a correlation
+// sequence number (Seq) that the server echoes on the matching response, so
+// responses may arrive out of order and many operations can be in flight at
+// once. A client opens a connection with a "hello" request carrying its
+// protocol version; the server answers with its own, and a client that does
+// not read back protocolVersion fails the dial.
 
 // maxFrame bounds a single message to guard against corrupt length prefixes.
 const maxFrame = 64 << 20 // 64 MiB
 
-// protocolV2 is the multiplexed protocol generation announced in the hello
-// handshake. Version 1 (implicit — no hello) is the serial protocol.
-const protocolV2 = 2
+// readChunk is how much of a frame body readFrame allocates before any of
+// it has arrived; a larger body grows the buffer as its bytes come in, so a
+// length prefix alone cannot make the reader commit maxFrame of memory.
+const readChunk = 1 << 20 // 1 MiB
 
-// opHello is the in-band handshake operation. A v1 server answers it with
-// "unknown operation", which a v2 client reads as "speak v1 on this
-// connection".
+// protocolVersion is the one protocol generation this package speaks,
+// exchanged in the hello.
+const protocolVersion = 2
+
+// opHello is the version-check operation a client sends first.
 const opHello = "hello"
 
 type request struct {
@@ -46,9 +48,9 @@ type request struct {
 	// executing it again, so a retry after a torn response frame cannot
 	// create a duplicate document.
 	ReqID string `json:"req_id,omitempty"`
-	// Seq is the v2 correlation identifier: unique per in-flight request on
+	// Seq is the correlation identifier: unique per in-flight request on
 	// one connection, echoed on the response so the client's demultiplexer
-	// can pair them under out-of-order completion. Zero on v1 connections.
+	// can pair them under out-of-order completion.
 	Seq uint64 `json:"seq,omitempty"`
 	// Version is carried by the hello request only.
 	Version int `json:"version,omitempty"`
@@ -62,7 +64,7 @@ type response struct {
 	Docs  []Document `json:"docs,omitempty"`
 	IDs   []string   `json:"ids,omitempty"`
 	Stats *Stats     `json:"stats,omitempty"`
-	// Seq echoes the request's correlation identifier on v2 connections.
+	// Seq echoes the request's correlation identifier.
 	Seq uint64 `json:"seq,omitempty"`
 	// Version is carried by the hello response only.
 	Version int `json:"version,omitempty"`
@@ -128,9 +130,19 @@ func readFrame(r io.Reader, v any) (int, error) {
 	if n > maxFrame {
 		return len(hdr), fmt.Errorf("docdb: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return len(hdr), err
+	buf := make([]byte, min(int(n), readChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // the body ended between two chunks
+		}
+		if err != nil {
+			return len(hdr), err
+		}
+		if got == int(n) {
+			return len(hdr) + got, json.Unmarshal(buf, v)
+		}
+		buf = append(buf, make([]byte, min(int(n)-got, got))...)
 	}
-	return len(hdr) + len(buf), json.Unmarshal(buf, v)
 }

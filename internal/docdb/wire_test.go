@@ -3,8 +3,13 @@ package docdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -132,5 +137,54 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	defer c2.Close()
 	if err := c2.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadFrameAllocatesForWhatArrived: a length prefix is four bytes of
+// the peer's say-so. Reading a frame must commit memory in proportion to
+// the body bytes that actually arrived, not to the prefix.
+func TestReadFrameAllocatesForWhatArrived(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFrame)
+	cases := []struct {
+		name string
+		body []byte
+		end  error
+		want error
+	}{
+		{"header then EOF", nil, io.EOF, io.EOF},
+		{"ten bytes then EOF", make([]byte, 10), io.EOF, io.ErrUnexpectedEOF},
+		{"ten bytes then deadline", make([]byte, 10), os.ErrDeadlineExceeded, os.ErrDeadlineExceeded},
+	}
+	for _, tc := range cases {
+		// A peer that sent this much and stopped.
+		r := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(tc.body), iotest.ErrReader(tc.end))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var out request
+		n, err := readFrame(r, &out)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, tc.want) || n != len(hdr) {
+			t.Errorf("%s: got (%d, %v), want (%d, %v)", tc.name, n, err, len(hdr), tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Errorf("%s: a stalled %d-byte body allocated %d bytes", tc.name, len(tc.body), grew)
+		}
+	}
+
+	// A frame larger than the first chunk still round-trips byte-exact.
+	in := request{Op: "put", Doc: Document{"blob": strings.Repeat("0123456789abcdef", 3<<20/16)}}
+	var buf bytes.Buffer
+	wrote, err := writeFrame(&buf, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out request
+	read, err := readFrame(&buf, &out)
+	if err != nil || read != wrote || wrote < 3<<20 {
+		t.Fatalf("3 MiB frame: wrote %d, read %d, err %v", wrote, read, err)
+	}
+	if out.Doc["blob"] != in.Doc["blob"] {
+		t.Fatal("3 MiB frame body changed in transit")
 	}
 }

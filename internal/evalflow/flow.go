@@ -99,9 +99,6 @@ type Config struct {
 	// core.RecoveryCache for the U4 sweep, so each chain prefix is
 	// recovered once instead of once per descendant.
 	UseRecoveryCache bool
-	// RecoveryCacheBytes bounds the recovery cache (<= 0 selects the
-	// default bound).
-	RecoveryCacheBytes int64
 	// ParanoidCache makes the recovery cache re-hash every entry's stored
 	// bytes on each hit instead of trusting sealed immutability — the
 	// fault-injection posture: O(model size) per hit, but even direct
@@ -230,9 +227,9 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 	var cache *core.RecoveryCache
 	if cfg.UseRecoveryCache {
 		if cfg.ParanoidCache {
-			cache = core.NewParanoidRecoveryCache(cfg.RecoveryCacheBytes)
+			cache = core.NewParanoidRecoveryCache(0)
 		} else {
-			cache = core.NewRecoveryCache(cfg.RecoveryCacheBytes)
+			cache = core.NewRecoveryCache(0)
 		}
 		serverSvc.SetRecoveryCache(cache)
 	}

@@ -471,14 +471,14 @@ func TestDist5CachedRecoveryArtifactIdentical(t *testing.T) {
 			plain := capture(plainProvider, plainRes)
 
 			// Fast path: cache on (Paranoid: every hit re-verified from the
-			// stored bytes), 4 sweep goroutines, 4 decode workers.
+			// stored bytes), 4 sweep goroutines, 4 tensor workers.
 			fast := cfg
 			fast.UseRecoveryCache = true
 			fast.ParanoidCache = true
 			fast.RecoverConcurrency = 4
-			prevDW := tensor.DecodeWorkers()
-			tensor.SetDecodeWorkers(4)
-			defer tensor.SetDecodeWorkers(prevDW)
+			prevW := tensor.Workers()
+			tensor.SetWorkers(4)
+			defer tensor.SetWorkers(prevW)
 			fastProvider, fastCleanup, err := DistributedProvider(t.TempDir())
 			if err != nil {
 				t.Fatal(err)

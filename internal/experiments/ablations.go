@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/models"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -93,188 +92,6 @@ func AblationChecksums(w io.Writer, o Opts) error {
 		cleanup()
 	}
 	return tw.Flush()
-}
-
-// AblationWorkers measures how the hashing worker pool size affects the
-// checksummed save/recover hot path (BA, ResNet-18): TTS for a save with
-// checksums and the verify share of a recovery with checksum verification.
-// Per-tensor digests are independent, so the state hash is bit-identical at
-// every worker count — only wall-clock changes. On a single-CPU host the
-// rows are expected to be flat; the figure documents exactness, and the
-// speedup appears wherever GOMAXPROCS > 1.
-func AblationWorkers(w io.Writer, o Opts) error {
-	header(w, "Ablation: parallel hashing workers (BA save/recover with checksums, ResNet-18)")
-	arch := models.ResNet18Name
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
-	tw := newTab(w)
-	fmt.Fprintln(tw, "WORKERS\tTTS\tTTR\tVERIFY SHARE")
-	var wantHash string
-	for _, nw := range []int{1, 2, 4, 8} {
-		tensor.SetWorkers(nw)
-		stores, cleanup, err := newLocalStores(o.WorkDir)
-		if err != nil {
-			return err
-		}
-		net, err := models.New(arch, 1000, 31)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		ba := core.NewBaseline(stores)
-		res, err := ba.Save(core.SaveInfo{Spec: models.Spec{Arch: arch, NumClasses: 1000}, Net: net, WithChecksums: true})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		rec, err := ba.Recover(res.ID, core.RecoverOptions{VerifyChecksums: true})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		got := nn.StateDictOf(rec.Net).Hash()
-		if wantHash == "" {
-			wantHash = got
-		} else if got != wantHash {
-			cleanup()
-			return fmt.Errorf("abl-workers: state hash changed with %d workers — parallel hashing must be exact", nw)
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\n", nw, ms(res.Duration), ms(rec.Timing.Total()), ms(rec.Timing.Verify))
-		cleanup()
-	}
-	return tw.Flush()
-}
-
-// AblationRecover measures the recovery performance layer on an MPA
-// derivation chain: a U4-style sweep (recover every model) with the
-// recovery cache off vs on, then a single snapshot recovery across decode
-// worker counts. Without the cache, recovering the i-th model re-executes
-// all i training links, so the sweep's total training work is quadratic
-// in depth; with the cache each model finds its base's state memoized and
-// replays exactly one link — that algorithmic change, not parallelism, is
-// what carries the speedup on small hosts (cache hits and inserts each
-// cost verification and cloning passes, which is why the cheap-to-merge
-// PUA chains profit far less than retraining-heavy MPA chains). The
-// recovered leaf must hash identically either way, and the decode worker
-// sweep must be bit-identical at every pool size.
-func AblationRecover(w io.Writer, o Opts) error {
-	header(w, "Ablation: recovery cache and parallel deserialization (MPA chain, MobileNetV2)")
-	const depth = 6
-	arch := models.MobileNetV2Name
-	ds, err := dataset.Generate(dataset.Spec{Name: "abl-recover", Images: 64, H: 16, W: 16, Classes: 1000, Seed: 97})
-	if err != nil {
-		return err
-	}
-	stores, cleanup, err := newLocalStores(o.WorkDir)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	mpa := core.NewProvenance(stores)
-	spec := models.Spec{Arch: arch, NumClasses: 1000}
-	net, err := models.New(arch, 1000, 41)
-	if err != nil {
-		return err
-	}
-	base, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net, WithChecksums: true})
-	if err != nil {
-		return err
-	}
-	ids := []string{base.ID}
-	for i := 1; i <= depth; i++ {
-		loader, err := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: o.BatchSize, OutH: o.Resolution, OutW: o.Resolution, Shuffle: true, Seed: uint64(i)})
-		if err != nil {
-			return err
-		}
-		tsvc := train.NewImageClassifierTrainService(
-			train.ServiceConfig{Epochs: o.TrainEpochs, BatchesPerEpoch: o.TrainBatches, Seed: uint64(200 + i), Deterministic: true},
-			loader, train.NewSGD(train.SGDConfig{LR: 0.001, Momentum: 0.9, ClipNorm: 1}))
-		rec, err := core.NewProvenanceRecord(tsvc)
-		if err != nil {
-			return err
-		}
-		if _, err := rec.Train(net); err != nil {
-			return err
-		}
-		res, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: ids[len(ids)-1], WithChecksums: true, Provenance: rec})
-		if err != nil {
-			return err
-		}
-		ids = append(ids, res.ID)
-	}
-
-	var wantHash string
-	sweep := func() (total, leaf time.Duration, err error) {
-		for i, id := range ids {
-			rec, err := mpa.Recover(id, core.RecoverOptions{VerifyChecksums: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			total += rec.Timing.Total()
-			if i == len(ids)-1 {
-				leaf = rec.Timing.Total()
-				got := nn.StateDictOf(rec.Net).Hash()
-				if wantHash == "" {
-					wantHash = got
-				} else if got != wantHash {
-					return 0, 0, fmt.Errorf("abl-recover: cached sweep recovered a different leaf — the cache must be invisible to results")
-				}
-			}
-		}
-		return total, leaf, nil
-	}
-	tw := newTab(w)
-	fmt.Fprintf(tw, "CACHE\tSWEEP TTR (%d models)\tLEAF TTR\tHITS/MISSES\n", len(ids))
-	for _, cached := range []bool{false, true} {
-		var c *core.RecoveryCache
-		if cached {
-			c = core.NewRecoveryCache(0)
-		}
-		mpa.SetRecoveryCache(c)
-		total, leaf, err := sweep()
-		if err != nil {
-			return err
-		}
-		traffic := "-"
-		if cached {
-			s := c.Stats()
-			traffic = fmt.Sprintf("%d/%d", s.Hits, s.Misses)
-		}
-		fmt.Fprintf(tw, "%v\t%s\t%s\t%s\n", cached, ms(total), ms(leaf), traffic)
-	}
-	mpa.SetRecoveryCache(nil)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	// Decode workers: recover the full snapshot (the largest deserialize)
-	// at several pool sizes; the recovered hash must never change. On a
-	// single-CPU host the rows are flat — the parallel win needs
-	// GOMAXPROCS > 1; this table documents exactness.
-	prevDW := tensor.DecodeWorkers()
-	defer tensor.SetDecodeWorkers(prevDW)
-	tw = newTab(w)
-	fmt.Fprintln(tw, "\nDECODE WORKERS\tSNAPSHOT TTR\tRECOVER SHARE")
-	var snapHash string
-	for _, nw := range []int{1, 2, 8} {
-		tensor.SetDecodeWorkers(nw)
-		rec, err := mpa.Recover(ids[0], core.RecoverOptions{VerifyChecksums: true, NoCache: true})
-		if err != nil {
-			return err
-		}
-		got := nn.StateDictOf(rec.Net).Hash()
-		if snapHash == "" {
-			snapHash = got
-		} else if got != snapHash {
-			return fmt.Errorf("abl-recover: state hash changed with %d decode workers — parallel deserialization must be exact", nw)
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\n", nw, ms(rec.Timing.Total()), ms(rec.Timing.Recover))
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "expected: cached sweep ≥2× faster at depth ≥5; identical hashes throughout")
-	return nil
 }
 
 // AblationDatasetRef compares the MPA's dataset-by-copy mode (archive the

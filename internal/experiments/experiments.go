@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 4). Each experiment prints the rows or series the
-// paper reports; cmd/mmbench exposes them on the command line and
-// bench_test.go wires them into testing.B benchmarks.
+// paper reports; cmd/mmbench exposes them on the command line. Performance
+// of the system itself is measured by bench/, not here.
 //
 // Absolute numbers differ from the paper (its substrate is PyTorch on Xeon
 // servers with A100 GPUs; ours is a pure-Go framework), but the comparisons
@@ -70,19 +70,6 @@ type Opts struct {
 	// RecoverCache equips the measured recovery sweeps (U4) with a
 	// recovery cache, so each chain prefix is recovered once per sweep.
 	RecoverCache bool
-	// RecoverWorkers is the recovery-side deserialization pool size
-	// (tensor.SetDecodeWorkers); 0 follows the hashing pool. Results are
-	// bit-identical for any value.
-	RecoverWorkers int
-	// ServeClients is the concurrent client count of the serving-tier load
-	// generator (0 = 100, the acceptance scale).
-	ServeClients int
-	// ServeRequests is the number of recoveries each serve client issues
-	// (0 = 6).
-	ServeRequests int
-	// ServeInferEvery makes every k-th serve request run an inference on
-	// the recovered net (0 = 3).
-	ServeInferEvery int
 	// Tracer, when set, receives a span per save/recovery an experiment
 	// performs (mmbench -trace writes the collected spans as a Chrome
 	// trace-event file).
@@ -202,13 +189,7 @@ func Registry() map[string]Func {
 		"abl-datasetref": AblationDatasetRef,
 		"abl-bandwidth":  AblationBandwidth,
 		"abl-adaptive":   AblationAdaptive,
-		"abl-workers":    AblationWorkers,
-		"abl-recover":    AblationRecover,
 		"abl-faults":     AblationFaults,
-		"abl-shards":     AblationShards,
-
-		// The serving-tier load generator (DESIGN.md §6.2).
-		"serve": Serve,
 	}
 }
 
@@ -218,7 +199,7 @@ func Order() []string {
 		"tab1", "tab2", "fig2", "fig4",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"tab3", "fig14", "fig15",
-		"abl-merkle", "abl-checksums", "abl-datasetref", "abl-adaptive", "abl-bandwidth", "abl-workers", "abl-recover", "abl-faults", "abl-shards", "serve",
+		"abl-merkle", "abl-checksums", "abl-datasetref", "abl-adaptive", "abl-bandwidth", "abl-faults",
 	}
 }
 

@@ -218,7 +218,6 @@ func TestAblations(t *testing.T) {
 		"datasetref": AblationDatasetRef,
 		"adaptive":   AblationAdaptive,
 		"bandwidth":  AblationBandwidth,
-		"workers":    AblationWorkers,
 	} {
 		var buf bytes.Buffer
 		if err := fn(&buf, o); err != nil {
@@ -226,26 +225,6 @@ func TestAblations(t *testing.T) {
 		}
 		if buf.Len() == 0 {
 			t.Fatalf("%s produced no output", name)
-		}
-	}
-}
-
-// TestAblationShards runs the scale-out ablation end to end: the wire
-// phase must rank v1 < pooled v2, and the shard sweep must print a row per
-// shard count with the hash identity check live inside runShardSweep.
-func TestAblationShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second network sweep")
-	}
-	o := fastOpts(t)
-	var buf bytes.Buffer
-	if err := AblationShards(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"v1-serial", "v2-pipelined", "v2-pooled", "SHARDS", "MODELS/S"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in output:\n%s", want, out)
 		}
 	}
 }

@@ -57,8 +57,14 @@ var copyBufPool = sync.Pool{
 }
 
 // copyPooled is io.Copy with a pooled transfer buffer; like io.Copy it
-// hands dst to a src that implements io.WriterTo and uses no buffer then.
+// hands dst to a src that implements io.WriterTo (or src to an
+// io.ReaderFrom), and takes no buffer out of the pool then.
 func copyPooled(dst io.Writer, src io.Reader) (int64, error) {
+	_, writerTo := src.(io.WriterTo)
+	_, readerFrom := dst.(io.ReaderFrom)
+	if writerTo || readerFrom {
+		return io.Copy(dst, src)
+	}
 	bufp := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(bufp)
 	return io.CopyBuffer(dst, src, *bufp)
@@ -140,9 +146,7 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	// The clock readings below only time the steps into the
-	// filestore.saveas.* histograms; the bytes written and hashed are the
-	// caller's.
+	//mmlint:ignore hashpurity SaveAs reads the clock only to time its steps into the filestore.saveas.* histograms; the bytes written and hashed are the caller's
 	start := time.Now()
 	f, err := os.CreateTemp(s.root, id+".*.tmp")
 	if err != nil {
@@ -151,10 +155,12 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	tmp := f.Name()
 	w := &blobWriter{f: f, h: sha256.New(), l: &s.uplink, bps: s.bandwidth()}
 	_, err = copyPooled(w, r)
+	//mmlint:ignore hashpurity step timing, as at start
 	written := time.Now()
 	if err == nil {
 		err = f.Sync()
 	}
+	//mmlint:ignore hashpurity step timing, as at start
 	synced := time.Now()
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -175,6 +181,7 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	}
 	mSaveAsWrite.ObserveDuration(written.Sub(start))
 	mSaveAsFsync.ObserveDuration(synced.Sub(written))
+	//mmlint:ignore hashpurity step timing, as at start
 	mSaveAsPublish.ObserveDuration(time.Since(synced))
 	mWrites.Inc()
 	mWriteBytes.Add(w.n)

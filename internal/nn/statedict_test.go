@@ -282,10 +282,10 @@ func TestReadStateDictWorkerSweepBitIdentical(t *testing.T) {
 	raw := buf.Bytes()
 	wantHash := sd.Hash()
 
-	prev := tensor.DecodeWorkers()
-	defer tensor.SetDecodeWorkers(prev)
+	prev := tensor.Workers()
+	defer tensor.SetWorkers(prev)
 	for _, w := range []int{1, 2, 8} {
-		tensor.SetDecodeWorkers(w)
+		tensor.SetWorkers(w)
 		got, err := ReadStateDictBytes(raw)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -304,9 +304,9 @@ func TestReadStateDictBytesTruncatedWithWorkers(t *testing.T) {
 	var buf bytes.Buffer
 	StateDictOf(m).WriteTo(&buf)
 	raw := buf.Bytes()
-	prev := tensor.DecodeWorkers()
-	defer tensor.SetDecodeWorkers(prev)
-	tensor.SetDecodeWorkers(4)
+	prev := tensor.Workers()
+	defer tensor.SetWorkers(prev)
+	tensor.SetWorkers(4)
 	if _, err := ReadStateDictBytes(raw[:len(raw)-3]); err == nil {
 		t.Fatal("expected error for truncated dict under parallel decode")
 	}

@@ -17,29 +17,6 @@ import (
 // side. Decoding is positionwise, so the result is bit-identical for any
 // worker count.
 
-// decodeWorkers overrides the decode pool size; 0 follows Workers().
-var decodeWorkers atomic.Int64
-
-// DecodeWorkers returns the number of goroutines DecodeFrames uses: the
-// dedicated recovery-side override when set, otherwise Workers().
-func DecodeWorkers() int {
-	if n := int(decodeWorkers.Load()); n > 0 {
-		return n
-	}
-	return workers
-}
-
-// SetDecodeWorkers overrides the parallelism of recovery-side tensor
-// deserialization independently of the save-side digest pool. n < 1
-// restores the default (follow Workers()). Results are bit-identical for
-// any value; only wall-clock time changes.
-func SetDecodeWorkers(n int) {
-	if n < 1 {
-		n = 0
-	}
-	decodeWorkers.Store(int64(n))
-}
-
 // frameHeader parses a tensor frame header at b[off:] and returns the
 // shape, the offset of the IEEE-754 data, and the offset just past the
 // frame.
@@ -151,14 +128,14 @@ func AliasFrames(b []byte, offs []int, ref any) ([]*Tensor, error) {
 }
 
 // DecodeFrames decodes the tensor frames starting at offs[i] in b with up
-// to DecodeWorkers() goroutines. Frames are independent, so out[i] is
+// to Workers() goroutines. Frames are independent, so out[i] is
 // bit-identical to a sequential ReadFromBytes(b, offs[i]) for any worker
 // count. Workers claim frames one at a time off a shared counter, which
 // load-balances the highly skewed tensor sizes of real architectures
 // better than static chunking — the same shape as DigestAll.
 func DecodeFrames(b []byte, offs []int) ([]*Tensor, error) {
 	out := make([]*Tensor, len(offs))
-	w := DecodeWorkers()
+	w := workers
 	if w > len(offs) {
 		w = len(offs)
 	}

@@ -11,14 +11,12 @@
 #                      disturb on a single P, so "byte-identical" and
 #                      "pipelined" are not properties of one scheduler
 #                      configuration (default-procs is gate 4, -race this one)
-#   6. bench smoke   — the hot-path benchmarks run once, so a broken
-#                      benchmark cannot reach main unnoticed
-#   7. bench module  — bench/ is its own module (repro/bench) that ./...
+#   6. bench module  — bench/ is its own module (repro/bench) that ./...
 #                      never reaches; vet and test it so an API change in
 #                      models/nn/core that breaks the benchmark fails here
-#   8. big-endian    — cross-build tensor and nn for s390x, the only way
+#   7. big-endian    — cross-build tensor and nn for s390x, the only way
 #                      the staging fallback of alias_fallback.go is compiled
-#   9. non-linux     — cross-build filestore for darwin, the only way the
+#   8. non-linux     — cross-build filestore for darwin, the only way the
 #                      !linux side of its build tags (no mmap, no write-back
 #                      hint) is compiled
 set -euo pipefail
@@ -41,9 +39,6 @@ go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/f
 
 echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest"
 GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest
-
-echo "==> go test -bench smoke (hot-path benchmarks, one iteration)"
-go test -run '^$' -bench 'BenchmarkStateDictHashWorkers|BenchmarkStateDictSerialize$|BenchmarkStateDictDeserializeWorkers|BenchmarkBARecoverChecksums|BenchmarkPUARecoverChecksums|BenchmarkRecoverStateHit|BenchmarkShardedSaveRecover$|BenchmarkServe$' -benchtime 1x .
 
 echo "==> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
