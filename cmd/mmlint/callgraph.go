@@ -96,6 +96,10 @@ type funcFacts struct {
 	connIO []factPos
 	// deadlines lists SetDeadline/SetReadDeadline/SetWriteDeadline calls.
 	deadlines []token.Pos
+	// connReaders holds the local variables that wrap a net.Conn in a
+	// reader or writer (br := bufio.NewReaderSize(conn, n)): reads and
+	// writes through them are conn I/O, and building them is not.
+	connReaders map[types.Object]bool
 	// panics lists panic sites not covered by a //mmlint:ignore panicfree
 	// directive (suppressed panics are a recorded local contract and do
 	// not taint callers).
@@ -315,6 +319,20 @@ func (p *Package) walkFacts(f *funcFacts, body ast.Node, async bool) {
 		case *ast.CallExpr:
 			p.recordCall(f, n, async)
 			return true
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i, rhs := range n.Rhs {
+					p.noteConnWrapper(f, n.Lhs[i], rhs)
+				}
+			}
+			return true
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i, v := range n.Values {
+					p.noteConnWrapper(f, n.Names[i], v)
+				}
+			}
+			return true
 		case *ast.RangeStmt:
 			if t := p.Info.TypeOf(n.X); t != nil {
 				if _, isMap := t.Underlying().(*types.Map); isMap {
@@ -468,8 +486,87 @@ func (p *Package) classifyCall(f *funcFacts, call *ast.CallExpr, fn *types.Func,
 			case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
 				f.deadlines = append(f.deadlines, call.Pos())
 			}
+		} else if p.wrapsConn(f, sel.X) && wrapperIO(sel.Sel.Name) {
+			f.connIO = append(f.connIO, factPos{call.Pos(), "calls " + sel.Sel.Name + " on a reader or writer wrapping a net.Conn", async})
 		}
 	}
+}
+
+// wrapperIO reports whether a method of a conn-wrapping reader or writer
+// can reach the conn (Read, ReadByte, Peek, WriteString, Flush, ...), as
+// opposed to inspecting the buffer (Buffered, Size, Available).
+func wrapperIO(method string) bool {
+	for _, prefix := range []string{"Read", "Write", "Peek", "Discard", "Flush"} {
+		if strings.HasPrefix(method, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// noteConnWrapper records lhs as a conn wrapper when rhs builds one.
+func (p *Package) noteConnWrapper(f *funcFacts, lhs, rhs ast.Expr) {
+	id, ok := lhs.(*ast.Ident)
+	if !ok || !p.wrapsConn(f, rhs) || p.connLike(f, id) {
+		return
+	}
+	obj := p.Info.ObjectOf(id)
+	if obj == nil {
+		return
+	}
+	if f.connReaders == nil {
+		f.connReaders = make(map[types.Object]bool)
+	}
+	f.connReaders[obj] = true
+}
+
+// connLike reports whether e is a net.Conn or a value wrapping one.
+func (p *Package) connLike(f *funcFacts, e ast.Expr) bool {
+	return isConnType(p.Info.TypeOf(e)) || p.wrapsConn(f, e)
+}
+
+// wrapsConn reports whether e is a reader or writer around a net.Conn: a
+// variable noted as one, a call that hands a conn-like argument to a
+// constructor returning a reader or writer (bufio.NewReaderSize(conn, n)),
+// or a composite literal of a reader or writer type holding a conn-like
+// element (&countingReader{r: br}).
+func (p *Package) wrapsConn(f *funcFacts, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		e = ast.Unparen(u.X)
+	}
+	switch e := e.(type) {
+	case *ast.Ident:
+		obj := p.Info.ObjectOf(e)
+		return obj != nil && f.connReaders[obj]
+	case *ast.CallExpr:
+		if !isReadWriter(p.Info.TypeOf(e)) {
+			return false
+		}
+		for _, arg := range e.Args {
+			if p.connLike(f, arg) {
+				return true
+			}
+		}
+	case *ast.CompositeLit:
+		if !isReadWriter(p.Info.TypeOf(e)) {
+			return false
+		}
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if p.connLike(f, elt) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isReadWriter reports whether t has a Read or a Write method.
+func isReadWriter(t types.Type) bool {
+	return t != nil && (lookupMethod(t, "Read") != nil || lookupMethod(t, "Write") != nil)
 }
 
 // classifyConnArgs flags a net.Conn handed to a callee that can only read
@@ -485,9 +582,11 @@ func (p *Package) classifyConnArgs(f *funcFacts, call *ast.CallExpr, async bool)
 	if sig == nil {
 		return
 	}
+	if isReadWriter(p.Info.TypeOf(call)) {
+		return // a wrapper is being built; its reads and writes are the I/O
+	}
 	for i, arg := range call.Args {
-		at := p.Info.TypeOf(arg)
-		if !isConnType(at) {
+		if !p.connLike(f, arg) {
 			continue
 		}
 		var pt types.Type
@@ -509,7 +608,11 @@ func (p *Package) classifyConnArgs(f *funcFacts, call *ast.CallExpr, async bool)
 		if lookupMethod(pt, "Read") == nil && lookupMethod(pt, "Write") == nil {
 			continue
 		}
-		desc := "passes a net.Conn to " + callDescription(p, call) + " as " + types.TypeString(pt, types.RelativeTo(p.Pkg))
+		what := "a net.Conn"
+		if !isConnType(p.Info.TypeOf(arg)) {
+			what = "a reader wrapping a net.Conn"
+		}
+		desc := "passes " + what + " to " + callDescription(p, call) + " as " + types.TypeString(pt, types.RelativeTo(p.Pkg))
 		f.connIO = append(f.connIO, factPos{arg.Pos(), desc, async})
 	}
 }

@@ -84,7 +84,7 @@ func TestFixtureAnalyzerCoverage(t *testing.T) {
 		namePanicFree:      3, // one direct site, one seeded depot panic, one cross-package escape
 		nameNakedGoroutine: 3, // two seeded launches, one untracked demux reader
 		nameHashPurity:     7, // clock, rand, %p, env, map order — clock via a cross-package call — a clock under core's entry point, and one behind an interface whose implementer lives in the interface's own package
-		nameDeadlineCheck:  3, // direct conn.Read, conn handed to an io.Reader parameter, undeadlined demux read loop
+		nameDeadlineCheck:  4, // direct conn.Read, conn handed to an io.Reader parameter, a read through a bufio.Reader wrapping the conn, undeadlined demux read loop
 		nameLockHeld:       4, // sleep, deferred-unlock file I/O, transitive channel receive, waiter send under the demux lock
 		nameBoundedGo:      3, // range-over-slice spawn, for{} spawn, per-request spawn off a request channel
 		nameDeadIgnore:     1, // well-formed directive matching nothing

@@ -4,6 +4,7 @@
 package docdb
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"time"
@@ -39,4 +40,26 @@ func ReadSuppressed(c net.Conn) ([]byte, error) {
 	//mmlint:ignore deadlinecheck fixture: the peer is an in-process pipe that always answers
 	n, err := c.Read(buf)
 	return buf[:n], err
+}
+
+// ReadBuffered builds a buffered reader over the conn — not itself a read —
+// and then reads through it with no deadline armed.
+func ReadBuffered(c net.Conn) (byte, error) {
+	br := bufio.NewReaderSize(c, 4096)
+	return br.ReadByte()
+}
+
+// ServeBuffered builds its buffered reader once and arms the read deadline
+// before every frame it reads through it, as docdb's serve loop does.
+func ServeBuffered(c net.Conn, frames int) error {
+	br := bufio.NewReaderSize(c, 4096)
+	for i := 0; i < frames; i++ {
+		if err := c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+			return err
+		}
+		if _, err := io.ReadFull(br, make([]byte, 4)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

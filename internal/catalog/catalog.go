@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/docdb"
@@ -44,20 +46,41 @@ type Entry struct {
 // ErrInUse is returned when deleting a model that other models derive from.
 var ErrInUse = errors.New("catalog: model is a base of other models")
 
+// listWorkers bounds the model documents List has in flight at once.
+const listWorkers = 16
+
 // List returns every saved model, sorted by identifier for determinism.
+// The per-model reads (the model document, a provenance link's service
+// document, the blob sizes) are independent, so a bounded pool of workers
+// issues them together instead of one round trip after another; each entry
+// lands in its identifier's slot, and the first error in identifier order
+// is the one returned, as a one-at-a-time listing would.
 func (c *Catalog) List() ([]Entry, error) {
 	ids, err := c.stores.Meta.IDs(core.ColModels)
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(ids)
-	out := make([]Entry, 0, len(ids))
-	for _, id := range ids {
-		e, err := c.Get(id)
+	out := make([]Entry, len(ids))
+	errs := make([]error, len(ids))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(listWorkers, len(ids)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+				out[i], errs[i] = c.Get(ids[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
 	}
 	return out, nil
 }

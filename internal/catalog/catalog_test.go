@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"errors"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -285,5 +287,80 @@ func TestStatsCounts(t *testing.T) {
 	}
 	if st.Models != 3 || st.Snapshots != 1 || st.Updates != 2 || st.TotalBytes <= 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// List reads its models concurrently; what it returns must be exactly the
+// one-at-a-time listing: every model, in identifier order, with the same
+// kind, base and storage — provenance links' dataset archives included.
+func TestListMatchesSequentialGets(t *testing.T) {
+	stores := testStores(t)
+	pua := core.NewParamUpdate(stores)
+	mpa := core.NewProvenance(stores)
+	for i := 0; i < 3; i++ {
+		buildChain(t, stores)
+	}
+	net, err := models.New(models.TinyCNNName, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.Generate(dataset.Spec{Name: "list", Images: 8, H: 8, W: 8, Classes: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, _ := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: 4, OutH: 8, OutW: 8, Shuffle: true, Seed: 4})
+	rec, err := core.NewProvenanceRecord(train.NewImageClassifierTrainService(
+		train.ServiceConfig{Epochs: 1, Seed: 5, Deterministic: true},
+		loader, train.NewSGD(train.SGDConfig{LR: 0.01, Momentum: 0.9})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Train(net); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net, BaseID: root.ID, Provenance: rec}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*listWorkers; i++ {
+		m, err := models.New(models.TinyCNNName, 4, uint64(100+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pua.Save(core.SaveInfo{Spec: tinySpec(), Net: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cat := New(stores)
+	ids, err := stores.Meta.IDs(core.ColModels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(ids)
+	want := make([]Entry, 0, len(ids))
+	for _, id := range ids {
+		e, err := cat.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e)
+	}
+	got, err := cat.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("List differs from sequential Gets:\n got %v\nwant %v", got, want)
+	}
+	kinds := map[string]int{}
+	for _, e := range got {
+		kinds[e.Kind]++
+	}
+	if kinds["snapshot"] != 4+2*listWorkers || kinds["update"] != 6 || kinds["provenance"] != 1 {
+		t.Fatalf("listed kinds = %v", kinds)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/docdb"
 	"repro/internal/filestore"
@@ -27,16 +28,54 @@ func NewBaseline(stores Stores) *Baseline {
 
 // saving is one link being written: the transaction, the root document as
 // filled in so far, and the storage accounted so far. The three link
-// writers stage and write their artifacts through it, each in its own
-// order; every save runs as one transaction (see txn.go) — identifiers are
-// staged in a write-ahead record before any artifact is written, the root
-// document insert is the commit point, and an error on the way out rolls
-// the staged artifacts back.
+// writers stage and write their artifacts through it; every save runs as
+// one transaction (see txn.go) — identifiers are staged in a write-ahead
+// record before any artifact is written, the artifacts go out together as
+// one wave, the root document insert is the commit point, and an error on
+// the way out rolls the staged artifacts back. The steps of a wave fill in
+// disjoint fields of doc and account their bytes through stored.
 type saving struct {
 	ctx context.Context
 	txn *saveTxn
 	doc modelDoc
+	mu  sync.Mutex // guards res while a wave is in flight
 	res SaveResult
+}
+
+// together runs steps concurrently — one goroutine each but the last,
+// which runs on the caller's — waits for all of them, and returns the
+// first error in step order. A save's steps with no ordering constraint
+// between them go through it as one wave: its document writes overlap on
+// the wire instead of queueing one round trip behind another. It returns
+// only once every step has, so an error path rolls back with nothing still
+// in flight; a blob write that outlived its wave would land after the
+// rollback deleted its id and be an orphan no staging record names.
+func together(steps ...func() error) error {
+	errs := make([]error, len(steps))
+	var wg sync.WaitGroup
+	for i := 0; i < len(steps)-1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = steps[i]()
+		}()
+	}
+	errs[len(steps)-1] = steps[len(steps)-1]()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stored accounts the bytes one step wrote.
+func (sv *saving) stored(file, meta int64) {
+	sv.mu.Lock()
+	sv.res.FileBytes += file
+	sv.res.MetaBytes += meta
+	sv.mu.Unlock()
 }
 
 func (s *service) beginSaving(ctx context.Context, info SaveInfo, plan savePlan) *saving {
@@ -56,7 +95,7 @@ func (sv *saving) putBlob(id, label string, b []byte) (hash string, err error) {
 			return fmt.Errorf("core: saving %s: %w", label, err)
 		}
 		hash = h
-		sv.res.FileBytes += size
+		sv.stored(size, 0)
 		return nil
 	})
 	return hash, err
@@ -74,7 +113,7 @@ func (sv *saving) putParams(id string, sd *nn.StateDict, withDigests bool) error
 			return err
 		}
 		sv.doc.ParamsFileRef, sv.doc.ParamsFileHash = id, hash
-		sv.res.FileBytes += size
+		sv.stored(size, 0)
 		return nil
 	})
 }
@@ -89,7 +128,7 @@ func (sv *saving) putDoc(col, id, label string, v any) error {
 		if err := sv.txn.putDoc(col, id, label, doc); err != nil {
 			return fmt.Errorf("core: saving %s document: %w", label, err)
 		}
-		sv.res.MetaBytes += size
+		sv.stored(0, size)
 		return nil
 	})
 }
@@ -139,10 +178,18 @@ func (sv *saving) commit() (SaveResult, error) {
 
 // writeSnapshot writes a full model snapshot: model code, all parameters,
 // environment and — for a policy whose later saves are parameter updates —
-// the per-layer hashes.
+// the per-layer hashes. After the staging record, one wave: the
+// environment, the model code and the parameters, the parameters on this
+// goroutine followed by the state hash and layer hashes their serialization
+// computed the digests for.
 func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePlan) (_ SaveResult, retErr error) {
 	sv := s.beginSaving(ctx, info, plan)
 	defer func() { sv.txn.end(retErr) }()
+	// Model code: the serialized architecture spec.
+	codeBytes, err := info.Spec.MarshalText()
+	if err != nil {
+		return SaveResult{}, err
+	}
 	codeID := sv.txn.stageBlob()
 	paramsID := sv.txn.stageBlob()
 	envID := sv.txn.stageDoc(ColEnvironments)
@@ -154,29 +201,29 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 		return SaveResult{}, err
 	}
 
-	// Model code: the serialized architecture spec.
-	codeBytes, err := info.Spec.MarshalText()
+	sd := nn.StateDictOf(info.Net)
+	err = together(
+		func() error { return sv.putEnv(envID, info) },
+		func() (err error) {
+			sv.doc.CodeFileRef = codeID
+			sv.doc.CodeFileHash, err = sv.putBlob(codeID, "code", codeBytes)
+			return err
+		},
+		func() error {
+			if err := sv.putParams(paramsID, sd, info.WithChecksums || plan.layerHashes); err != nil {
+				return err
+			}
+			if info.WithChecksums {
+				sv.doc.StateHash = sd.Hash()
+			}
+			if plan.layerHashes {
+				return sv.putLayerHashes(hashID, sd.LayerHashes())
+			}
+			return nil
+		},
+	)
 	if err != nil {
 		return SaveResult{}, err
-	}
-	sv.doc.CodeFileRef = codeID
-	if sv.doc.CodeFileHash, err = sv.putBlob(codeID, "code", codeBytes); err != nil {
-		return SaveResult{}, err
-	}
-	sd := nn.StateDictOf(info.Net)
-	if err := sv.putParams(paramsID, sd, info.WithChecksums || plan.layerHashes); err != nil {
-		return SaveResult{}, err
-	}
-	if info.WithChecksums {
-		sv.doc.StateHash = sd.Hash()
-	}
-	if err := sv.putEnv(envID, info); err != nil {
-		return SaveResult{}, err
-	}
-	if plan.layerHashes {
-		if err := sv.putLayerHashes(hashID, sd.LayerHashes()); err != nil {
-			return SaveResult{}, err
-		}
 	}
 	return sv.commit()
 }

@@ -237,8 +237,9 @@ func (fullBlobs) SaveAs(_ string, r io.Reader) (int64, string, error) {
 }
 
 // A save whose store fails mid-blob returns the store's error and leaves
-// no goroutine behind: every blob is written on the saving goroutine, so
-// a store that stops consuming cannot strand a writer.
+// no goroutine behind: every blob writes itself into the store on its
+// wave's goroutine and every wave is joined before the save returns, so a
+// store that stops consuming cannot strand a writer.
 func TestFailedBlobSaveLeaksNoGoroutine(t *testing.T) {
 	stores := testStores(t)
 	net := tinyNet(t, 36)

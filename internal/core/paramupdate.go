@@ -46,30 +46,36 @@ func (p *ParamUpdate) plan(info SaveInfo) savePlan {
 func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan) (_ SaveResult, retErr error) {
 	sv := s.beginSaving(ctx, info, plan)
 	defer func() { sv.txn.end(retErr) }()
+	paramsID := sv.txn.stageBlob()
+	envID := sv.txn.stageDoc(ColEnvironments)
+	hashID := sv.txn.stageDoc(ColLayerHashes)
 
-	// Load the base model's layer hashes (never its parameters) and find
-	// the changed layers against them. This only reads, so nothing is
-	// staged before it. The precomputed digest cache makes it the save's
-	// only hashing pass: LayerHashes, the state hash and the update subset
-	// all read the same per-tensor digests.
+	// The staging record goes out while the diff loads the base model's
+	// layer hashes (never its parameters) and finds the changed layers
+	// against them: the diff only reads, and the record names nothing it
+	// decides. The precomputed digest cache makes it the save's only
+	// hashing pass: LayerHashes, the state hash and the update subset all
+	// read the same per-tensor digests.
 	sd := nn.StateDictOf(info.Net)
 	var curHashes []nn.KeyHash
-	err := phase(ctx, "diff", nil, func(*obs.Span) error {
-		baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
-		if err != nil {
+	err := together(sv.txn.writeAhead, func() error {
+		return phase(ctx, "diff", nil, func(*obs.Span) error {
+			baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
+			if err != nil {
+				return err
+			}
+			if baseDoc.HashDocID == "" {
+				return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
+			}
+			baseHashes, err := loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
+			if err != nil {
+				return err
+			}
+			sd.PrecomputeDigests()
+			curHashes = sd.LayerHashes()
+			sv.doc.UpdatedLayers, err = diffLayerHashes(baseHashes, curHashes, !plan.pairwiseDiff)
 			return err
-		}
-		if baseDoc.HashDocID == "" {
-			return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
-		}
-		baseHashes, err := loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
-		if err != nil {
-			return err
-		}
-		sd.PrecomputeDigests()
-		curHashes = sd.LayerHashes()
-		sv.doc.UpdatedLayers, err = diffLayerHashes(baseHashes, curHashes, !plan.pairwiseDiff)
-		return err
+		})
 	})
 	if err != nil {
 		return SaveResult{}, err
@@ -77,24 +83,15 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 	if info.WithChecksums {
 		sv.doc.StateHash = sd.Hash()
 	}
-
-	paramsID := sv.txn.stageBlob()
-	envID := sv.txn.stageDoc(ColEnvironments)
-	hashID := sv.txn.stageDoc(ColLayerHashes)
-	if err := sv.txn.writeAhead(); err != nil {
-		return SaveResult{}, err
-	}
 	// The architecture is inherited from the base model, but the
-	// environment may differ and is always recorded.
-	if err := sv.putEnv(envID, info); err != nil {
-		return SaveResult{}, err
-	}
-	// The subset inherits the changed layers' digests, so serializing it
-	// never re-hashes them.
-	if err := sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), true); err != nil {
-		return SaveResult{}, err
-	}
-	if err := sv.putLayerHashes(hashID, curHashes); err != nil {
+	// environment may differ and is always recorded. The subset inherits
+	// the changed layers' digests, so serializing it never re-hashes them.
+	err = together(
+		func() error { return sv.putEnv(envID, info) },
+		func() error { return sv.putLayerHashes(hashID, curHashes) },
+		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), true) },
+	)
+	if err != nil {
 		return SaveResult{}, err
 	}
 	return sv.commit()

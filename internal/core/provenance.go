@@ -130,43 +130,44 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 		return SaveResult{}, err
 	}
 
-	if err := sv.putEnv(envID, info); err != nil {
-		return SaveResult{}, err
-	}
 	svcDoc := rec.doc
 	svcDoc.DatasetRef = "external:" + rec.externalRef
+	steps := []func() error{func() error { return sv.putEnv(envID, info) }}
 	if !plan.datasetByRef {
 		svcDoc.DatasetRef = dsID
-		err := phase(ctx, "save.dataset", nil, func(*obs.Span) error {
-			size, err := saveDatasetArchive(sv.txn, dsID, rec.ds)
-			sv.res.FileBytes += size
-			return err
+		steps = append(steps, func() error {
+			return phase(ctx, "save.dataset", nil, func(*obs.Span) error {
+				size, err := saveDatasetArchive(sv.txn, dsID, rec.ds)
+				sv.stored(size, 0)
+				return err
+			})
 		})
-		if err != nil {
-			return SaveResult{}, err
-		}
-	}
-	// The optimizer's state is the wrapper object's state file; its content
-	// hash is recorded beside the reference.
-	if len(rec.optState) > 0 {
-		w := svcDoc.Wrappers["optimizer"]
-		w.StateFileRef = optStateID
-		var err error
-		if w.StateFileHash, err = sv.putBlob(optStateID, "optstate", rec.optState); err != nil {
-			return SaveResult{}, err
-		}
-		svcDoc.Wrappers["optimizer"] = w
 	}
 	// Layer hashes on the adaptive policy's behalf, inside the same
 	// transaction: a later parameter update can then diff against this
 	// model although it stores no parameters.
 	if plan.layerHashes {
-		if err := sv.putLayerHashes(hashID, nn.StateDictOf(info.Net).LayerHashes()); err != nil {
-			return SaveResult{}, err
-		}
+		steps = append(steps, func() error {
+			return sv.putLayerHashes(hashID, nn.StateDictOf(info.Net).LayerHashes())
+		})
 	}
-	sv.doc.ServiceDocID = svcID
-	if err := sv.putDoc(ColServices, svcID, "service", svcDoc); err != nil {
+	// The optimizer's state is the wrapper object's state file; its content
+	// hash is recorded beside the reference, so the service document follows
+	// that blob within its step.
+	steps = append(steps, func() error {
+		if len(rec.optState) > 0 {
+			w := svcDoc.Wrappers["optimizer"]
+			w.StateFileRef = optStateID
+			var err error
+			if w.StateFileHash, err = sv.putBlob(optStateID, "optstate", rec.optState); err != nil {
+				return err
+			}
+			svcDoc.Wrappers["optimizer"] = w
+		}
+		sv.doc.ServiceDocID = svcID
+		return sv.putDoc(ColServices, svcID, "service", svcDoc)
+	})
+	if err := together(steps...); err != nil {
 		return SaveResult{}, err
 	}
 	return sv.commit()

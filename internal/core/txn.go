@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/docdb"
 	"repro/internal/filestore"
@@ -16,20 +17,32 @@ import (
 // error mid-save leaks orphaned artifacts, and a crash between a side
 // insert and the root insert leaves references that only surface later as
 // confusing recovery failures. saveTxn makes every save all-or-nothing with
-// a write-ahead commit record:
+// a write-ahead commit record. Identifiers are generated client-side, so a
+// save has exactly two ordering constraints — the staging record lands
+// before any artifact, the root document lands after every artifact — and
+// it waits for nothing else in between:
 //
-//  1. Stage: every identifier the save will write (blob ids and document
-//     ids are generated client-side) is recorded in a staging document in
-//     ColStaging, written *before* any artifact. From that point on, the
-//     store always names every byte the save may have put on disk.
-//  2. Write: blobs and side documents are written under their staged ids.
-//     Each one is individually durable (temp file + fsync + rename) but
-//     the model does not exist yet — the root document is absent.
+//  1. Stage ‖ reads: every identifier the save will write (blob ids and
+//     document ids) is recorded in a staging document in ColStaging,
+//     written *before* any artifact. The reads the save needs that do not
+//     depend on it (a parameter update's base model and layer hashes) are
+//     in flight at the same time. From the record on, the store always
+//     names every byte the save may have put on disk.
+//  2. Wave: blobs and side documents are written under their staged ids,
+//     all at once (together). Each is individually durable (temp file +
+//     fsync + rename) but the model does not exist yet — the root document
+//     is absent. The wave is joined before anything else happens, so a
+//     rollback never races a write still in flight.
 //  3. Commit: one atomic root-document insert makes the model visible,
 //     then the staging record is deleted. The root insert is the commit
 //     point: before it, rolling back the staged ids restores the store
 //     byte-identically; after it, the save is durable and only the
 //     staging record remains to be swept.
+//
+// Serial depth in document round trips, the staging delete aside: 3 for a
+// snapshot or provenance link (staging, wave, root), 4 for a parameter
+// update (base model ‖ staging, then its layer-hash document, the wave,
+// the root).
 //
 // Rollback (on a live error path) and RecoverOrphans (after a crash)
 // delete artifacts before the staging record, so an interrupted cleanup
@@ -57,7 +70,9 @@ var ErrInjectedCrash = errors.New("core: injected crash")
 // CrashFn is a deterministic crash-point hook (see Stores.Crash). It
 // receives a stable point name ("staged", "blob:params", "doc:env",
 // "commit.before", "commit.window", ...) and returns nil to continue or an
-// error (conventionally wrapping ErrInjectedCrash) to die there.
+// error (conventionally wrapping ErrInjectedCrash) to die there. The writes
+// of one wave reach their points concurrently and in no fixed order, so a
+// hook must be safe for concurrent use.
 type CrashFn func(point string) error
 
 // Transaction metrics. orphans_reclaimed counts artifacts (blobs plus
@@ -86,8 +101,9 @@ type stagingDoc struct {
 	Docs           []stagedRef `json:"docs,omitempty"`
 }
 
-// saveTxn is one in-flight transactional save. It is not safe for
-// concurrent use; each save creates its own.
+// saveTxn is one in-flight transactional save; each save creates its own.
+// Staging and commit run on the save's goroutine; the writes of a wave
+// (saveBlob, putDoc) run concurrently once the staging record is durable.
 type saveTxn struct {
 	stores Stores
 	id     string // staging record id
@@ -98,9 +114,10 @@ type saveTxn struct {
 	// rejected before that, enforcing the write-ahead ordering.
 	flushed   bool
 	committed bool
-	// crashed is set when the Crash hook fired: the transaction must then
-	// be abandoned in place, never rolled back.
-	crashed bool
+	// crashed is set when the Crash hook fired, possibly from a wave's
+	// goroutine: the transaction must then be abandoned in place, never
+	// rolled back.
+	crashed atomic.Bool
 }
 
 // beginSave starts a transaction that will commit into rootCol. Nothing is
@@ -155,7 +172,7 @@ func (t *saveTxn) crash(point string) error {
 		return nil
 	}
 	if err := t.stores.Crash(point); err != nil {
-		t.crashed = true
+		t.crashed.Store(true)
 		return err
 	}
 	return nil
@@ -225,11 +242,13 @@ func (t *saveTxn) commit(ctx context.Context, rootDoc docdb.Document) (string, e
 // saves are durable and left alone; a simulated crash must leave the store
 // exactly as a dead process would, so it skips rollback too; every other
 // error rolls the staged artifacts back so a failed save leaks nothing.
+// Every wave has been joined by then (together returns only once all its
+// steps have), so no write can land after the rollback deleted its id.
 func (t *saveTxn) end(err error) {
 	if t.committed || err == nil {
 		return
 	}
-	if t.crashed || errors.Is(err, ErrInjectedCrash) {
+	if t.crashed.Load() || errors.Is(err, ErrInjectedCrash) {
 		return
 	}
 	t.rollback()

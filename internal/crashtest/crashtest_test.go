@@ -3,6 +3,7 @@ package crashtest
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -143,10 +144,9 @@ func sameFingerprint(t *testing.T, want, got map[string]string) {
 // fires, which is how sweeps detect they are done.
 func armCrash(k int) (core.CrashFn, *bool) {
 	fired := new(bool)
-	n := 0
+	var n atomic.Int64
 	return func(point string) error {
-		n++
-		if n == k {
+		if n.Add(1) == int64(k) {
 			*fired = true
 			return fmt.Errorf("%w (point %d: %q)", core.ErrInjectedCrash, k, point)
 		}

@@ -1,6 +1,8 @@
 package docdb
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -33,8 +35,9 @@ import (
 //     waiter fails immediately. Nothing is ever read off a poisoned stream
 //     again, so a torn frame cannot shift the framing under live requests.
 //   - A clean idle timeout (read deadline expiring at a frame boundary with
-//     zero bytes consumed) just re-arms the deadline. Idle pooled
-//     connections stay open without traffic.
+//     zero bytes of the next frame consumed, buffered ones included) just
+//     re-arms the deadline. Idle pooled connections stay open without
+//     traffic.
 
 var (
 	cliInflight = obs.Default().Gauge("docdb.client.inflight")
@@ -94,6 +97,9 @@ func dialMux(addr string, opts ClientOptions) (*muxConn, error) {
 		conn.Close()
 		return nil, fmt.Errorf("docdb: arming deadline: %w", err)
 	}
+	// The hello is read unbuffered, before the demux reader's buffer
+	// exists: nothing follows the answer until the next request, so no
+	// byte can be left behind in a buffer this exchange throws away.
 	n, err := writeFrame(conn, request{Op: opHello, Version: protocolVersion, Seq: m.seq.Add(1)})
 	cliBytesOut.Add(int64(n))
 	var resp response
@@ -238,18 +244,39 @@ func (m *muxConn) do(req request) (response, error) {
 }
 
 // writeLoop is the single writer: it owns outbound framing, arming the
-// write deadline per frame. Any write failure poisons the connection — a
-// partially written frame has already desynchronized the stream.
+// write deadline per Write. Every frame already queued behind the one it
+// dequeued rides in the same Write, up to maxBatch bytes, so requests that
+// overlap on the conn cost the link one crossing between them. Any write
+// failure poisons the connection — a partially written batch has already
+// desynchronized the stream — and the poison fails every waiter whose frame
+// was in it, exactly once.
 func (m *muxConn) writeLoop() {
 	defer m.wg.Done()
+	var frames [][]byte
 	for {
 		select {
 		case frame := <-m.writeq:
+			frames = append(frames[:0], frame)
+		batch:
+			for size := len(frame); size < maxBatch; {
+				select {
+				case f := <-m.writeq:
+					frames = append(frames, f)
+					size += len(f)
+				default:
+					break batch
+				}
+			}
+			out := frame
+			if len(frames) > 1 {
+				out = bytes.Join(frames, nil)
+			}
+			clear(frames) // the next batch must not pin this one's frames
 			if err := m.conn.SetWriteDeadline(time.Now().Add(m.opTimeout)); err != nil {
 				m.poison(fmt.Errorf("docdb: arming write deadline: %w", err))
 				return
 			}
-			n, err := m.conn.Write(frame)
+			n, err := m.conn.Write(out)
 			cliBytesOut.Add(int64(n))
 			if err != nil {
 				m.poison(fmt.Errorf("docdb: sending request: %w", err))
@@ -261,15 +288,19 @@ func (m *muxConn) writeLoop() {
 	}
 }
 
-// readLoop is the demux reader: it owns inbound framing, arming the read
-// deadline per frame. A deadline that expires with zero bytes consumed is
-// an idle connection at a frame boundary — safe to re-arm, because waiter
-// timeouts are enforced by each waiter's own timer. A deadline that expires
-// mid-frame means the stream stalled inside a message and can never be
-// trusted again; like every other read error it poisons the connection.
+// readLoop is the demux reader: it owns inbound framing, reading through
+// one buffered reader so a frame costs one socket read, and arming the read
+// deadline per frame. A deadline that expires with zero bytes of the next
+// frame consumed is an idle connection at a frame boundary — safe to
+// re-arm, because waiter timeouts are enforced by each waiter's own timer.
+// The count is taken above the buffer: bytes of the next frame that came
+// in with the previous one are consumed before the reader blocks, so a
+// stall after them counts as mid-frame, never as idle. A deadline that
+// expires mid-frame means the stream stalled inside a message and can never
+// be trusted again; like every other read error it poisons the connection.
 func (m *muxConn) readLoop() {
 	defer m.wg.Done()
-	cr := &countingReader{r: m.conn}
+	cr := &countingReader{r: bufio.NewReaderSize(m.conn, connBuffer)}
 	for {
 		if err := m.conn.SetReadDeadline(time.Now().Add(m.opTimeout)); err != nil {
 			m.poison(fmt.Errorf("docdb: arming read deadline: %w", err))

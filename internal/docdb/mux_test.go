@@ -51,20 +51,59 @@ func fakeServer(t *testing.T, serve func(conn net.Conn)) string {
 
 // TestMuxPipelinedResponsesNeverMispair floods one multiplexed connection
 // from many goroutines against a server that completes requests out of
-// order, and requires every Get to come back with its own document.
+// order, and requires every Get to come back with its own document — once
+// over a plain socket, and once over one whose writes are slow enough that
+// the requests queued behind a write in flight leave coalesced, many
+// frames to a socket write.
 func TestMuxPipelinedResponsesNeverMispair(t *testing.T) {
 	srv, err := NewServer(NewMemStore(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
 	const workers, ops = 16, 25
+	for _, coalesce := range []bool{false, true} {
+		t.Run(fmt.Sprint("coalesce=", coalesce), func(t *testing.T) {
+			var conn *writeLog
+			c, err := DialOptions(srv.Addr(), ClientOptions{Dialer: func(addr string) (net.Conn, error) {
+				raw, err := net.Dial("tcp", addr)
+				if err != nil || !coalesce {
+					return raw, err
+				}
+				conn = &writeLog{Conn: raw}
+				return conn, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := pipelineMustPair(c, workers, ops); err != nil {
+				t.Fatal(err)
+			}
+			frames := int64(1 + 2*workers*ops) // the hello, then a put and a get per op
+			if coalesce && conn.writes.Load() >= frames {
+				t.Fatalf("%d frames took %d socket writes; nothing coalesced", frames, conn.writes.Load())
+			}
+		})
+	}
+}
+
+// writeLog counts the socket writes a connection makes, each taking a
+// millisecond, so frames queue behind a write in flight and coalesce.
+type writeLog struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *writeLog) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	time.Sleep(time.Millisecond)
+	return c.Conn.Write(b)
+}
+
+// pipelineMustPair runs workers goroutines of ops put-then-get pairs each
+// on s and reports the first response that came back for another request.
+func pipelineMustPair(s Store, workers, ops int) error {
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -73,11 +112,11 @@ func TestMuxPipelinedResponsesNeverMispair(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < ops; j++ {
 				key := fmt.Sprintf("w%d-%d", w, j)
-				if err := c.Put("mux", key, Document{"payload": key}); err != nil {
+				if err := s.Put("mux", key, Document{"payload": key}); err != nil {
 					errs[w] = err
 					return
 				}
-				doc, err := c.Get("mux", key)
+				doc, err := s.Get("mux", key)
 				if err != nil {
 					errs[w] = err
 					return
@@ -90,11 +129,7 @@ func TestMuxPipelinedResponsesNeverMispair(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	return errors.Join(errs...)
 }
 
 // TestMuxPoisonFailsAllInflightWaiters parks many operations on a server

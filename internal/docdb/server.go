@@ -1,6 +1,7 @@
 package docdb
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -224,13 +225,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	)
 	workers := make(chan struct{}, s.opts.WorkersPerConn)
 	defer wg.Wait()
+	// One buffered reader for the connection's lifetime: a request frame —
+	// and any frames the client coalesced behind it — comes off the socket
+	// in one read.
+	br := bufio.NewReaderSize(conn, connBuffer)
 	for {
 		// Arm the read deadline per frame, mirroring the client's OpTimeout
 		// discipline (client.go): a peer that stalls mid-frame or idles
 		// forever is cut off instead of pinning this goroutine.
 		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		var req request
-		n, err := readFrame(conn, &req)
+		n, err := readFrame(br, &req)
 		srvBytesIn.Add(int64(n))
 		if err != nil {
 			s.logConnErr(err)

@@ -20,6 +20,12 @@ import (
 // once. A client opens a connection with a "hello" request carrying its
 // protocol version; the server answers with its own, and a client that does
 // not read back protocolVersion fails the dial.
+//
+// A frame should cost one link crossing each way, not one per read call.
+// After the hello, both ends read a connection through one bufio.Reader of
+// connBuffer bytes, so a frame — and often the frames queued behind it —
+// comes off the socket in a single Read; the client's writer drains every
+// frame already queued into one Write of up to maxBatch bytes.
 
 // maxFrame bounds a single message to guard against corrupt length prefixes.
 const maxFrame = 64 << 20 // 64 MiB
@@ -28,6 +34,14 @@ const maxFrame = 64 << 20 // 64 MiB
 // it has arrived; a larger body grows the buffer as its bytes come in, so a
 // length prefix alone cannot make the reader commit maxFrame of memory.
 const readChunk = 1 << 20 // 1 MiB
+
+// connBuffer sizes the per-connection read buffer: every frame the
+// workloads send fits in it whole, header and body.
+const connBuffer = 64 << 10 // 64 KiB
+
+// maxBatch caps one coalesced client Write. A batch is cut once it reaches
+// the cap, so the peer's buffered reader takes it in one Read.
+const maxBatch = connBuffer
 
 // protocolVersion is the one protocol generation this package speaks,
 // exchanged in the hello.
@@ -105,9 +119,12 @@ func marshalFrame(v any) ([]byte, error) {
 }
 
 // countingReader counts bytes consumed from the wrapped reader. The demux
-// reader uses it to tell a clean inter-frame timeout (zero bytes of the next
-// frame read — safe to rearm and keep the connection) from a mid-frame stall
-// (the stream is desynchronized and the connection must be poisoned).
+// reader wraps its buffered reader in one, so the count is what readFrame
+// took off the stream — bytes of the next frame that arrived in the same
+// socket read as the previous one included. It tells a clean inter-frame
+// timeout (zero bytes of the next frame consumed — safe to rearm and keep
+// the connection) from a mid-frame stall (the stream is desynchronized and
+// the connection must be poisoned).
 type countingReader struct {
 	r io.Reader
 	n int64

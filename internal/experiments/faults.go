@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -109,10 +110,9 @@ func ablationCrashDuringSave(w io.Writer, o Opts) error {
 			return err
 		}
 		var point string
-		n := 0
+		var n atomic.Int64
 		stores := core.Stores{Meta: meta, Files: files, Crash: func(p string) error {
-			n++
-			if n == k {
+			if n.Add(1) == int64(k) {
 				point = p
 				return fmt.Errorf("%w at %q", core.ErrInjectedCrash, p)
 			}
