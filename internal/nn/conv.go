@@ -62,304 +62,108 @@ func (c *Conv2d) outSize(h, w int) (int, int) {
 
 // Forward implements Module.
 //
-// Two implementations back this layer, mirroring how deep-learning
-// frameworks expose deterministic operator variants (paper Section 2.3):
-// parallel mode uses the fast im2col+matmul algorithm with goroutine
-// parallelism; deterministic mode uses a direct convolution whose
-// accumulation order is fixed element by element. Like cuDNN's
-// deterministic kernels, the deterministic algorithm is slower — that cost
-// is exactly what the paper's Figure 13 measures.
+// One kernel (conv_kernel.go) backs both execution modes, and the modes
+// differ only in schedule, mirroring how deep-learning frameworks expose
+// deterministic operator variants (paper Section 2.3): deterministic mode
+// runs the samples one after another, parallel mode runs the same
+// per-sample kernel across goroutines. Forward has no reduction across
+// samples, so both modes produce the same bits; the cost of determinism
+// the paper's Figure 13 measures is the parallelism given up.
 func (c *Conv2d) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	CheckShapes("Conv2d", x.Shape(), -1, c.InC, -1, -1)
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh, ow := c.outSize(h, w)
 	c.lastInput, c.lastInputH, c.lastInputW = x, h, w
-
-	if ctx.Mode == tensor.Deterministic {
-		return c.forwardDirect(x, n, h, w, oh, ow)
-	}
-	out := tensor.Zeros(n, c.OutC, oh, ow)
-	cg := c.InC / c.Groups
-	ocg := c.OutC / c.Groups
-	colRows := cg * c.KH * c.KW
-	ohw := oh * ow
-
-	forSamples(ctx, n, func(i int) {
-		col := make([]float32, colRows*ohw)
-		for g := 0; g < c.Groups; g++ {
-			c.im2col(x, i, g*cg, cg, h, w, oh, ow, col)
-			// out_g = W_g (ocg × colRows) · col (colRows × ohw)
-			wData := c.Weight.Value.Data()[g*ocg*colRows : (g+1)*ocg*colRows]
-			dst := out.Data()[((i*c.OutC)+g*ocg)*ohw : ((i*c.OutC)+(g+1)*ocg)*ohw]
-			matmulInto(wData, col, dst, ocg, colRows, ohw)
+	k := c.newKernel(h, w)
+	defer k.release()
+	out := tensor.Zeros(n, c.OutC, k.oh, k.ow)
+	forChunks(ctx, n, func(lo, hi int) {
+		b := getBufs()
+		for i := lo; i < hi; i++ {
+			k.forwardSample(b, x.Data(), out.Data(), i)
 		}
-		if c.Bias != nil {
-			bd := c.Bias.Value.Data()
-			od := out.Data()[i*c.OutC*ohw : (i+1)*c.OutC*ohw]
-			for oc := 0; oc < c.OutC; oc++ {
-				b := bd[oc]
-				seg := od[oc*ohw : (oc+1)*ohw]
-				for j := range seg {
-					seg[j] += b
-				}
-			}
-		}
+		putBufs(b)
 	})
 	return out
 }
 
-// Backward implements Module. Deterministic mode uses the direct algorithm
-// with a fixed accumulation order; parallel mode uses im2col with
-// goroutine-parallel partial gradients folded in arrival order.
+// Backward implements Module. Deterministic mode adds every sample's
+// weight and bias gradient terms straight into the gradients, in sample
+// order. Parallel mode runs the same per-sample kernel across goroutines,
+// each into its own zeroed partial, and folds the partials in arrival
+// order, which makes the accumulated float gradients order-dependent like
+// non-deterministic GPU kernels.
 func (c *Conv2d) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	if x == nil {
 		panic("nn: Conv2d.Backward before Forward")
 	}
 	n := x.Dim(0)
-	h, w := c.lastInputH, c.lastInputW
-	oh, ow := c.outSize(h, w)
-	if ctx.Mode == tensor.Deterministic {
-		return c.backwardDirect(x, grad, n, h, w, oh, ow)
-	}
-	cg := c.InC / c.Groups
-	ocg := c.OutC / c.Groups
-	colRows := cg * c.KH * c.KW
-	ohw := oh * ow
-
+	k := c.newKernel(c.lastInputH, c.lastInputW)
+	defer k.release()
+	k.tapMajor()
 	gradX := tensor.Zeros(x.Shape()...)
 	gW := c.Weight.EnsureGrad().Data()
 	var gB []float32
 	if c.Bias != nil {
 		gB = c.Bias.EnsureGrad().Data()
 	}
-
-	// Per-sample work producing local weight/bias gradient partials. In
-	// deterministic mode partials are folded in sample order; in parallel
-	// mode they are folded in goroutine completion order, which makes the
-	// accumulated float gradients order-dependent like non-deterministic
-	// GPU kernels.
-	work := func(i int, localGW, localGB []float32) {
-		col := make([]float32, colRows*ohw)
-		colGrad := make([]float32, colRows*ohw)
-		for g := 0; g < c.Groups; g++ {
-			c.im2col(x, i, g*cg, cg, h, w, oh, ow, col)
-			gOut := grad.Data()[((i*c.OutC)+g*ocg)*ohw : ((i*c.OutC)+(g+1)*ocg)*ohw]
-			// localGW_g += gOut (ocg × ohw) · col^T (ohw × colRows)
-			matmulABt(gOut, col, localGW[g*ocg*colRows:(g+1)*ocg*colRows], ocg, ohw, colRows)
-			// colGrad = W_g^T (colRows × ocg) · gOut (ocg × ohw)
-			wData := c.Weight.Value.Data()[g*ocg*colRows : (g+1)*ocg*colRows]
-			matmulAtB(wData, gOut, colGrad, ocg, colRows, ohw)
-			c.col2im(gradX, i, g*cg, cg, h, w, oh, ow, colGrad)
+	var fold sync.Mutex
+	forChunks(ctx, n, func(lo, hi int) {
+		gw, gb := gW, gB
+		if ctx.Mode != tensor.Deterministic {
+			gw, gb = make([]float32, len(gW)), make([]float32, len(gB))
 		}
-		if localGB != nil {
-			for oc := 0; oc < c.OutC; oc++ {
-				seg := grad.Data()[((i*c.OutC)+oc)*ohw : ((i*c.OutC)+oc+1)*ohw]
-				var s float32
-				for _, v := range seg {
-					s += v
-				}
-				localGB[oc] += s
-			}
+		b := getBufs()
+		for i := lo; i < hi; i++ {
+			k.backwardSample(b, x.Data(), grad.Data(), gradX.Data(), gw, gb, i)
 		}
-	}
-
-	type partial struct {
-		gw, gb []float32
-	}
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	parts := make(chan partial, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	launched := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		putBufs(b)
+		if ctx.Mode == tensor.Deterministic {
+			return
 		}
-		launched++
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			localGW := make([]float32, len(gW))
-			var localGB []float32
-			if gB != nil {
-				localGB = make([]float32, len(gB))
-			}
-			for i := lo; i < hi; i++ {
-				work(i, localGW, localGB)
-			}
-			parts <- partial{gw: localGW, gb: localGB}
-		}(lo, hi)
-	}
-	for k := 0; k < launched; k++ {
-		p := <-parts // arrival order: non-deterministic accumulation
-		for j := range gW {
-			gW[j] += p.gw[j]
+		fold.Lock() // arrival order: non-deterministic accumulation
+		defer fold.Unlock()
+		for j, v := range gw {
+			gW[j] += v
 		}
-		for j := range gB {
-			gB[j] += p.gb[j]
+		for j, v := range gb {
+			gB[j] += v
 		}
-	}
-	wg.Wait()
+	})
 	return gradX
-}
-
-// im2col unpacks the receptive fields of sample i, channels
-// [cStart, cStart+cCount), into col laid out [cCount*KH*KW][oh*ow].
-func (c *Conv2d) im2col(x *tensor.Tensor, i, cStart, cCount, h, w, oh, ow int, col []float32) {
-	xd := x.Data()
-	s, p := c.Stride, c.Padding
-	ohw := oh * ow
-	for cc := 0; cc < cCount; cc++ {
-		chBase := ((i * c.InC) + cStart + cc) * h * w
-		for kh := 0; kh < c.KH; kh++ {
-			for kw := 0; kw < c.KW; kw++ {
-				row := ((cc*c.KH)+kh)*c.KW + kw
-				dst := col[row*ohw : (row+1)*ohw]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s - p + kh
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[oy*ow+ox] = 0
-						}
-						continue
-					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s - p + kw
-						if ix < 0 || ix >= w {
-							dst[oy*ow+ox] = 0
-						} else {
-							dst[oy*ow+ox] = xd[rowBase+ix]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// col2im scatter-adds colGrad (laid out like im2col's output) back into
-// gradX for sample i, channels [cStart, cStart+cCount).
-func (c *Conv2d) col2im(gradX *tensor.Tensor, i, cStart, cCount, h, w, oh, ow int, colGrad []float32) {
-	gd := gradX.Data()
-	s, p := c.Stride, c.Padding
-	ohw := oh * ow
-	for cc := 0; cc < cCount; cc++ {
-		chBase := ((i * c.InC) + cStart + cc) * h * w
-		for kh := 0; kh < c.KH; kh++ {
-			for kw := 0; kw < c.KW; kw++ {
-				row := ((cc*c.KH)+kh)*c.KW + kw
-				src := colGrad[row*ohw : (row+1)*ohw]
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s - p + kh
-					if iy < 0 || iy >= h {
-						continue
-					}
-					rowBase := chBase + iy*w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*s - p + kw
-						if ix >= 0 && ix < w {
-							gd[rowBase+ix] += src[oy*ow+ox]
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// matmulInto computes dst = a (m×k) · b (k×n) over raw float32 slices.
-func matmulInto(a, b, dst []float32, m, k, n int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
-}
-
-// matmulABt computes dst += a (m×k) · bᵀ where b is (n×k), yielding (m×n).
-func matmulABt(a, b, dst []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			drow[j] += s
-		}
-	}
-}
-
-// matmulAtB computes dst = aᵀ · b where a is (m×k) and b is (m×n),
-// yielding (k×n).
-func matmulAtB(a, b, dst []float32, m, k, n int) {
-	for i := range dst[:k*n] {
-		dst[i] = 0
-	}
-	for p := 0; p < m; p++ {
-		arow := a[p*k : (p+1)*k]
-		brow := b[p*n : (p+1)*n]
-		for i := 0; i < k; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			drow := dst[i*n : (i+1)*n]
-			for j := range drow {
-				drow[j] += av * brow[j]
-			}
-		}
-	}
 }
 
 // forSamples runs fn for every sample index: serially in deterministic mode,
 // across goroutines in parallel mode. fn must only write sample-disjoint
 // output regions.
 func forSamples(ctx *Context, n int, fn func(i int)) {
-	if ctx.Mode == tensor.Deterministic || n <= 1 {
-		for i := 0; i < n; i++ {
+	forChunks(ctx, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			fn(i)
 		}
+	})
+}
+
+// forChunks runs fn over samples [0, n): as one chunk in deterministic mode,
+// otherwise as one contiguous chunk per CPU, concurrently.
+func forChunks(ctx *Context, n int, fn func(lo, hi int)) {
+	if ctx.Mode == tensor.Deterministic || n <= 1 {
+		fn(0, n)
 		return
 	}
-	workers := runtime.NumCPU()
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
+	workers := min(runtime.NumCPU(), n)
 	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		if lo >= hi {
+			break
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
+			fn(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

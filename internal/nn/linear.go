@@ -27,27 +27,15 @@ func NewLinear(in, out int) *Linear {
 // OwnParams implements Module.
 func (l *Linear) OwnParams() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// Forward implements Module.
+// Forward implements Module. A fully connected layer is a 1×1 convolution
+// over a 1×1 image, so it runs on the convolution kernel: each output is
+// the bias plus its inputs' terms in order, and the modes differ only in
+// schedule, as for Conv2d.
 func (l *Linear) Forward(ctx *Context, x *tensor.Tensor) *tensor.Tensor {
 	CheckShapes("Linear", x.Shape(), -1, l.In)
 	l.lastInput = x
 	n := x.Dim(0)
-	out := tensor.Zeros(n, l.Out)
-	xd, wd, od := x.Data(), l.Weight.Value.Data(), out.Data()
-	bd := l.Bias.Value.Data()
-	forSamples(ctx, n, func(i int) {
-		xrow := xd[i*l.In : (i+1)*l.In]
-		orow := od[i*l.Out : (i+1)*l.Out]
-		for o := 0; o < l.Out; o++ {
-			wrow := wd[o*l.In : (o+1)*l.In]
-			s := bd[o]
-			for j := range xrow {
-				s += xrow[j] * wrow[j]
-			}
-			orow[o] = s
-		}
-	})
-	return out
+	return l.conv().Forward(ctx, x.Reshape(n, l.In, 1, 1)).Reshape(n, l.Out)
 }
 
 // Backward implements Module.
@@ -57,42 +45,12 @@ func (l *Linear) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear.Backward before Forward")
 	}
 	n := x.Dim(0)
-	gradX := tensor.Zeros(n, l.In)
-	xd, wd := x.Data(), l.Weight.Value.Data()
-	gd, gxd := grad.Data(), gradX.Data()
-	gW, gB := l.Weight.EnsureGrad().Data(), l.Bias.EnsureGrad().Data()
+	c := l.conv()
+	c.lastInput, c.lastInputH, c.lastInputW = x.Reshape(n, l.In, 1, 1), 1, 1
+	return c.Backward(ctx, grad.Reshape(n, l.Out, 1, 1)).Reshape(n, l.In)
+}
 
-	// Weight/bias gradients accumulate over samples in fixed order; the
-	// sample count is small relative to conv work, so a serial loop keeps
-	// this deterministic in every mode without a measurable cost.
-	for i := 0; i < n; i++ {
-		xrow := xd[i*l.In : (i+1)*l.In]
-		grow := gd[i*l.Out : (i+1)*l.Out]
-		for o := 0; o < l.Out; o++ {
-			g := grow[o]
-			gB[o] += g
-			if g == 0 {
-				continue
-			}
-			wgrow := gW[o*l.In : (o+1)*l.In]
-			for j := range xrow {
-				wgrow[j] += g * xrow[j]
-			}
-		}
-	}
-	forSamples(ctx, n, func(i int) {
-		grow := gd[i*l.Out : (i+1)*l.Out]
-		gxrow := gxd[i*l.In : (i+1)*l.In]
-		for o := 0; o < l.Out; o++ {
-			g := grow[o]
-			if g == 0 {
-				continue
-			}
-			wrow := wd[o*l.In : (o+1)*l.In]
-			for j := range gxrow {
-				gxrow[j] += g * wrow[j]
-			}
-		}
-	})
-	return gradX
+// conv is the layer as the convolution it computes, sharing its parameters.
+func (l *Linear) conv() *Conv2d {
+	return &Conv2d{InC: l.In, OutC: l.Out, KH: 1, KW: 1, Stride: 1, Groups: 1, Weight: l.Weight, Bias: l.Bias}
 }

@@ -19,6 +19,9 @@
 #   8. non-linux     — cross-build filestore for darwin, the only way the
 #                      !linux side of its build tags (no mmap, no write-back
 #                      hint) is compiled
+#   9. fuzz smoke    — ten seconds of FuzzConvMatchesReference beyond its
+#                      checked-in corpus: the convolution kernel must stay
+#                      bit-identical to the direct kernel old models replay on
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -48,5 +51,8 @@ GOARCH=s390x go build ./internal/tensor/... ./internal/nn/...
 
 echo "==> GOOS=darwin go build ./internal/filestore/..."
 GOOS=darwin go build ./internal/filestore/...
+
+echo "==> go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn"
+go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn
 
 echo "verify: all gates green"
