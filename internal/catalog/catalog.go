@@ -94,6 +94,11 @@ func (c *Catalog) Get(id string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
+	return c.entry(id, raw), nil
+}
+
+// entry summarizes the model document raw stored under id.
+func (c *Catalog) entry(id string, raw docdb.Document) Entry {
 	e := Entry{ID: id}
 	e.Approach, _ = raw["approach"].(string)
 	e.BaseID, _ = raw["base_id"].(string)
@@ -112,7 +117,7 @@ func (c *Catalog) Get(id string) (Entry, error) {
 			e.StorageBytes += n
 		}
 	}
-	return e, nil
+	return e
 }
 
 func str(v any) string {
@@ -156,20 +161,34 @@ func asMap(v any) map[string]any {
 	}
 }
 
-// Chain returns the derivation chain from id down to its snapshot root:
-// [id, base, base-of-base, ..., root].
+// Chain returns the derivation chain from id down to its root, past any
+// snapshot: [id, base, base-of-base, ..., root]. The model documents come a
+// chain read at a time, and a read is issued again only where an answer
+// stopped short.
 func (c *Catalog) Chain(id string) ([]Entry, error) {
 	var out []Entry
 	seen := map[string]bool{}
+	var ahead []docdb.Document // read by the last chain read, id's first
 	for id != "" {
 		if seen[id] {
 			return nil, fmt.Errorf("catalog: derivation cycle at %s", id)
 		}
 		seen[id] = true
-		e, err := c.Get(id)
-		if err != nil {
-			return nil, err
+		if len(ahead) == 0 {
+			var err error
+			ahead, err = c.stores.Meta.Chain(core.ColModels, id, "base_id", "")
+			if err == nil && len(ahead) == 0 {
+				err = docdb.ErrNotFound // an answer starts with id
+			}
+			if errors.Is(err, docdb.ErrNotFound) {
+				return nil, fmt.Errorf("%w: %s", core.ErrModelNotFound, id)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
+		e := c.entry(id, ahead[0])
+		ahead = ahead[1:]
 		out = append(out, e)
 		id = e.BaseID
 	}

@@ -81,7 +81,7 @@ func (sv *saving) stored(file, meta int64) {
 func (s *service) beginSaving(ctx context.Context, info SaveInfo, plan savePlan) *saving {
 	return &saving{
 		ctx: ctx,
-		txn: beginSave(s.stores, ColModels),
+		txn: beginSave(s.stores, ColModels, info.BaseID),
 		doc: modelDoc{Approach: plan.approach, BaseID: info.BaseID, TrainablePrefixes: nn.TrainablePrefixes(info.Net)},
 		res: SaveResult{Approach: plan.approach},
 	}

@@ -120,13 +120,16 @@ type saveTxn struct {
 	crashed atomic.Bool
 }
 
-// beginSave starts a transaction that will commit into rootCol. Nothing is
-// written until writeAhead.
-func beginSave(stores Stores, rootCol string) *saveTxn {
+// beginSave starts a transaction that will commit into rootCol. The root
+// document's id is drawn to be placed beside document near, the base of a
+// derived model, so that a lineage's root documents share a shard and a
+// recovery reads its chain in one call. Nothing is written until
+// writeAhead.
+func beginSave(stores Stores, rootCol, near string) *saveTxn {
 	return &saveTxn{
 		stores: stores,
 		id:     docdb.NewID(),
-		rec:    stagingDoc{RootCollection: rootCol, RootID: docdb.NewID()},
+		rec:    stagingDoc{RootCollection: rootCol, RootID: stores.Meta.NewIDNear(rootCol, near)},
 		blobs:  make(map[string]bool),
 		docs:   make(map[string]string),
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/docdb"
 	"repro/internal/environment"
 	"repro/internal/filestore"
 	"repro/internal/models"
@@ -83,7 +85,7 @@ func launch[T any](w *walk, fn func() (T, error)) *fetch[T] {
 
 // walk recovers id from the stores: probe the cache for it, load its chain,
 // apply the chain root to leaf, verify once, fill the cache. ctx is
-// honoured before every document read, before the fetches are collected and
+// honoured before every chain read, before the fetches are collected and
 // between links; whenever it returns, no goroutine it started is running.
 func (s *service) walk(ctx context.Context, cache *RecoveryCache, id string, opts RecoverOptions) (*RecoveredState, error) {
 	var timing RecoverTiming
@@ -189,23 +191,48 @@ func (s *service) walk(ctx context.Context, cache *RecoveryCache, id string, opt
 }
 
 // load walks from id toward the root, then waits for what the walk
-// launched: the time a recovery spends on documents and blobs.
+// launched: the time a recovery spends on documents and blobs. The root
+// documents come a chain at a time: one Chain call returns as much of the
+// walk as its store holds, up to the snapshot that ends it, and the walk
+// calls again only where an answer stopped short.
 func (w *walk) load(ctx context.Context, id string) error {
 	meta, files := w.s.stores.Meta, w.s.stores.Files
+	seen := make(map[string]bool)
+	var ahead []docdb.Document // read by the last Chain call, cur's first
 	for cur := id; ; {
+		if seen[cur] {
+			return fmt.Errorf("core: base-reference cycle at %s", cur)
+		}
+		seen[cur] = true
 		if w.cache != nil && cur != id {
 			if cr, ok := w.cache.Get(cur); ok {
 				w.cached = &cr
 				break
 			}
 		}
-		if err := ctx.Err(); err != nil {
-			return err
+		if len(ahead) == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			// base_id and code_file_ref are modelDoc's BaseID and
+			// CodeFileRef: follow bases, stop after a snapshot.
+			var err error
+			ahead, err = meta.Chain(ColModels, cur, "base_id", "code_file_ref")
+			if err == nil && len(ahead) == 0 {
+				err = docdb.ErrNotFound // an answer starts with cur
+			}
+			if errors.Is(err, docdb.ErrNotFound) {
+				return fmt.Errorf("%w: %s", ErrModelNotFound, cur)
+			}
+			if err != nil {
+				return fmt.Errorf("core: loading %s/%s: %w", ColModels, cur, err)
+			}
 		}
-		doc, err := getModelDoc(meta, cur)
-		if err != nil {
-			return err
+		var doc modelDoc
+		if err := mapToDoc(ahead[0], &doc); err != nil {
+			return fmt.Errorf("core: model %s: %w", cur, err)
 		}
+		ahead = ahead[1:]
 		l := link{id: cur, doc: doc}
 		kind := doc.kind()
 		if cur == id || kind == provenanceLink && w.opts.CheckEnv {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/docdb"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/shard"
 	"repro/internal/train"
 )
 
@@ -206,21 +207,22 @@ func TestProvenanceChainVerifiesOnce(t *testing.T) {
 	}
 }
 
-// cancelAtGet is a document store that cancels a context when the n-th
-// root document is read.
-type cancelAtGet struct {
+// cancelAtRead is a document store that cancels a context when the n-th
+// root document is read: inside the chain read that returns it.
+type cancelAtRead struct {
 	docdb.Store
 	n      int
 	cancel context.CancelFunc
 }
 
-func (c *cancelAtGet) Get(col, id string) (docdb.Document, error) {
-	if col == ColModels {
-		if c.n--; c.n == 0 {
+func (c *cancelAtRead) Chain(col, id, next, stop string) ([]docdb.Document, error) {
+	docs, err := c.Store.Chain(col, id, next, stop)
+	if col == ColModels && c.n > 0 {
+		if c.n -= len(docs); c.n <= 0 {
 			c.cancel()
 		}
 	}
-	return c.Store.Get(col, id)
+	return docs, err
 }
 
 // A cancelled recovery stops: it returns the context's error, caches
@@ -236,7 +238,7 @@ func TestCancelledRecoveryStopsAndLeaksNothing(t *testing.T) {
 		if cancelAt == 0 {
 			cancel()
 		} else {
-			armed.Meta = &cancelAtGet{Store: stores.Meta, n: cancelAt, cancel: cancel}
+			armed.Meta = &cancelAtRead{Store: stores.Meta, n: cancelAt, cancel: cancel}
 		}
 		svc := NewAdaptive(armed)
 		cache := NewRecoveryCache(0)
@@ -269,6 +271,70 @@ func TestCancelledRecoveryStopsAndLeaksNothing(t *testing.T) {
 		// The same service recovers once nothing cancels it.
 		if _, err := svc.RecoverState(leaf, RecoverOptions{VerifyChecksums: true}); err != nil {
 			t.Fatalf("cancel at %d: recovery afterwards: %v", cancelAt, err)
+		}
+	}
+}
+
+// A base-reference cycle is an error naming the repeated id, not a walk that
+// never returns: a self-loop and a 2-cycle of update links, on one store and
+// with the cycle's documents on two shards of a ring, fail promptly and
+// leave no goroutine behind.
+func TestBaseReferenceCycleFailsAndLeaksNothing(t *testing.T) {
+	ring, err := shard.NewRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := shard.NewMeta(ring, docdb.NewMemStore(), docdb.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// idOn draws a model id that ring routes to shard n.
+	idOn := func(n int) string {
+		for {
+			if id := docdb.NewID(); ring.Owner(ColModels+"/"+id) == n {
+				return id
+			}
+		}
+	}
+	a, b := idOn(0), idOn(1)
+	for _, meta := range []docdb.Store{docdb.NewMemStore(), sharded} {
+		stores := testStores(t)
+		stores.Meta = meta
+		update, err := meta.Get(ColModels, buildPUAChain(t, stores, 95)[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, bases := range map[string]map[string]string{
+			"self-loop": {a: a},
+			"2-cycle":   {a: b, b: a},
+		} {
+			for id, base := range bases {
+				update["base_id"] = base
+				if err := meta.Put(ColModels, id, update); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := runtime.NumGoroutine()
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewParamUpdate(stores).RecoverState(a, RecoverOptions{})
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%T %s: recovery did not return", meta, name)
+			}
+			if err == nil || !strings.Contains(err.Error(), "base-reference cycle at "+a) {
+				t.Fatalf("%T %s: err = %v, want the cycle at %s", meta, name, err, a)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%T %s: %d goroutines after the recovery, %d before", meta, name, n, before)
+			}
 		}
 	}
 }

@@ -84,7 +84,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // fails at once, and the conn is never reused, so a late response to a
 // failed request can never be paired with another request. Retryable
 // operations then redial and retry with exponential backoff:
-// get/find/ids/stats/ping/put/delete are idempotent and retry freely;
+// get/chain/find/ids/stats/ping/put/delete are idempotent and retry freely;
 // insert carries a client-generated request identifier that the server
 // dedupes, so a retried insert returns the original document identifier
 // instead of creating a duplicate.
@@ -304,6 +304,19 @@ func (c *Client) Get(collection, id string) (Document, error) {
 	}
 	return resp.Doc, nil
 }
+
+// Chain implements Store: the server walks the chain, so it costs one
+// round trip however many documents it returns.
+func (c *Client) Chain(collection, id, next, stop string) ([]Document, error) {
+	resp, err := c.roundTrip(request{Op: "chain", Collection: collection, ID: id, Next: next, Stop: stop})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Docs, nil
+}
+
+// NewIDNear implements Store: one server is one placement.
+func (c *Client) NewIDNear(string, string) string { return NewID() }
 
 // Delete implements Store.
 func (c *Client) Delete(collection, id string) error {

@@ -108,23 +108,40 @@ func (s *DiskStore) Get(collection, id string) (Document, error) {
 	//mmlint:ignore lockheld readers share the RLock while reading one small document file; only writers wait
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	doc, _, err := s.read(collection, id)
+	return doc, err
+}
+
+// Chain implements Store. A document's size is its file's.
+func (s *DiskStore) Chain(collection, id, next, stop string) ([]Document, error) {
+	//mmlint:ignore lockheld readers share the RLock while reading one chain of small document files; only writers wait
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return WalkChain(id, next, stop, func(id string) (Document, int, error) { return s.read(collection, id) })
+}
+
+// read loads one document and its size on disk. The caller holds s.mu.
+func (s *DiskStore) read(collection, id string) (Document, int, error) {
 	path, err := s.docPath(collection, id)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	if err != nil {
-		return nil, fmt.Errorf("docdb: reading document: %w", err)
+		return nil, 0, fmt.Errorf("docdb: reading document: %w", err)
 	}
 	var doc Document
 	if err := json.Unmarshal(b, &doc); err != nil {
-		return nil, fmt.Errorf("docdb: decoding document %s/%s: %w", collection, id, err)
+		return nil, 0, fmt.Errorf("docdb: decoding document %s/%s: %w", collection, id, err)
 	}
-	return doc, nil
+	return doc, len(b), nil
 }
+
+// NewIDNear implements Store: one directory is one placement.
+func (s *DiskStore) NewIDNear(string, string) string { return NewID() }
 
 // Delete implements Store.
 func (s *DiskStore) Delete(collection, id string) error {

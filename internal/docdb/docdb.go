@@ -31,6 +31,21 @@ type Store interface {
 	Put(collection, id string, doc Document) error
 	// Get returns the document with the given identifier, or ErrNotFound.
 	Get(collection, id string) (Document, error)
+	// Chain returns document id, then the documents reached from it by
+	// following the string field next, for as long as this store holds
+	// them. It ends after a document whose string field stop is non-empty,
+	// at a document with no next, before a document it does not hold or
+	// cannot read, before one it already returned (a cycle), or at the
+	// bound: MaxChain documents, and past the first no more than 1 MiB of
+	// encoded documents (maxChainBytes). A caller that needs more calls
+	// again at the last document's next, which also reports any error
+	// there. The error is ErrNotFound only when id itself is missing.
+	Chain(collection, id, next, stop string) ([]Document, error)
+	// NewIDNear returns a fresh identifier for a document of collection
+	// that the store places beside document near of the same collection
+	// where it can. Placement only saves round trips: a store with one
+	// placement returns NewID(), and any identifier is valid anywhere.
+	NewIDNear(collection, near string) string
 	// Delete removes the document with the given identifier. Deleting a
 	// missing document returns ErrNotFound.
 	Delete(collection, id string) error
@@ -67,6 +82,49 @@ func NewID() string {
 		panic(fmt.Sprintf("docdb: id generation failed: %v", err))
 	}
 	return hex.EncodeToString(b[:])
+}
+
+// MaxChain bounds the documents one Chain call returns, so a reference
+// cycle that spans stores still ends.
+const MaxChain = 256
+
+// maxChainBytes bounds the encoded documents of one Chain answer past its
+// first, so a chain response is one document larger than a Get response at
+// most, by one readChunk.
+const maxChainBytes = readChunk
+
+// WalkChain is Store.Chain over documents fetched one at a time by read,
+// which returns the document under an id and its encoded size (0 exempts it
+// from the byte bound). The engines call it under their lock; it is
+// exported for Store compositions (the shard router), so that their chains
+// end exactly where an engine's would.
+func WalkChain(id, next, stop string, read func(id string) (Document, int, error)) ([]Document, error) {
+	var out []Document
+	seen := make(map[string]bool)
+	size := 0
+	for cur := id; len(out) < MaxChain && !seen[cur]; {
+		doc, n, err := read(cur)
+		if err != nil {
+			if len(out) == 0 {
+				return nil, err
+			}
+			break // the caller's call at cur reports it
+		}
+		if len(out) > 0 {
+			if size += n; size > maxChainBytes {
+				break
+			}
+		}
+		out = append(out, doc)
+		seen[cur] = true
+		if s, _ := doc[stop].(string); stop != "" && s != "" {
+			break
+		}
+		if cur, _ = doc[next].(string); next == "" || cur == "" {
+			break
+		}
+	}
+	return out, nil
 }
 
 // Matches reports whether doc satisfies all equality constraints in eq,

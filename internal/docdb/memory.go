@@ -54,6 +54,28 @@ func (s *MemStore) Get(collection, id string) (Document, error) {
 	return clone(doc), nil
 }
 
+// Chain implements Store. A document's size is its JSON encoding, the
+// bytes it takes in a response frame.
+func (s *MemStore) Chain(collection, id, next, stop string) ([]Document, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	col := s.collections[collection]
+	return WalkChain(id, next, stop, func(id string) (Document, int, error) {
+		doc, ok := col[id]
+		if !ok {
+			return nil, 0, ErrNotFound
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			return nil, 0, err
+		}
+		return clone(doc), len(b), nil
+	})
+}
+
+// NewIDNear implements Store: one engine is one placement.
+func (s *MemStore) NewIDNear(string, string) string { return NewID() }
+
 // Delete implements Store.
 func (s *MemStore) Delete(collection, id string) error {
 	s.mu.Lock()

@@ -79,6 +79,14 @@ func (p *ClientPool) Get(collection, id string) (Document, error) {
 	return p.pick().Get(collection, id)
 }
 
+// Chain implements Store.
+func (p *ClientPool) Chain(collection, id, next, stop string) ([]Document, error) {
+	return p.pick().Chain(collection, id, next, stop)
+}
+
+// NewIDNear implements Store: one server is one placement.
+func (p *ClientPool) NewIDNear(string, string) string { return NewID() }
+
 // Delete implements Store.
 func (p *ClientPool) Delete(collection, id string) error {
 	return p.pick().Delete(collection, id)

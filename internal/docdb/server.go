@@ -314,6 +314,12 @@ func (s *Server) handle(req request) response {
 			return fail(err)
 		}
 		return response{OK: true, Doc: doc}
+	case "chain":
+		docs, err := s.backend.Chain(req.Collection, req.ID, req.Next, req.Stop)
+		if err != nil {
+			return fail(err)
+		}
+		return response{OK: true, Docs: docs}
 	case "delete":
 		if err := s.backend.Delete(req.Collection, req.ID); err != nil {
 			return fail(err)

@@ -56,6 +56,9 @@ type request struct {
 	ID         string   `json:"id,omitempty"`
 	Doc        Document `json:"doc,omitempty"`
 	Filter     Document `json:"filter,omitempty"`
+	// Next and Stop are a chain read's field names (Store.Chain).
+	Next string `json:"next,omitempty"`
+	Stop string `json:"stop,omitempty"`
 	// ReqID is a client-generated identifier carried by non-idempotent
 	// operations (insert). The server remembers recently seen ReqIDs and
 	// replays the original response for a retried request instead of

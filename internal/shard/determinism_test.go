@@ -11,6 +11,7 @@ package shard_test
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -224,6 +225,177 @@ func TestArtifactsByteIdenticalAcrossShardLayouts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// countingStore counts the model-document reads one backend serves.
+type countingStore struct {
+	docdb.Store
+	chains, gets atomic.Int64
+}
+
+func (c *countingStore) Chain(col, id, next, stop string) ([]docdb.Document, error) {
+	if col == core.ColModels {
+		c.chains.Add(1)
+	}
+	return c.Store.Chain(col, id, next, stop)
+}
+
+func (c *countingStore) Get(col, id string) (docdb.Document, error) {
+	if col == core.ColModels {
+		c.gets.Add(1)
+	}
+	return c.Store.Get(col, id)
+}
+
+// countedMeta is a sharded document store over counting in-memory
+// backends.
+func countedMeta(t *testing.T, shards, vnodes int) (*shard.Ring, *shard.Meta, []*countingStore) {
+	t.Helper()
+	ring, err := shard.NewRing(shards, vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := make([]*countingStore, shards)
+	backends := make([]docdb.Store, shards)
+	for i := range backends {
+		counted[i] = &countingStore{Store: docdb.NewMemStore()}
+		backends[i] = counted[i]
+	}
+	meta, err := shard.NewMeta(ring, backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ring, meta, counted
+}
+
+// chainReads returns the model-document chain reads and gets each backend
+// served since the last call, and zeroes them.
+func chainReads(counted []*countingStore) (chains, gets []int64) {
+	for _, c := range counted {
+		chains = append(chains, c.chains.Swap(0))
+		gets = append(gets, c.gets.Swap(0))
+	}
+	return chains, gets
+}
+
+// A lineage's root documents are placed on one shard, so a recovery reads
+// its whole chain with one request to that shard. Placement is only an
+// optimisation: after re-sharding, which scatters the lineage, the chain is
+// read in several requests and the recovered state and every stored
+// artifact are still identical.
+func TestLineageIsPlacedTogetherAndReadInOneChain(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ring, meta, counted := countedMeta(t, shards, 0)
+			stores := shardedStores(t, layout{shards: shards})
+			stores.Meta = meta
+
+			// Snapshot, two parameter updates, a provenance link.
+			pua := core.NewParamUpdate(stores)
+			net := tinyNet(t, 29)
+			var ids, hashes []string
+			save := func(svc core.SaveService, rec *core.ProvenanceRecord) {
+				base := ""
+				if len(ids) > 0 {
+					base = ids[len(ids)-1]
+				}
+				res, err := svc.Save(core.SaveInfo{Spec: tinySpec(), Net: net, BaseID: base, WithChecksums: true, Provenance: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, res.ID)
+				hashes = append(hashes, nn.StateDictOf(net).Hash())
+			}
+			save(pua, nil)
+			models.FreezeForPartialUpdate(models.TinyCNNName, net)
+			for i := 0; i < 2; i++ {
+				trainDerived(t, net, tinyDataset(t))
+				save(pua, nil)
+			}
+			nn.SetTrainable(net, true)
+			save(core.NewProvenance(stores), trainDerived(t, net, tinyDataset(t)))
+
+			home := ring.Owner(core.ColModels + "/" + ids[0])
+			for i, id := range ids {
+				if o := ring.Owner(core.ColModels + "/" + id); o != home {
+					t.Fatalf("model %d of the lineage is on shard %d, its root on shard %d", i, o, home)
+				}
+			}
+			var arts []core.Artifacts
+			for _, id := range ids {
+				arts = append(arts, capture(t, stores, id))
+			}
+
+			recoverLeaf := func(stores core.Stores) {
+				t.Helper()
+				rs, err := core.NewAdaptive(stores).RecoverState(ids[len(ids)-1], core.RecoverOptions{VerifyChecksums: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := rs.State.Hash(); got != hashes[len(hashes)-1] {
+					t.Fatalf("recovered state hashes to %s, saved %s", got, hashes[len(hashes)-1])
+				}
+			}
+			chainReads(counted)
+			recoverLeaf(stores)
+			chains, gets := chainReads(counted)
+			for i := range chains {
+				want := int64(0)
+				if i == home {
+					want = 1
+				}
+				if chains[i] != want || gets[i] != 0 {
+					t.Errorf("shard %d served %d chain reads and %d gets of model documents, want %d and 0", i, chains[i], gets[i], want)
+				}
+			}
+
+			// Re-shard the documents onto a ring that scatters the lineage.
+			var (
+				moved   core.Stores
+				scatter []*countingStore
+			)
+			for vnodes := 17; moved.Meta == nil; vnodes++ {
+				r, m, c := countedMeta(t, shards, vnodes)
+				owners := map[int]bool{}
+				for _, id := range ids {
+					owners[r.Owner(core.ColModels+"/"+id)] = true
+				}
+				if len(owners) > 1 {
+					moved, scatter = core.Stores{Meta: m, Files: stores.Files}, c
+				}
+			}
+			for _, col := range []string{core.ColModels, core.ColEnvironments, core.ColLayerHashes, core.ColServices} {
+				docIDs, err := meta.IDs(col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range docIDs {
+					doc, err := meta.Get(col, id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := moved.Meta.Put(col, id, doc); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			chainReads(scatter)
+			recoverLeaf(moved)
+			if chains, _ := chainReads(scatter); sum(chains) < 2 {
+				t.Errorf("a lineage scattered over shards was read in %d chain reads, want one per run of documents on a shard", sum(chains))
+			}
+			for i, id := range ids {
+				assertSameArtifacts(t, fmt.Sprintf("re-sharded model %d", i), arts[i], capture(t, moved, id))
+			}
+		})
+	}
+}
+
+func sum(xs []int64) (s int64) {
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 // TestShardedRecoverMatchesSingleBackend saves through every shard layout

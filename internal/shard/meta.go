@@ -95,6 +95,54 @@ func (m *Meta) Get(collection, id string) (docdb.Document, error) {
 	return m.backends[i].Get(collection, id)
 }
 
+// Chain implements docdb.Store: it asks the owner of id, and whenever the
+// documents a shard returned run out, the owner of the next one — so a
+// chain costs one call per run of consecutive documents on one shard. The
+// walk ends where a single store's would; the answer is never framed, so
+// only the shards' own answers are held to the byte bound.
+func (m *Meta) Chain(collection, id, next, stop string) ([]docdb.Document, error) {
+	var ahead []docdb.Document // the rest of the last shard's answer
+	return docdb.WalkChain(id, next, stop, func(cur string) (docdb.Document, int, error) {
+		if len(ahead) == 0 {
+			i := m.owner(collection, cur)
+			t0 := time.Now()
+			docs, err := m.backends[i].Chain(collection, cur, next, stop)
+			m.observe(i, t0)
+			if err != nil {
+				return nil, 0, err
+			}
+			if len(docs) == 0 {
+				return nil, 0, docdb.ErrNotFound
+			}
+			ahead = docs
+		}
+		doc := ahead[0]
+		ahead = ahead[1:]
+		return doc, 0, nil
+	})
+}
+
+// placementDraws bounds the identifiers NewIDNear draws looking for one
+// that routes beside its anchor. A draw lands on a given shard with
+// probability ~1/N, so all draws miss on 4 shards with probability
+// (3/4)^64 ≈ 1e-8 — and a miss only costs a later chain read one call.
+const placementDraws = 64
+
+// NewIDNear implements docdb.Store: it draws identifiers until one routes
+// to the shard that owns near. Routing stays a pure function of the
+// identifier; only which identifier is chosen depends on near.
+func (m *Meta) NewIDNear(collection, near string) string {
+	id := docdb.NewID()
+	if near == "" {
+		return id
+	}
+	want := m.owner(collection, near)
+	for n := 1; n < placementDraws && m.owner(collection, id) != want; n++ {
+		id = docdb.NewID()
+	}
+	return id
+}
+
 // Delete implements docdb.Store.
 func (m *Meta) Delete(collection, id string) error {
 	i := m.owner(collection, id)

@@ -15,6 +15,12 @@
 // that sees the root document re-derives the same shard for every
 // referenced artifact, and those writes completed before the root commit
 // was issued.
+//
+// Placement does not weaken either property. A derived model's root
+// document gets an id drawn until it routes beside its base's
+// (Meta.NewIDNear), so a lineage's root documents share a shard and a
+// recovery reads its chain in one request; which id is drawn depends on the
+// base, but where an id routes still depends on nothing but the id.
 package shard
 
 import (

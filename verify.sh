@@ -19,9 +19,12 @@
 #   8. non-linux     — cross-build filestore for darwin, the only way the
 #                      !linux side of its build tags (no mmap, no write-back
 #                      hint) is compiled
-#   9. fuzz smoke    — ten seconds of FuzzConvMatchesReference beyond its
-#                      checked-in corpus: the convolution kernel must stay
-#                      bit-identical to the direct kernel old models replay on
+#   9. fuzz smoke    — ten seconds each beyond the checked-in corpora of
+#                      FuzzConvMatchesReference (the convolution kernel must
+#                      stay bit-identical to the direct kernel old models
+#                      replay on) and FuzzServerFrame (no bytes a peer sends
+#                      may panic the server, break its answer framing or make
+#                      a header alone allocate more than one read chunk)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -54,5 +57,8 @@ GOOS=darwin go build ./internal/filestore/...
 
 echo "==> go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn"
 go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn
+
+echo "==> go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb"
+go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb
 
 echo "verify: all gates green"
