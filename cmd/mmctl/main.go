@@ -28,10 +28,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/docdb"
-	"repro/internal/filestore"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/mmlib"
 )
 
 func main() {
@@ -51,11 +50,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	stores, cleanup, err := openStores(*storeDir, *dbAddr)
+	stores, err := openStores(*storeDir, *dbAddr)
 	if err != nil {
 		fatal(err)
 	}
-	defer cleanup()
+	defer stores.Meta.Close()
 	cat := catalog.New(stores)
 
 	switch cmd := args[0]; cmd {
@@ -168,23 +167,13 @@ func main() {
 	}
 }
 
-func openStores(dir, dbAddr string) (core.Stores, func(), error) {
-	files, err := filestore.Open(filepath.Join(dir, "files"))
-	if err != nil {
-		return core.Stores{}, nil, err
-	}
+// openStores opens the store directory, with its metadata from the server
+// at dbAddr instead of DIR/meta when one is given.
+func openStores(dir, dbAddr string) (core.Stores, error) {
 	if dbAddr != "" {
-		client, err := docdb.Dial(dbAddr)
-		if err != nil {
-			return core.Stores{}, nil, err
-		}
-		return core.Stores{Meta: client, Files: files}, func() { client.Close() }, nil
+		return mmlib.ConnectStores(dbAddr, filepath.Join(dir, "files"))
 	}
-	meta, err := docdb.OpenDisk(filepath.Join(dir, "meta"))
-	if err != nil {
-		return core.Stores{}, nil, err
-	}
-	return core.Stores{Meta: meta, Files: files}, func() {}, nil
+	return mmlib.OpenLocalStores(dir)
 }
 
 func need(args []string, cmd string) string {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/filestore"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -197,7 +198,7 @@ func TestRecoverStateMmapToggleBitIdentical(t *testing.T) {
 	}
 	opts := RecoverOptions{VerifyChecksums: true}
 
-	mmapWasOn := filestore.MmapEnabled()
+	mmapOpens := func() int64 { return obs.Default().Snapshot().Counters["filestore.mmap_opens"] }
 	aliasedBefore := tensor.AliasedFrames()
 	mapped, err := ba.RecoverState(res.ID, opts)
 	if err != nil {
@@ -205,8 +206,9 @@ func TestRecoverStateMmapToggleBitIdentical(t *testing.T) {
 	}
 	aliasedDelta := tensor.AliasedFrames() - aliasedBefore
 
-	filestore.SetMmapEnabled(false)
-	t.Cleanup(func() { filestore.SetMmapEnabled(true) })
+	// A throttled store reads its blobs instead of mapping them.
+	stores.Files.SetBandwidth(1 << 40)
+	opensBefore := mmapOpens()
 	plain, err := ba.RecoverState(res.ID, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -217,12 +219,12 @@ func TestRecoverStateMmapToggleBitIdentical(t *testing.T) {
 	if mapped.State.Hash() != plain.State.Hash() {
 		t.Fatal("hash differs across read paths")
 	}
-	if filestore.MmapEnabled() {
-		t.Fatal("SetMmapEnabled(false) did not take")
+	if n := mmapOpens() - opensBefore; n != 0 {
+		t.Fatalf("the throttled recovery mapped %d blobs", n)
 	}
 	// When the blob really was mapped and the platform can alias, the
 	// mapped recovery must have decoded at least one frame zero-copy.
-	if mmapWasOn && tensor.CanAlias() && aliasedDelta == 0 {
+	if filestore.MmapEnabled() && tensor.CanAlias() && aliasedDelta == 0 {
 		t.Fatal("mapped recovery aliased no frames")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/environment"
-	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/train"
@@ -355,13 +354,13 @@ func TestCachedRecoveryArtifactIdentityAdaptiveMixedChain(t *testing.T) {
 func TestBaselineChecksumDetectsCorruptedCacheState(t *testing.T) {
 	// End to end: a corrupted cache entry must degrade to the uncached
 	// path, never serve wrong parameters. Corruption is injected by
-	// writing into the cached tensors directly, so mmap must be off (the
-	// cached state would otherwise alias a read-only mapping and the
-	// write would fault instead of corrupting) and the cache must be
-	// Paranoid (the default cache trusts sealed immutability).
+	// writing into the cached tensors directly, so the blobs must be read,
+	// not mapped (the cached state would otherwise alias a read-only
+	// mapping and the write would fault instead of corrupting) — a
+	// throttled store reads — and the cache must be Paranoid (the default
+	// cache trusts sealed immutability).
 	stores := testStores(t)
-	filestore.SetMmapEnabled(false)
-	t.Cleanup(func() { filestore.SetMmapEnabled(true) })
+	stores.Files.SetBandwidth(1 << 40)
 	ba := NewBaseline(stores)
 	cache := NewParanoidRecoveryCache(0)
 	ba.SetRecoveryCache(cache)

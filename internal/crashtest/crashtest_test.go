@@ -3,7 +3,6 @@ package crashtest
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -137,21 +136,6 @@ func sameFingerprint(t *testing.T, want, got map[string]string) {
 			t.Errorf("store leaked %s", k)
 		}
 	}
-}
-
-// armCrash returns a hook that dies on the k-th crash point (1-based) and a
-// flag reporting whether it fired; k beyond the save's last point never
-// fires, which is how sweeps detect they are done.
-func armCrash(k int) (core.CrashFn, *bool) {
-	fired := new(bool)
-	var n atomic.Int64
-	return func(point string) error {
-		if n.Add(1) == int64(k) {
-			*fired = true
-			return fmt.Errorf("%w (point %d: %q)", core.ErrInjectedCrash, k, point)
-		}
-		return nil
-	}, fired
 }
 
 // crashOn returns a hook that dies at the named crash point.

@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -10,38 +11,50 @@ import (
 
 // sweep kills one save at every crash point in turn, each time on a fresh
 // store seeded by prepare, and asserts the all-or-nothing invariant after
-// GC. It stops at the first k whose hook never fires — the save ran out of
-// crash points and completed — and returns how many points it swept.
-func sweep(t *testing.T, prepare func(t *testing.T, stores core.Stores) (save func() (nn.Module, error), recoverFn func(id string) nn.Module)) int {
+// GC. The writes of one wave reach their crash points in no fixed order, so
+// a crash-free save first names the points — exactly the set pinnedPoints
+// holds for the link kind — and each is then killed by name, exactly once.
+func sweep(t *testing.T, kind string, prepare func(t *testing.T, stores core.Stores) (save func() (nn.Module, error), recoverFn func(id string) nn.Module)) {
 	t.Helper()
-	for k := 1; ; k++ {
+	stores := newStores(t)
+	hook, reached := recordPoints()
+	stores.Crash = hook
+	save, _ := prepare(t, stores)
+	if _, err := save(); err != nil {
+		t.Fatalf("crash-free save failed: %v", err)
+	}
+	points := reached()
+	samePoints(t, kind, points)
+	for _, point := range points {
 		stores := newStores(t)
-		hook, fired := armCrash(k)
-		stores.Crash = hook
+		var kills atomic.Int64
+		kill := crashOn(point)
+		stores.Crash = func(p string) error {
+			err := kill(p)
+			if err != nil {
+				kills.Add(1)
+			}
+			return err
+		}
 		save, recoverFn := prepare(t, stores)
 		before := fingerprint(t, stores)
 		net, err := save()
-		if !*fired {
-			if err != nil {
-				t.Fatalf("crash-free save failed: %v", err)
-			}
-			if k == 1 {
-				t.Fatal("save hit no crash points; the transaction layer is not wired in")
-			}
-			return k - 1
-		}
 		if !errors.Is(err, core.ErrInjectedCrash) {
-			t.Fatalf("crash point %d: save returned %v, want ErrInjectedCrash", k, err)
+			t.Fatalf("crash point %q: save returned %v, want ErrInjectedCrash", point, err)
+		}
+		if n := kills.Load(); n != 1 {
+			t.Fatalf("crash point %q killed %d times, want once", point, n)
 		}
 		checkAfterCrash(t, stores, before, net, recoverFn)
 	}
+	t.Logf("%s save: %d crash points swept", kind, len(points))
 }
 
 // TestCrashSweepBaseline kills a checksummed BA snapshot save at every
 // crash point: staging record, code blob, params blob, env document, and
 // both sides of the commit.
 func TestCrashSweepBaseline(t *testing.T) {
-	n := sweep(t, func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
+	sweep(t, "baseline", func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
 		ba := core.NewBaseline(stores)
 		net := tinyNet(t, 1)
 		save := func() (nn.Module, error) {
@@ -56,14 +69,13 @@ func TestCrashSweepBaseline(t *testing.T) {
 			return rec.Net
 		}
 	})
-	t.Logf("baseline snapshot save: %d crash points swept", n)
 }
 
 // TestCrashSweepParamUpdate kills a checksummed derived PUA save at every
 // crash point. The base model is saved before the hook's points are
 // counted; only the derived save is swept.
 func TestCrashSweepParamUpdate(t *testing.T) {
-	n := sweep(t, func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
+	sweep(t, "paramupdate/derived", func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
 		base := stores
 		base.Crash = nil
 		pua := core.NewParamUpdate(base)
@@ -86,14 +98,13 @@ func TestCrashSweepParamUpdate(t *testing.T) {
 			return rec.Net
 		}
 	})
-	t.Logf("derived param-update save: %d crash points swept", n)
 }
 
 // TestCrashSweepProvenance kills a checksummed derived MPA save at every
 // crash point: staging record, env document, dataset archive blob,
 // optimizer-state blob, service document, and both sides of the commit.
 func TestCrashSweepProvenance(t *testing.T) {
-	n := sweep(t, func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
+	sweep(t, "provenance/derived", func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
 		base := stores
 		base.Crash = nil
 		mpa := core.NewProvenance(base)
@@ -116,7 +127,6 @@ func TestCrashSweepProvenance(t *testing.T) {
 			return m.Net
 		}
 	})
-	t.Logf("derived provenance save: %d crash points swept", n)
 }
 
 // TestCrashSweepAdaptive kills a derived adaptive save at every crash
@@ -124,7 +134,7 @@ func TestCrashSweepProvenance(t *testing.T) {
 // adaptive approach records for future PUA diffs now live inside the same
 // transaction, so the invariant must hold with no post-commit patching.
 func TestCrashSweepAdaptive(t *testing.T) {
-	n := sweep(t, func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
+	sweep(t, "adaptive/derived", func(t *testing.T, stores core.Stores) (func() (nn.Module, error), func(id string) nn.Module) {
 		base := stores
 		base.Crash = nil
 		ad := core.NewAdaptive(base)
@@ -147,7 +157,6 @@ func TestCrashSweepAdaptive(t *testing.T) {
 			return m.Net
 		}
 	})
-	t.Logf("derived adaptive save: %d crash points swept", n)
 }
 
 // TestCompletedSaveNeverRolledBack runs a crash-free save and then the GC

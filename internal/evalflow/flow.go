@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -42,18 +41,6 @@ func (r Relation) String() string {
 		return "partial"
 	}
 	return "full"
-}
-
-// StoreProvider yields a Stores handle per actor, plus a cleanup function.
-// A local provider returns one shared handle; a distributed provider dials
-// the metadata server per node like the paper's separate machines.
-type StoreProvider func() (core.Stores, func(), error)
-
-// LocalProvider wraps a single shared Stores handle.
-func LocalProvider(s core.Stores) StoreProvider {
-	return func() (core.Stores, func(), error) {
-		return s, func() {}, nil
-	}
 }
 
 // Config describes one experiment: a full run of the evaluation flow for a
@@ -104,11 +91,6 @@ type Config struct {
 	// fault-injection posture: O(model size) per hit, but even direct
 	// in-memory corruption of cached tensors degrades to a miss.
 	ParanoidCache bool
-	// RecoverConcurrency runs the U4 sweep on this many concurrent
-	// workers (<= 1 = sequential, the default). Measured per-recovery
-	// timings then overlap, so use concurrency for throughput runs and
-	// correctness tests, not for Figure-12-style latency numbers.
-	RecoverConcurrency int
 }
 
 // DefaultConfig returns a standard-flow configuration for the given
@@ -167,8 +149,9 @@ type Result struct {
 	Metrics *obs.Snapshot
 }
 
-// newService builds the approach's save service.
-func newService(approach string, stores core.Stores) (core.SaveService, error) {
+// NewService builds the save service of an approach: one of the core
+// approach identifiers, or "adaptive".
+func NewService(approach string, stores core.Stores) (core.SaveService, error) {
 	switch approach {
 	case core.BaselineApproach:
 		return core.NewBaseline(stores), nil
@@ -183,15 +166,10 @@ func newService(approach string, stores core.Stores) (core.SaveService, error) {
 	}
 }
 
-// Run executes the evaluation flow and returns its measurements.
-func Run(provider StoreProvider, cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), provider, cfg)
-}
-
-// RunCtx is Run with context propagation: a tracer carried by ctx receives
-// the save and recovery spans of every flow step, and the Result carries
-// the registry metrics delta of the whole run.
-func RunCtx(ctx context.Context, provider StoreProvider, cfg Config) (*Result, error) {
+// Run executes the evaluation flow and returns its measurements. A tracer
+// carried by ctx receives the save and recovery spans of every flow step,
+// and the Result carries the registry metrics delta of the whole run.
+func Run(ctx context.Context, provider StoreProvider, cfg Config) (*Result, error) {
 	before := obs.Default().Snapshot()
 	res, err := runFlow(ctx, provider, cfg)
 	if err != nil {
@@ -220,7 +198,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 		return nil, err
 	}
 	defer serverCleanup()
-	serverSvc, err := newService(cfg.Approach, serverStores)
+	serverSvc, err := NewService(cfg.Approach, serverStores)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +247,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 		return nil, err
 	}
 	applyRelation(cfg, u2Net)
-	u2Rec, err := trainStep(cfg, u2Net, u2ds, cfg.Seed+1000)
+	u2Rec, err := cfg.TrainStep(u2Net, u2ds, cfg.Seed+1000)
 	if err != nil {
 		return nil, fmt.Errorf("evalflow: U2 training: %w", err)
 	}
@@ -290,10 +268,15 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 	}
 	res.Measurements = append(res.Measurements, phase2...)
 
-	// U4: recover every saved model and record the TTR.
+	// U4: recover every saved model, one after another, and record the TTR.
 	if cfg.MeasureTTR {
-		if err := runU4(ctx, serverSvc, cfg, res.Measurements); err != nil {
-			return nil, err
+		for i := range res.Measurements {
+			m := &res.Measurements[i]
+			rec, err := serverSvc.RecoverCtx(ctx, m.ModelID, cfg.RecoverOpts)
+			if err != nil {
+				return nil, fmt.Errorf("evalflow: recovering %s (%s): %w", m.ModelID, m.UseCase, err)
+			}
+			m.TTR, m.Recovered = rec.Timing, true
 		}
 	}
 	if cache != nil {
@@ -301,55 +284,6 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 		res.CacheStats = &s
 	}
 	return res, nil
-}
-
-// runU4 recovers every measurement's model, sequentially or on
-// cfg.RecoverConcurrency workers. Workers claim measurement indexes from a
-// shared atomic counter; each index is written by exactly one worker, so
-// the sweep needs no further coordination beyond the final WaitGroup.
-func runU4(ctx context.Context, svc core.SaveService, cfg Config, ms []Measurement) error {
-	recoverOne := func(i int) error {
-		m := &ms[i]
-		rec, err := svc.RecoverCtx(ctx, m.ModelID, cfg.RecoverOpts)
-		if err != nil {
-			return fmt.Errorf("evalflow: recovering %s (%s): %w", m.ModelID, m.UseCase, err)
-		}
-		m.TTR = rec.Timing
-		m.Recovered = true
-		return nil
-	}
-	w := cfg.RecoverConcurrency
-	if w <= 1 {
-		for i := range ms {
-			if err := recoverOne(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if w > len(ms) {
-		w = len(ms)
-	}
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make([]error, len(ms))
-	)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ms) {
-					return
-				}
-				errs[i] = recoverOne(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // applyRelation sets the trainable flags for the configured model relation.
@@ -361,9 +295,11 @@ func applyRelation(cfg Config, net nn.Module) {
 	}
 }
 
-// trainStep performs one training run and returns its provenance record.
-// The record is used by the provenance approach and ignored by the others.
-func trainStep(cfg Config, net nn.Module, ds *dataset.Dataset, seed uint64) (*core.ProvenanceRecord, error) {
+// TrainStep trains net once over ds — cfg's loader, training service and
+// optimizer, with the loader and the service both seeded by seed — and
+// returns the provenance record that replays the run. The provenance
+// approach stores the record; the others ignore it.
+func (cfg Config) TrainStep(net nn.Module, ds *dataset.Dataset, seed uint64) (*core.ProvenanceRecord, error) {
 	loaderCfg := cfg.Loader
 	loaderCfg.Seed = seed
 	loader, err := train.NewDataLoader(ds, loaderCfg)
@@ -438,7 +374,7 @@ func runOneNode(ctx context.Context, provider StoreProvider, cfg Config, spec mo
 		return nil, err
 	}
 	defer cleanup()
-	svc, err := newService(cfg.Approach, stores)
+	svc, err := NewService(cfg.Approach, stores)
 	if err != nil {
 		return nil, err
 	}
@@ -456,7 +392,7 @@ func runOneNode(ctx context.Context, provider StoreProvider, cfg Config, spec mo
 	prevID := baseID
 	for iter := 1; iter <= cfg.U3PerPhase; iter++ {
 		seed := cfg.Seed + uint64(phase)*1_000_000 + uint64(node)*10_000 + uint64(iter)
-		rec, err := trainStep(cfg, net, ds, seed)
+		rec, err := cfg.TrainStep(net, ds, seed)
 		if err != nil {
 			return nil, fmt.Errorf("evalflow: node %d U3-%d-%d training: %w", node, phase, iter, err)
 		}

@@ -1,8 +1,11 @@
 package evalflow
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -43,7 +46,7 @@ func TestStandardFlowAllApproaches(t *testing.T) {
 		for _, rel := range []Relation{FullyUpdated, PartiallyUpdated} {
 			t.Run(approach+"/"+rel.String(), func(t *testing.T) {
 				cfg := tinyFlowConfig(approach, rel)
-				res, err := Run(LocalProvider(localStores(t)), cfg)
+				res, err := Run(context.Background(), LocalProvider(localStores(t)), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +82,7 @@ func TestStandardFlowAllApproaches(t *testing.T) {
 func TestFlowDerivationChain(t *testing.T) {
 	cfg := tinyFlowConfig(core.ParamUpdateApproach, PartiallyUpdated)
 	stores := localStores(t)
-	res, err := Run(LocalProvider(stores), cfg)
+	res, err := Run(context.Background(), LocalProvider(stores), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestFlowDerivationChain(t *testing.T) {
 // every U3 iteration and resets between phases.
 func TestPUATTRStaircase(t *testing.T) {
 	cfg := tinyFlowConfig(core.ParamUpdateApproach, FullyUpdated)
-	res, err := Run(LocalProvider(localStores(t)), cfg)
+	res, err := Run(context.Background(), LocalProvider(localStores(t)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,36 +150,40 @@ func TestPUATTRStaircase(t *testing.T) {
 }
 
 func TestDistributedFlowCounts(t *testing.T) {
-	provider, cleanup, err := DistributedProvider(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			provider, cleanup, err := ShardedProvider(t.TempDir(), shards, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
 
-	cfg := tinyFlowConfig(core.BaselineApproach, FullyUpdated)
-	cfg.Nodes = 5
-	cfg.U3PerPhase = 3 // scaled-down DIST flow: 2 + 5*2*3 = 32 models
-	cfg.MeasureTTR = false
-	res, err := Run(provider, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumModels() != 2+5*2*3 {
-		t.Fatalf("models = %d, want 32", res.NumModels())
-	}
-	// Every node contributed measurements for each U3 use case.
-	for _, uc := range []string{"U3-1-1", "U3-2-3"} {
-		if got := len(res.perUseCase(uc)); got != 5 {
-			t.Fatalf("%s: %d nodes, want 5", uc, got)
-		}
-	}
-	// Storage is constant across nodes for a given use case (paper §4.6).
-	ms := res.perUseCase("U3-1-1")
-	for _, m := range ms[1:] {
-		ratio := float64(m.Save.StorageBytes) / float64(ms[0].Save.StorageBytes)
-		if ratio < 0.9 || ratio > 1.1 {
-			t.Fatalf("storage varies across nodes: %d vs %d", m.Save.StorageBytes, ms[0].Save.StorageBytes)
-		}
+			cfg := tinyFlowConfig(core.BaselineApproach, FullyUpdated)
+			cfg.Nodes = 5
+			cfg.U3PerPhase = 3 // scaled-down DIST flow: 2 + 5*2*3 = 32 models
+			cfg.MeasureTTR = false
+			res, err := Run(context.Background(), provider, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumModels() != 2+5*2*3 {
+				t.Fatalf("models = %d, want 32", res.NumModels())
+			}
+			// Every node contributed measurements for each U3 use case.
+			for _, uc := range []string{"U3-1-1", "U3-2-3"} {
+				if got := len(res.perUseCase(uc)); got != 5 {
+					t.Fatalf("%s: %d nodes, want 5", uc, got)
+				}
+			}
+			// Storage is constant across nodes for a given use case (paper §4.6).
+			ms := res.perUseCase("U3-1-1")
+			for _, m := range ms[1:] {
+				ratio := float64(m.Save.StorageBytes) / float64(ms[0].Save.StorageBytes)
+				if ratio < 0.9 || ratio > 1.1 {
+					t.Fatalf("storage varies across nodes: %d vs %d", m.Save.StorageBytes, ms[0].Save.StorageBytes)
+				}
+			}
+		})
 	}
 }
 
@@ -197,7 +204,7 @@ func TestNodePhaseReportsAllNodeErrors(t *testing.T) {
 		}
 		return core.Stores{}, nil, fmt.Errorf("metadata machine unreachable (call %d)", calls.Load())
 	}
-	_, err := Run(provider, cfg)
+	_, err := Run(context.Background(), provider, cfg)
 	if err == nil {
 		t.Fatal("expected the phase to fail")
 	}
@@ -212,12 +219,50 @@ func TestNodePhaseReportsAllNodeErrors(t *testing.T) {
 	}
 }
 
+// capture reads back every artifact a flow stored, keyed by use case and
+// node.
+func capture(t *testing.T, provider StoreProvider, res *Result) map[string]core.Artifacts {
+	t.Helper()
+	stores, release, err := provider()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	byKey := map[string]core.Artifacts{}
+	for _, m := range res.Measurements {
+		art, err := core.CaptureArtifacts(stores, m.ModelID)
+		if err != nil {
+			t.Fatalf("capturing %s: %v", m.UseCase, err)
+		}
+		byKey[fmt.Sprintf("%s/node%d", m.UseCase, m.Node)] = art
+	}
+	return byKey
+}
+
+// sameArtifacts fails the test unless got holds byte-identical artifacts
+// under the same keys as want.
+func sameArtifacts(t *testing.T, what string, want, got map[string]core.Artifacts) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("measurement counts differ: %d vs %d", len(want), len(got))
+	}
+	for key, w := range want {
+		g, ok := got[key]
+		if !ok {
+			t.Fatalf("%s run missing measurement %s", what, key)
+		}
+		if d := w.Diff(g); d != "" {
+			t.Errorf("%s: stored %s differ in the %s run", key, d, what)
+		}
+	}
+}
+
 // TestFaultyFlowStoresIdenticalArtifacts is the fault-tolerance acceptance
 // test: a DIST-5 flow over a deterministic flaky network (connection
-// drops, torn frames, delays — with the clients retrying, reconnecting,
-// and deduping retried inserts) must complete and persist artifacts
-// byte-identical to the same flow on a healthy network. Faults may cost
-// time; they may never cost or corrupt a byte.
+// drops, torn frames, delays — with the clients retrying and reconnecting),
+// on one shard and on two, must complete and persist artifacts
+// byte-identical to the same flow on a healthy one-shard network. Faults
+// may cost time; they may never cost or corrupt a byte.
 func TestFaultyFlowStoresIdenticalArtifacts(t *testing.T) {
 	cfg := tinyFlowConfig(core.ParamUpdateApproach, FullyUpdated)
 	cfg.Nodes = 5
@@ -225,70 +270,38 @@ func TestFaultyFlowStoresIdenticalArtifacts(t *testing.T) {
 	cfg.SequentialNodes = true
 	cfg.MeasureTTR = true // recovery must also survive the flaky network
 
-	type capturedRun struct {
-		byKey map[string]core.Artifacts
-	}
-	capture := func(provider StoreProvider, res *Result) capturedRun {
-		t.Helper()
-		stores, release, err := provider()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
-		run := capturedRun{byKey: map[string]core.Artifacts{}}
-		for _, m := range res.Measurements {
-			art, err := core.CaptureArtifacts(stores, m.ModelID)
-			if err != nil {
-				t.Fatalf("capturing %s: %v", m.UseCase, err)
-			}
-			run.byKey[fmt.Sprintf("%s/node%d", m.UseCase, m.Node)] = art
-		}
-		return run
-	}
-
-	// Healthy network.
-	healthyProvider, healthyCleanup, err := DistributedProvider(t.TempDir())
+	healthyProvider, healthyCleanup, err := ShardedProvider(t.TempDir(), 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer healthyCleanup()
-	healthyRes, err := Run(healthyProvider, cfg)
+	healthyRes, err := Run(context.Background(), healthyProvider, cfg)
 	if err != nil {
 		t.Fatalf("fault-free run: %v", err)
 	}
-	healthy := capture(healthyProvider, healthyRes)
+	healthy := capture(t, healthyProvider, healthyRes)
 
-	// Flaky network, deterministic schedule.
-	var stats faultnet.Stats
-	faultyProvider, faultyCleanup, err := FaultyDistributedProvider(t.TempDir(), faultnet.Config{
-		Seed:  20260806,
-		Rate:  0.05,
-		Stats: &stats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer faultyCleanup()
-	faultyRes, err := Run(faultyProvider, cfg)
-	if err != nil {
-		t.Fatalf("flow did not survive the flaky network: %v", err)
-	}
-	faulty := capture(faultyProvider, faultyRes)
-
-	if stats.Total() == 0 {
-		t.Fatal("no faults were injected; the run proved nothing")
-	}
-	if len(healthy.byKey) != len(faulty.byKey) {
-		t.Fatalf("measurement counts differ: %d vs %d", len(healthy.byKey), len(faulty.byKey))
-	}
-	for key, want := range healthy.byKey {
-		got, ok := faulty.byKey[key]
-		if !ok {
-			t.Fatalf("faulty run missing measurement %s", key)
-		}
-		if d := want.Diff(got); d != "" {
-			t.Errorf("%s: stored %s differ between fault-free and faulty runs", key, d)
-		}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var stats faultnet.Stats
+			provider, cleanup, err := ShardedProvider(t.TempDir(), shards, 0, &faultnet.Config{
+				Seed:  20260806,
+				Rate:  0.05,
+				Stats: &stats,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cleanup()
+			res, err := Run(context.Background(), provider, cfg)
+			if err != nil {
+				t.Fatalf("flow did not survive the flaky network: %v", err)
+			}
+			if stats.Total() == 0 {
+				t.Fatal("no faults were injected; the run proved nothing")
+			}
+			sameArtifacts(t, "faulty", healthy, capture(t, provider, res))
+		})
 	}
 }
 
@@ -302,11 +315,11 @@ func TestSequentialNodesProduceSameModels(t *testing.T) {
 
 	seq := base
 	seq.SequentialNodes = true
-	rSeq, err := Run(LocalProvider(localStores(t)), seq)
+	rSeq, err := Run(context.Background(), LocalProvider(localStores(t)), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCon, err := Run(LocalProvider(localStores(t)), base)
+	rCon, err := Run(context.Background(), LocalProvider(localStores(t)), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +350,11 @@ func TestTable3Definitions(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	cfg := tinyFlowConfig(core.BaselineApproach, FullyUpdated)
 	cfg.Nodes = 0
-	if _, err := Run(LocalProvider(localStores(t)), cfg); err == nil {
+	if _, err := Run(context.Background(), LocalProvider(localStores(t)), cfg); err == nil {
 		t.Fatal("expected error for 0 nodes")
 	}
 	cfg = tinyFlowConfig("bogus", FullyUpdated)
-	if _, err := Run(LocalProvider(localStores(t)), cfg); err == nil {
+	if _, err := Run(context.Background(), LocalProvider(localStores(t)), cfg); err == nil {
 		t.Fatal("expected error for unknown approach")
 	}
 }
@@ -350,7 +363,7 @@ func TestMedianOfRuns(t *testing.T) {
 	cfg := tinyFlowConfig(core.BaselineApproach, FullyUpdated)
 	var runs []*Result
 	for i := 0; i < 3; i++ {
-		res, err := Run(LocalProvider(localStores(t)), cfg)
+		res, err := Run(context.Background(), LocalProvider(localStores(t)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,6 +389,37 @@ func TestRelationString(t *testing.T) {
 	}
 }
 
+// recoverAll is the concurrent U4 sweep, which a flow runs one model at a
+// time: workers goroutines share svc, each recovering the next unclaimed
+// measurement and recording its TTR.
+func recoverAll(t *testing.T, svc core.SaveService, res *Result, workers int) {
+	t.Helper()
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+		errs = make([]error, len(res.Measurements))
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(errs); i = int(next.Add(1)) - 1 {
+				m := &res.Measurements[i]
+				rec, err := svc.Recover(m.ModelID, core.RecoverOptions{VerifyChecksums: true})
+				if err != nil {
+					errs[i] = fmt.Errorf("recovering %s: %w", m.UseCase, err)
+					continue
+				}
+				m.TTR, m.Recovered = rec.Timing, true
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentU4SweepWithCache runs the recovery sweep on several
 // goroutines sharing one cache-equipped service. Under -race (verify.sh)
 // this doubles as the race gate for the cache and the pipelined loaders.
@@ -383,16 +427,21 @@ func TestConcurrentU4SweepWithCache(t *testing.T) {
 	for _, approach := range []string{core.ParamUpdateApproach, "adaptive"} {
 		t.Run(approach, func(t *testing.T) {
 			cfg := tinyFlowConfig(approach, PartiallyUpdated)
-			cfg.RecoverConcurrency = 4
-			cfg.UseRecoveryCache = true
+			cfg.MeasureTTR = false
 			stores := localStores(t)
-			res, err := Run(LocalProvider(stores), cfg)
+			res, err := Run(context.Background(), LocalProvider(stores), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.NumModels() != 10 {
 				t.Fatalf("models = %d, want 10", res.NumModels())
 			}
+			svc, err := NewService(approach, stores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.SetRecoveryCache(core.NewRecoveryCache(0))
+			recoverAll(t, svc, res, 4)
 			for _, uc := range res.UseCases() {
 				if res.MedianTTR(uc) <= 0 {
 					t.Fatalf("%s: no TTR", uc)
@@ -407,7 +456,7 @@ func TestConcurrentU4SweepWithCache(t *testing.T) {
 			// the sweep runs concurrent+cached or sequential+uncached.
 			cfg2 := tinyFlowConfig(approach, PartiallyUpdated)
 			stores2 := localStores(t)
-			res2, err := Run(LocalProvider(stores2), cfg2)
+			res2, err := Run(context.Background(), LocalProvider(stores2), cfg2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,9 +477,10 @@ func TestConcurrentU4SweepWithCache(t *testing.T) {
 	}
 }
 
-// TestDist5CachedRecoveryArtifactIdentical is the PR's correctness
-// acceptance: a DIST-5 flow whose recovery sweep runs with the cache,
-// concurrent workers, and parallel deserialization must persist artifacts
+// TestDist5CachedRecoveryArtifactIdentical is the cached recovery's
+// correctness acceptance: a DIST-5 flow whose recovery sweep runs with the
+// Paranoid cache and parallel deserialization, and is then swept again by
+// concurrent workers over a second cache, must persist artifacts
 // byte-identical to the same flow recovered sequentially and uncached.
 func TestDist5CachedRecoveryArtifactIdentical(t *testing.T) {
 	for _, approach := range []string{core.BaselineApproach, core.ParamUpdateApproach, core.ProvenanceApproach, "adaptive"} {
@@ -440,80 +490,62 @@ func TestDist5CachedRecoveryArtifactIdentical(t *testing.T) {
 			cfg.U3PerPhase = 1 // scaled-down DIST-5: 2 + 5*2*1 = 12 models
 			cfg.SequentialNodes = true
 
-			capture := func(provider StoreProvider, res *Result) map[string]core.Artifacts {
-				t.Helper()
-				stores, release, err := provider()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer release()
-				byKey := map[string]core.Artifacts{}
-				for _, m := range res.Measurements {
-					art, err := core.CaptureArtifacts(stores, m.ModelID)
-					if err != nil {
-						t.Fatalf("capturing %s: %v", m.UseCase, err)
-					}
-					byKey[fmt.Sprintf("%s/node%d", m.UseCase, m.Node)] = art
-				}
-				return byKey
-			}
-
 			// Seed behavior: sequential uncached sweep, sequential decode.
-			plainProvider, plainCleanup, err := DistributedProvider(t.TempDir())
+			plainProvider, plainCleanup, err := ShardedProvider(t.TempDir(), 1, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer plainCleanup()
-			plainRes, err := Run(plainProvider, cfg)
+			plainRes, err := Run(context.Background(), plainProvider, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain := capture(plainProvider, plainRes)
+			plain := capture(t, plainProvider, plainRes)
 
 			// Fast path: cache on (Paranoid: every hit re-verified from the
-			// stored bytes), 4 sweep goroutines, 4 tensor workers.
+			// stored bytes), 4 tensor workers, then 4 sweep goroutines.
 			fast := cfg
 			fast.UseRecoveryCache = true
 			fast.ParanoidCache = true
-			fast.RecoverConcurrency = 4
 			prevW := tensor.Workers()
 			tensor.SetWorkers(4)
 			defer tensor.SetWorkers(prevW)
-			fastProvider, fastCleanup, err := DistributedProvider(t.TempDir())
+			fastProvider, fastCleanup, err := ShardedProvider(t.TempDir(), 1, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer fastCleanup()
-			fastRes, err := Run(fastProvider, fast)
+			fastRes, err := Run(context.Background(), fastProvider, fast)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := capture(fastProvider, fastRes)
+			stores, release, err := fastProvider()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer release()
+			svc, err := NewService(approach, stores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			swept := core.NewParanoidRecoveryCache(0)
+			svc.SetRecoveryCache(swept)
+			recoverAll(t, svc, fastRes, 4)
 
-			if len(plain) != len(got) {
-				t.Fatalf("measurement counts differ: %d vs %d", len(plain), len(got))
-			}
-			for key, want := range plain {
-				g, ok := got[key]
-				if !ok {
-					t.Fatalf("cached run missing measurement %s", key)
-				}
-				if d := want.Diff(g); d != "" {
-					t.Errorf("%s: stored %s differ between uncached and cached+parallel recovery", key, d)
-				}
-			}
+			sameArtifacts(t, "cached+parallel", plain, capture(t, fastProvider, fastRes))
 			if plainRes.CacheStats != nil {
 				t.Fatal("uncached run reported cache stats")
 			}
-			s := fastRes.CacheStats
-			if s == nil {
+			if fastRes.CacheStats == nil {
 				t.Fatal("cached run missing cache stats")
 			}
-			if s.Puts == 0 || s.Hits+s.Misses == 0 {
-				t.Fatalf("cache saw no traffic: %+v", s)
-			}
-			if s.Corrupt != 0 {
-				t.Fatalf("paranoid verification dropped entries: %+v", s)
+			for _, st := range []core.RecoveryCacheStats{*fastRes.CacheStats, swept.Stats()} {
+				if st.Puts == 0 || st.Hits+st.Misses == 0 {
+					t.Fatalf("cache saw no traffic: %+v", st)
+				}
+				if st.Corrupt != 0 {
+					t.Fatalf("paranoid verification dropped entries: %+v", st)
+				}
 			}
 		})
 	}

@@ -1,16 +1,11 @@
 package evalflow
 
 import (
-	"fmt"
-	"path/filepath"
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/docdb"
-	"repro/internal/faultnet"
-	"repro/internal/filestore"
-	"repro/internal/shard"
 )
 
 // UseCases returns the flow's use-case labels in execution order, without
@@ -38,27 +33,34 @@ func (r *Result) perUseCase(useCase string) []Measurement {
 	return out
 }
 
+// recoveries returns the recovery timings of one use case across nodes.
+func (r *Result) recoveries(useCase string) []core.RecoverTiming {
+	var out []core.RecoverTiming
+	for _, m := range r.perUseCase(useCase) {
+		if m.Recovered {
+			out = append(out, m.TTR)
+		}
+	}
+	return out
+}
+
 // MedianTTS returns the median time-to-save of a use case across nodes.
 func (r *Result) MedianTTS(useCase string) time.Duration {
-	ms := r.perUseCase(useCase)
-	ds := make([]time.Duration, len(ms))
-	for i, m := range ms {
-		ds[i] = m.Save.Duration
+	var ds []time.Duration
+	for _, m := range r.perUseCase(useCase) {
+		ds = append(ds, m.Save.Duration)
 	}
-	return medianDuration(ds)
+	return median(ds)
 }
 
 // MedianTTR returns the median total time-to-recover of a use case across
 // nodes. It returns zero when TTR was not measured.
 func (r *Result) MedianTTR(useCase string) time.Duration {
-	ms := r.perUseCase(useCase)
 	var ds []time.Duration
-	for _, m := range ms {
-		if m.Recovered {
-			ds = append(ds, m.TTR.Total())
-		}
+	for _, t := range r.recoveries(useCase) {
+		ds = append(ds, t.Total())
 	}
-	return medianDuration(ds)
+	return median(ds)
 }
 
 // MedianTTRBreakdown returns the per-bucket median recovery breakdown of a
@@ -67,60 +69,45 @@ func (r *Result) MedianTTR(useCase string) time.Duration {
 // come from different nodes and need not sum to MedianTTR; they answer
 // "where does a typical recovery of this use case spend its time".
 func (r *Result) MedianTTRBreakdown(useCase string) core.RecoverTiming {
-	ms := r.perUseCase(useCase)
-	var load, rec, env, ver []time.Duration
-	for _, m := range ms {
-		if m.Recovered {
-			load = append(load, m.TTR.Load)
-			rec = append(rec, m.TTR.Recover)
-			env = append(env, m.TTR.CheckEnv)
-			ver = append(ver, m.TTR.Verify)
-		}
-	}
-	return core.RecoverTiming{
-		Load:     medianDuration(load),
-		Recover:  medianDuration(rec),
-		CheckEnv: medianDuration(env),
-		Verify:   medianDuration(ver),
-	}
+	return medianTiming(r.recoveries(useCase))
 }
 
 // MedianStorage returns the median per-model storage consumption of a use
 // case across nodes. (The paper observes storage is constant across nodes
 // and runs; the median guards against identifier-length noise.)
 func (r *Result) MedianStorage(useCase string) int64 {
-	ms := r.perUseCase(useCase)
-	vals := make([]int64, len(ms))
-	for i, m := range ms {
-		vals[i] = m.Save.StorageBytes
+	var vals []int64
+	for _, m := range r.perUseCase(useCase) {
+		vals = append(vals, m.Save.StorageBytes)
 	}
-	if len(vals) == 0 {
-		return 0
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	return vals[len(vals)/2]
-}
-
-// TotalStorage returns the flow's total storage consumption over all saved
-// models.
-func (r *Result) TotalStorage() int64 {
-	var total int64
-	for _, m := range r.Measurements {
-		total += m.Save.StorageBytes
-	}
-	return total
+	return median(vals)
 }
 
 // NumModels returns the number of models the flow saved (10 for the
 // standard flow; 102/202/402 for DIST-5/10/20).
 func (r *Result) NumModels() int { return len(r.Measurements) }
 
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
+// median returns the middle value of vs (the upper one of an even count),
+// or zero for none. It sorts vs in place.
+func median[T cmp.Ordered](vs []T) T {
+	var zero T
+	if len(vs) == 0 {
+		return zero
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
+	slices.Sort(vs)
+	return vs[len(vs)/2]
+}
+
+// medianTiming takes the median of every recovery bucket independently.
+func medianTiming(ts []core.RecoverTiming) core.RecoverTiming {
+	var load, rec, env, ver []time.Duration
+	for _, t := range ts {
+		load = append(load, t.Load)
+		rec = append(rec, t.Recover)
+		env = append(env, t.CheckEnv)
+		ver = append(ver, t.Verify)
+	}
+	return core.RecoverTiming{Load: median(load), Recover: median(rec), CheckEnv: median(env), Verify: median(ver)}
 }
 
 // MedianOfRuns aggregates repeated executions of the same experiment the
@@ -133,39 +120,30 @@ type MedianOfRuns struct {
 
 // TTS returns the median-of-runs median TTS for a use case.
 func (m MedianOfRuns) TTS(useCase string) time.Duration {
-	ds := make([]time.Duration, 0, len(m.Runs))
+	var ds []time.Duration
 	for _, r := range m.Runs {
 		ds = append(ds, r.MedianTTS(useCase))
 	}
-	return medianDuration(ds)
+	return median(ds)
 }
 
 // TTR returns the median-of-runs median TTR for a use case.
 func (m MedianOfRuns) TTR(useCase string) time.Duration {
-	ds := make([]time.Duration, 0, len(m.Runs))
+	var ds []time.Duration
 	for _, r := range m.Runs {
 		ds = append(ds, r.MedianTTR(useCase))
 	}
-	return medianDuration(ds)
+	return median(ds)
 }
 
 // TTRBreakdown returns the median-of-runs recovery breakdown for a use
 // case, bucket by bucket.
 func (m MedianOfRuns) TTRBreakdown(useCase string) core.RecoverTiming {
-	var load, rec, env, ver []time.Duration
+	var ts []core.RecoverTiming
 	for _, r := range m.Runs {
-		b := r.MedianTTRBreakdown(useCase)
-		load = append(load, b.Load)
-		rec = append(rec, b.Recover)
-		env = append(env, b.CheckEnv)
-		ver = append(ver, b.Verify)
+		ts = append(ts, r.MedianTTRBreakdown(useCase))
 	}
-	return core.RecoverTiming{
-		Load:     medianDuration(load),
-		Recover:  medianDuration(rec),
-		CheckEnv: medianDuration(env),
-		Verify:   medianDuration(ver),
-	}
+	return medianTiming(ts)
 }
 
 // CacheStats returns the first run's recovery-cache snapshot, or nil when
@@ -214,151 +192,4 @@ func Table3() []FlowDef {
 		mk("DIST-10", 10, 10),
 		mk("DIST-20", 20, 10),
 	}
-}
-
-// DistributedProvider starts an in-process document-database server backed
-// by mem (standing in for the paper's dedicated MongoDB machine) and
-// returns a StoreProvider that dials it per actor, a cleanup function for
-// the server, and the server address. The file store directory is shared,
-// like the paper's shared file system.
-func DistributedProvider(filesDir string) (StoreProvider, func(), error) {
-	backend := docdb.NewMemStore()
-	srv, err := docdb.NewServer(backend, "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	files, err := filestore.Open(filesDir)
-	if err != nil {
-		srv.Close()
-		return nil, nil, err
-	}
-	provider := func() (core.Stores, func(), error) {
-		client, err := docdb.Dial(srv.Addr())
-		if err != nil {
-			return core.Stores{}, nil, err
-		}
-		return core.Stores{Meta: client, Files: files}, func() { client.Close() }, nil
-	}
-	cleanup := func() { srv.Close() }
-	return provider, cleanup, nil
-}
-
-// FaultyDistributedProvider is DistributedProvider over a flaky network:
-// every metadata connection a node dials is wrapped with the deterministic
-// fault schedule described by fc, and the clients are configured to retry
-// through those faults (tight backoff, generous attempt budget — the
-// injected faults are frequent by design). The flow's stored artifacts
-// must come out byte-identical to a fault-free run; the fault-tolerance
-// tests assert exactly that.
-func FaultyDistributedProvider(filesDir string, fc faultnet.Config) (StoreProvider, func(), error) {
-	backend := docdb.NewMemStore()
-	srv, err := docdb.NewServer(backend, "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	files, err := filestore.Open(filesDir)
-	if err != nil {
-		srv.Close()
-		return nil, nil, err
-	}
-	dial := faultnet.Dialer(fc)
-	opts := docdb.ClientOptions{
-		OpTimeout:    5 * time.Second,
-		MaxRetries:   10,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   20 * time.Millisecond,
-		Dialer:       dial,
-	}
-	provider := func() (core.Stores, func(), error) {
-		client, err := docdb.DialOptions(srv.Addr(), opts)
-		if err != nil {
-			return core.Stores{}, nil, err
-		}
-		return core.Stores{Meta: client, Files: files}, func() { client.Close() }, nil
-	}
-	cleanup := func() { srv.Close() }
-	return provider, cleanup, nil
-}
-
-// ShardedProvider starts one in-process document-database server and one
-// file-store directory per shard, and returns a StoreProvider whose
-// per-actor Stores route operations across the shards with a consistent-hash
-// ring (internal/shard), dialing a bounded client pool per metadata shard.
-// It is the scaled-out deployment: the paper's single MongoDB machine and
-// shared file system become N of each, transparently to the save services.
-func ShardedProvider(filesDir string, shards, poolSize int) (StoreProvider, func(), error) {
-	return shardedProvider(filesDir, shards, poolSize, docdb.ClientOptions{})
-}
-
-// FaultyShardedProvider is ShardedProvider over a flaky network: every
-// metadata connection to every shard misbehaves on fc's deterministic
-// schedule, and the pooled clients retry through it.
-func FaultyShardedProvider(filesDir string, shards, poolSize int, fc faultnet.Config) (StoreProvider, func(), error) {
-	return shardedProvider(filesDir, shards, poolSize, docdb.ClientOptions{
-		OpTimeout:    5 * time.Second,
-		MaxRetries:   10,
-		RetryBackoff: time.Millisecond,
-		MaxBackoff:   20 * time.Millisecond,
-		Dialer:       faultnet.Dialer(fc),
-	})
-}
-
-func shardedProvider(filesDir string, shards, poolSize int, opts docdb.ClientOptions) (StoreProvider, func(), error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	ring, err := shard.NewRing(shards, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	srvs := make([]*docdb.Server, 0, shards)
-	cleanup := func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-	}
-	blobs := make([]filestore.Blobs, shards)
-	for i := 0; i < shards; i++ {
-		srv, err := docdb.NewServer(docdb.NewMemStore(), "127.0.0.1:0")
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		srvs = append(srvs, srv)
-		fs, err := filestore.Open(filepath.Join(filesDir, fmt.Sprintf("shard%d", i)))
-		if err != nil {
-			cleanup()
-			return nil, nil, err
-		}
-		blobs[i] = fs
-	}
-	files, err := shard.NewFiles(ring, blobs...)
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	provider := func() (core.Stores, func(), error) {
-		pools := make([]docdb.Store, len(srvs))
-		for i, srv := range srvs {
-			p, err := docdb.DialPool(srv.Addr(), poolSize, opts)
-			if err != nil {
-				for _, q := range pools[:i] {
-					q.Close()
-				}
-				return core.Stores{}, nil, err
-			}
-			pools[i] = p
-		}
-		meta, err := shard.NewMeta(ring, pools...)
-		if err != nil {
-			for _, q := range pools {
-				q.Close()
-			}
-			return core.Stores{}, nil, err
-		}
-		// Closing the sharded store closes every pool; the servers belong
-		// to the provider-level cleanup.
-		return core.Stores{Meta: meta, Files: files}, func() { meta.Close() }, nil
-	}
-	return provider, cleanup, nil
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/evalflow"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/train"
@@ -22,39 +24,37 @@ import (
 func AblationMerkle(w io.Writer, o Opts) error {
 	header(w, "Ablation: Merkle vs naive layer diff (PUA save)")
 	arch := models.ResNet18Name
+	spec := models.Spec{Arch: arch, NumClasses: 1000}
 	tw := newTab(w)
 	fmt.Fprintln(tw, "DIFF\tSAVE TIME (derived, partial)\tUPDATE SIZE")
 	for _, useMerkle := range []bool{true, false} {
-		stores, cleanup, err := newLocalStores(o.WorkDir)
+		err := o.withStores(func(stores core.Stores) error {
+			pua := core.NewParamUpdate(stores)
+			pua.UseMerkle = useMerkle
+			net, err := models.New(arch, 1000, 9)
+			if err != nil {
+				return err
+			}
+			base, err := pua.Save(core.SaveInfo{Spec: spec, Net: net})
+			if err != nil {
+				return err
+			}
+			models.FreezeForPartialUpdate(arch, net)
+			perturbClassifier(arch, net, 1e-3)
+			res, err := pua.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID})
+			if err != nil {
+				return err
+			}
+			name := "naive"
+			if useMerkle {
+				name = "merkle"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", name, ms(res.Duration), mb(res.FileBytes))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		pua := core.NewParamUpdate(stores)
-		pua.UseMerkle = useMerkle
-		spec := models.Spec{Arch: arch, NumClasses: 1000}
-		net, err := models.New(arch, 1000, 9)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		base, err := pua.Save(core.SaveInfo{Spec: spec, Net: net})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		models.FreezeForPartialUpdate(arch, net)
-		perturbClassifier(arch, net, 1e-3)
-		res, err := pua.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		name := "naive"
-		if useMerkle {
-			name = "merkle"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", name, ms(res.Duration), mb(res.FileBytes))
-		cleanup()
 	}
 	return tw.Flush()
 }
@@ -68,28 +68,26 @@ func AblationChecksums(w io.Writer, o Opts) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "CHECKSUMS\tTTS\tTTR\tVERIFY SHARE")
 	for _, withChecksums := range []bool{false, true} {
-		stores, cleanup, err := newLocalStores(o.WorkDir)
+		err := o.withStores(func(stores core.Stores) error {
+			ba := core.NewBaseline(stores)
+			net, err := models.New(arch, 1000, 13)
+			if err != nil {
+				return err
+			}
+			res, err := ba.Save(core.SaveInfo{Spec: models.Spec{Arch: arch, NumClasses: 1000}, Net: net, WithChecksums: withChecksums})
+			if err != nil {
+				return err
+			}
+			rec, err := ba.Recover(res.ID, core.RecoverOptions{VerifyChecksums: withChecksums})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%v\t%s\t%s\t%s\n", withChecksums, ms(res.Duration), ms(rec.Timing.Total()), ms(rec.Timing.Verify))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		ba := core.NewBaseline(stores)
-		net, err := models.New(arch, 1000, 13)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		res, err := ba.Save(core.SaveInfo{Spec: models.Spec{Arch: arch, NumClasses: 1000}, Net: net, WithChecksums: withChecksums})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		rec, err := ba.Recover(res.ID, core.RecoverOptions{VerifyChecksums: withChecksums})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		fmt.Fprintf(tw, "%v\t%s\t%s\t%s\n", withChecksums, ms(res.Duration), ms(rec.Timing.Total()), ms(rec.Timing.Verify))
-		cleanup()
 	}
 	return tw.Flush()
 }
@@ -105,66 +103,51 @@ func AblationDatasetRef(w io.Writer, o Opts) error {
 	if err != nil {
 		return err
 	}
+	spec := models.Spec{Arch: models.MobileNetV2Name, NumClasses: 1000}
+	cfg := o.flowConfig(core.ProvenanceApproach, spec.Arch, evalflow.FullyUpdated, ds.Spec)
+	cfg.Opt = train.SGDConfig{LR: 0.01, Momentum: 0.9}
 	tw := newTab(w)
 	fmt.Fprintln(tw, "MODE\tSTORAGE (derived save)\tTTS")
 	for _, byRef := range []bool{false, true} {
-		stores, cleanup, err := newLocalStores(o.WorkDir)
-		if err != nil {
-			return err
-		}
-		mpa := core.NewProvenance(stores)
-		mpa.DatasetByReference = byRef
-		mpa.ResolveDataset = func(string) (*dataset.Dataset, error) { return ds, nil }
-		spec := models.Spec{Arch: models.MobileNetV2Name, NumClasses: 1000}
-		net, err := models.New(models.MobileNetV2Name, 1000, 17)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		base, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		loader, err := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: o.BatchSize, OutH: o.Resolution, OutW: o.Resolution, Shuffle: true, Seed: 2})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		svc := train.NewImageClassifierTrainService(
-			train.ServiceConfig{Epochs: o.TrainEpochs, BatchesPerEpoch: o.TrainBatches, Seed: 3, Deterministic: true},
-			loader, train.NewSGD(train.SGDConfig{LR: 0.01, Momentum: 0.9}))
-		rec, err := core.NewProvenanceRecord(svc)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		if _, err := rec.Train(net); err != nil {
-			cleanup()
-			return err
-		}
-		rec.SetExternalDatasetRef("warehouse/co-512")
-		res, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID, WithChecksums: true, Provenance: rec})
-		if err != nil {
-			cleanup()
-			return err
-		}
 		mode := "by copy"
 		if byRef {
 			mode = "by reference"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", mode, mb(res.StorageBytes), ms(res.Duration))
-		// Sanity: both modes recover the same model.
-		got, err := mpa.Recover(res.ID, core.RecoverOptions{VerifyChecksums: true})
+		err := o.withStores(func(stores core.Stores) error {
+			mpa := core.NewProvenance(stores)
+			mpa.DatasetByReference = byRef
+			mpa.ResolveDataset = func(string) (*dataset.Dataset, error) { return ds, nil }
+			net, err := models.New(spec.Arch, 1000, 17)
+			if err != nil {
+				return err
+			}
+			base, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net})
+			if err != nil {
+				return err
+			}
+			rec, err := cfg.TrainStep(net, ds, 3)
+			if err != nil {
+				return err
+			}
+			rec.SetExternalDatasetRef("warehouse/co-512")
+			res, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID, WithChecksums: true, Provenance: rec})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", mode, mb(res.StorageBytes), ms(res.Duration))
+			// Sanity: both modes recover the same model.
+			got, err := mpa.Recover(res.ID, core.RecoverOptions{VerifyChecksums: true})
+			if err != nil {
+				return fmt.Errorf("abl-datasetref recover (%s): %w", mode, err)
+			}
+			if !nn.StateDictOf(got.Net).Equal(nn.StateDictOf(net)) {
+				return fmt.Errorf("abl-datasetref: %s mode recovered a different model", mode)
+			}
+			return nil
+		})
 		if err != nil {
-			cleanup()
-			return fmt.Errorf("abl-datasetref recover (%s): %w", mode, err)
+			return err
 		}
-		if !nn.StateDictOf(got.Net).Equal(nn.StateDictOf(net)) {
-			cleanup()
-			return fmt.Errorf("abl-datasetref: %s mode recovered a different model", mode)
-		}
-		cleanup()
 	}
 	return tw.Flush()
 }
@@ -183,77 +166,55 @@ func AblationAdaptive(w io.Writer, o Opts) error {
 	if err != nil {
 		return err
 	}
-	arch := models.MobileNetV2Name
-	spec := models.Spec{Arch: arch, NumClasses: 1000}
-
-	runScenario := func(approach string) (int64, time.Duration, error) {
-		stores, cleanup, err := newLocalStores(o.WorkDir)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer cleanup()
-		var svc core.SaveService
-		switch approach {
-		case "adaptive":
-			svc = core.NewAdaptive(stores)
-		case core.ParamUpdateApproach:
-			svc = core.NewParamUpdate(stores)
-		case core.ProvenanceApproach:
-			svc = core.NewProvenance(stores)
-		default:
-			svc = core.NewBaseline(stores)
-		}
-		net, err := models.New(arch, 1000, 23)
-		if err != nil {
-			return 0, 0, err
-		}
-		base, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, WithChecksums: true})
-		if err != nil {
-			return 0, 0, err
-		}
-		total := base.StorageBytes
-		lastID := base.ID
-		for i, ds := range []*dataset.Dataset{small, big, small, big} {
-			loader, err := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: o.BatchSize, OutH: o.Resolution, OutW: o.Resolution, Shuffle: true, Seed: uint64(i)})
-			if err != nil {
-				return 0, 0, err
-			}
-			tsvc := train.NewImageClassifierTrainService(
-				train.ServiceConfig{Epochs: 1, BatchesPerEpoch: o.TrainBatches, Seed: uint64(100 + i), Deterministic: true},
-				loader, train.NewSGD(train.SGDConfig{LR: 0.01, Momentum: 0.9}))
-			rec, err := core.NewProvenanceRecord(tsvc)
-			if err != nil {
-				return 0, 0, err
-			}
-			if _, err := rec.Train(net); err != nil {
-				return 0, 0, err
-			}
-			res, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: lastID, WithChecksums: true, Provenance: rec})
-			if err != nil {
-				return 0, 0, err
-			}
-			total += res.StorageBytes
-			lastID = res.ID
-		}
-		t0 := time.Now()
-		got, err := svc.Recover(lastID, core.RecoverOptions{VerifyChecksums: true})
-		if err != nil {
-			return 0, 0, err
-		}
-		if !nn.StateDictOf(got.Net).Equal(nn.StateDictOf(net)) {
-			return 0, 0, fmt.Errorf("abl-adaptive: %s recovered a different model", approach)
-		}
-		return total, time.Since(t0), nil
-	}
+	spec := models.Spec{Arch: models.MobileNetV2Name, NumClasses: 1000}
+	cfg := o.flowConfig("adaptive", spec.Arch, evalflow.FullyUpdated, big.Spec)
+	cfg.Train.Epochs = 1
+	cfg.Opt = train.SGDConfig{LR: 0.01, Momentum: 0.9}
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "APPROACH\tTOTAL STORAGE (5 models)\tFINAL TTR")
-	for _, ap := range []string{core.BaselineApproach, core.ParamUpdateApproach, core.ProvenanceApproach, "adaptive"} {
-		storage, ttr, err := runScenario(ap)
+	for _, ap := range append(approaches, "adaptive") {
+		err := o.withStores(func(stores core.Stores) error {
+			svc, err := evalflow.NewService(ap, stores)
+			if err != nil {
+				return err
+			}
+			net, err := models.New(spec.Arch, 1000, 23)
+			if err != nil {
+				return err
+			}
+			base, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, WithChecksums: true})
+			if err != nil {
+				return err
+			}
+			total, lastID := base.StorageBytes, base.ID
+			for i, ds := range []*dataset.Dataset{small, big, small, big} {
+				rec, err := cfg.TrainStep(net, ds, uint64(100+i))
+				if err != nil {
+					return err
+				}
+				res, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: lastID, WithChecksums: true, Provenance: rec})
+				if err != nil {
+					return err
+				}
+				total += res.StorageBytes
+				lastID = res.ID
+			}
+			t0 := time.Now()
+			got, err := svc.Recover(lastID, core.RecoverOptions{VerifyChecksums: true})
+			if err != nil {
+				return err
+			}
+			ttr := time.Since(t0)
+			if !nn.StateDictOf(got.Net).Equal(nn.StateDictOf(net)) {
+				return errors.New("recovered a different model")
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", ap, mb(total), ms(ttr))
+			return nil
+		})
 		if err != nil {
 			return fmt.Errorf("abl-adaptive %s: %w", ap, err)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", ap, mb(storage), ms(ttr))
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/evalflow"
 	"repro/internal/models"
 )
 
@@ -23,39 +24,34 @@ func AblationBandwidth(w io.Writer, o Opts) error {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "APPROACH\tBYTES OVER LINK\tTTS (throttled)")
 	for _, approach := range []string{core.BaselineApproach, core.ParamUpdateApproach} {
-		stores, cleanup, err := newLocalStores(o.WorkDir)
+		err := o.withStores(func(stores core.Stores) error {
+			svc, err := evalflow.NewService(approach, stores)
+			if err != nil {
+				return err
+			}
+			net, err := models.New(arch, 1000, 19)
+			if err != nil {
+				return err
+			}
+			// The initial save runs unthrottled (it happens once, centrally).
+			base, err := svc.Save(core.SaveInfo{Spec: spec, Net: net})
+			if err != nil {
+				return err
+			}
+			// The recurring node-side save crosses the constrained link.
+			models.FreezeForPartialUpdate(arch, net)
+			perturbClassifier(arch, net, 1e-3)
+			stores.Files.SetBandwidth(linkBytesPerSecond)
+			res, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\n", approach, mb(res.FileBytes), ms(res.Duration))
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		net, err := models.New(arch, 1000, 19)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		var svc core.SaveService
-		if approach == core.BaselineApproach {
-			svc = core.NewBaseline(stores)
-		} else {
-			svc = core.NewParamUpdate(stores)
-		}
-		// The initial save runs unthrottled (it happens once, centrally).
-		base, err := svc.Save(core.SaveInfo{Spec: spec, Net: net})
-		if err != nil {
-			cleanup()
-			return err
-		}
-		// The recurring node-side save crosses the constrained link.
-		models.FreezeForPartialUpdate(arch, net)
-		perturbClassifier(arch, net, 1e-3)
-		stores.Files.SetBandwidth(linkBytesPerSecond)
-		res, err := svc.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID})
-		stores.Files.SetBandwidth(0)
-		if err != nil {
-			cleanup()
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", approach, mb(res.FileBytes), ms(res.Duration))
-		cleanup()
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -36,11 +36,11 @@ func runClaimFlow(t *testing.T, o Opts, approach, arch string, rel evalflow.Rela
 	// can round below float32 ulp for some layers, which would make a
 	// "fully updated" version not actually update every layer.
 	cfg.Opt = train.SGDConfig{LR: 0.01, Momentum: 0.9, ClipNorm: 5}
-	res, err := runFlow(o, cfg)
+	agg, err := o.sweep(cfg, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return agg.Runs[0]
 }
 
 // Claim (§4.2): for partially updated model versions the PUA lowers storage

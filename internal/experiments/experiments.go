@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
+	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/docdb"
 	"repro/internal/evalflow"
-	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/obs"
 )
@@ -139,29 +137,6 @@ func (o Opts) flowConfig(approach, arch string, rel evalflow.Relation, u3 datase
 	return cfg
 }
 
-// newLocalStores creates a fresh in-memory metadata store and a file store
-// under dir (or a temp dir when empty).
-func newLocalStores(dir string) (core.Stores, func(), error) {
-	files, cleanup, err := newFiles(dir)
-	if err != nil {
-		return core.Stores{}, nil, err
-	}
-	return core.Stores{Meta: docdb.NewMemStore(), Files: files}, cleanup, nil
-}
-
-func newFiles(dir string) (*filestore.Store, func(), error) {
-	tmp, err := mkWorkDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	files, err := filestore.Open(tmp.path)
-	if err != nil {
-		tmp.cleanup()
-		return nil, nil, err
-	}
-	return files, tmp.cleanup, nil
-}
-
 // Func is an experiment entry point.
 type Func func(w io.Writer, o Opts) error
 
@@ -216,6 +191,11 @@ func newTab(w io.Writer) *tabwriter.Writer {
 // mb renders bytes as megabytes the way the paper reports sizes.
 func mb(b int64) string {
 	return fmt.Sprintf("%.1f MB", float64(b)/1e6)
+}
+
+// ms renders a duration in milliseconds.
+func ms(d time.Duration) string {
+	return fmt.Sprintf("%.1f ms", float64(d.Microseconds())/1000)
 }
 
 var evaluationArchs = models.EvaluationNames()

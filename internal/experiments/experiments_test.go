@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -37,25 +36,12 @@ func TestRegistryCoversOrder(t *testing.T) {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table1(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"INet_val", "mINet_val", "CF-512", "CO-512", "U2", "U3"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table1 output missing %q:\n%s", want, out)
-		}
-	}
-}
+func TestTable1(t *testing.T) { golden(t, "tab1") }
 
+// The golden file masks numbers; the paper's parameter counts must also
+// match exactly.
 func TestTable2ReportsPaperCounts(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table2(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := golden(t, "tab2")
 	for _, want := range []string{"3504872", "6624904", "11689512", "25557032", "60192808", "1281000", "1025000", "513000", "2049000"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table2 missing %q:\n%s", want, out)
@@ -63,168 +49,64 @@ func TestTable2ReportsPaperCounts(t *testing.T) {
 	}
 }
 
-func TestTable3(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Table3(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"STANDARD", "DIST-20", "402"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("Table3 missing %q", want)
-		}
-	}
-}
+func TestTable3(t *testing.T) { golden(t, "tab3") }
 
-func TestFigure2(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure2(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "serial") || !strings.Contains(buf.String(), "parallel") {
-		t.Fatalf("Figure2 output:\n%s", buf.String())
-	}
-}
+func TestFigure2(t *testing.T) { golden(t, "fig2") }
 
+// The golden file masks numbers; the paper's comparison counts must also
+// match exactly (tabwriter pads with spaces, so compare collapsed fields).
 func TestFigure4(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure4(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	// The exact comparison counts of the paper (tabwriter pads with
-	// spaces, so compare collapsed fields).
-	fields := strings.Fields(buf.String())
-	joined := strings.Join(fields, " ")
+	joined := strings.Join(strings.Fields(golden(t, "fig4")), " ")
 	for _, want := range []string{"8 2 7 8", "64 2 13 64", "128 2 15 128"} {
 		if !strings.Contains(joined, want) {
-			t.Fatalf("Figure4 missing %q:\n%s", want, buf.String())
+			t.Fatalf("Figure4 missing %q:\n%s", want, joined)
 		}
 	}
 }
 
-func TestFigure7StorageShapes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure7(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "param_update vs baseline") {
-		t.Fatalf("Figure7 missing headline reductions:\n%s", out)
-	}
-	if !strings.Contains(out, "partial updated") || !strings.Contains(out, "full updated") {
-		t.Fatalf("Figure7 missing relations:\n%s", out)
-	}
-}
+func TestFigure7StorageShapes(t *testing.T) { golden(t, "fig7") }
 
-func TestFigure8(t *testing.T) {
-	var buf bytes.Buffer
-	o := fastOpts(t)
-	if err := Figure8(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, arch := range models.EvaluationNames() {
-		if !strings.Contains(out, arch) {
-			t.Fatalf("Figure8 missing %s:\n%s", arch, out)
-		}
-	}
-}
+func TestFigure8(t *testing.T) { golden(t, "fig8") }
 
-func TestFigure9(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Figure9(&buf, fastOpts(t)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "CF-512") || !strings.Contains(buf.String(), "CO-512") {
-		t.Fatalf("Figure9 output:\n%s", buf.String())
-	}
-}
+func TestFigure9(t *testing.T) { golden(t, "fig9") }
 
 func TestFigure10And11(t *testing.T) {
-	o := fastOpts(t)
-	var buf bytes.Buffer
-	if err := Figure10(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "U3-1-1") {
-		t.Fatalf("Figure10 output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := Figure11(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "provenance") {
-		t.Fatalf("Figure11 output:\n%s", buf.String())
-	}
+	golden(t, "fig10")
+	golden(t, "fig11")
 }
 
 func TestFigure12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds all five architectures")
 	}
-	o := fastOpts(t)
-	var buf bytes.Buffer
-	if err := Figure12(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, arch := range models.EvaluationNames() {
-		if !strings.Contains(out, arch) {
-			t.Fatalf("Figure12 missing %s:\n%s", arch, out)
-		}
-	}
-	if !strings.Contains(out, "CHECK ENV") {
-		t.Fatal("Figure12 must report check-env separately")
-	}
+	golden(t, "fig12")
 }
 
-func TestFigure13(t *testing.T) {
-	o := fastOpts(t)
-	var buf bytes.Buffer
-	if err := Figure13(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "deterministic") || !strings.Contains(out, "non-deterministic") {
-		t.Fatalf("Figure13 output:\n%s", out)
-	}
-	if !strings.Contains(out, "resnet18") {
-		t.Fatalf("Figure13 missing resnet18:\n%s", out)
-	}
-}
+func TestFigure13(t *testing.T) { golden(t, "fig13") }
 
 func TestFigures14And15Distributed(t *testing.T) {
-	o := fastOpts(t)
-	var buf bytes.Buffer
-	if err := Figure14(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "DIST-2") {
-		t.Fatalf("Figure14 output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := Figure15(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "U3-2-2") {
-		t.Fatalf("Figure15 output:\n%s", buf.String())
-	}
+	golden(t, "fig14")
+	golden(t, "fig15")
 }
 
 func TestAblations(t *testing.T) {
-	o := fastOpts(t)
-	for name, fn := range map[string]Func{
-		"merkle":     AblationMerkle,
-		"checksums":  AblationChecksums,
-		"datasetref": AblationDatasetRef,
-		"adaptive":   AblationAdaptive,
-		"bandwidth":  AblationBandwidth,
-	} {
-		var buf bytes.Buffer
-		if err := fn(&buf, o); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, id := range []string{"abl-merkle", "abl-checksums", "abl-datasetref", "abl-adaptive", "abl-bandwidth", "abl-faults"} {
+		out := golden(t, id)
+		if id != "abl-faults" {
+			continue
 		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s produced no output", name)
+		// The crash sweep kills a baseline save at each of its six crash
+		// points exactly once.
+		for _, point := range []string{"staged", "blob:code", "blob:params", "doc:env", "commit.before", "commit.window"} {
+			n := 0
+			for _, line := range strings.Split(out, "\n") {
+				if f := strings.Fields(line); len(f) > 0 && f[0] == point {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("crash point %q killed %d times, want once:\n%s", point, n, out)
+			}
 		}
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,59 +23,37 @@ import (
 // under injected fault rates (connection drops, torn frames, delays on a
 // deterministic schedule); the docdb clients absorb the faults by
 // poisoning broken connections, reconnecting, and retrying idempotent
-// operations — retried inserts are deduped server-side — so the flow
-// completes exactly, and only time-to-save/recover degrades. The INJECTED
-// column counts the hard faults that actually fired, proving the link was
-// genuinely hostile.
+// operations, so the flow completes exactly, and only time-to-save/recover
+// degrades. The INJECTED column counts the hard faults that actually fired,
+// proving the link was genuinely hostile.
 func AblationFaults(w io.Writer, o Opts) error {
 	header(w, "Ablation: DIST flow over a flaky metadata network")
 	rates := []float64{0, 0.02, 0.05}
 	if o.FaultRate > 0 {
 		rates = []float64{0, o.FaultRate}
 	}
-	nodes := o.Nodes
-	if nodes > 3 {
-		nodes = 3 // the degradation trend needs few nodes; keep the sweep fast
-	}
+	cfg := o.flowConfig(core.BaselineApproach, models.MobileNetV2Name, evalflow.FullyUpdated, dataset.CO512(o.Scale))
+	cfg.Nodes = min(o.Nodes, 3) // the degradation trend needs few nodes; keep the sweep fast
+	cfg.U3PerPhase = 2
+	cfg.SequentialNodes = true
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "FAULT RATE\tINJECTED FAULTS\tFLOW TIME\tMEDIAN TTS (U3)\tMEDIAN TTR (U3)")
 	for _, rate := range rates {
-		tmp, err := mkWorkDir(o.WorkDir)
-		if err != nil {
-			return err
-		}
 		var stats faultnet.Stats
-		var provider evalflow.StoreProvider
-		var cleanup func()
-		if rate > 0 {
-			provider, cleanup, err = evalflow.FaultyDistributedProvider(tmp.path, faultnet.Config{
-				Seed:  o.FaultSeed + 1,
-				Rate:  rate,
-				Stats: &stats,
-			})
-		} else {
-			provider, cleanup, err = evalflow.DistributedProvider(tmp.path)
-		}
-		if err != nil {
-			tmp.cleanup()
-			return err
-		}
-		cfg := o.flowConfig(core.BaselineApproach, models.MobileNetV2Name, evalflow.FullyUpdated, dataset.CO512(o.Scale))
-		cfg.Nodes = nodes
-		cfg.U3PerPhase = 2
-		cfg.MeasureTTR = true
-		cfg.SequentialNodes = true
 		start := time.Now()
-		res, err := evalflow.RunCtx(o.ctx(), provider, cfg)
+		agg, err := o.sweep(cfg, 1, func(int) *faultnet.Config {
+			if rate == 0 {
+				return nil
+			}
+			return &faultnet.Config{Seed: o.FaultSeed + 1, Rate: rate, Stats: &stats}
+		})
 		elapsed := time.Since(start)
-		cleanup()
-		tmp.cleanup()
 		if err != nil {
 			return fmt.Errorf("abl-faults rate=%.2f: %w", rate, err)
 		}
 		fmt.Fprintf(tw, "%.2f\t%d\t%s\t%s\t%s\n",
-			rate, stats.Total(), ms(elapsed), ms(res.MedianTTS("U3-1-1")), ms(res.MedianTTR("U3-1-1")))
+			rate, stats.Total(), ms(elapsed), ms(agg.TTS("U3-1-1")), ms(agg.TTR("U3-1-1")))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -92,63 +71,74 @@ func AblationFaults(w io.Writer, o Opts) error {
 // directory fsyncs in the path.
 func ablationCrashDuringSave(w io.Writer, o Opts) error {
 	header(w, "Ablation: crash during save (write-ahead staging records + orphan GC)")
+	// save runs the save on fresh on-disk stores whose crash hook is crash,
+	// and hands the stores and the save's error to after.
+	save := func(crash core.CrashFn, after func(core.Stores, error) error) error {
+		return o.inWorkDir(func(dir string) error {
+			meta, err := docdb.OpenDisk(filepath.Join(dir, "meta"))
+			if err != nil {
+				return err
+			}
+			defer meta.Close()
+			files, err := filestore.Open(filepath.Join(dir, "files"))
+			if err != nil {
+				return err
+			}
+			net, err := models.New(models.TinyCNNName, 4, 1)
+			if err != nil {
+				return err
+			}
+			stores := core.Stores{Meta: meta, Files: files, Crash: crash}
+			_, err = core.NewBaseline(stores).Save(core.SaveInfo{
+				Spec: models.Spec{Arch: models.TinyCNNName, NumClasses: 4}, Net: net, WithChecksums: true,
+			})
+			return after(stores, err)
+		})
+	}
+
+	// The writes of one wave reach their crash points in no fixed order, so
+	// the points are named on a crash-free save and then killed by name.
+	var mu sync.Mutex
+	var points []string
+	err := save(func(p string) error {
+		mu.Lock()
+		points = append(points, p)
+		mu.Unlock()
+		return nil
+	}, func(_ core.Stores, err error) error { return err })
+	if err != nil {
+		return fmt.Errorf("abl-faults crash sweep: crash-free save failed: %w", err)
+	}
+	slices.Sort(points)
+
 	tw := newTab(w)
 	fmt.Fprintln(tw, "CRASH POINT\tOUTCOME\tRECLAIMED")
-	for k := 1; ; k++ {
-		tmp, err := mkWorkDir(o.WorkDir)
-		if err != nil {
-			return err
-		}
-		meta, err := docdb.OpenDisk(filepath.Join(tmp.path, "meta"))
-		if err != nil {
-			tmp.cleanup()
-			return err
-		}
-		files, err := filestore.Open(filepath.Join(tmp.path, "files"))
-		if err != nil {
-			tmp.cleanup()
-			return err
-		}
-		var point string
-		var n atomic.Int64
-		stores := core.Stores{Meta: meta, Files: files, Crash: func(p string) error {
-			if n.Add(1) == int64(k) {
-				point = p
+	for _, point := range slices.Compact(points) {
+		crash := func(p string) error {
+			if p == point {
 				return fmt.Errorf("%w at %q", core.ErrInjectedCrash, p)
 			}
 			return nil
-		}}
-		net, err := models.New(models.TinyCNNName, 4, 1)
-		if err != nil {
-			tmp.cleanup()
-			return err
 		}
-		_, serr := core.NewBaseline(stores).Save(core.SaveInfo{
-			Spec: models.Spec{Arch: models.TinyCNNName, NumClasses: 4}, Net: net, WithChecksums: true,
-		})
-		if point == "" {
-			// The save ran out of crash points and completed: sweep done.
-			tmp.cleanup()
-			if serr != nil {
-				return fmt.Errorf("abl-faults crash sweep: crash-free save failed: %w", serr)
+		err := save(crash, func(stores core.Stores, err error) error {
+			if !errors.Is(err, core.ErrInjectedCrash) {
+				return fmt.Errorf("save at %q returned %v, want injected crash", point, err)
 			}
-			break
-		}
-		if !errors.Is(serr, core.ErrInjectedCrash) {
-			tmp.cleanup()
-			return fmt.Errorf("abl-faults crash sweep: save at %q returned %v, want injected crash", point, serr)
-		}
-		rep, err := core.RecoverOrphans(stores)
-		tmp.cleanup()
+			rep, err := core.RecoverOrphans(stores)
+			if err != nil {
+				return fmt.Errorf("recovery at %q: %w", point, err)
+			}
+			outcome := "rolled back"
+			if rep.Completed > 0 {
+				outcome = "kept (committed)"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%d blob(s) / %d doc(s), %d B\n",
+				point, outcome, rep.BlobsReclaimed, rep.DocsReclaimed, rep.BytesReclaimed)
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("abl-faults crash sweep: recovery at %q: %w", point, err)
+			return fmt.Errorf("abl-faults crash sweep: %w", err)
 		}
-		outcome := "rolled back"
-		if rep.Completed > 0 {
-			outcome = "kept (committed)"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d blob(s) / %d doc(s), %d B\n",
-			point, outcome, rep.BlobsReclaimed, rep.DocsReclaimed, rep.BytesReclaimed)
 	}
 	return tw.Flush()
 }

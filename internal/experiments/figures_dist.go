@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/evalflow"
@@ -11,68 +10,33 @@ import (
 	"repro/internal/models"
 )
 
-// distProvider yields the store provider for one distributed run: the
-// fault-free network by default, or — when the options carry a fault rate
-// — a deterministic flaky network whose seed varies per run so repeated
-// runs see different (but replayable) schedules.
-func distProvider(o Opts, dir string, run uint64) (evalflow.StoreProvider, func(), error) {
-	fc := faultnet.Config{
-		Seed: o.FaultSeed + run*0x9e3779b9,
-		Rate: o.FaultRate,
-	}
-	if o.Shards > 1 {
-		if o.FaultRate <= 0 {
-			return evalflow.ShardedProvider(dir, o.Shards, o.PoolSize)
-		}
-		return evalflow.FaultyShardedProvider(dir, o.Shards, o.PoolSize, fc)
-	}
+// faults returns the fault schedule of one distributed run: none on a
+// healthy network, otherwise o.FaultRate on a seed that varies per run, so
+// repeated runs see different (but replayable) schedules.
+func (o Opts) faults(run int) *faultnet.Config {
 	if o.FaultRate <= 0 {
-		return evalflow.DistributedProvider(dir)
+		return nil
 	}
-	return evalflow.FaultyDistributedProvider(dir, fc)
+	return &faultnet.Config{Seed: o.FaultSeed + uint64(run)*0x9e3779b9, Rate: o.FaultRate}
 }
 
-// distFlow executes a distributed evaluation flow: an in-process document
-// database server standing in for the dedicated MongoDB machine, a shared
-// file-store directory, and one goroutine actor per node, each with its own
-// database connection.
-func distFlow(o Opts, approach string, recover bool) (evalflow.MedianOfRuns, error) {
-	var agg evalflow.MedianOfRuns
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	// The paper uses three runs for distributed flows; cap accordingly.
-	if runs > 3 {
-		runs = 3
-	}
-	for i := 0; i < runs; i++ {
-		tmp, err := mkWorkDir(o.WorkDir)
-		if err != nil {
-			return agg, err
-		}
-		provider, cleanup, err := distProvider(o, tmp.path, uint64(i))
-		if err != nil {
-			tmp.cleanup()
-			return agg, err
-		}
-		cfg := o.flowConfig(approach, models.MobileNetV2Name, evalflow.FullyUpdated, dataset.CO512(o.Scale))
+// distFlows sweeps the distributed flow of every approach — fully updated
+// MobileNetV2 versions trained on CO-512, o.Nodes nodes — on in-process
+// clusters standing in for the paper's dedicated MongoDB machine and shared
+// file system, with one database connection pool per node. The paper takes
+// its distributed medians over three runs.
+func (o Opts) distFlows(measureTTR bool) ([]column, error) {
+	return o.byApproach(min(o.Runs, 3), o.faults, func(ap string) evalflow.Config {
+		cfg := o.flowConfig(ap, models.MobileNetV2Name, evalflow.FullyUpdated, dataset.CO512(o.Scale))
 		cfg.Nodes = o.Nodes
 		cfg.U3PerPhase = o.U3PerPhase
-		cfg.MeasureTTR = recover
+		cfg.MeasureTTR = measureTTR
 		cfg.UseRecoveryCache = o.RecoverCache
 		// Sequential nodes match the paper's contention-free per-node
 		// timings (its single node machine runs one save at a time).
 		cfg.SequentialNodes = true
-		res, err := evalflow.RunCtx(o.ctx(), provider, cfg)
-		cleanup()
-		tmp.cleanup()
-		if err != nil {
-			return agg, err
-		}
-		agg.Runs = append(agg.Runs, res)
-	}
-	return agg, nil
+		return cfg
+	})
 }
 
 // Figure14 regenerates the DIST-N TTS comparison: median time-to-save per
@@ -84,7 +48,14 @@ func distFlow(o Opts, approach string, recover bool) (evalflow.MedianOfRuns, err
 // parameters either way) and MPA higher because it stores the dataset.
 func Figure14(w io.Writer, o Opts) error {
 	header(w, fmt.Sprintf("Figure 14: median TTS on DIST-%d (MobileNetV2, fully updated, CO-512)", o.Nodes))
-	return distFigure(w, o, false)
+	cols, err := o.distFlows(false)
+	if err != nil {
+		return fmt.Errorf("fig14 %w", err)
+	}
+	if err := useCaseTable(w, cols, u2Omitted, ttsMS); err != nil {
+		return err
+	}
+	return obsBreakdown(w, cols)
 }
 
 // Figure15 regenerates the DIST-N TTR comparison. Expected shape: BA flat;
@@ -92,76 +63,40 @@ func Figure14(w io.Writer, o Opts) error {
 // iterations) reaching higher maxima than the standard flow.
 func Figure15(w io.Writer, o Opts) error {
 	header(w, fmt.Sprintf("Figure 15: median TTR on DIST-%d (MobileNetV2, fully updated, CO-512)", o.Nodes))
-	return distFigure(w, o, true)
-}
-
-func distFigure(w io.Writer, o Opts, recover bool) error {
-	perApproach := map[string]evalflow.MedianOfRuns{}
-	for _, ap := range approaches {
-		agg, err := distFlow(o, ap, recover)
-		if err != nil {
-			return fmt.Errorf("fig14/15 %s: %w", ap, err)
-		}
-		perApproach[ap] = agg
+	cols, err := o.distFlows(true)
+	if err != nil {
+		return fmt.Errorf("fig15 %w", err)
 	}
-	tw := newTab(w)
-	fmt.Fprint(tw, "USE CASE")
-	for _, ap := range approaches {
-		fmt.Fprintf(tw, "\t%s", ap)
-	}
-	fmt.Fprintln(tw)
-	for _, uc := range perApproach[approaches[0]].UseCases() {
-		if uc == "U2" && !recover {
-			continue
-		}
-		fmt.Fprintf(tw, "%s", uc)
-		for _, ap := range approaches {
-			var v time.Duration
-			if recover {
-				v = perApproach[ap].TTR(uc)
-			} else {
-				v = perApproach[ap].TTS(uc)
-			}
-			fmt.Fprintf(tw, "\t%s", ms(v))
-		}
-		fmt.Fprintln(tw)
-	}
-	if err := tw.Flush(); err != nil {
+	if err := useCaseTable(w, cols, u2InPlace, ttrMS); err != nil {
 		return err
-	}
-	if !recover {
-		return obsBreakdown(w, perApproach)
 	}
 	// Per-bucket breakdown of the deepest recovery (the last U3 of phase
 	// 2 has the longest chain): where BA pays in load, PUA and MPA pay in
-	// recover (merging updates / replaying training).
-	ucs := perApproach[approaches[0]].UseCases()
+	// recover (merging updates / replaying training). A blank line ends a
+	// tabwriter column block, so each table aligns on its own.
+	ucs := cols[0].runs.UseCases()
 	deepest := ucs[len(ucs)-1]
-	tw = newTab(w)
+	tw := newTab(w)
 	fmt.Fprintf(tw, "\nTTR BREAKDOWN (%s)\tLOAD\tRECOVER\tCHECK ENV\tVERIFY\n", deepest)
-	for _, ap := range approaches {
-		b := perApproach[ap].TTRBreakdown(deepest)
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", ap, ms(b.Load), ms(b.Recover), ms(b.CheckEnv), ms(b.Verify))
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+	for _, c := range cols {
+		b := c.runs.TTRBreakdown(deepest)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", c.name, ms(b.Load), ms(b.Recover), ms(b.CheckEnv), ms(b.Verify))
 	}
 	// Recovery-cache traffic for the U4 sweep: shared hits cost O(1),
 	// COW'd hits additionally copied the tensors their caller mutated.
 	if o.RecoverCache {
-		tw = newTab(w)
 		fmt.Fprint(tw, "\nCACHE\tHITS\tSHARED\tCOW\tMISSES\tPUTS\tEVICTIONS\tCORRUPT\tBYTES\n")
-		for _, ap := range approaches {
-			if s := perApproach[ap].CacheStats(); s != nil {
+		for _, c := range cols {
+			if s := c.runs.CacheStats(); s != nil {
 				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-					ap, s.Hits, s.SharedHits, s.CowHits, s.Misses, s.Puts, s.Evictions, s.Corrupt, s.Bytes)
+					c.name, s.Hits, s.SharedHits, s.CowHits, s.Misses, s.Puts, s.Evictions, s.Corrupt, s.Bytes)
 			}
 		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
 	}
-	return obsBreakdown(w, perApproach)
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	return obsBreakdown(w, cols)
 }
 
 // obsBreakdown prints what each approach's last run cost the layers under
@@ -170,17 +105,17 @@ func distFigure(w io.Writer, o Opts, recover bool) error {
 // hits a flaky link provokes), file-store reads, recovery-cache traffic,
 // and hashing work. Where TTS/TTR say how long a flow took, this table
 // says where the time could have gone.
-func obsBreakdown(w io.Writer, perApproach map[string]evalflow.MedianOfRuns) error {
+func obsBreakdown(w io.Writer, cols []column) error {
 	tw := newTab(w)
 	fmt.Fprint(tw, "\nOBS\tDB OPS\tRETRIES\tDB OUT\tDB IN\tDEDUP\tFILE READS\tCACHE HIT/MISS\tDIGESTS\n")
-	for _, ap := range approaches {
-		runs := perApproach[ap].Runs
+	for _, col := range cols {
+		runs := col.runs.Runs
 		if len(runs) == 0 || runs[len(runs)-1].Metrics == nil {
 			continue
 		}
 		c := runs[len(runs)-1].Metrics.Counters
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%d\t%d\t%d/%d\t%d\n",
-			ap,
+			col.name,
 			c["docdb.client.ops"], c["docdb.client.retries"],
 			mb(c["docdb.client.bytes_out"]), mb(c["docdb.client.bytes_in"]),
 			c["docdb.server.dedup_hits"],

@@ -11,35 +11,6 @@ import (
 	"repro/internal/nn"
 )
 
-var approaches = []string{core.BaselineApproach, core.ParamUpdateApproach, core.ProvenanceApproach}
-
-// runFlow executes one evaluation flow against fresh local stores.
-func runFlow(o Opts, cfg evalflow.Config) (*evalflow.Result, error) {
-	stores, cleanup, err := newLocalStores(o.WorkDir)
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	return evalflow.RunCtx(o.ctx(), evalflow.LocalProvider(stores), cfg)
-}
-
-// runFlowMedian executes a flow o.Runs times and aggregates like the paper.
-func runFlowMedian(o Opts, cfg evalflow.Config) (evalflow.MedianOfRuns, error) {
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	var agg evalflow.MedianOfRuns
-	for i := 0; i < runs; i++ {
-		res, err := runFlow(o, cfg)
-		if err != nil {
-			return agg, err
-		}
-		agg.Runs = append(agg.Runs, res)
-	}
-	return agg, nil
-}
-
 // Figure7 regenerates the storage-consumption comparison across use cases
 // and approaches for fully and partially updated model versions trained on
 // CF-512 (the paper's panels use MobileNetV2 and ResNet-152; the default
@@ -53,91 +24,41 @@ func runFlowMedian(o Opts, cfg evalflow.Config) (evalflow.MedianOfRuns, error) {
 // dataset is smaller than the model.
 func Figure7(w io.Writer, o Opts) error {
 	header(w, "Figure 7: storage consumption per use case (CF-512)")
-	u3 := dataset.CF512(o.Scale)
-	for _, arch := range o.archs(models.MobileNetV2Name, models.ResNet18Name) {
-		for _, rel := range []evalflow.Relation{FullyUpdatedRel, PartiallyUpdatedRel} {
-			fmt.Fprintf(w, "\n[%s, %s updated]\n", arch, rel)
-			tw := newTab(w)
-			fmt.Fprint(tw, "USE CASE")
-			for _, ap := range approaches {
-				fmt.Fprintf(tw, "\t%s", ap)
-			}
-			fmt.Fprintln(tw)
-
-			perApproach := map[string]evalflow.MedianOfRuns{}
-			for _, ap := range approaches {
-				cfg := o.flowConfig(ap, arch, rel, u3)
-				cfg.MeasureTTR = false
-				agg, err := runFlowMedian(o, cfg)
-				if err != nil {
-					return fmt.Errorf("fig7 %s/%s/%s: %w", arch, rel, ap, err)
-				}
-				perApproach[ap] = agg
-			}
-			// The paper excludes U2 from comparison plots (the MPA's much
-			// larger U2 dataset distorts the axis); print it last, marked.
-			ucs := perApproach[approaches[0]].UseCases()
-			for _, uc := range ucs {
-				if uc == "U2" {
-					continue
-				}
-				fmt.Fprintf(tw, "%s", uc)
-				for _, ap := range approaches {
-					fmt.Fprintf(tw, "\t%s", mb(perApproach[ap].Storage(uc)))
-				}
-				fmt.Fprintln(tw)
-			}
-			fmt.Fprint(tw, "U2 (excluded from paper plots)")
-			for _, ap := range approaches {
-				fmt.Fprintf(tw, "\t%s", mb(perApproach[ap].Storage("U2")))
-			}
-			fmt.Fprintln(tw)
-			if err := tw.Flush(); err != nil {
-				return err
-			}
-
-			// Headline reductions vs BA on the steady-state U3-1-2 model.
-			ba := perApproach[core.BaselineApproach].Storage("U3-1-2")
-			for _, ap := range approaches[1:] {
-				v := perApproach[ap].Storage("U3-1-2")
-				fmt.Fprintf(w, "%s vs baseline on U3 models: %+.1f%%\n", ap, 100*float64(v-ba)/float64(ba))
-			}
+	return o.panels(w, "fig7", dataset.CF512(o.Scale), false, func(cols []column) error {
+		if err := useCaseTable(w, cols, u2Last, storageMB); err != nil {
+			return err
 		}
-	}
-	return nil
+		// Headline reductions vs BA on the steady-state U3-1-2 model.
+		ba := cols[0].runs.Storage("U3-1-2")
+		for _, c := range cols[1:] {
+			v := c.runs.Storage("U3-1-2")
+			fmt.Fprintf(w, "%s vs baseline on U3 models: %+.1f%%\n", c.name, 100*float64(v-ba)/float64(ba))
+		}
+		return nil
+	})
 }
-
-// Convenience aliases so figure code reads like the paper.
-const (
-	FullyUpdatedRel     = evalflow.FullyUpdated
-	PartiallyUpdatedRel = evalflow.PartiallyUpdated
-)
 
 // Figure8 regenerates the baseline storage consumption and parameter count
 // for every architecture: storage grows proportionally with parameters.
 func Figure8(w io.Writer, o Opts) error {
 	header(w, "Figure 8: baseline storage vs parameters")
-	stores, cleanup, err := newLocalStores(o.WorkDir)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	ba := core.NewBaseline(stores)
-
-	tw := newTab(w)
-	fmt.Fprintln(tw, "MODEL\t#PARAMS\tBA STORAGE")
-	for _, arch := range evaluationArchs {
-		net, err := models.New(arch, 1000, 7)
-		if err != nil {
-			return err
+	return o.withStores(func(stores core.Stores) error {
+		ba := core.NewBaseline(stores)
+		tw := newTab(w)
+		fmt.Fprintln(tw, "MODEL\t#PARAMS\tBA STORAGE")
+		for _, arch := range evaluationArchs {
+			net, err := models.New(arch, 1000, 7)
+			if err != nil {
+				return err
+			}
+			res, err := ba.Save(core.SaveInfo{Spec: models.Spec{Arch: arch, NumClasses: 1000}, Net: net})
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%s\t%d\t%s\n", arch, nn.NumParams(net), mb(res.StorageBytes))
 		}
-		res, err := ba.Save(core.SaveInfo{Spec: models.Spec{Arch: arch, NumClasses: 1000}, Net: net})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\n", arch, nn.NumParams(net), mb(res.StorageBytes))
-	}
-	return tw.Flush()
+		return tw.Flush()
+	})
 }
 
 // Figure9 regenerates the MPA storage comparison across datasets: the
@@ -149,25 +70,17 @@ func Figure9(w io.Writer, o Opts) error {
 	header(w, "Figure 9: MPA storage across datasets")
 	for _, arch := range o.archs(models.MobileNetV2Name, models.ResNet18Name) {
 		fmt.Fprintf(w, "\n[%s]\n", arch)
-		tw := newTab(w)
-		fmt.Fprintln(tw, "USE CASE\tCF-512\tCO-512")
-		perDS := map[string]evalflow.MedianOfRuns{}
+		var cols []column
 		for _, spec := range []dataset.Spec{dataset.CF512(o.Scale), dataset.CO512(o.Scale)} {
-			cfg := o.flowConfig(core.ProvenanceApproach, arch, FullyUpdatedRel, spec)
+			cfg := o.flowConfig(core.ProvenanceApproach, arch, evalflow.FullyUpdated, spec)
 			cfg.MeasureTTR = false
-			agg, err := runFlowMedian(o, cfg)
+			agg, err := o.sweep(cfg, o.Runs, nil)
 			if err != nil {
 				return fmt.Errorf("fig9 %s/%s: %w", arch, spec.Name, err)
 			}
-			perDS[spec.Name] = agg
+			cols = append(cols, column{spec.Name, agg})
 		}
-		for _, uc := range perDS["CF-512"].UseCases() {
-			if uc == "U2" {
-				continue
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\n", uc, mb(perDS["CF-512"].Storage(uc)), mb(perDS["CO-512"].Storage(uc)))
-		}
-		if err := tw.Flush(); err != nil {
+		if err := useCaseTable(w, cols, u2Omitted, storageMB); err != nil {
 			return err
 		}
 	}

@@ -3,30 +3,16 @@ package filestore
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// mmapDisabled gates OpenMapped's memory-mapping globally (the -mmap=false
-// benchmark knob and the forced-fallback tests). Disabled means OpenMapped
-// reads blobs fully into private heap memory instead — byte-identical
-// content, different mechanics.
-var mmapDisabled atomic.Bool
-
-// SetMmapEnabled enables or disables memory-mapped blob reads process-wide.
-// It only affects subsequent OpenMapped calls; existing mappings are
-// untouched. On platforms without mmap support the setting is irrelevant —
-// OpenMapped always falls back to ReadAll there.
-func SetMmapEnabled(on bool) { mmapDisabled.Store(!on) }
-
-// MmapEnabled reports whether OpenMapped will try to memory-map blobs:
-// the platform supports it and it has not been disabled.
-func MmapEnabled() bool { return mmapSupported && !mmapDisabled.Load() }
+// MmapEnabled reports whether OpenMapped memory-maps blobs on this
+// platform (an unthrottled store's blobs, see OpenMapped).
+func MmapEnabled() bool { return mmapSupported }
 
 // Mapping is the read-only content of one blob, either memory-mapped from
 // the store or read fully into private memory (the portable fallback, and
-// the path taken when mapping is disabled or a bandwidth throttle is
-// active). Bytes must be treated as immutable; writing to a mapped region
-// faults.
+// the path a bandwidth-throttled store takes). Bytes must be treated as
+// immutable; writing to a mapped region faults.
 //
 // Lifetime: consumers that alias Bytes (tensor.AliasFrames via
 // nn.ReadStateDictMapped) retain the Mapping from every aliasing tensor,
@@ -67,9 +53,9 @@ func (m *Mapping) Close() error {
 }
 
 // OpenMapped returns the blob's full content as a Mapping. When the
-// platform supports it, mapping is enabled, and no bandwidth throttle is
-// configured, the content is memory-mapped — O(1) regardless of blob
-// size, with pages faulted in lazily as they are read. Otherwise (and on
+// platform supports it and no bandwidth throttle is configured, the
+// content is memory-mapped — O(1) regardless of blob size, with pages
+// faulted in lazily as they are read. Otherwise (and on
 // any mapping error) the blob is read fully into memory, so callers get
 // identical bytes on every path. A throttled store always takes the read
 // path: a mapping would bypass the emulated bandwidth limit.

@@ -42,9 +42,11 @@ func TestOpenMappedMatchesReadAll(t *testing.T) {
 	m2.Close()
 }
 
+// TestOpenMappedDisabledFallsBack: a store that must not map — a
+// bandwidth throttle turns mapping off, since a mapping would bypass the
+// pacing — gets a private copy equal to ReadAll's bytes, and lifting the
+// throttle maps again wherever the platform can.
 func TestOpenMappedDisabledFallsBack(t *testing.T) {
-	SetMmapEnabled(false)
-	t.Cleanup(func() { SetMmapEnabled(true) })
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -53,16 +55,31 @@ func TestOpenMappedDisabledFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetBandwidth(1 << 40)
 	m, err := s.OpenMapped(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if m.Mapped() {
-		t.Fatal("mapping created while mmap disabled")
+		t.Fatal("mapping created while mapping was off")
 	}
-	if string(m.Bytes()) != "plain" {
+	want, err := s.ReadAll(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Bytes(), want) {
 		t.Fatal("fallback bytes differ")
+	}
+	m.Close()
+
+	s.SetBandwidth(0)
+	m, err = s.OpenMapped(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.Mapped() != MmapEnabled() {
+		t.Fatalf("Mapped() = %v after lifting the throttle, MmapEnabled() = %v", m.Mapped(), MmapEnabled())
 	}
 }
 

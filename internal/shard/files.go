@@ -39,6 +39,22 @@ func NewFiles(ring *Ring, stores ...filestore.Blobs) (*Files, error) {
 	return f, nil
 }
 
+// OpenFiles opens one file-store directory per shard, in ring order, and
+// routes blobs across them.
+func OpenFiles(dirs []string) (*Files, error) {
+	ring, err := NewRing(len(dirs), 0)
+	if err != nil {
+		return nil, err
+	}
+	stores := make([]filestore.Blobs, len(dirs))
+	for i, dir := range dirs {
+		if stores[i], err = filestore.Open(dir); err != nil {
+			return nil, err
+		}
+	}
+	return NewFiles(ring, stores...)
+}
+
 // owner returns the shard index that stores the blob.
 func (f *Files) owner(id string) int { return f.ring.Owner("blob/" + id) }
 

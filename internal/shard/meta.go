@@ -38,6 +38,27 @@ func NewMeta(ring *Ring, backends ...docdb.Store) (*Meta, error) {
 	return m, nil
 }
 
+// DialMeta connects to one document server per shard, in ring order,
+// through a pool of poolSize pipelined connections each (<= 0 selects the
+// default size), and routes across them. If a dial fails, the pools already
+// opened are closed.
+func DialMeta(addrs []string, poolSize int, opts docdb.ClientOptions) (*Meta, error) {
+	ring, err := NewRing(len(addrs), 0)
+	if err != nil {
+		return nil, err
+	}
+	pools := make([]docdb.Store, 0, len(addrs))
+	for _, addr := range addrs {
+		p, err := docdb.DialPool(addr, poolSize, opts)
+		if err != nil {
+			(&Meta{backends: pools}).Close()
+			return nil, err
+		}
+		pools = append(pools, p)
+	}
+	return NewMeta(ring, pools...)
+}
+
 // owner returns the shard index that stores (collection, id).
 func (m *Meta) owner(collection, id string) int {
 	return m.ring.Owner(collection + "/" + id)

@@ -186,43 +186,12 @@ func ConnectShardedStores(dbAddrs, filesDirs []string, poolSize int) (Stores, er
 	if len(dbAddrs) != len(filesDirs) {
 		return Stores{}, fmt.Errorf("mmlib: %d database addresses but %d file directories", len(dbAddrs), len(filesDirs))
 	}
-	ring, err := shard.NewRing(len(dbAddrs), 0)
+	files, err := shard.OpenFiles(filesDirs)
 	if err != nil {
 		return Stores{}, err
 	}
-	pools := make([]docdb.Store, len(dbAddrs))
-	closeAll := func() {
-		for _, p := range pools {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}
-	for i, addr := range dbAddrs {
-		p, err := docdb.DialPool(addr, poolSize, docdb.ClientOptions{})
-		if err != nil {
-			closeAll()
-			return Stores{}, err
-		}
-		pools[i] = p
-	}
-	meta, err := shard.NewMeta(ring, pools...)
+	meta, err := shard.DialMeta(dbAddrs, poolSize, docdb.ClientOptions{})
 	if err != nil {
-		closeAll()
-		return Stores{}, err
-	}
-	blobs := make([]filestore.Blobs, len(filesDirs))
-	for i, dir := range filesDirs {
-		fs, err := filestore.Open(dir)
-		if err != nil {
-			closeAll()
-			return Stores{}, err
-		}
-		blobs[i] = fs
-	}
-	files, err := shard.NewFiles(ring, blobs...)
-	if err != nil {
-		closeAll()
 		return Stores{}, err
 	}
 	return Stores{Meta: meta, Files: files}, nil
