@@ -42,7 +42,6 @@ func main() {
 		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight connections before force-closing them")
 		frate     = flag.Float64("fault-rate", 0, "chaos testing: inject connection faults (drops, torn frames, delays) into every accepted connection at this per-operation probability")
 		fseed     = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-		workers   = flag.Int("workers-per-conn", 0, "concurrent requests served per connection (0 = default)")
 	)
 	applyLog := obs.LogFlags(flag.CommandLine)
 	flag.Parse()
@@ -88,7 +87,7 @@ func main() {
 		ln = faultnet.WrapListener(ln, faultnet.Config{Seed: *fseed, Rate: *frate})
 		obs.Warnf("mmserver: injecting faults at rate %.3f (seed %d)", *frate, *fseed)
 	}
-	srv := docdb.NewServerWith(backend, ln, docdb.ServerOptions{WorkersPerConn: *workers})
+	srv := docdb.NewServerOn(backend, ln)
 	obs.Infof("mmserver listening on %s (persistence: %s)", srv.Addr(), orMem(*data))
 
 	var debug *obs.DebugServer

@@ -197,7 +197,9 @@ func (c *Catalog) Chain(id string) ([]Entry, error) {
 
 // Children returns the models directly derived from id, sorted. (Documents
 // do not carry their own identifiers, so the scan maps ids to documents
-// explicitly instead of using Find.)
+// explicitly instead of using Find.) A model deleted between the listing
+// and its read is skipped; any other failed read fails the scan, since a
+// child it could not read may still derive from id.
 func (c *Catalog) Children(id string) ([]string, error) {
 	ids, err := c.stores.Meta.IDs(core.ColModels)
 	if err != nil {
@@ -206,8 +208,11 @@ func (c *Catalog) Children(id string) ([]string, error) {
 	var out []string
 	for _, cid := range ids {
 		raw, err := c.stores.Meta.Get(core.ColModels, cid)
-		if err != nil {
+		if errors.Is(err, docdb.ErrNotFound) {
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		if str(raw["base_id"]) == id {
 			out = append(out, cid)

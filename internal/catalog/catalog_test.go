@@ -228,6 +228,46 @@ func TestDeleteRefusesBasesAndReclaims(t *testing.T) {
 	}
 }
 
+// failGet is a document store whose Get of one model document fails, as a
+// network client out of retries does.
+type failGet struct {
+	docdb.Store
+	id string
+}
+
+var errUnreachable = errors.New("injected: document unreachable")
+
+func (f failGet) Get(collection, id string) (docdb.Document, error) {
+	if collection == core.ColModels && id == f.id {
+		return nil, errUnreachable
+	}
+	return f.Store.Get(collection, id)
+}
+
+// A child the scan cannot read may derive from the base, so the scan fails
+// with the read's error, and a Delete of the base fails with it and keeps
+// the base the child recovers through.
+func TestDeleteKeepsBaseWhenAChildIsUnreadable(t *testing.T) {
+	stores := testStores(t)
+	u1, a, b := buildChain(t, stores)
+	broken := stores
+	broken.Meta = failGet{Store: stores.Meta, id: a}
+	cat := New(broken)
+
+	if kids, err := cat.Children(u1); !errors.Is(err, errUnreachable) {
+		t.Fatalf("Children over an unreadable child = %v, %v, want the read's error", kids, err)
+	}
+	if err := cat.Delete(u1, false); !errors.Is(err, errUnreachable) {
+		t.Fatalf("Delete of the base = %v, want the read's error", err)
+	}
+	if _, err := stores.Meta.Get(core.ColModels, u1); err != nil {
+		t.Fatalf("base document gone after a failed Delete: %v", err)
+	}
+	if _, err := core.NewParamUpdate(stores).Recover(b, core.RecoverOptions{VerifyChecksums: true}); err != nil {
+		t.Fatalf("descendant no longer recovers: %v", err)
+	}
+}
+
 func TestForceDeleteAndGarbageCollection(t *testing.T) {
 	stores := testStores(t)
 	u1, _, b := buildChain(t, stores)

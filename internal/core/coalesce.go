@@ -59,23 +59,6 @@ func (c *RecoveryCache) endFlight(id string, fl *flight, err error) {
 	close(fl.done)
 }
 
-// SetCoalescing enables or disables cold-miss request coalescing (enabled
-// by default). The switch exists so the serving experiment can measure the
-// thundering herd with and without it; production paths have no reason to
-// turn it off.
-func (c *RecoveryCache) SetCoalescing(enabled bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noCoalesce = !enabled
-}
-
-// coalescing reports whether cold-miss coalescing is active.
-func (c *RecoveryCache) coalescing() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.noCoalesce
-}
-
 // recoverCoalesced runs one state recovery through the cache's flight
 // table. The leader executes miss() — whose own cache probe and populate
 // logic is untouched — while followers for the same id wait and then serve
@@ -85,7 +68,7 @@ func (c *RecoveryCache) coalescing() bool {
 // or when the recovered state was not cacheable (too large for the bound),
 // and stop waiting when their own ctx is cancelled.
 func recoverCoalesced(ctx context.Context, cache *RecoveryCache, id string, opts RecoverOptions, miss func() (*RecoveredState, error)) (*RecoveredState, error) {
-	if cache == nil || !cache.coalescing() {
+	if cache == nil {
 		return miss()
 	}
 	fl, leader := cache.joinFlight(id)

@@ -135,42 +135,6 @@ func TestRecoverCoalescedLeaderFailureDoesNotPoisonFollowers(t *testing.T) {
 	}
 }
 
-func TestRecoverCoalescedDisabled(t *testing.T) {
-	cache := NewRecoveryCache(0)
-	cache.SetCoalescing(false)
-	block := make(chan struct{})
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
-			<-block
-			return nil, errors.New("slow")
-		})
-	}()
-
-	// With coalescing off the second recovery must run independently and
-	// not wait on the first.
-	done := make(chan struct{})
-	go func() {
-		recoverCoalesced(context.Background(), cache, "m", RecoverOptions{}, func() (*RecoveredState, error) {
-			return nil, errors.New("fast")
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("coalescing-disabled recovery waited on another request")
-	}
-	close(block)
-	wg.Wait()
-	if s := cache.Stats(); s.Coalesced != 0 {
-		t.Fatalf("Coalesced = %d with coalescing disabled", s.Coalesced)
-	}
-}
-
 func TestColdRecoverThunderingHerdCoalesces(t *testing.T) {
 	stores := testStores(t)
 	ba := NewBaseline(stores)

@@ -226,14 +226,28 @@ func TestConcurrentSavesShareStores(t *testing.T) {
 }
 
 // fullBlobs is a store that fails every SaveAs after taking the first KB
-// of the blob, like a disk that fills up.
+// of the blob, like a disk that fills up. It consumes the blob as a store
+// does, through io.Copy.
 type fullBlobs struct{ filestore.Blobs }
 
 var errStoreFull = errors.New("store full")
 
 func (fullBlobs) SaveAs(_ string, r io.Reader) (int64, string, error) {
-	io.CopyN(io.Discard, r, 1<<10)
+	io.Copy(&fullDisk{room: 1 << 10}, r)
 	return 0, "", errStoreFull
+}
+
+// fullDisk takes room bytes, then fails every write.
+type fullDisk struct{ room int }
+
+func (d *fullDisk) Write(p []byte) (int, error) {
+	if len(p) > d.room {
+		n := d.room
+		d.room = 0
+		return n, errStoreFull
+	}
+	d.room -= len(p)
+	return len(p), nil
 }
 
 // A save whose store fails mid-blob returns the store's error and leaves

@@ -60,9 +60,8 @@ type RecoveryCache struct {
 	lru      *list.List // front = most recently used; values are *cacheEntry
 	stats    RecoveryCacheStats
 	// flights tracks in-progress cold recoveries for request coalescing
-	// (coalesce.go); noCoalesce disables it for before/after measurement.
-	flights    map[string]*flight
-	noCoalesce bool
+	// (coalesce.go).
+	flights map[string]*flight
 }
 
 // cacheEntry is immutable after insertion.

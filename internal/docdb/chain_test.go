@@ -200,7 +200,7 @@ func chainImpls(faults *faultnet.Stats) []chainImpl {
 			return s
 		}},
 		{"client over a faulty link", true, func(t *testing.T) docdb.Store {
-			c, err := docdb.DialOptions(serve(t).Addr(), docdb.ClientOptions{
+			c, err := docdb.DialPool(serve(t).Addr(), 1, docdb.ClientOptions{
 				Dialer:       faultnet.Dialer(faultnet.Config{Seed: 17, Rate: 0.02, Stats: faults}),
 				OpTimeout:    5 * time.Second,
 				MaxRetries:   30,

@@ -26,11 +26,15 @@ var (
 	cliLatency  = obs.Default().Histogram("docdb.client.op_us")
 )
 
-// healthCooldown is how long a Client advertises itself unhealthy after a
-// connection failure. ClientPool uses it to steer checkouts away from a
-// client that just lost its conn, without ever writing the client off: once
-// the cooldown passes it is eligible again and heals by redialing on use.
-const healthCooldown = 500 * time.Millisecond
+// DefaultPoolSize is the connection count DialPool uses when the caller
+// passes size <= 0. Four multiplexed connections saturate the in-process
+// benchmarks; real deployments size the pool to their concurrency.
+const DefaultPoolSize = 4
+
+// failCooldown is how long a connection is passed over after it failed.
+// Attempts land on the Client's other connections meanwhile; once the
+// cooldown passes the connection is picked again and heals by redialing.
+const failCooldown = 500 * time.Millisecond
 
 // ClientOptions tune the network client's fault-tolerance behavior. The
 // zero value selects the defaults documented on each field.
@@ -40,8 +44,8 @@ type ClientOptions struct {
 	// instead of hanging the caller forever.
 	OpTimeout time.Duration
 	// MaxRetries is how many additional attempts follow a failed attempt
-	// of a retryable operation (default 4). Every retry reconnects: a
-	// connection that saw a frame error is poisoned and never reused.
+	// (default 4). A connection that saw a frame error is poisoned and
+	// never reused, so a retry runs on another connection or a redial.
 	MaxRetries int
 	// RetryBackoff is the delay before the first retry (default 20ms);
 	// subsequent retries double it up to MaxBackoff.
@@ -72,34 +76,41 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client is a Store implementation that talks to a Server over TCP. One
-// connection is shared by all callers and multiplexed — every goroutine's
-// request is tagged with a correlation sequence number, a writer goroutine
-// pipelines the frames, and a demux reader pairs each response with its
-// waiter, so many operations overlap on the wire instead of queueing behind
-// one another.
+// Client is a Store implementation that talks to a Server over TCP. It
+// holds a fixed number of connections, each shared by all callers and
+// multiplexed — every goroutine's request is tagged with a correlation
+// sequence number, a writer goroutine pipelines the frames, and a demux
+// reader pairs each response with its waiter, so many operations overlap
+// on the wire instead of queueing behind one another. Every attempt picks
+// a connection round-robin, passing over those that failed within the
+// last failCooldown, so one poisoned link costs a retry on a live
+// connection instead of a wait on a redial.
 //
 // The client assumes the link is allowed to fail. Any frame error poisons
-// the current connection — it is closed immediately, every in-flight waiter
-// fails at once, and the conn is never reused, so a late response to a
-// failed request can never be paired with another request. Retryable
-// operations then redial and retry with exponential backoff:
-// get/chain/find/ids/stats/ping/put/delete are idempotent and retry freely;
-// insert carries a client-generated request identifier that the server
-// dedupes, so a retried insert returns the original document identifier
-// instead of creating a duplicate.
+// the connection it happened on — it is closed immediately, every
+// in-flight waiter fails at once, and the conn is never reused, so a late
+// response to a failed request can never be paired with another request.
+// Every operation is idempotent — reads, full-document overwrites,
+// deletes, and Insert, which is a Put under a client-generated identifier
+// — so the failed ones retry with exponential backoff.
 type Client struct {
-	addr string
-	opts ClientOptions
+	addr   string
+	opts   ClientOptions
+	conns  []*clientConn
+	next   atomic.Uint64
+	closed atomic.Bool
+}
 
+// clientConn is one of a Client's connections: the live multiplexed conn,
+// if any, and the redial that replaces it after a failure.
+type clientConn struct {
 	mu      sync.Mutex
 	mux     *muxConn
 	dialing *dialFuture // non-nil while a redial is in flight
-	closed  bool
 
-	// failedAt is the wall time (unix nanos) of the last connection
-	// failure, zeroed by the next successful operation; Healthy derives
-	// the pool's cooldown from it.
+	// failedAt is the wall time (unix nanos) of the last failure, zeroed by
+	// the next successful operation; pick passes over the conn while it is
+	// within failCooldown.
 	failedAt atomic.Int64
 }
 
@@ -111,77 +122,98 @@ type dialFuture struct {
 	err  error
 }
 
-// Dial connects to a docdb server at addr with default options.
+// Dial connects to a docdb server at addr over one connection with
+// default options.
 func Dial(addr string) (*Client, error) {
-	return DialOptions(addr, ClientOptions{})
+	return DialPool(addr, 1, ClientOptions{})
 }
 
-// DialOptions connects to a docdb server at addr with explicit
-// fault-tolerance options. The connection and the protocol version check
-// happen eagerly so an unreachable server, or one that speaks another
-// version, fails the dial, not the first operation. A server that was
-// reached but whose handshake frames were lost to a link fault does NOT
-// fail the dial: that is the flaky-link case the client's retries exist
-// for, so the client is returned and heals by redialing on first use.
-func DialOptions(addr string, opts ClientOptions) (*Client, error) {
-	c := &Client{addr: addr, opts: opts.withDefaults()}
-	if _, err := c.getMux(); err != nil && !errors.Is(err, errHandshake) {
-		return nil, err
+// DialPool connects to a docdb server at addr over size connections
+// (size <= 0 selects DefaultPoolSize). Each connection and its protocol
+// version check happen eagerly, one after another, so an unreachable
+// server, or one that speaks another version, fails the dial, not the
+// first operation. A server that was reached but whose handshake frames
+// were lost to a link fault does NOT fail the dial: that is the flaky-link
+// case the client's retries exist for, so the connection heals by
+// redialing on use.
+func DialPool(addr string, size int, opts ClientOptions) (*Client, error) {
+	if size <= 0 {
+		size = DefaultPoolSize
+	}
+	c := &Client{addr: addr, opts: opts.withDefaults(), conns: make([]*clientConn, size)}
+	for i := range c.conns {
+		c.conns[i] = &clientConn{}
+	}
+	for _, cc := range c.conns {
+		if _, err := c.getMux(cc); err != nil && !errors.Is(err, errHandshake) {
+			c.Close()
+			return nil, err
+		}
 	}
 	return c, nil
 }
 
 var _ Store = (*Client)(nil)
 
-// retryable reports whether req may be re-sent after a frame error without
-// risking a duplicated effect. Reads and full-document overwrites are
-// idempotent by construction; an insert is safe only when it carries a
-// request identifier the server can dedupe on.
-func retryable(req request) bool {
-	if req.Op == "insert" {
-		return req.ReqID != ""
+// pick chooses the connection for one attempt: round-robin for load
+// spreading, advanced past connections in their failure cooldown. When
+// every connection is in cooldown the round-robin choice is used anyway —
+// it redials on use, so a full outage heals as soon as the server returns.
+func (c *Client) pick() *clientConn {
+	i := int(c.next.Add(1)-1) % len(c.conns)
+	for k := range c.conns {
+		if cc := c.conns[(i+k)%len(c.conns)]; !cc.cooling() {
+			return cc
+		}
 	}
-	return true
+	return c.conns[i]
 }
 
-// getMux returns the live connection, sharing one redial among all callers
-// that find it missing. The dial itself runs outside c.mu so operations on
-// a healthy Client never serialize behind a reconnect.
-func (c *Client) getMux() (*muxConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+// cooling reports whether the conn failed within the last failCooldown.
+func (cc *clientConn) cooling() bool {
+	at := cc.failedAt.Load()
+	return at != 0 && time.Since(time.Unix(0, at)) <= failCooldown
+}
+
+// getMux returns cc's live connection, sharing one redial among all
+// callers that find it missing. The dial itself runs outside cc.mu so
+// operations on a healthy conn never serialize behind a reconnect.
+func (c *Client) getMux(cc *clientConn) (*muxConn, error) {
+	cc.mu.Lock()
+	if c.closed.Load() {
+		cc.mu.Unlock()
 		return nil, errMuxClosed
 	}
-	if m := c.mux; m != nil && m.healthy() {
-		c.mu.Unlock()
+	if m := cc.mux; m != nil && m.healthy() {
+		cc.mu.Unlock()
 		return m, nil
 	}
-	f := c.dialing
+	f := cc.dialing
 	if f == nil {
 		f = &dialFuture{done: make(chan struct{})}
-		c.dialing = f
-		go c.runDial(f)
+		cc.dialing = f
+		go c.runDial(cc, f)
 	}
-	c.mu.Unlock()
+	cc.mu.Unlock()
 	<-f.done
 	return f.m, f.err
 }
 
 // runDial performs the shared redial and publishes its outcome. A dial
-// that loses the race with Close is discarded — outside c.mu, because
-// closing a mux waits for its loops to exit.
-func (c *Client) runDial(f *dialFuture) {
+// that loses the race with Close is discarded — outside cc.mu, because
+// closing a mux waits for its loops to exit. Close sets c.closed before it
+// takes cc.mu, so either this check sees it or Close sees cc.mux.
+func (c *Client) runDial(cc *clientConn, f *dialFuture) {
 	m, err := dialMux(c.addr, c.opts)
-	c.mu.Lock()
-	stale := c.closed && m != nil
+	cc.mu.Lock()
+	stale := c.closed.Load() && m != nil
 	if stale {
-		c.mux = nil
+		cc.mux = nil
 	} else {
-		c.mux = m
+		cc.mux = m
 	}
-	c.dialing = nil
-	c.mu.Unlock()
+	cc.dialing = nil
+	cc.mu.Unlock()
 	if stale {
 		m.close()
 		m, err = nil, errMuxClosed
@@ -191,40 +223,23 @@ func (c *Client) runDial(f *dialFuture) {
 }
 
 // drop retires a connection after a failed exchange: poison kills its
-// in-flight waiters (their own roundTrips retry on a fresh conn) and the
-// client forgets it so the next attempt redials.
-func (c *Client) drop(m *muxConn, reason error) {
+// in-flight waiters (their own roundTrips retry elsewhere), the cooldown
+// steers new attempts away, and the conn is forgotten so its next use
+// redials.
+func (c *Client) drop(cc *clientConn, m *muxConn, reason error) {
 	m.poison(reason)
-	c.failedAt.Store(time.Now().UnixNano())
-	c.mu.Lock()
-	if c.mux == m {
-		c.mux = nil
+	cc.failedAt.Store(time.Now().UnixNano())
+	cc.mu.Lock()
+	if cc.mux == m {
+		cc.mux = nil
 	}
-	c.mu.Unlock()
-}
-
-// Healthy reports whether the client looks able to serve an operation
-// without first recovering from a recent connection failure. It is a hint
-// for pool checkout, not a guarantee — an unhealthy client still works, it
-// just redials first.
-func (c *Client) Healthy() bool {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return false
-	}
-	at := c.failedAt.Load()
-	return at == 0 || time.Since(time.Unix(0, at)) > healthCooldown
+	cc.mu.Unlock()
 }
 
 func (c *Client) roundTrip(req request) (response, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return response{}, errMuxClosed
 	}
-	c.mu.Unlock()
 	cliOps.Inc()
 	cliInflight.Add(1)
 	defer cliInflight.Add(-1)
@@ -240,12 +255,14 @@ func (c *Client) roundTrip(req request) (response, error) {
 			}
 			time.Sleep(backoff)
 		}
-		m, err := c.getMux()
+		cc := c.pick()
+		m, err := c.getMux(cc)
 		if err != nil {
 			lastErr = err
-			if errors.Is(err, errMuxClosed) || !retryable(req) {
+			if errors.Is(err, errMuxClosed) {
 				break
 			}
+			cc.failedAt.Store(time.Now().UnixNano())
 			continue
 		}
 		resp, err := m.do(req)
@@ -254,14 +271,10 @@ func (c *Client) roundTrip(req request) (response, error) {
 				cliDeadline.Inc()
 			}
 			// A failed exchange retires the whole conn: a link that ate
-			// one response is not trusted with the others, and a
-			// zombie conn must not stay checked in. Concurrent waiters fail
-			// fast and retry here on the fresh conn.
-			c.drop(m, err)
+			// one response is not trusted with the others. Concurrent
+			// waiters fail fast and retry on another conn.
+			c.drop(cc, m, err)
 			lastErr = err
-			if !retryable(req) {
-				break
-			}
 			continue
 		}
 		// The exchange completed; an application-level failure travels in
@@ -273,21 +286,19 @@ func (c *Client) roundTrip(req request) (response, error) {
 			}
 			return response{}, errors.New(resp.Error)
 		}
-		c.failedAt.Store(0)
+		cc.failedAt.Store(0)
 		return resp, nil
 	}
 	cliErrors.Inc()
 	return response{}, fmt.Errorf("docdb: %s failed after %d attempts: %w", req.Op, c.opts.MaxRetries+1, lastErr)
 }
 
-// Insert implements Store. Every insert carries a fresh request identifier
-// so the server can dedupe retries of the same logical insert.
+// Insert implements Store as a Put under a fresh identifier, so a retry
+// after a lost response rewrites the same document instead of creating a
+// second one.
 func (c *Client) Insert(collection string, doc Document) (string, error) {
-	resp, err := c.roundTrip(request{Op: "insert", Collection: collection, Doc: doc, ReqID: NewID()})
-	if err != nil {
-		return "", err
-	}
-	return resp.ID, nil
+	id := NewID()
+	return id, c.Put(collection, id, doc)
 }
 
 // Put implements Store.
@@ -362,17 +373,17 @@ func (c *Client) Ping() error {
 
 // Close implements Store. In-flight operations fail with the close reason.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	m := c.mux
-	c.mux = nil
-	c.mu.Unlock()
-	if m != nil {
-		m.close()
+	for _, cc := range c.conns {
+		cc.mu.Lock()
+		m := cc.mux
+		cc.mux = nil
+		cc.mu.Unlock()
+		if m != nil {
+			m.close()
+		}
 	}
 	return nil
 }

@@ -108,8 +108,9 @@ func (c failReads) Read(b []byte) (int, error) {
 
 // lossyDialer dials real connections that read cleanly skipFirst times and
 // then fail the next failNext reads (counted across all conns), and counts
-// dials. The v2 hello response costs two reads (header + body), so
-// skipFirst = 2 places the first fault on the first operation's response.
+// dials. The hello response costs two reads (header + body) on each conn,
+// so skipFirst = 2 × conns places the first fault on the first operation's
+// response.
 func lossyDialer(skipFirst, failNext int64) (func(addr string) (net.Conn, error), *atomic.Int64) {
 	var skip, fails atomic.Int64
 	skip.Store(skipFirst)
@@ -143,7 +144,7 @@ func TestClientPoisonsConnectionAfterFrameError(t *testing.T) {
 	}
 
 	dialer, dials := lossyDialer(2, 1)
-	c, err := DialOptions(srv.Addr(), ClientOptions{
+	c, err := DialPool(srv.Addr(), 1, ClientOptions{
 		Dialer:       dialer,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   5 * time.Millisecond,
@@ -179,9 +180,10 @@ func TestClientPoisonsConnectionAfterFrameError(t *testing.T) {
 }
 
 // TestInsertRetryDoesNotDuplicate loses the response to an insert — the
-// server has already created the document — and requires the retried
-// insert to be deduped server-side: one document, and the client learns
-// its identifier.
+// server has already created the document — and requires the retry to
+// rewrite it instead of creating another: an insert is a put under an
+// identifier the client chose before the first attempt, so there is one
+// document, under the identifier the client returns.
 func TestInsertRetryDoesNotDuplicate(t *testing.T) {
 	backend := NewMemStore()
 	srv, err := NewServer(backend, "127.0.0.1:0")
@@ -191,7 +193,7 @@ func TestInsertRetryDoesNotDuplicate(t *testing.T) {
 	defer srv.Close()
 
 	dialer, _ := lossyDialer(2, 1)
-	c, err := DialOptions(srv.Addr(), ClientOptions{
+	c, err := DialPool(srv.Addr(), 1, ClientOptions{
 		Dialer:       dialer,
 		RetryBackoff: time.Millisecond,
 		MaxBackoff:   5 * time.Millisecond,
@@ -226,7 +228,7 @@ func TestClientFailsLoudlyWhenServerUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	c, err := DialOptions(addr, ClientOptions{
+	c, err := DialPool(addr, 1, ClientOptions{
 		OpTimeout:    200 * time.Millisecond,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
@@ -254,7 +256,8 @@ func TestClientFailsLoudlyWhenServerUnreachable(t *testing.T) {
 
 // TestClientSurvivesFlakyNetwork hammers a client over a fault-injecting
 // link: every operation must still succeed (via retries) and the store
-// must end exactly consistent — no lost and no duplicated documents.
+// must end exactly consistent — no lost and no duplicated documents, since
+// a retried insert puts the same identifier again.
 func TestClientSurvivesFlakyNetwork(t *testing.T) {
 	backend := NewMemStore()
 	srv, err := NewServer(backend, "127.0.0.1:0")
@@ -264,7 +267,7 @@ func TestClientSurvivesFlakyNetwork(t *testing.T) {
 	defer srv.Close()
 
 	var stats faultnet.Stats
-	c, err := DialOptions(srv.Addr(), ClientOptions{
+	c, err := DialPool(srv.Addr(), 1, ClientOptions{
 		Dialer:       faultnet.Dialer(faultnet.Config{Seed: 7, Rate: 0.2, Delay: 100 * time.Microsecond, Stats: &stats}),
 		OpTimeout:    2 * time.Second,
 		MaxRetries:   12,

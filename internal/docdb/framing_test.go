@@ -245,7 +245,7 @@ func TestTornCoalescedWriteRetriesEachOnce(t *testing.T) {
 	seed := tearingSeed(t)
 	held := make(chan struct{}, 1)
 	var dials atomic.Int32
-	c, err := DialOptions(srv.Addr(), ClientOptions{
+	c, err := DialPool(srv.Addr(), 1, ClientOptions{
 		RetryBackoff: time.Millisecond,
 		Dialer: func(addr string) (net.Conn, error) {
 			raw, err := net.Dial("tcp", addr)
@@ -261,7 +261,7 @@ func TestTornCoalescedWriteRetriesEachOnce(t *testing.T) {
 	}
 	defer c.Close()
 	defer func() { releaseNow(); openNow() }() // before Close, which waits for the held writer
-	first, err := c.getMux()
+	first, err := c.getMux(c.conns[0])
 	if err != nil {
 		t.Fatal(err)
 	}

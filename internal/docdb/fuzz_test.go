@@ -17,7 +17,7 @@ import (
 // chain included, and headers that claim more than arrives.
 func FuzzServerFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &Server{backend: NewMemStore(), dedup: newInsertDedup()}
+		s := &Server{backend: NewMemStore()}
 		br := bufio.NewReaderSize(bytes.NewReader(data), connBuffer)
 		// Decoding allocates in proportion to the body; the factor is loose
 		// on purpose, the bound is about what a header alone can claim.

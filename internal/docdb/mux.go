@@ -48,7 +48,7 @@ var (
 var errMuxClosed = errors.New("docdb: client closed")
 
 // errHandshake marks a dial that reached the server but lost the hello
-// exchange to a link fault. The distinction matters to DialOptions: an
+// exchange to a link fault. The distinction matters to DialPool: an
 // unreachable address is a configuration error worth failing fast on, while
 // a flaky link is exactly what the client's per-operation retries exist to
 // absorb.

@@ -65,7 +65,7 @@ func TestMuxPipelinedResponsesNeverMispair(t *testing.T) {
 	for _, coalesce := range []bool{false, true} {
 		t.Run(fmt.Sprint("coalesce=", coalesce), func(t *testing.T) {
 			var conn *writeLog
-			c, err := DialOptions(srv.Addr(), ClientOptions{Dialer: func(addr string) (net.Conn, error) {
+			c, err := DialPool(srv.Addr(), 1, ClientOptions{Dialer: func(addr string) (net.Conn, error) {
 				raw, err := net.Dial("tcp", addr)
 				if err != nil || !coalesce {
 					return raw, err
@@ -317,10 +317,11 @@ func TestDialFailsFastOnOldServer(t *testing.T) {
 	answers := map[string]response{
 		"refuses hello":    {Error: "docdb: unknown operation hello"},
 		"answers version1": {OK: true, Version: 1},
+		"answers version2": {OK: true, Version: 2},
 	}
 	dials := map[string]func(addr string, opts ClientOptions) (Store, error){
-		"DialOptions": func(addr string, opts ClientOptions) (Store, error) { return DialOptions(addr, opts) },
-		"DialPool":    func(addr string, opts ClientOptions) (Store, error) { return DialPool(addr, 3, opts) },
+		"Dial":     func(addr string, _ ClientOptions) (Store, error) { return Dial(addr) },
+		"DialPool": func(addr string, opts ClientOptions) (Store, error) { return DialPool(addr, 3, opts) },
 	}
 	for aname, answer := range answers {
 		for dname, dial := range dials {
@@ -347,8 +348,9 @@ func TestDialFailsFastOnOldServer(t *testing.T) {
 						conn.Close()
 					}
 				}()
-				// A backoff this long would blow the deadline below if the
-				// dial slept even once.
+				// A backoff this long would blow the deadline below if
+				// DialPool slept even once; any retry, Dial's included,
+				// would show as a second accepted connection.
 				opts := ClientOptions{RetryBackoff: time.Minute, MaxBackoff: time.Minute}
 				start := time.Now()
 				st, err := dial(ln.Addr().String(), opts)
@@ -481,9 +483,9 @@ func TestPoolSurvivesFlakyNetwork(t *testing.T) {
 	}
 }
 
-// TestPoolRoutesAroundPoisonedConn poisons one pooled connection and
-// requires traffic to keep flowing: the poisoned client redials on use and
-// the pool's health-aware checkout steers around it in the meantime.
+// TestPoolRoutesAroundPoisonedConn poisons one of a client's connections
+// and requires traffic to keep flowing: the connection pick steers around
+// the poisoned one during its cooldown, and it redials on use after.
 func TestPoolRoutesAroundPoisonedConn(t *testing.T) {
 	srv, err := NewServer(NewMemStore(), "127.0.0.1:0")
 	if err != nil {
@@ -499,18 +501,18 @@ func TestPoolRoutesAroundPoisonedConn(t *testing.T) {
 	if err := p.Put("k", "before", Document{"v": 1}); err != nil {
 		t.Fatal(err)
 	}
-	victim := p.clients[0]
-	m, err := victim.getMux()
+	victim := p.conns[0]
+	m, err := p.getMux(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim.drop(m, errors.New("injected failure"))
-	if victim.Healthy() {
-		t.Fatal("client should advertise unhealthy right after losing its conn")
+	p.drop(victim, m, errors.New("injected failure"))
+	if !victim.cooling() {
+		t.Fatal("connection should be in its cooldown right after it failed")
 	}
 
-	// Every subsequent operation must succeed regardless of which client
-	// the round-robin lands on.
+	// Every subsequent operation must succeed regardless of where the
+	// round-robin lands.
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprint("after-", i)
 		if err := p.Put("k", key, Document{"v": i}); err != nil {
@@ -520,9 +522,132 @@ func TestPoolRoutesAroundPoisonedConn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The victim heals by redialing on use once the cooldown passes.
-	waitFor(t, 5*time.Second, func() bool { return victim.Healthy() })
-	if err := victim.Ping(); err != nil {
-		t.Fatalf("victim did not heal: %v", err)
+	// The victim heals by redialing on use once the cooldown passes: two
+	// operations in a row land on both connections.
+	waitFor(t, 5*time.Second, func() bool { return !victim.cooling() })
+	for i := 0; i < 2; i++ {
+		if err := p.Ping(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim.mu.Lock()
+	healed := victim.mux != nil && victim.mux.healthy()
+	victim.mu.Unlock()
+	if !healed {
+		t.Fatal("victim did not redial after its cooldown")
+	}
+}
+
+// tornConn tears the first response the demux reader takes off it: the
+// reader gets the first half of the bytes that arrived, then a read error,
+// as when the link dies mid-frame. The hello, read unbuffered, passes.
+type tornConn struct {
+	net.Conn
+	state int // 0 before the tear, 1 torn with the error still to come, 2 after
+}
+
+func (c *tornConn) Read(b []byte) (int, error) {
+	switch {
+	case c.state == 1:
+		c.state = 2
+		return 0, errors.New("injected: link died mid-response")
+	case c.state == 0 && len(b) >= connBuffer: // the demux reader's buffer fill
+		n, err := c.Conn.Read(b)
+		if err != nil || n < 2 {
+			return n, err
+		}
+		c.state = 1
+		return n / 2, nil
+	}
+	return c.Conn.Read(b)
+}
+
+// A torn response on one of two connections costs the operation one retry,
+// on the other connection: it does not wait for the torn one to redial, and
+// nothing redials while its cooldown lasts.
+func TestRetryLandsOnLiveConnNotRedial(t *testing.T) {
+	backend := NewMemStore()
+	if err := backend.Put("models", "doc", Document{"name": "resnet18"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(backend, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var dials atomic.Int32
+	c, err := DialPool(srv.Addr(), 2, ClientOptions{
+		RetryBackoff: time.Millisecond,
+		Dialer: func(addr string) (net.Conn, error) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil || dials.Add(1) > 1 {
+				return raw, err
+			}
+			return &tornConn{Conn: raw}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	retries := cliRetries.Value()
+	doc, err := c.Get("models", "doc") // the round-robin starts at the torn conn
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc["name"] != "resnet18" {
+		t.Fatalf("doc = %v", doc)
+	}
+	if got := cliRetries.Value() - retries; got != 1 {
+		t.Fatalf("%d retries, want 1", got)
+	}
+	if got := dials.Load(); got != 2 {
+		t.Fatalf("%d dials, want the 2 of DialPool: the retry waited on a redial", got)
+	}
+	if !c.conns[0].cooling() {
+		t.Fatal("the torn connection is not in its cooldown")
+	}
+}
+
+// TestInsertFrameIsUnknown: no operation of the protocol creates a document
+// under an identifier the server picks — a client inserts with a put under
+// its own — so a raw insert frame, as a client of an earlier protocol
+// version sends, is answered "unknown operation", stores nothing, and
+// leaves the stream usable.
+func TestInsertFrameIsUnknown(t *testing.T) {
+	backend := NewMemStore()
+	srv, err := NewServer(backend, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(req request) response {
+		t.Helper()
+		if _, err := writeFrame(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if _, err := readFrame(conn, &resp); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+		if resp.Seq != req.Seq {
+			t.Fatalf("%s: response %+v", req.Op, resp)
+		}
+		return resp
+	}
+	if got := exchange(request{Op: "insert", Collection: "c", Doc: Document{"v": "1"}, Seq: 1}); got.OK || !strings.Contains(got.Error, "unknown operation insert") {
+		t.Fatalf("insert answered %+v, want unknown operation", got)
+	}
+	if ids, err := backend.IDs("c"); err != nil || len(ids) != 0 {
+		t.Fatalf("an unknown operation stored %v (%v)", ids, err)
+	}
+	if got := exchange(request{Op: "ping", Seq: 2}); !got.OK {
+		t.Fatalf("stream unusable after the unknown operation: %+v", got)
 	}
 }

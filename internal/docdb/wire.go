@@ -44,8 +44,9 @@ const connBuffer = 64 << 10 // 64 KiB
 const maxBatch = connBuffer
 
 // protocolVersion is the one protocol generation this package speaks,
-// exchanged in the hello.
-const protocolVersion = 2
+// exchanged in the hello. Every operation of version 3 is idempotent: it
+// has no insert, a client puts under an identifier it generated.
+const protocolVersion = 3
 
 // opHello is the version-check operation a client sends first.
 const opHello = "hello"
@@ -59,12 +60,6 @@ type request struct {
 	// Next and Stop are a chain read's field names (Store.Chain).
 	Next string `json:"next,omitempty"`
 	Stop string `json:"stop,omitempty"`
-	// ReqID is a client-generated identifier carried by non-idempotent
-	// operations (insert). The server remembers recently seen ReqIDs and
-	// replays the original response for a retried request instead of
-	// executing it again, so a retry after a torn response frame cannot
-	// create a duplicate document.
-	ReqID string `json:"req_id,omitempty"`
 	// Seq is the correlation identifier: unique per in-flight request on
 	// one connection, echoed on the response so the client's demultiplexer
 	// can pair them under out-of-order completion.

@@ -124,9 +124,10 @@ func TestServerSurvivesGarbageConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	c.mux.conn.Write([]byte(strings.Repeat("x", 64)))
-	c.mu.Unlock()
+	cc := c.conns[0]
+	cc.mu.Lock()
+	cc.mux.conn.Write([]byte(strings.Repeat("x", 64)))
+	cc.mu.Unlock()
 	c.Close()
 
 	// A healthy client still works afterwards.

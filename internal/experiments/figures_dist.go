@@ -101,24 +101,22 @@ func Figure15(w io.Writer, o Opts) error {
 
 // obsBreakdown prints what each approach's last run cost the layers under
 // the flow, from the registry delta evalflow attaches to every Result:
-// metadata-network traffic (including the retries and server-side dedup
-// hits a flaky link provokes), file-store reads, recovery-cache traffic,
-// and hashing work. Where TTS/TTR say how long a flow took, this table
+// metadata-network traffic (including the retries a flaky link provokes),
+// file-store reads, recovery-cache traffic, and hashing work. Where TTS/TTR say how long a flow took, this table
 // says where the time could have gone.
 func obsBreakdown(w io.Writer, cols []column) error {
 	tw := newTab(w)
-	fmt.Fprint(tw, "\nOBS\tDB OPS\tRETRIES\tDB OUT\tDB IN\tDEDUP\tFILE READS\tCACHE HIT/MISS\tDIGESTS\n")
+	fmt.Fprint(tw, "\nOBS\tDB OPS\tRETRIES\tDB OUT\tDB IN\tFILE READS\tCACHE HIT/MISS\tDIGESTS\n")
 	for _, col := range cols {
 		runs := col.runs.Runs
 		if len(runs) == 0 || runs[len(runs)-1].Metrics == nil {
 			continue
 		}
 		c := runs[len(runs)-1].Metrics.Counters
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%d\t%d\t%d/%d\t%d\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%d\t%d/%d\t%d\n",
 			col.name,
 			c["docdb.client.ops"], c["docdb.client.retries"],
 			mb(c["docdb.client.bytes_out"]), mb(c["docdb.client.bytes_in"]),
-			c["docdb.server.dedup_hits"],
 			c["filestore.reads"]+c["filestore.mmap_opens"],
 			c["core.cache.hits"], c["core.cache.misses"],
 			c["tensor.digest_ops"])

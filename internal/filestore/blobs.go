@@ -24,11 +24,10 @@ type Blobs interface {
 	// content hash, bandwidth pacing) and never calls Read, so the source
 	// writes itself into the store on the caller's goroutine with no copy
 	// in between; any other reader is copied through a buffer. Source
-	// builds such a reader from a serializing function. An implementation
-	// that wraps another Blobs must hand r through unwrapped, or the blob
-	// takes the slow path (Source's Read serializes into memory first).
-	// When WriteTo or Read fails, SaveAs returns that error and stores
-	// nothing.
+	// builds such a reader from a serializing function, and its Read
+	// fails: an implementation must consume r as io.Copy does, and one
+	// that wraps another Blobs must hand r through unwrapped. When WriteTo
+	// or Read fails, SaveAs returns that error and stores nothing.
 	SaveAs(id string, r io.Reader) (int64, string, error)
 	// SaveBytes stores b as a new blob.
 	SaveBytes(b []byte) (id string, size int64, hash string, err error)

@@ -7,6 +7,8 @@
 package filestore
 
 import (
+	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -115,7 +117,7 @@ func (s *Store) path(id string) (string, error) {
 // NewID generates a fresh blob identifier.
 func NewID() string {
 	var b [16]byte
-	if _, err := randRead(b[:]); err != nil {
+	if _, err := rand.Read(b[:]); err != nil {
 		//mmlint:ignore panicfree crypto/rand.Read never fails on supported platforms; no caller can act on this
 		panic(fmt.Sprintf("filestore: id generation failed: %v", err))
 	}
@@ -251,7 +253,7 @@ func (w *blobWriter) Write(p []byte) (int, error) {
 
 // SaveBytes stores b as a new blob.
 func (s *Store) SaveBytes(b []byte) (id string, size int64, hash string, err error) {
-	return s.Save(bytesReader(b))
+	return s.Save(bytes.NewReader(b))
 }
 
 // Open returns a reader over the blob's content. The caller must close it.
@@ -268,7 +270,7 @@ func (s *Store) Open(id string) (io.ReadCloser, error) {
 		return nil, fmt.Errorf("filestore: opening blob: %w", err)
 	}
 	if bw := s.bandwidth(); bw > 0 {
-		return &throttledReadCloser{r: &linkReader{r: f, l: &s.uplink, bps: bw}, c: f}, nil
+		return &linkReader{ReadCloser: f, l: &s.uplink, bps: bw}, nil
 	}
 	return f, nil
 }

@@ -153,28 +153,6 @@ func TestPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestThrottleLimitsRate(t *testing.T) {
-	payload := make([]byte, 64<<10) // 64 KiB
-	r := Throttle(bytes.NewReader(payload), 256<<10 /* 256 KiB/s */)
-	start := time.Now()
-	n, err := io.Copy(io.Discard, r)
-	if err != nil || n != int64(len(payload)) {
-		t.Fatalf("copy: n=%d err=%v", n, err)
-	}
-	elapsed := time.Since(start)
-	// 64 KiB at 256 KiB/s should take ~250 ms; allow generous slack.
-	if elapsed < 150*time.Millisecond {
-		t.Fatalf("throttle too fast: %v", elapsed)
-	}
-}
-
-func TestThrottleDisabled(t *testing.T) {
-	r := strings.NewReader("abc")
-	if Throttle(r, 0) != io.Reader(r) {
-		t.Fatal("Throttle(0) should return the reader unchanged")
-	}
-}
-
 func TestStoreBandwidthAppliesToReads(t *testing.T) {
 	s := newStore(t)
 	id, _, _, err := s.SaveBytes(make([]byte, 32<<10))

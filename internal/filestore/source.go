@@ -1,48 +1,26 @@
 package filestore
 
 import (
-	"bytes"
+	"errors"
 	"io"
 )
 
 // Source turns a function that writes a blob into the reader SaveAs takes.
-// Every store in this repository consumes it through WriteTo, so write runs
-// once, on the caller's goroutine, straight into the store's writer — no
-// pipe, no goroutine, no copy in between.
+// SaveAs consumes it as io.Copy does, through WriteTo, so write runs once,
+// on the caller's goroutine, straight into the store's writer — no pipe, no
+// goroutine, no copy in between.
 //
-// Read exists only so a Blobs that does not honor io.WriterTo stays
-// correct: its first call runs write into memory and later calls serve
-// that buffer.
+// Read fails with errSourceRead: a consumer that calls it does not keep the
+// Blobs.SaveAs contract, and serializing the whole blob into memory to
+// serve it would hide that.
 func Source(write func(io.Writer) (int64, error)) io.Reader {
-	return &source{write: write}
+	return source(write)
 }
 
-type source struct {
-	write func(io.Writer) (int64, error)
-	buf   *bytes.Reader // the blob, once Read had to materialize it
-	err   error         // what write returned when it did
-}
+type source func(io.Writer) (int64, error)
 
-func (s *source) WriteTo(w io.Writer) (int64, error) {
-	if s.buf == nil {
-		return s.write(w)
-	}
-	// A consumer that began with Read (bufio.Reader.WriteTo does) gets
-	// the rest of what Read materialized.
-	if s.err != nil {
-		return 0, s.err
-	}
-	return s.buf.WriteTo(w)
-}
+var errSourceRead = errors.New("filestore: a Source is consumed through io.WriterTo, as Blobs.SaveAs requires; Read is not supported")
 
-func (s *source) Read(p []byte) (int, error) {
-	if s.buf == nil {
-		var b bytes.Buffer
-		_, s.err = s.write(&b)
-		s.buf = bytes.NewReader(b.Bytes())
-	}
-	if s.err != nil {
-		return 0, s.err
-	}
-	return s.buf.Read(p)
-}
+func (s source) WriteTo(w io.Writer) (int64, error) { return s(w) }
+
+func (source) Read([]byte) (int, error) { return 0, errSourceRead }

@@ -91,7 +91,7 @@ func (m *Meta) fanOut(fn func(i int) error) error {
 // any byte is written — because the identifier IS the routing key: only
 // with a client-side id does "which shard holds this document" have one
 // deterministic answer. The write itself is an idempotent Put on the owner,
-// so the network client's retry discipline needs no insert-specific dedup.
+// so a retried write rewrites the same document.
 func (m *Meta) Insert(collection string, doc docdb.Document) (string, error) {
 	id := docdb.NewID()
 	i := m.owner(collection, id)

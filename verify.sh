@@ -10,7 +10,9 @@
 #      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
 #                      disturb on a single P, so "byte-identical" and
 #                      "pipelined" are not properties of one scheduler
-#                      configuration (default-procs is gate 4, -race this one)
+#                      configuration (default-procs is gate 4, -race this
+#                      one), plus docdb, so the client's connection pick,
+#                      shared redial and mux loops also run on one P
 #   6. bench module  — bench/ is its own module (repro/bench) that ./...
 #                      never reaches; vet and test it so an API change in
 #                      models/nn/core that breaks the benchmark fails here
@@ -43,8 +45,8 @@ go test ./...
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog
 
-echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest"
-GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest
+echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb"
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb
 
 echo "==> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
