@@ -102,9 +102,9 @@ func (sv *saving) putBlob(id, label string, b []byte) (hash string, err error) {
 }
 
 // putParams streams a state dict — a full one or an update — into the
-// staged blob id. This is the one pass over the parameter bytes: with
-// digests the serializer tees them into per-tensor digests, and the file
-// store tees its write into the blob content hash, so the state hash and
+// staged blob id. This is the one write of the parameter bytes: with
+// digests the per-tensor digests are computed beside the serializer, and
+// the file store hashes the blob beside its writes, so the state hash and
 // the layer hashes read the digest cache instead of re-hashing tensors.
 func (sv *saving) putParams(id string, sd *nn.StateDict, withDigests bool) error {
 	return phase(sv.ctx, "save.params", nil, func(*obs.Span) error {
@@ -231,10 +231,10 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 // saveStateDict writes a state dict into the transaction's staged blob id
 // and returns the stored size and the content hash the store computed
 // while writing. The dict serializes itself straight into the store's
-// writer, on this goroutine. With withDigests the serializer additionally
-// populates sd's per-tensor digest cache from the same pass (a no-op when
-// the cache already exists), so subsequent Hash/LayerHashes calls on sd
-// are free of parameter-byte passes.
+// writer, on this goroutine. With withDigests, sd's per-tensor digest cache
+// is filled while it serializes (a no-op when the cache already exists),
+// so subsequent Hash/LayerHashes calls on sd are free of parameter-byte
+// passes.
 func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict, withDigests bool) (int64, string, error) {
 	write := sd.WriteTo
 	if withDigests {

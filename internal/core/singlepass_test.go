@@ -7,11 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// The tests in this file pin the single-pass property of the fused save
-// pipeline: a checksummed save digests every tensor exactly once, via the
-// tensor.DigestOps counter. Before the fusion, a checksummed BA save hashed
-// every parameter byte three times (StateHash, blob content hash, and — for
-// PUA — layer hashes); regressions reintroducing extra passes fail here.
+// The tests in this file pin the digest budget of a checksummed save, via
+// the tensor.DigestOps counter: every tensor is digested exactly once, and
+// StateHash and — for PUA — the layer hashes read those digests. The
+// digests run beside the serializer (nn.StateDict.WriteToWithDigests), as
+// the blob's content hash runs beside the file writes; a save that digests
+// a tensor again for any of its hashes fails here.
 
 // digestOpsDuring returns how many per-tensor digest computations f caused.
 // The counter is global, so these tests cannot run in parallel with other

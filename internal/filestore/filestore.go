@@ -191,25 +191,15 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 }
 
 // writebackStep is how many bytes a SaveAs writes to its temp file between
-// two write-back hints; a smaller blob gets none. Chosen by measurement, a
-// loop of ResNet-18 saves (46.8 MB, 2 vCPU, virtio disk), median SaveAs and
-// its fsync share: no hint 105–108 ms (fsync 22), 512 KB 86–89 (0.7),
-// 1 MB 85–86 (1.0), 2 MB 83–84 (0.9), 4 MB 84–86 (1.8), 8 MB 88 (3.2),
-// 16 MB 92 (6.8). Below 1 MB the extra syscalls cost more than the fsync
-// still saves; 2 MB also reaches the ~5 MB blobs of parameter updates.
-const writebackStep = 2 << 20
-
-// writeQuantum caps one write(2) into a temp file, however large a piece
-// the source hands over (an unchecksummed state dict writes whole tensors,
-// SaveBytes the whole blob). Measured on delta-chain-local, whose 5 MB
-// update blobs arrive as one Write: passed on in 2 MB calls, a quarter of
-// the saves took 20 ms instead of 8 (save_p75_ms 28.6 and 30.4 ms in two
-// series where 64 KB calls through a copy buffer gave 24.1 and 27.8); cut
-// into 64 KB calls here, 23.4 ms where that gave 26.1. Larger calls make
-// the page cache allocate larger folios, which on the measured VM come out
-// of memory the host has to fault in more often. The piece just written is
-// also still in cache when the content hash reads it.
-const writeQuantum = 64 << 10
+// two write-back hints; a smaller blob gets none. writeQuantum caps one
+// write(2) into a temp file, however large a piece the source hands over
+// (a state dict writes large tensors whole, SaveBytes the whole blob), and
+// write(2) calls end at its multiples in the file. Both were chosen by the
+// sweeps in EXPERIMENTS.md, "Hashing beside the write".
+const (
+	writebackStep = 2 << 20
+	writeQuantum  = 64 << 10
+)
 
 // blobWriter is the writer SaveAs hands a blob's source. Every byte goes to
 // the temp file and into the content hash, paced by the store's link when a
@@ -226,16 +216,37 @@ type blobWriter struct {
 	hinted int64
 }
 
+// Write hashes a piece larger than one writeQuantum on another goroutine
+// while the write(2) loop copies the same piece to the file; both only read
+// p. It returns after the hash has read all of p, on error too, so the
+// caller's buffer is never read after Write returns. A failed write leaves
+// bytes in the hash that the file lacks; SaveAs discards both then.
 func (w *blobWriter) Write(p []byte) (int, error) {
-	step := writeQuantum
+	if len(p) <= writeQuantum {
+		n, err := w.write(p)
+		w.h.Write(p[:n])
+		return n, err
+	}
+	hashed := make(chan struct{})
+	go func() {
+		w.h.Write(p)
+		close(hashed)
+	}()
+	n, err := w.write(p)
+	<-hashed
+	return n, err
+}
+
+// write copies p to the temp file in write(2) calls that end at multiples
+// of one quantum in the file, whatever offsets the source's pieces start at.
+func (w *blobWriter) write(p []byte) (int, error) {
+	step := int64(writeQuantum)
 	if w.bps > 0 {
 		step = linkQuantum
 	}
 	var done int
 	for len(p) > 0 {
-		c := p[:min(len(p), step)]
-		n, err := w.f.Write(c)
-		w.h.Write(c[:n])
+		n, err := w.f.Write(p[:min(int64(len(p)), step-w.n%step)])
 		w.n += int64(n)
 		done += n
 		if err != nil {

@@ -22,8 +22,8 @@ type StateDict struct {
 	// digests caches the per-entry tensor content digests so that one
 	// hashing pass serves Hash, LayerHashes, and EntryHashes on the save
 	// hot path instead of each re-hashing every tensor. The cache is
-	// populated lazily (in parallel, via tensor.DigestAll) or as a side
-	// effect of WriteToWithDigests, and dropped by Set. Mutating a
+	// populated by PrecomputeDigests or WriteToWithDigests (both through
+	// tensor.DigestAll), and dropped by Set. Mutating a
 	// tensor's data directly does NOT invalidate it — treat a dict whose
 	// hashes were read as a frozen snapshot, which is exactly how the
 	// save paths use the dict of one save.
@@ -398,33 +398,10 @@ func sdPad(off int64) int {
 
 // WriteTo serializes the dict and returns the number of bytes written.
 func (sd *StateDict) WriteTo(w io.Writer) (int64, error) {
-	return sd.writeTo(w, false)
-}
-
-// WriteToWithDigests serializes the dict like WriteTo while computing the
-// per-entry digest cache from the same staged bytes, so a checksummed save
-// makes exactly one pass over all parameter bytes: serialize → tee into the
-// per-tensor digests here and the stream hash the file store computes while
-// writing. When the cache is already populated (e.g. a PUA save that diffed
-// layer hashes first), this degrades to a plain WriteTo — each tensor is
-// digested at most once per save either way.
-func (sd *StateDict) WriteToWithDigests(w io.Writer) (int64, error) {
-	return sd.writeTo(w, true)
-}
-
-func (sd *StateDict) writeTo(w io.Writer, withDigests bool) (int64, error) {
-	tee := withDigests && sd.digests == nil
-	var digests [][sha256.Size]byte
-	if tee {
-		digests = make([][sha256.Size]byte, len(sd.entries))
-	}
-	// The buffer coalesces the small header writes and, in front of a
-	// file, turns the 16 KB tensor chunks of a fused pass into 64 KB writes
-	// at 64 KB offsets. For tensor data that is a copy, and it stays on
-	// measurement: fused chunks larger than the buffer bypass it and reach
-	// the file straight from tensor memory, at odd offsets, and a ResNet-18
-	// save then took 87 / 93 / 98 ms at 64 / 128 / 256 KB chunks against
-	// 84 ms through the buffer.
+	// The buffer coalesces the header and key writes and the data of small
+	// tensors into 64 KB writes. A tensor larger than the buffer has room
+	// for fills it, and the rest reaches w in one Write straight from
+	// tensor memory.
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var n int64
 	var b8 [8]byte
@@ -442,7 +419,7 @@ func (sd *StateDict) writeTo(w io.Writer, withDigests bool) (int64, error) {
 		return n, err
 	}
 	var pad [4]byte
-	for i, e := range sd.entries {
+	for _, e := range sd.entries {
 		if len(e.Key) > 0xffff {
 			return n, fmt.Errorf("nn: key %q too long", e.Key)
 		}
@@ -467,26 +444,36 @@ func (sd *StateDict) writeTo(w io.Writer, withDigests bool) (int64, error) {
 		if err != nil {
 			return n, err
 		}
-		var nt int64
-		if tee {
-			var d [sha256.Size]byte
-			nt, d, err = e.Tensor.WriteToWithDigest(bw)
-			digests[i] = d
-		} else {
-			nt, err = e.Tensor.WriteTo(bw)
-		}
+		nt, err := e.Tensor.WriteTo(bw)
 		n += nt
 		if err != nil {
 			return n, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return n, err
+	return n, bw.Flush()
+}
+
+// WriteToWithDigests serializes the dict like WriteTo and fills the
+// per-entry digest cache, so that a checksummed save digests each tensor
+// once: Hash and LayerHashes then read the cache. The digests are computed
+// by tensor.DigestAll on another goroutine while this one serializes; both
+// only read the entry tensors, which the caller must not mutate until
+// WriteToWithDigests returns. It returns only after the digests are done,
+// and sets the cache only when the write succeeded. When the cache is
+// already populated (a PUA save that diffed layer hashes first), this is a
+// plain WriteTo.
+func (sd *StateDict) WriteToWithDigests(w io.Writer) (int64, error) {
+	if sd.digests != nil {
+		return sd.WriteTo(w)
 	}
-	if tee {
+	digested := make(chan [][sha256.Size]byte, 1)
+	go func() { digested <- sd.computeDigests() }()
+	n, err := sd.WriteTo(w)
+	digests := <-digested
+	if err == nil {
 		sd.digests = digests
 	}
-	return n, nil
+	return n, err
 }
 
 // SerializedSize returns the exact byte size WriteTo will produce.
@@ -581,6 +568,16 @@ func scanStateDict(b []byte) ([]string, []int, error) {
 		return nil, nil, fmt.Errorf("nn: unsupported state dict version %d", v)
 	}
 	count := int(binary.LittleEndian.Uint32(b[6:10]))
+	// Every entry takes at least a key length, a version-2 pad byte and a
+	// frame header, so a count the rest of b cannot hold is rejected
+	// before it sizes the two slices below.
+	minEntry := 2 + 8
+	if v >= 2 {
+		minEntry++
+	}
+	if count < 0 || count > (len(b)-10)/minEntry {
+		return nil, nil, fmt.Errorf("nn: state dict count %d exceeds what its %d bytes can hold", count, len(b))
+	}
 	keys := make([]string, count)
 	offs := make([]int, count)
 	off := 10

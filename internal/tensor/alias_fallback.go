@@ -4,9 +4,9 @@ package tensor
 
 import (
 	"encoding/binary"
-	"hash"
 	"io"
 	"math"
+	"sync"
 )
 
 // aliasFloats on platforms where float32 data cannot alias serialized
@@ -19,11 +19,20 @@ func aliasFloats([]byte) []float32 { return nil }
 // aliasing at all.
 const canAliasFloats = false
 
-// writeFloats feeds data's serialized bytes to h and then w (either may be
-// nil) and returns the number of bytes written to w. Tensor memory is not
-// in serialized byte order here, so every chunkElems values are converted
-// through a pooled staging buffer first.
-func writeFloats(data []float32, h hash.Hash, w io.Writer) (int64, error) {
+// stagingPool recycles the 16 KB staging buffers of writeFloats instead of
+// allocating one per call.
+var stagingPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 4*chunkElems)
+		return &b
+	},
+}
+
+// writeFloats writes data's serialized bytes to w and returns the number
+// of bytes written. Tensor memory is not in serialized byte order here, so
+// every chunkElems values are converted through a pooled staging buffer
+// first.
+func writeFloats(data []float32, w io.Writer) (int64, error) {
 	bufp := stagingPool.Get().(*[]byte)
 	defer stagingPool.Put(bufp)
 	buf := *bufp
@@ -33,16 +42,10 @@ func writeFloats(data []float32, h hash.Hash, w io.Writer) (int64, error) {
 		for i, v := range chunk {
 			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
 		}
-		raw := buf[:len(chunk)*4]
-		if h != nil {
-			h.Write(raw)
-		}
-		if w != nil {
-			m, err := w.Write(raw)
-			n += int64(m)
-			if err != nil {
-				return n, err
-			}
+		m, err := w.Write(buf[:len(chunk)*4])
+		n += int64(m)
+		if err != nil {
+			return n, err
 		}
 	}
 	return n, nil

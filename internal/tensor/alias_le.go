@@ -3,7 +3,6 @@
 package tensor
 
 import (
-	"hash"
 	"io"
 	"unsafe"
 )
@@ -43,31 +42,9 @@ func floatBytes(f []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), 4*len(f))
 }
 
-// writeFloats feeds data's serialized bytes to h and then w (either may be
-// nil) straight from tensor memory — no staging copy — and returns the
-// number of bytes written to w. With both sinks the bytes go out in
-// chunkElems-sized pieces so the writer reads each piece while the hash
-// pass has it cache-warm.
-func writeFloats(data []float32, h hash.Hash, w io.Writer) (int64, error) {
-	b := floatBytes(data)
-	if w == nil {
-		h.Write(b)
-		return 0, nil
-	}
-	if h == nil {
-		m, err := w.Write(b)
-		return int64(m), err
-	}
-	var n int64
-	for len(b) > 0 {
-		c := b[:min(len(b), 4*chunkElems)]
-		h.Write(c)
-		m, err := w.Write(c)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		b = b[len(c):]
-	}
-	return n, nil
+// writeFloats writes data's serialized bytes to w straight from tensor
+// memory — no staging copy — and returns the number of bytes written.
+func writeFloats(data []float32, w io.Writer) (int64, error) {
+	m, err := w.Write(floatBytes(data))
+	return int64(m), err
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"unsafe"
 )
@@ -123,5 +124,38 @@ func TestAliasFramesRejectsCorruptFrame(t *testing.T) {
 	buf[0] ^= 0xff // break the magic
 	if _, err := AliasFrames(buf, offs, buf); err == nil {
 		t.Fatal("expected error for corrupt frame")
+	}
+}
+
+// A frame whose dims multiply past the range of int is rejected by every
+// decoder. Dims of 65536, 65536, 65536, 65536 wrap to 0 under Prod, so a
+// 24-byte frame with no data would otherwise decode as a tensor whose
+// shape claims 2^64 values.
+func TestFrameDimsOverflowRejected(t *testing.T) {
+	b := binary.LittleEndian.AppendUint32(nil, magic)
+	b = binary.LittleEndian.AppendUint16(b, formatVersion)
+	b = binary.LittleEndian.AppendUint16(b, 4)
+	for range 4 {
+		b = binary.LittleEndian.AppendUint32(b, 1<<16)
+	}
+	offs := []int{0}
+	if _, err := ScanFrame(b, 0); err == nil {
+		t.Error("ScanFrame accepted the frame")
+	}
+	if x, _, err := ReadFromBytes(b, 0); err == nil {
+		t.Errorf("ReadFromBytes accepted the frame: shape %v, %d values", x.Shape(), x.Len())
+	}
+	if _, err := DecodeFrames(b, offs); err == nil {
+		t.Error("DecodeFrames accepted the frame")
+	}
+	if _, err := AliasFrames(b, offs, b); err == nil {
+		t.Error("AliasFrames accepted the frame")
+	}
+	// A zero dim still makes an empty tensor, however large the others.
+	zero := binary.LittleEndian.AppendUint32(b[:8:8], 0)
+	zero = binary.LittleEndian.AppendUint32(zero, 1<<16)
+	binary.LittleEndian.PutUint16(zero[6:8], 2)
+	if x, _, err := ReadFromBytes(zero, 0); err != nil || x.Len() != 0 {
+		t.Errorf("a frame with a zero dim: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -14,23 +13,8 @@ import (
 // Content hashing is on the save/recover hot path: every checksummed save
 // and every verified recovery digests all parameter bytes. This file keeps
 // that pass cheap (tensor memory fed to SHA-256 in place where the platform's
-// byte order allows, raw digests without hex round trips), single (a fused
-// serialize+digest writer), and parallel (a bounded worker pool over
-// independent per-tensor digests).
-
-// chunkElems is the number of float32 values handed to the hash and the
-// writer per step of a fused serialize+digest pass, and the size of a
-// staging-buffer fill where one is needed.
-const chunkElems = 4096
-
-// stagingPool recycles the 16 KB little-endian staging buffers of ReadFrom
-// and of big-endian builds' writeFloats, instead of allocating one per call.
-var stagingPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 4*chunkElems)
-		return &b
-	},
-}
+// byte order allows, raw digests without hex round trips) and parallel (a
+// bounded worker pool over independent per-tensor digests).
 
 // digestOps counts per-tensor digest computations process-wide, on the
 // shared obs registry. It exists so tests can assert the single-pass save
@@ -61,28 +45,11 @@ func (t *Tensor) digestShapeInto(h hash.Hash) {
 func (t *Tensor) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	t.digestShapeInto(h)
-	writeFloats(t.data, h, nil) // a hash never fails a write
+	writeFloats(t.data, h) // a hash never fails a write
 	digestOps.Add(1)
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d
-}
-
-// WriteToWithDigest serializes t to w in the binary tensor format while
-// feeding the same little-endian data bytes into a SHA-256 state, so one
-// pass over the tensor's data yields both the serialized stream and the
-// tensor's content digest (identical to Digest).
-func (t *Tensor) WriteToWithDigest(w io.Writer) (int64, [sha256.Size]byte, error) {
-	var d [sha256.Size]byte
-	h := sha256.New()
-	t.digestShapeInto(h)
-	n, err := t.writeTo(w, h)
-	if err != nil {
-		return n, d, err
-	}
-	digestOps.Add(1)
-	h.Sum(d[:0])
-	return n, d, nil
 }
 
 // DigestAll computes the content digests of ts with up to Workers()

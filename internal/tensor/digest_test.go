@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"encoding/hex"
 	"testing"
 	"testing/quick"
@@ -62,46 +61,13 @@ func TestDigestMatchesHashProperty(t *testing.T) {
 	}
 }
 
-// WriteToWithDigest must produce exactly WriteTo's byte stream and exactly
-// Digest's digest, in one pass.
-func TestWriteToWithDigestMatchesWriteToAndDigest(t *testing.T) {
-	for i, x := range digestTensors() {
-		var plain, fused bytes.Buffer
-		if _, err := x.WriteTo(&plain); err != nil {
-			t.Fatal(err)
-		}
-		n, d, err := x.WriteToWithDigest(&fused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(plain.Bytes(), fused.Bytes()) {
-			t.Errorf("tensor %d: fused serialization differs from WriteTo", i)
-		}
-		if n != int64(fused.Len()) {
-			t.Errorf("tensor %d: reported %d bytes, wrote %d", i, n, fused.Len())
-		}
-		if d != x.Digest() {
-			t.Errorf("tensor %d: fused digest differs from Digest", i)
-		}
-		got, err := ReadFrom(&fused)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !x.Equal(got) {
-			t.Errorf("tensor %d: fused serialization does not round-trip", i)
-		}
-	}
-}
-
 // DigestOps must count every digest computation — the counter backs the
 // single-pass regression tests in internal/core.
 func TestDigestOpsCounts(t *testing.T) {
 	x := Scalar(2)
 	before := DigestOps()
 	x.Digest()
-	if _, _, err := x.WriteToWithDigest(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
+	DigestAll([]*Tensor{x})
 	x.Hash()
 	if got := DigestOps() - before; got != 3 {
 		t.Fatalf("DigestOps delta = %d, want 3", got)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -40,12 +41,34 @@ func frameHeader(b []byte, off int) (shape []int, dataOff, end int, err error) {
 		shape[i] = int(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 	}
+	n, ok := frameLen(shape)
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("tensor: dims %v overflow int", shape)
+	}
 	// Compare via division: 4*n could overflow int for hostile dims.
-	n := Prod(shape)
-	if n < 0 || n > (len(b)-off)/4 {
+	if n > (len(b)-off)/4 {
 		return nil, 0, 0, fmt.Errorf("tensor: truncated data (want %d values)", n)
 	}
 	return shape, off, off + 4*n, nil
+}
+
+// frameLen returns the number of values dims describe, or false when that
+// product does not fit in an int. Prod wraps there: dims of 65536, 65536,
+// 65536, 65536 multiply to 0, and a frame with no data would pass as a
+// tensor whose shape claims 2^64 values. Each multiply is checked by a
+// division first; a zero dim makes any product 0.
+func frameLen(dims []int) (int, bool) {
+	if slices.Contains(dims, 0) {
+		return 0, true
+	}
+	n := 1
+	for _, d := range dims {
+		if d < 0 || n > math.MaxInt/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // ScanFrame returns the offset just past the tensor frame starting at
@@ -57,8 +80,8 @@ func ScanFrame(b []byte, off int) (int, error) {
 }
 
 // ReadFromBytes decodes the tensor frame starting at b[off:] and returns
-// the tensor and the offset just past the frame. It is the in-memory
-// counterpart of ReadFrom: same format, no intermediate copies.
+// the tensor and the offset just past the frame: the inverse of WriteTo,
+// with no intermediate copies.
 func ReadFromBytes(b []byte, off int) (*Tensor, int, error) {
 	shape, dataOff, end, err := frameHeader(b, off)
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 
 // Reference implementations of the serialized form and the content digest,
 // written the portable way: every float goes through Float32bits and an
-// explicit little-endian store. Digest, WriteTo and WriteToWithDigest feed
-// tensor memory to the hash and the writer in place where the byte order
-// allows; these are what their bytes must equal on every platform.
+// explicit little-endian store. Digest and WriteTo feed tensor memory to
+// the hash and the writer in place where the byte order allows; these are
+// what their bytes must equal on every platform.
 
 func refData(t *Tensor) []byte {
 	b := make([]byte, 0, 4*len(t.data))
@@ -43,7 +43,7 @@ func refDigest(t *Tensor) [sha256.Size]byte {
 // inPlaceTensors extends digestTensors with the bit patterns a float
 // conversion could disturb where a byte view cannot: NaNs with distinct
 // payloads (quiet and signalling), negative zero, infinities, denormals —
-// and a tensor large enough to span many fused-pass chunks.
+// and a tensor large enough to span many staging-buffer fills.
 func inPlaceTensors() []*Tensor {
 	bits := []uint32{
 		0x7fc00000, 0x7fc00001, 0xffc12345, 0x7f800001, 0xff9abcde, // NaNs
@@ -61,7 +61,7 @@ func inPlaceTensors() []*Tensor {
 	)
 }
 
-// checkInPlace asserts all three in-place paths against the references.
+// checkInPlace asserts both in-place paths against the references.
 func checkInPlace(t *testing.T, name string, x *Tensor) {
 	t.Helper()
 	wantBytes, wantDigest := refSerialize(x), refDigest(x)
@@ -75,17 +75,6 @@ func checkInPlace(t *testing.T, name string, x *Tensor) {
 	}
 	if !bytes.Equal(plain.Bytes(), wantBytes) || n != int64(len(wantBytes)) {
 		t.Errorf("%s: WriteTo wrote %d bytes that differ from the reference's %d", name, n, len(wantBytes))
-	}
-	var fused bytes.Buffer
-	n, d, err := x.WriteToWithDigest(&fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fused.Bytes(), wantBytes) || n != int64(len(wantBytes)) {
-		t.Errorf("%s: WriteToWithDigest wrote %d bytes that differ from the reference's %d", name, n, len(wantBytes))
-	}
-	if d != wantDigest {
-		t.Errorf("%s: WriteToWithDigest digest differs from the reference", name)
 	}
 	if x.SerializedSize() != int64(len(wantBytes)) {
 		t.Errorf("%s: SerializedSize %d, reference %d", name, x.SerializedSize(), len(wantBytes))
@@ -142,11 +131,6 @@ func TestInPlaceWriteErrorIsReported(t *testing.T) {
 		n, err := x.WriteTo(w)
 		if err == nil || n != int64(w.n) {
 			t.Errorf("WriteTo limit %d: n=%d err=%v, writer took %d", limit, n, err, w.n)
-		}
-		w = &limitWriter{limit: limit}
-		n, _, err = x.WriteToWithDigest(w)
-		if err == nil || n != int64(w.n) {
-			t.Errorf("WriteToWithDigest limit %d: n=%d err=%v, writer took %d", limit, n, err, w.n)
 		}
 	}
 }

@@ -1,11 +1,9 @@
 package tensor
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 )
@@ -26,15 +24,13 @@ const (
 	formatVersion = 1
 )
 
+// chunkElems is the number of float32 values in one staging-buffer fill
+// where tensor memory is not in serialized byte order (alias_fallback.go).
+const chunkElems = 4096
+
 // WriteTo serializes t to w in the binary tensor format and returns the
 // number of bytes written: one Write for the header, one for the data.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	return t.writeTo(w, nil)
-}
-
-// writeTo is WriteTo that additionally feeds the data bytes (not the
-// header) into h when h is non-nil.
-func (t *Tensor) writeTo(w io.Writer, h hash.Hash) (int64, error) {
 	if len(t.shape) > math.MaxUint16 {
 		return 0, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
 	}
@@ -52,51 +48,8 @@ func (t *Tensor) writeTo(w io.Writer, h hash.Hash) (int64, error) {
 	if err != nil {
 		return int64(m), err
 	}
-	n, err := writeFloats(t.data, h, w)
+	n, err := writeFloats(t.data, w)
 	return int64(m) + n, err
-}
-
-// ReadFrom deserializes a tensor from r.
-func ReadFrom(r io.Reader) (*Tensor, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("tensor: reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[:4]) != magic {
-		return nil, fmt.Errorf("tensor: bad magic %#x", binary.LittleEndian.Uint32(hdr[:4]))
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != formatVersion {
-		return nil, fmt.Errorf("tensor: unsupported format version %d", v)
-	}
-	ndim := int(binary.LittleEndian.Uint16(hdr[6:8]))
-	shape := make([]int, ndim)
-	var db [4]byte
-	for i := range shape {
-		if _, err := io.ReadFull(br, db[:]); err != nil {
-			return nil, fmt.Errorf("tensor: reading dims: %w", err)
-		}
-		shape[i] = int(binary.LittleEndian.Uint32(db[:]))
-	}
-	n := Prod(shape)
-	t := Zeros(shape...)
-	bufp := stagingPool.Get().(*[]byte)
-	defer stagingPool.Put(bufp)
-	buf := *bufp
-	for off := 0; off < n; off += chunkElems {
-		end := off + chunkElems
-		if end > n {
-			end = n
-		}
-		want := (end - off) * 4
-		if _, err := io.ReadFull(br, buf[:want]); err != nil {
-			return nil, fmt.Errorf("tensor: reading data: %w", err)
-		}
-		for i := off; i < end; i++ {
-			t.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[(i-off)*4:]))
-		}
-	}
-	return t, nil
 }
 
 // SerializedSize returns the exact number of bytes WriteTo will produce.

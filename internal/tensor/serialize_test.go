@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,7 +17,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if n != a.SerializedSize() {
 		t.Fatalf("wrote %d bytes, SerializedSize says %d", n, a.SerializedSize())
 	}
-	b, err := ReadFrom(&buf)
+	b, _, err := ReadFromBytes(buf.Bytes(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestSerializeScalarAndEmpty(t *testing.T) {
 		if _, err := tc.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFrom(&buf)
+		got, _, err := ReadFromBytes(buf.Bytes(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +43,7 @@ func TestSerializeScalarAndEmpty(t *testing.T) {
 }
 
 func TestReadFromRejectsBadMagic(t *testing.T) {
-	if _, err := ReadFrom(strings.NewReader("not a tensor header")); err == nil {
+	if _, _, err := ReadFromBytes([]byte("not a tensor header"), 0); err == nil {
 		t.Fatal("expected error for bad magic")
 	}
 }
@@ -57,7 +56,7 @@ func TestReadFromRejectsTruncated(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{2, 9, len(raw) - 3} {
-		if _, err := ReadFrom(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, err := ReadFromBytes(raw[:cut], 0); err == nil {
 			t.Fatalf("expected error for truncation at %d", cut)
 		}
 	}
@@ -71,7 +70,7 @@ func TestReadFromRejectsBadVersion(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	raw[4] = 0xff // corrupt version field
-	if _, err := ReadFrom(bytes.NewReader(raw)); err == nil {
+	if _, _, err := ReadFromBytes(raw, 0); err == nil {
 		t.Fatal("expected error for bad version")
 	}
 }
@@ -103,7 +102,7 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 		if _, err := a.WriteTo(&buf); err != nil {
 			return false
 		}
-		b, err := ReadFrom(&buf)
+		b, _, err := ReadFromBytes(buf.Bytes(), 0)
 		if err != nil {
 			return false
 		}

@@ -12,7 +12,9 @@
 #                      "pipelined" are not properties of one scheduler
 #                      configuration (default-procs is gate 4, -race this
 #                      one), plus docdb, so the client's connection pick,
-#                      shared redial and mux loops also run on one P
+#                      shared redial and mux loops also run on one P, and
+#                      nn and filestore, whose save paths hash on a second
+#                      goroutine beside the serializer and the file writes
 #   6. bench module  — bench/ is its own module (repro/bench) that ./...
 #                      never reaches; vet and test it so an API change in
 #                      models/nn/core that breaks the benchmark fails here
@@ -24,9 +26,12 @@
 #   9. fuzz smoke    — ten seconds each beyond the checked-in corpora of
 #                      FuzzConvMatchesReference (the convolution kernel must
 #                      stay bit-identical to the direct kernel old models
-#                      replay on) and FuzzServerFrame (no bytes a peer sends
-#                      may panic the server, break its answer framing or make
-#                      a header alone allocate more than one read chunk)
+#                      replay on), FuzzReadStateDict (no bytes on disk may
+#                      panic the state-dict decoders, make them disagree or
+#                      decode a tensor whose shape lies about its size) and
+#                      FuzzServerFrame (no bytes a peer sends may panic the
+#                      server, break its answer framing or make a header
+#                      alone allocate more than one read chunk)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -45,8 +50,8 @@ go test ./...
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog
 
-echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb"
-GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb
+echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore"
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore
 
 echo "==> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
@@ -59,6 +64,11 @@ GOOS=darwin go build ./internal/filestore/...
 
 echo "==> go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn"
 go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn
+
+# Minimizing a new input cut from a 17 KB seed takes the rest of the ten
+# seconds at the default -fuzzminimizetime (1.8k execs instead of 30k).
+echo "==> go test -run '^$' -fuzz '^FuzzReadStateDict$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn"
+go test -run '^$' -fuzz '^FuzzReadStateDict$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
 
 echo "==> go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb"
 go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb
