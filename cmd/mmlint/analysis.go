@@ -41,6 +41,7 @@ var analyzers = []*Analyzer{
 	deadlineCheckAnalyzer,
 	lockHeldAnalyzer,
 	boundedGoAnalyzer,
+	dataEscapeAnalyzer,
 }
 
 // nameDeadIgnore is the pseudo-analyzer that reports //mmlint:ignore

@@ -19,6 +19,9 @@
 //	lockheld              mutexes must not be held across blocking calls
 //	boundedgo             goroutines launched in loops must be bounded by a
 //	                      counted pool or semaphore
+//	dataescape            a tensor Data() slice must stay in a local of the
+//	                      function that took it, so no write can outlive
+//	                      the save that stamps the tensor's digest
 //	deadignore            //mmlint:ignore directives that suppress nothing
 //	                      are themselves findings
 //

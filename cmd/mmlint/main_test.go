@@ -31,6 +31,8 @@ var fixturePackages = []string{
 	"./testdata/src/deadline/docdb",
 	"./testdata/src/lockheld",
 	"./testdata/src/boundedgo",
+	"./testdata/src/dataescape",
+	"./testdata/src/dataescape/tensor",
 	"./testdata/src/internal/nn",
 	"./testdata/src/docdb",
 	"./testdata/src/muxdemux/docdb",
@@ -87,6 +89,7 @@ func TestFixtureAnalyzerCoverage(t *testing.T) {
 		nameDeadlineCheck:  4, // direct conn.Read, conn handed to an io.Reader parameter, a read through a bufio.Reader wrapping the conn, undeadlined demux read loop
 		nameLockHeld:       4, // sleep, deferred-unlock file I/O, transitive channel receive, waiter send under the demux lock
 		nameBoundedGo:      3, // range-over-slice spawn, for{} spawn, per-request spawn off a request channel
+		nameDataEscape:     8, // field, composite-literal field, map element, appended slice element, package variable, channel, return value, goroutine closure
 		nameDeadIgnore:     1, // well-formed directive matching nothing
 		"mmlint":           2, // malformed directives
 	}

@@ -50,32 +50,39 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 	envID := sv.txn.stageDoc(ColEnvironments)
 	hashID := sv.txn.stageDoc(ColLayerHashes)
 
-	// The staging record goes out while the diff loads the base model's
-	// layer hashes (never its parameters) and finds the changed layers
-	// against them: the diff only reads, and the record names nothing it
-	// decides. The precomputed digest cache makes it the save's only
-	// hashing pass: LayerHashes, the state hash and the update subset all
-	// read the same per-tensor digests.
+	// One wave of three things that only read: the staging record, the
+	// base model's layer hashes (never its parameters), and the save's one
+	// digest pass, which re-hashes only the tensors written since their last
+	// save. The record names nothing the diff decides. LayerHashes, the
+	// state hash and the diff then read the same per-tensor digests.
 	sd := nn.StateDictOf(info.Net)
-	var curHashes []nn.KeyHash
-	err := together(sv.txn.writeAhead, func() error {
-		return phase(ctx, "diff", nil, func(*obs.Span) error {
-			baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
-			if err != nil {
+	var baseHashes []nn.KeyHash
+	err := together(
+		sv.txn.writeAhead,
+		func() error {
+			return phase(ctx, "diff.base", nil, func(*obs.Span) error {
+				baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
+				if err != nil {
+					return err
+				}
+				if baseDoc.HashDocID == "" {
+					return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
+				}
+				baseHashes, err = loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
 				return err
-			}
-			if baseDoc.HashDocID == "" {
-				return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
-			}
-			baseHashes, err := loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
-			if err != nil {
-				return err
-			}
-			sd.PrecomputeDigests()
-			curHashes = sd.LayerHashes()
-			sv.doc.UpdatedLayers, err = diffLayerHashes(baseHashes, curHashes, !plan.pairwiseDiff)
-			return err
-		})
+			})
+		},
+		func() error {
+			return phase(ctx, "digest", nil, func(*obs.Span) error { sd.PrecomputeDigests(); return nil })
+		},
+	)
+	if err != nil {
+		return SaveResult{}, err
+	}
+	curHashes := sd.LayerHashes()
+	err = phase(ctx, "diff", nil, func(*obs.Span) (err error) {
+		sv.doc.UpdatedLayers, err = diffLayerHashes(baseHashes, curHashes, !plan.pairwiseDiff)
+		return err
 	})
 	if err != nil {
 		return SaveResult{}, err
@@ -84,12 +91,12 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 		sv.doc.StateHash = sd.Hash()
 	}
 	// The architecture is inherited from the base model, but the
-	// environment may differ and is always recorded. The subset inherits
-	// the changed layers' digests, so serializing it never re-hashes them.
+	// environment may differ and is always recorded. The update's digests
+	// are already in sd's cache, so it is written without computing any.
 	err = together(
 		func() error { return sv.putEnv(envID, info) },
 		func() error { return sv.putLayerHashes(hashID, curHashes) },
-		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), true) },
+		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), false) },
 	)
 	if err != nil {
 		return SaveResult{}, err

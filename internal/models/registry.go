@@ -89,7 +89,16 @@ func (s Spec) MarshalText() ([]byte, error) {
 	}(s))
 }
 
-// ParseSpec decodes a spec from its JSON "model code" representation.
+// maxClasses bounds the class count a stored spec may ask for. Recovery
+// builds whatever the model-code blob names, and a classifier's size grows
+// with it: a 45-byte blob naming 2^30 classes asked TinyCNN for a 64 GiB
+// layer, and the allocation failure killed the process. ImageNet-21k's
+// 21 841 classes fit.
+const maxClasses = 1 << 16
+
+// ParseSpec decodes a spec from its JSON "model code" representation. It
+// rejects a class count below 0 or above maxClasses; 0 stands for the
+// default Build applies.
 func ParseSpec(b []byte) (Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(b, &s); err != nil {
@@ -97,6 +106,9 @@ func ParseSpec(b []byte) (Spec, error) {
 	}
 	if s.Arch == "" {
 		return Spec{}, fmt.Errorf("models: spec has no architecture")
+	}
+	if s.NumClasses < 0 || s.NumClasses > maxClasses {
+		return Spec{}, fmt.Errorf("models: spec asks for %d classes, want 0 to %d", s.NumClasses, maxClasses)
 	}
 	return s, nil
 }

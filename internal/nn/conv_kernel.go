@@ -75,12 +75,14 @@ func (c *Conv2d) newKernel(h, w int) *convKernel {
 	k := &convKernel{
 		c: c, h: h, w: w, oh: oh, ow: ow,
 		cg: c.InC / c.Groups, ocg: c.OutC / c.Groups,
+		//mmlint:ignore dataescape the kernel lives for one Forward or Backward call and only reads the weights
 		wd: c.Weight.Value.Data(), bufs: getBufs(),
 	}
 	k.wt = k.wd
 	k.taps = k.cg * c.KH * c.KW
 	k.depthwise = k.cg == 1 && k.ocg == 1
 	if c.Bias != nil {
+		//mmlint:ignore dataescape the kernel lives for one Forward or Backward call and only reads the bias
 		k.bd = c.Bias.Value.Data()
 	} else {
 		k.bd = k.bufs.buf(1, c.OutC) // a bias-free sum starts at +0

@@ -18,13 +18,17 @@ import (
 // entirely. It is a documented violation; only a Paranoid recovery cache
 // (which re-hashes stored bytes on every hit via HashFresh) detects it.
 
-// Seal freezes the dict: the per-entry content digests are computed and
-// cached with one parallel pass (a no-op when already cached), and every
-// subsequent structural mutation copy-on-writes. After sealing, Hash is
-// O(entries) and Share is O(1). Seal returns sd for chaining. Sealing is
-// idempotent.
+// Seal freezes the dict: the per-entry content digests are computed afresh
+// and cached with one parallel pass (a no-op when already cached), and
+// every subsequent structural mutation copy-on-writes. The pass neither
+// reads nor records tensor stamps: a sealed state is what a recovery
+// verifies and a cache serves, and that must not rest on a stamp. After
+// sealing, Hash is O(entries) and Share is O(1). Seal returns sd for
+// chaining. Sealing is idempotent.
 func (sd *StateDict) Seal() *StateDict {
-	sd.PrecomputeDigests()
+	if sd.digests == nil {
+		sd.digests = sd.computeDigests()
+	}
 	sd.sealed = true
 	return sd
 }

@@ -20,13 +20,18 @@ type StateDict struct {
 	entries []Entry
 	index   map[string]int
 	// digests caches the per-entry tensor content digests so that one
-	// hashing pass serves Hash, LayerHashes, and EntryHashes on the save
-	// hot path instead of each re-hashing every tensor. The cache is
-	// populated by PrecomputeDigests or WriteToWithDigests (both through
-	// tensor.DigestAll), and dropped by Set. Mutating a
-	// tensor's data directly does NOT invalidate it — treat a dict whose
-	// hashes were read as a frozen snapshot, which is exactly how the
-	// save paths use the dict of one save.
+	// pass serves Hash, LayerHashes, and EntryHashes instead of each
+	// re-hashing every tensor; Set drops it. Two paths fill it:
+	//   - the save path (PrecomputeDigests, WriteToWithDigests) through
+	//     tensor.DigestAllStamped, which re-hashes only the tensors written
+	//     since their last save and stamps them — the only code that reads
+	//     or records tensor stamps;
+	//   - Seal, through a fresh tensor.DigestAll.
+	// Without a cache, Hash, LayerHashes and EntryHashes hash afresh and
+	// cache nothing, so they — like HashFresh and a recovery's verify —
+	// never depend on a stamp. A cache describes the bytes when it was
+	// filled: the save path fills it on the dict of one save, and a sealed
+	// dict is never written.
 	digests [][sha256.Size]byte
 	// sealed marks a frozen dict (see Seal): mutation through the dict
 	// API detaches into private index structures first, so sealed owners
@@ -93,15 +98,26 @@ func (sd *StateDict) Set(key string, t *tensor.Tensor) {
 	sd.entries = append(sd.entries, Entry{Key: key, Tensor: t})
 }
 
-// computeDigests hashes every entry tensor with one parallel pass. Results
-// are ordered by entry index, so they are bit-identical for any
-// tensor.Workers() setting.
-func (sd *StateDict) computeDigests() [][sha256.Size]byte {
+// tensors returns the entry tensors in entry order.
+func (sd *StateDict) tensors() []*tensor.Tensor {
 	ts := make([]*tensor.Tensor, len(sd.entries))
 	for i, e := range sd.entries {
 		ts[i] = e.Tensor
 	}
-	return tensor.DigestAll(ts)
+	return ts
+}
+
+// computeDigests hashes every entry tensor afresh with one parallel pass.
+// Results are ordered by entry index, so they are bit-identical for any
+// tensor.Workers() setting.
+func (sd *StateDict) computeDigests() [][sha256.Size]byte {
+	return tensor.DigestAll(sd.tensors())
+}
+
+// saveDigests is computeDigests for a save: tensors whose stamp is current
+// are not re-hashed, and the others are stamped.
+func (sd *StateDict) saveDigests() [][sha256.Size]byte {
+	return tensor.DigestAllStamped(sd.tensors())
 }
 
 // readDigests returns the cached per-entry digests, or computes them fresh
@@ -115,15 +131,16 @@ func (sd *StateDict) readDigests() [][sha256.Size]byte {
 	return sd.computeDigests()
 }
 
-// PrecomputeDigests computes and caches the per-entry content digests with
-// one parallel pass over all tensor bytes. Afterwards Hash, LayerHashes,
-// EntryHashes, and WriteToWithDigests share the cache instead of each
-// re-hashing every tensor; Set drops the cache. The caller promises not to
-// mutate entry tensors for the cache's lifetime — the save paths hold that
-// promise trivially because each save hashes a freshly captured dict.
+// PrecomputeDigests fills the per-entry digest cache for a save: one
+// parallel pass that re-hashes only the tensors written since their last
+// save. Afterwards Hash, LayerHashes, EntryHashes, and WriteToWithDigests
+// share the cache instead of each re-hashing every tensor; Set drops the
+// cache. The caller promises not to mutate entry tensors for the cache's
+// lifetime — the save paths hold that promise trivially because each save
+// hashes a freshly captured dict.
 func (sd *StateDict) PrecomputeDigests() {
 	if sd.digests == nil {
-		sd.digests = sd.computeDigests()
+		sd.digests = sd.saveDigests()
 	}
 }
 
@@ -151,7 +168,7 @@ func (sd *StateDict) Keys() []string {
 	return out
 }
 
-// Clone returns a deep copy (tensors included).
+// Clone returns a deep copy (tensors included, each with its stamp).
 func (sd *StateDict) Clone() *StateDict {
 	out := NewStateDict()
 	for _, e := range sd.entries {
@@ -186,9 +203,11 @@ func (sd *StateDict) Equal(o *StateDict) bool {
 }
 
 // LoadInto copies the dict's tensors into the model's parameters and
-// buffers. Every model tensor must be present with a matching shape; extra
-// dict entries are an error too, so an unexpected mismatch between saved
-// state and architecture code fails loudly.
+// buffers, with their stamps (tensor.CopyFrom): a net loaded from the
+// state of a save digests only what is written after. Every model tensor
+// must be present with a matching shape; extra dict entries are an error
+// too, so an unexpected mismatch between saved state and architecture code
+// fails loudly.
 func (sd *StateDict) LoadInto(m Module) error {
 	model := StateDictOf(m)
 	if len(model.entries) != len(sd.entries) {
@@ -202,7 +221,7 @@ func (sd *StateDict) LoadInto(m Module) error {
 		if !src.SameShape(me.Tensor) {
 			return fmt.Errorf("nn: shape mismatch for %q: %v vs %v", me.Key, src.Shape(), me.Tensor.Shape())
 		}
-		copy(me.Tensor.Data(), src.Data())
+		me.Tensor.CopyFrom(src)
 	}
 	return nil
 }
@@ -336,21 +355,10 @@ func (sd *StateDict) SubsetByLayers(layers []string) *StateDict {
 		want[l] = true
 	}
 	out := NewStateDict()
-	var digests [][sha256.Size]byte
-	for i, e := range sd.entries {
+	for _, e := range sd.entries {
 		if want[LayerOf(e.Key)] {
 			out.Set(e.Key, e.Tensor)
-			if sd.digests != nil {
-				digests = append(digests, sd.digests[i])
-			}
 		}
-	}
-	// The subset shares sd's tensors, so already-computed digests carry
-	// over — a PUA save that diffed layer hashes never re-digests the
-	// changed layers it serializes. Assigned after the Set loop because
-	// Set drops the cache.
-	if sd.digests != nil {
-		out.digests = digests
 	}
 	return out
 }
@@ -455,19 +463,19 @@ func (sd *StateDict) WriteTo(w io.Writer) (int64, error) {
 
 // WriteToWithDigests serializes the dict like WriteTo and fills the
 // per-entry digest cache, so that a checksummed save digests each tensor
-// once: Hash and LayerHashes then read the cache. The digests are computed
-// by tensor.DigestAll on another goroutine while this one serializes; both
-// only read the entry tensors, which the caller must not mutate until
-// WriteToWithDigests returns. It returns only after the digests are done,
-// and sets the cache only when the write succeeded. When the cache is
-// already populated (a PUA save that diffed layer hashes first), this is a
-// plain WriteTo.
+// at most once: Hash and LayerHashes then read the cache. The digests are
+// computed by tensor.DigestAllStamped — which re-hashes only the tensors
+// written since their last save — on another goroutine while this one
+// serializes; both only read the entry tensors' bytes, which the caller
+// must not mutate until WriteToWithDigests returns. It returns only after
+// the digests are done, and sets the cache only when the write succeeded.
+// When the cache is already populated, this is a plain WriteTo.
 func (sd *StateDict) WriteToWithDigests(w io.Writer) (int64, error) {
 	if sd.digests != nil {
 		return sd.WriteTo(w)
 	}
 	digested := make(chan [][sha256.Size]byte, 1)
-	go func() { digested <- sd.computeDigests() }()
+	go func() { digested <- sd.saveDigests() }()
 	n, err := sd.WriteTo(w)
 	digests := <-digested
 	if err == nil {

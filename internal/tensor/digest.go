@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,6 +17,14 @@ import (
 // that pass cheap (tensor memory fed to SHA-256 in place where the platform's
 // byte order allows, raw digests without hex round trips) and parallel (a
 // bounded worker pool over independent per-tensor digests).
+//
+// A save also skips what it already hashed: each tensor carries a stamp,
+// the digest its last save computed tagged with its write generation, and
+// every write path bumps the generation first (Data, Set, Fill, Zero,
+// AddInPlace, Axpy, ScaleInPlace, CopyFrom's destination, and any Reshape
+// view, which shares the counter). The save path alone reads and records
+// stamps (DigestAllStamped); Digest, DigestAll and Hash always hash afresh,
+// so every check of stored bytes stays independent of the stamps.
 
 // digestOps counts per-tensor digest computations process-wide, on the
 // shared obs registry. It exists so tests can assert the single-pass save
@@ -53,23 +63,58 @@ func (t *Tensor) Digest() [sha256.Size]byte {
 }
 
 // DigestAll computes the content digests of ts with up to Workers()
-// goroutines. Each digest is independent, so out[i] is bit-identical to
+// goroutines: a fresh pass over every byte, which neither reads nor
+// records stamps. Each digest is independent, so out[i] is bit-identical to
 // ts[i].Digest() for any worker count — parallelism changes wall-clock
-// time, never bytes. Workers claim tensors one at a time off a shared
-// counter, which load-balances the highly skewed tensor sizes of real
-// architectures better than static chunking.
+// time, never bytes.
 func DigestAll(ts []*Tensor) [][sha256.Size]byte {
-	out := make([][sha256.Size]byte, len(ts))
-	w := workers
-	if w > len(ts) {
-		w = len(ts)
+	return digestAll(ts, (*Tensor).Digest)
+}
+
+// DigestAllStamped is DigestAll for a save: a tensor whose stamp is
+// current — no write since the save that recorded it — yields the stamped
+// digest without hashing, and every other tensor is hashed and stamped
+// with the generation read before its hashing began. A write that races
+// the pass moves the generation past the stamp, so it is re-hashed by the
+// next save. Only the save path calls this; every check of stored bytes
+// against a hash goes through DigestAll.
+func DigestAllStamped(ts []*Tensor) [][sha256.Size]byte {
+	return digestAll(ts, (*Tensor).stampedDigest)
+}
+
+// stampedDigest returns t's current stamp, or hashes t and records one.
+func (t *Tensor) stampedDigest() [sha256.Size]byte {
+	if t.gen == nil {
+		return t.Digest()
 	}
+	g := t.gen.Load()
+	if s := t.stamp.Load(); s != nil && s.gen == g {
+		return s.digest
+	}
+	d := t.Digest()
+	t.stamp.Store(&stamp{gen: g, digest: d})
+	return d
+}
+
+// digestAll is the one worker loop under both passes. Workers claim
+// tensors one at a time off a shared counter, largest first (a stable
+// size-descending order): the biggest tensor — a classifier that comes last
+// in state-dict order — starts at once instead of running alone at the end,
+// and the small ones fill in around it. out[i] stays indexed by position.
+func digestAll(ts []*Tensor, digest func(*Tensor) [sha256.Size]byte) [][sha256.Size]byte {
+	out := make([][sha256.Size]byte, len(ts))
+	w := min(workers, len(ts))
 	if w <= 1 {
 		for i, t := range ts {
-			out[i] = t.Digest()
+			out[i] = digest(t)
 		}
 		return out
 	}
+	order := make([]int, len(ts))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(ts[b].data), len(ts[a].data)) })
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
@@ -77,11 +122,12 @@ func DigestAll(ts []*Tensor) [][sha256.Size]byte {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ts) {
+				j := int(next.Add(1)) - 1
+				if j >= len(order) {
 					return
 				}
-				out[i] = ts[i].Digest()
+				i := order[j]
+				out[i] = digest(ts[i])
 			}
 		}()
 	}

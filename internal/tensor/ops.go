@@ -82,6 +82,7 @@ func Scale(a *Tensor, s float32) *Tensor {
 // AddInPlace adds b into a elementwise.
 func AddInPlace(a, b *Tensor) {
 	checkSameShape("AddInPlace", a, b)
+	a.touch()
 	for i := range a.data {
 		a.data[i] += b.data[i]
 	}
@@ -90,6 +91,7 @@ func AddInPlace(a, b *Tensor) {
 // Axpy performs a += alpha*b elementwise in place.
 func Axpy(alpha float32, a, b *Tensor) {
 	checkSameShape("Axpy", a, b)
+	a.touch()
 	for i := range a.data {
 		a.data[i] += alpha * b.data[i]
 	}
@@ -97,6 +99,7 @@ func Axpy(alpha float32, a, b *Tensor) {
 
 // ScaleInPlace multiplies every element of a by s.
 func ScaleInPlace(a *Tensor, s float32) {
+	a.touch()
 	for i := range a.data {
 		a.data[i] *= s
 	}

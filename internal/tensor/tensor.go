@@ -10,8 +10,10 @@
 package tensor
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Tensor is a dense, row-major float32 tensor. The zero value is not usable;
@@ -24,10 +26,29 @@ type Tensor struct {
 	// so the mapping cannot be unmapped while the data is still readable
 	// through it. nil for tensors that own their data.
 	ref any
+	// gen is the write generation of data: every path that hands out or
+	// writes the memory bumps it (see touch). Reshape views share their
+	// source's counter, so a write through any view moves all of them.
+	// nil when the memory is not the tensor's to track — New's caller
+	// keeps the slice, and an aliased blob is never written — and such a
+	// tensor never records a stamp.
+	gen *atomic.Uint64
+	// stamp is the digest the last save computed, tagged with the
+	// generation read before hashing began (see digest.go). It counts only
+	// while that generation is still current.
+	stamp atomic.Pointer[stamp]
+}
+
+// stamp is one recorded digest and the generation it describes.
+type stamp struct {
+	gen    uint64
+	digest [sha256.Size]byte
 }
 
 // New creates a tensor with the given shape backed by data. The data slice is
 // used directly (not copied); it must have exactly Prod(shape) elements.
+// The caller keeps the slice and may write it at any time, so such a tensor
+// never records a stamp and every save digests it afresh.
 func New(data []float32, shape ...int) *Tensor {
 	n := Prod(shape)
 	if len(data) != n {
@@ -38,7 +59,18 @@ func New(data []float32, shape ...int) *Tensor {
 
 // Zeros creates a tensor of the given shape filled with zeros.
 func Zeros(shape ...int) *Tensor {
-	return &Tensor{shape: cloneInts(shape), data: make([]float32, Prod(shape))}
+	return &Tensor{shape: cloneInts(shape), data: make([]float32, Prod(shape)), gen: new(atomic.Uint64)}
+}
+
+// touch bumps the write generation, staling every stamp recorded on t or
+// on any view sharing its memory, and returns the new generation. Every
+// write to memory the writer did not just allocate goes through it, before
+// the first byte changes.
+func (t *Tensor) touch() uint64 {
+	if t.gen == nil {
+		return 0
+	}
+	return t.gen.Add(1)
 }
 
 // Full creates a tensor of the given shape with every element set to v.
@@ -52,7 +84,9 @@ func Full(v float32, shape ...int) *Tensor {
 
 // Scalar creates a 0-dimensional tensor holding v.
 func Scalar(v float32) *Tensor {
-	return &Tensor{shape: []int{}, data: []float32{v}}
+	t := Zeros()
+	t.data[0] = v
+	return t
 }
 
 // Prod returns the product of dims; the empty product is 1.
@@ -88,7 +122,16 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Data returns the underlying data slice. Mutating it mutates the tensor.
 // Mutating an Aliased tensor's data is forbidden: the slice may alias a
 // read-only memory mapping, where a store faults.
-func (t *Tensor) Data() []float32 { return t.data }
+//
+// Data is the one writable accessor, so it stales the tensor's stamp
+// before returning: the next save digests the tensor afresh. The slice is
+// for the caller's own function — mmlint keeps it from escaping into a
+// field, a container, a channel, a return value or a goroutine — and must
+// not be written after a save that began once it was taken.
+func (t *Tensor) Data() []float32 {
+	t.touch()
+	return t.data
+}
 
 // Aliased reports whether the tensor's data aliases external backing
 // storage (a mapped or retained parameter blob) rather than owning it.
@@ -102,7 +145,9 @@ func (t *Tensor) At(idx ...int) float32 {
 
 // Set assigns v to the element at the given multi-dimensional index.
 func (t *Tensor) Set(v float32, idx ...int) {
-	t.data[t.offset(idx)] = v
+	off := t.offset(idx)
+	t.touch()
+	t.data[off] = v
 }
 
 func (t *Tensor) offset(idx []int) int {
@@ -119,20 +164,49 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Clone returns a deep copy of the tensor.
+// Clone returns a deep copy of the tensor, carrying its stamp along (see
+// CopyFrom).
 func (t *Tensor) Clone() *Tensor {
 	c := Zeros(t.shape...)
-	copy(c.data, t.data)
+	c.CopyFrom(t)
 	return c
 }
 
+// CopyFrom copies src's values into t, which must have src's shape. It is
+// the stamp-carrying copy: when src holds a stamp that is still current,
+// and no write to src lands while the bytes are copied, t records the same
+// digest — equal shape and equal bytes hash equally — so a save of t need
+// not re-hash what a save of src already did.
+func (t *Tensor) CopyFrom(src *Tensor) {
+	checkSameShape("CopyFrom", t, src)
+	g := t.touch()
+	s := src.currentStamp()
+	copy(t.data, src.data)
+	if s != nil && t.gen != nil && src.gen.Load() == s.gen {
+		t.stamp.Store(&stamp{gen: g, digest: s.digest})
+	}
+}
+
+// currentStamp returns t's stamp if no write has moved its generation
+// since the stamp was recorded, or nil.
+func (t *Tensor) currentStamp() *stamp {
+	if t.gen == nil {
+		return nil
+	}
+	if s := t.stamp.Load(); s != nil && s.gen == t.gen.Load() {
+		return s
+	}
+	return nil
+}
+
 // Reshape returns a view of the tensor with a new shape. The total number of
-// elements must be unchanged. The returned tensor shares data with t.
+// elements must be unchanged. The returned tensor shares data — and the
+// write generation — with t; its stamp is its own, as its shape is.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if Prod(shape) != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
 	}
-	return &Tensor{shape: cloneInts(shape), data: t.data, ref: t.ref}
+	return &Tensor{shape: cloneInts(shape), data: t.data, ref: t.ref, gen: t.gen}
 }
 
 // SameShape reports whether t and o have identical shapes.
@@ -188,6 +262,7 @@ func (t *Tensor) AllClose(o *Tensor, atol float32) bool {
 
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
+	t.touch()
 	for i := range t.data {
 		t.data[i] = v
 	}
@@ -195,6 +270,7 @@ func (t *Tensor) Fill(v float32) {
 
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
+	t.touch()
 	for i := range t.data {
 		t.data[i] = 0
 	}

@@ -4,7 +4,9 @@
 #   1. go build      — everything compiles
 #   2. go vet        — stock static analysis
 #   3. mmlint        — repo-specific invariants (determinism, durability,
-#                      panic discipline, goroutine plumbing); see cmd/mmlint
+#                      panic discipline, goroutine plumbing, tensor Data()
+#                      slices kept local so every write stales the digest a
+#                      save stamped); see cmd/mmlint
 #   4. go test       — unit and integration tests
 #   5. go test -race — the concurrency-heavy packages under the race detector
 #      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
@@ -28,10 +30,16 @@
 #                      stay bit-identical to the direct kernel old models
 #                      replay on), FuzzReadStateDict (no bytes on disk may
 #                      panic the state-dict decoders, make them disagree or
-#                      decode a tensor whose shape lies about its size) and
+#                      decode a tensor whose shape lies about its size),
 #                      FuzzServerFrame (no bytes a peer sends may panic the
 #                      server, break its answer framing or make a header
-#                      alone allocate more than one read chunk)
+#                      alone allocate more than one read chunk),
+#                      FuzzParseSpec (no model-code blob may panic the spec
+#                      parser or ask recovery to build a model that cannot
+#                      be allocated) and FuzzSaveAfterWrites (every way a
+#                      tensor is written must make the next save re-hash
+#                      it: the stored update and the recovered model match
+#                      a save that reuses no digest)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -72,5 +80,11 @@ go test -run '^$' -fuzz '^FuzzReadStateDict$' -fuzztime 10s -fuzzminimizetime 1s
 
 echo "==> go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb"
 go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb
+
+echo "==> go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/models"
+go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/models
+
+echo "==> go test -run '^$' -fuzz FuzzSaveAfterWrites -fuzztime 10s ./internal/core"
+go test -run '^$' -fuzz FuzzSaveAfterWrites -fuzztime 10s ./internal/core
 
 echo "verify: all gates green"
