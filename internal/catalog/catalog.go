@@ -2,16 +2,16 @@
 // requirement that "the server has to monitor every model that exists and
 // has to be able to losslessly recover it when requested". It provides
 // lineage queries over the base-model references the save approaches store
-// (list models, walk derivation chains, find descendants) and a safe
-// garbage collector that deletes models together with their private
-// artifacts — refusing to break chains that other models still depend on.
+// (list models, walk derivation chains, find children) and a safe garbage
+// collector that deletes models together with their private artifacts —
+// refusing to break chains that other models still depend on. What a
+// stored model is — its kind, its base, what it owns — is core's to read.
 package catalog
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,14 +30,10 @@ func New(stores core.Stores) *Catalog {
 	return &Catalog{stores: stores}
 }
 
-// Entry summarizes one saved model.
+// Entry summarizes one saved model: core's reading of it, and the bytes
+// its blobs take.
 type Entry struct {
-	ID       string `json:"id"`
-	Approach string `json:"approach"`
-	BaseID   string `json:"base_id,omitempty"`
-	// Kind reports how the model is materialized: "snapshot" (full
-	// parameters), "update" (parameter update), or "provenance".
-	Kind string `json:"kind"`
+	core.StoredModel
 	// StorageBytes is the model's own artifact footprint (files only;
 	// document sizes are negligible and engine dependent).
 	StorageBytes int64 `json:"storage_bytes"`
@@ -46,16 +42,20 @@ type Entry struct {
 // ErrInUse is returned when deleting a model that other models derive from.
 var ErrInUse = errors.New("catalog: model is a base of other models")
 
-// listWorkers bounds the model documents List has in flight at once.
+// listWorkers bounds the models a scan has in flight at once.
 const listWorkers = 16
 
-// List returns every saved model, sorted by identifier for determinism.
-// The per-model reads (the model document, a provenance link's service
-// document, the blob sizes) are independent, so a bounded pool of workers
-// issues them together instead of one round trip after another; each entry
-// lands in its identifier's slot, and the first error in identifier order
-// is the one returned, as a one-at-a-time listing would.
-func (c *Catalog) List() ([]Entry, error) {
+// List returns every saved model with its storage, sorted by identifier
+// for determinism.
+func (c *Catalog) List() ([]Entry, error) { return c.scan(true) }
+
+// scan reads every saved model, sorted by identifier, sizing its blobs if
+// sized; it is the one scan of the models every other operation uses. A
+// bounded pool issues the independent per-model reads together, and the
+// first error in identifier order is returned, as a serial scan would. A
+// model deleted between the listing and its read is skipped; any other
+// failed read fails the scan: that model may be a child, or own a live blob.
+func (c *Catalog) scan(sized bool) ([]Entry, error) {
 	ids, err := c.stores.Meta.IDs(core.ColModels)
 	if err != nil {
 		return nil, err
@@ -72,47 +72,38 @@ func (c *Catalog) List() ([]Entry, error) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
-				out[i], errs[i] = c.Get(ids[i])
+				m, err := core.ReadModel(c.stores.Meta, ids[i])
+				out[i], errs[i] = Entry{StoredModel: m}, err
+				if sized && err == nil {
+					out[i] = c.entry(m)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	kept := out[:0]
+	for i, err := range errs {
+		switch {
+		case errors.Is(err, core.ErrModelNotFound):
+			continue
+		case err != nil:
 			return nil, err
 		}
+		kept = append(kept, out[i])
 	}
-	return out, nil
+	return kept, nil
 }
 
 // Get returns the catalog entry of one model.
 func (c *Catalog) Get(id string) (Entry, error) {
-	raw, err := c.stores.Meta.Get(core.ColModels, id)
-	if errors.Is(err, docdb.ErrNotFound) {
-		return Entry{}, fmt.Errorf("%w: %s", core.ErrModelNotFound, id)
-	}
-	if err != nil {
-		return Entry{}, err
-	}
-	return c.entry(id, raw), nil
+	m, err := core.ReadModel(c.stores.Meta, id)
+	return c.entry(m), err
 }
 
-// entry summarizes the model document raw stored under id.
-func (c *Catalog) entry(id string, raw docdb.Document) Entry {
-	e := Entry{ID: id}
-	e.Approach, _ = raw["approach"].(string)
-	e.BaseID, _ = raw["base_id"].(string)
-	switch {
-	case str(raw["code_file_ref"]) != "":
-		e.Kind = "snapshot"
-	case str(raw["params_file_ref"]) != "":
-		e.Kind = "update"
-	case str(raw["service_doc_id"]) != "":
-		e.Kind = "provenance"
-	default:
-		e.Kind = "unknown"
-	}
-	for _, ref := range c.fileRefs(raw) {
+// entry summarizes m, sizing the blobs it owns.
+func (c *Catalog) entry(m core.StoredModel) Entry {
+	e := Entry{StoredModel: m}
+	for _, ref := range m.Owns.Blobs {
 		if n, err := c.stores.Files.Size(ref); err == nil {
 			e.StorageBytes += n
 		}
@@ -120,149 +111,32 @@ func (c *Catalog) entry(id string, raw docdb.Document) Entry {
 	return e
 }
 
-func str(v any) string {
-	s, _ := v.(string)
-	return s
-}
-
-// fileRefs collects the file-store references a model document owns,
-// including those of its train-service document.
-func (c *Catalog) fileRefs(raw docdb.Document) []string {
-	var refs []string
-	add := func(v any) {
-		if s := str(v); s != "" {
-			refs = append(refs, s)
-		}
-	}
-	add(raw["code_file_ref"])
-	add(raw["params_file_ref"])
-	if svcID := str(raw["service_doc_id"]); svcID != "" {
-		if svcRaw, err := c.stores.Meta.Get(core.ColServices, svcID); err == nil {
-			if ref := str(svcRaw["dataset_ref"]); ref != "" && !strings.HasPrefix(ref, "external:") {
-				refs = append(refs, ref)
-			}
-			for _, w := range asMap(svcRaw["wrappers"]) {
-				add(asMap(w)["state_file_ref"])
-			}
-		}
-	}
-	return refs
-}
-
-// asMap normalizes the two map types JSON documents decode into.
-func asMap(v any) map[string]any {
-	switch m := v.(type) {
-	case map[string]any:
-		return m
-	case docdb.Document:
-		return map[string]any(m)
-	default:
-		return nil
-	}
-}
-
 // Chain returns the derivation chain from id down to its root, past any
-// snapshot: [id, base, base-of-base, ..., root]. The model documents come a
-// chain read at a time, and a read is issued again only where an answer
-// stopped short.
+// snapshot: [id, base, base-of-base, ..., root].
 func (c *Catalog) Chain(id string) ([]Entry, error) {
-	var out []Entry
-	seen := map[string]bool{}
-	var ahead []docdb.Document // read by the last chain read, id's first
-	for id != "" {
-		if seen[id] {
-			return nil, fmt.Errorf("catalog: derivation cycle at %s", id)
-		}
-		seen[id] = true
-		if len(ahead) == 0 {
-			var err error
-			ahead, err = c.stores.Meta.Chain(core.ColModels, id, "base_id", "")
-			if err == nil && len(ahead) == 0 {
-				err = docdb.ErrNotFound // an answer starts with id
-			}
-			if errors.Is(err, docdb.ErrNotFound) {
-				return nil, fmt.Errorf("%w: %s", core.ErrModelNotFound, id)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		e := c.entry(id, ahead[0])
-		ahead = ahead[1:]
-		out = append(out, e)
-		id = e.BaseID
+	chain, err := core.ReadChain(c.stores.Meta, id)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Entry, len(chain))
+	for i, m := range chain {
+		out[i] = c.entry(m)
 	}
 	return out, nil
 }
 
-// Children returns the models directly derived from id, sorted. (Documents
-// do not carry their own identifiers, so the scan maps ids to documents
-// explicitly instead of using Find.) A model deleted between the listing
-// and its read is skipped; any other failed read fails the scan, since a
-// child it could not read may still derive from id.
+// Children returns the models directly derived from id, sorted.
 func (c *Catalog) Children(id string) ([]string, error) {
-	ids, err := c.stores.Meta.IDs(core.ColModels)
+	entries, err := c.scan(false)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
-	for _, cid := range ids {
-		raw, err := c.stores.Meta.Get(core.ColModels, cid)
-		if errors.Is(err, docdb.ErrNotFound) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if str(raw["base_id"]) == id {
-			out = append(out, cid)
+	for _, e := range entries {
+		if e.BaseID == id {
+			out = append(out, e.ID)
 		}
 	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Descendants returns every model transitively derived from id, sorted.
-func (c *Catalog) Descendants(id string) ([]string, error) {
-	var out []string
-	queue := []string{id}
-	seen := map[string]bool{id: true}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		kids, err := c.Children(cur)
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kids {
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, k)
-				queue = append(queue, k)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Roots returns the models with no base reference.
-func (c *Catalog) Roots() ([]string, error) {
-	ids, err := c.stores.Meta.IDs(core.ColModels)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, id := range ids {
-		raw, err := c.stores.Meta.Get(core.ColModels, id)
-		if err != nil {
-			return nil, err
-		}
-		if str(raw["base_id"]) == "" {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
 	return out, nil
 }
 
@@ -272,10 +146,7 @@ func (c *Catalog) Roots() ([]string, error) {
 // parameter update or provenance approach (baseline descendants only lose
 // their lineage link, not recoverability, but the reference still dangles).
 func (c *Catalog) Delete(id string, force bool) error {
-	raw, err := c.stores.Meta.Get(core.ColModels, id)
-	if errors.Is(err, docdb.ErrNotFound) {
-		return fmt.Errorf("%w: %s", core.ErrModelNotFound, id)
-	}
+	m, err := core.ReadModel(c.stores.Meta, id)
 	if err != nil {
 		return err
 	}
@@ -288,21 +159,15 @@ func (c *Catalog) Delete(id string, force bool) error {
 			return fmt.Errorf("%w: %s has %d dependent model(s)", ErrInUse, id, len(kids))
 		}
 	}
-	// Delete owned artifacts, then sub-documents, then the root document.
-	for _, ref := range c.fileRefs(raw) {
+	// Delete owned blobs, then side documents, then the root document.
+	for _, ref := range m.Owns.Blobs {
 		if err := c.stores.Files.Delete(ref); err != nil && !errors.Is(err, filestore.ErrNotFound) {
 			return err
 		}
 	}
-	for col, key := range map[string]string{
-		core.ColEnvironments: "env_doc_id",
-		core.ColLayerHashes:  "hash_doc_id",
-		core.ColServices:     "service_doc_id",
-	} {
-		if ref := str(raw[key]); ref != "" {
-			if err := c.stores.Meta.Delete(col, ref); err != nil && !errors.Is(err, docdb.ErrNotFound) {
-				return err
-			}
+	for _, d := range m.Owns.Docs {
+		if err := c.stores.Meta.Delete(d.Collection, d.ID); err != nil && !errors.Is(err, docdb.ErrNotFound) {
+			return err
 		}
 	}
 	return c.stores.Meta.Delete(core.ColModels, id)
@@ -319,14 +184,13 @@ type Stats struct {
 }
 
 // Stats computes catalog statistics, including the number of file-store
-// blobs no model references (candidates for CollectGarbage).
+// blobs nothing references (candidates for CollectGarbage).
 func (c *Catalog) Stats() (Stats, error) {
-	entries, err := c.List()
+	entries, orphans, err := c.survey(true)
 	if err != nil {
 		return Stats{}, err
 	}
-	var st Stats
-	st.Models = len(entries)
+	st := Stats{Models: len(entries), Unreachable: len(orphans)}
 	for _, e := range entries {
 		switch e.Kind {
 		case "snapshot":
@@ -338,34 +202,34 @@ func (c *Catalog) Stats() (Stats, error) {
 		}
 		st.TotalBytes += e.StorageBytes
 	}
-	orphans, err := c.unreferencedBlobs()
-	if err != nil {
-		return Stats{}, err
-	}
-	st.Unreachable = len(orphans)
 	return st, nil
 }
 
-// unreferencedBlobs lists file-store blobs that no model document
-// references.
-func (c *Catalog) unreferencedBlobs() ([]string, error) {
-	referenced := map[string]bool{}
-	ids, err := c.stores.Meta.IDs(core.ColModels)
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		raw, err := c.stores.Meta.Get(core.ColModels, id)
-		if err != nil {
-			return nil, err
-		}
-		for _, ref := range c.fileRefs(raw) {
-			referenced[ref] = true
-		}
-	}
+// survey scans the models as scan does and returns them with the
+// file-store blobs that no model owns and no staging record names, sorted.
+// The order of its reads keeps a save running beside it safe: a listed blob
+// was staged before it was written, and its staging record is deleted only
+// after its model committed, so reading the records after the listing and
+// the models after the records finds every live blob named at least once.
+func (c *Catalog) survey(sized bool) ([]Entry, []string, error) {
 	all, err := c.stores.Files.List()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	staged, err := core.StagedBlobs(c.stores.Meta)
+	if err != nil {
+		return nil, nil, err
+	}
+	entries, err := c.scan(sized)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, e := range entries {
+		staged = append(staged, e.Owns.Blobs...)
+	}
+	referenced := make(map[string]bool, len(staged))
+	for _, b := range staged {
+		referenced[b] = true
 	}
 	var orphans []string
 	for _, b := range all {
@@ -374,14 +238,16 @@ func (c *Catalog) unreferencedBlobs() ([]string, error) {
 		}
 	}
 	sort.Strings(orphans)
-	return orphans, nil
+	return entries, orphans, nil
 }
 
-// CollectGarbage deletes file-store blobs that no model references (e.g.
+// CollectGarbage deletes file-store blobs that nothing references (e.g.
 // artifacts left behind by force-deleted chains) and returns how many blobs
-// and bytes were reclaimed.
+// and bytes were reclaimed. It may run beside saves: the blobs a staging
+// record names — a save in flight, or a crashed one — are
+// core.RecoverOrphans' to reclaim, never this collector's.
 func (c *Catalog) CollectGarbage() (blobs int, bytes int64, err error) {
-	orphans, err := c.unreferencedBlobs()
+	_, orphans, err := c.survey(false)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -86,10 +88,12 @@ func TestListGetAndKinds(t *testing.T) {
 	}
 }
 
-func TestProvenanceKindAndRefs(t *testing.T) {
-	stores := testStores(t)
+// saveProvenance saves a snapshot and a provenance link trained from it
+// with the MPA, and returns their ids and the link's training dataset.
+func saveProvenance(t *testing.T, stores core.Stores, seed uint64) (root, derived string, ds *dataset.Dataset) {
+	t.Helper()
 	mpa := core.NewProvenance(stores)
-	net, err := models.New(models.TinyCNNName, 4, 2)
+	net, err := models.New(models.TinyCNNName, 4, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestProvenanceKindAndRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.Generate(dataset.Spec{Name: "cat", Images: 8, H: 8, W: 8, Classes: 4, Seed: 3})
+	ds, err = dataset.Generate(dataset.Spec{Name: "cat", Images: 8, H: 8, W: 8, Classes: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,25 +116,30 @@ func TestProvenanceKindAndRefs(t *testing.T) {
 	if _, err := rec.Train(net); err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net, BaseID: u1.ID, Provenance: rec})
+	res, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net, BaseID: u1.ID, WithChecksums: true, Provenance: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := New(stores)
-	e, err := cat.Get(res.ID)
+	return u1.ID, res.ID, ds
+}
+
+func TestProvenanceKindAndRefs(t *testing.T) {
+	stores := testStores(t)
+	_, id, ds := saveProvenance(t, stores, 2)
+	e, err := New(stores).Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind != "provenance" {
 		t.Fatalf("kind = %q", e.Kind)
 	}
-	// The dataset archive and optimizer state count toward storage.
+	// The dataset archive counts toward storage.
 	if e.StorageBytes < ds.Spec.SizeBytes()/2 {
 		t.Fatalf("storage = %d, want at least the dataset archive", e.StorageBytes)
 	}
 }
 
-func TestChainChildrenDescendantsRoots(t *testing.T) {
+func TestChainAndChildren(t *testing.T) {
 	stores := testStores(t)
 	u1, a, b := buildChain(t, stores)
 	cat := New(stores)
@@ -149,36 +158,26 @@ func TestChainChildrenDescendantsRoots(t *testing.T) {
 	if len(kids) != 1 || kids[0] != a {
 		t.Fatalf("children = %v", kids)
 	}
-	desc, err := cat.Descendants(u1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(desc) != 2 {
-		t.Fatalf("descendants = %v", desc)
-	}
-	roots, err := cat.Roots()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 1 || roots[0] != u1 {
-		t.Fatalf("roots = %v", roots)
-	}
 }
 
+// The catalog and a recovery read lineage through one reader, so a cycle
+// of base references fails both the same way.
 func TestChainDetectsCycle(t *testing.T) {
 	stores := testStores(t)
-	u1, a, _ := buildChain(t, stores)
-	// Corrupt: make u1 point at a, forming a cycle.
-	raw, err := stores.Meta.Get(core.ColModels, u1)
+	_, a, b := buildChain(t, stores)
+	// Corrupt: make a point at b, forming a cycle of two updates.
+	raw, err := stores.Meta.Get(core.ColModels, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw["base_id"] = a
-	if err := stores.Meta.Put(core.ColModels, u1, raw); err != nil {
+	raw["base_id"] = b
+	if err := stores.Meta.Put(core.ColModels, a, raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(stores).Chain(a); err == nil {
-		t.Fatal("expected cycle error")
+	_, chainErr := New(stores).Chain(b)
+	_, recoverErr := core.NewParamUpdate(stores).Recover(b, core.RecoverOptions{})
+	if chainErr == nil || recoverErr == nil || chainErr.Error() != recoverErr.Error() || !strings.Contains(chainErr.Error(), "cycle at "+b) {
+		t.Fatalf("Chain: %v; Recover: %v; want the same cycle error at %s", chainErr, recoverErr, b)
 	}
 }
 
@@ -336,35 +335,10 @@ func TestStatsCounts(t *testing.T) {
 func TestListMatchesSequentialGets(t *testing.T) {
 	stores := testStores(t)
 	pua := core.NewParamUpdate(stores)
-	mpa := core.NewProvenance(stores)
 	for i := 0; i < 3; i++ {
 		buildChain(t, stores)
 	}
-	net, err := models.New(models.TinyCNNName, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := dataset.Generate(dataset.Spec{Name: "list", Images: 8, H: 8, W: 8, Classes: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, _ := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: 4, OutH: 8, OutW: 8, Shuffle: true, Seed: 4})
-	rec, err := core.NewProvenanceRecord(train.NewImageClassifierTrainService(
-		train.ServiceConfig{Epochs: 1, Seed: 5, Deterministic: true},
-		loader, train.NewSGD(train.SGDConfig{LR: 0.01, Momentum: 0.9})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rec.Train(net); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mpa.Save(core.SaveInfo{Spec: tinySpec(), Net: net, BaseID: root.ID, Provenance: rec}); err != nil {
-		t.Fatal(err)
-	}
+	saveProvenance(t, stores, 7)
 	for i := 0; i < 2*listWorkers; i++ {
 		m, err := models.New(models.TinyCNNName, 4, uint64(100+i))
 		if err != nil {
@@ -402,5 +376,219 @@ func TestListMatchesSequentialGets(t *testing.T) {
 	}
 	if kinds["snapshot"] != 4+2*listWorkers || kinds["update"] != 6 || kinds["provenance"] != 1 {
 		t.Fatalf("listed kinds = %v", kinds)
+	}
+}
+
+// A save paused before its commit has written its blobs, and only its
+// staging record names them. The collector leaves them to RecoverOrphans,
+// and the save commits a model that recovers.
+func TestGarbageCollectionSparesASaveInFlight(t *testing.T) {
+	stores := testStores(t)
+	paused, release := make(chan struct{}), make(chan struct{})
+	saving := stores
+	saving.Crash = func(point string) error {
+		if point == "commit.before" {
+			close(paused)
+			<-release
+		}
+		return nil
+	}
+	net, err := models.New(models.TinyCNNName, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		id  string
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := core.NewBaseline(saving).Save(core.SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+		done <- result{res.ID, err}
+	}()
+	select {
+	case <-paused:
+	case saved := <-done:
+		t.Fatalf("save returned before its commit: %v", saved.err)
+	}
+	blobs, _, gcErr := New(stores).CollectGarbage()
+	close(release)
+	saved := <-done
+	if gcErr != nil {
+		t.Fatal(gcErr)
+	}
+	if saved.err != nil {
+		t.Fatal(saved.err)
+	}
+	if blobs != 0 {
+		t.Errorf("collected %d blob(s) of a save in flight", blobs)
+	}
+	if _, err := core.NewBaseline(stores).Recover(saved.id, core.RecoverOptions{VerifyChecksums: true}); err != nil {
+		t.Fatalf("saved model does not recover: %v", err)
+	}
+}
+
+// failServices is a document store whose every Get of a service document
+// fails, as a network client out of retries does.
+type failServices struct{ docdb.Store }
+
+func (f failServices) Get(collection, id string) (docdb.Document, error) {
+	if collection == core.ColServices {
+		return nil, errUnreachable
+	}
+	return f.Store.Get(collection, id)
+}
+
+// A provenance model's dataset archive is named only by its service
+// document. When that cannot be read, what the model owns is unknown: the
+// collector and Delete fail with the read's error and touch nothing.
+func TestUnreadableServiceDocumentKeepsProvenanceBlobs(t *testing.T) {
+	stores := testStores(t)
+	_, id, _ := saveProvenance(t, stores, 12)
+	broken := stores
+	broken.Meta = failServices{stores.Meta}
+	cat := New(broken)
+	before, err := stores.Files.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if blobs, _, err := cat.CollectGarbage(); !errors.Is(err, errUnreachable) || blobs != 0 {
+		t.Fatalf("CollectGarbage = %d blob(s), %v; want none and the read's error", blobs, err)
+	}
+	if err := cat.Delete(id, false); !errors.Is(err, errUnreachable) {
+		t.Fatalf("Delete = %v, want the read's error", err)
+	}
+	if _, err := cat.List(); !errors.Is(err, errUnreachable) {
+		t.Fatalf("List = %v, want the read's error", err)
+	}
+	after, err := stores.Files.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Blobs != before.Blobs {
+		t.Fatalf("%d blobs before, %d after", before.Blobs, after.Blobs)
+	}
+	if _, err := core.NewProvenance(stores).Recover(id, core.RecoverOptions{VerifyChecksums: true}); err != nil {
+		t.Fatalf("model no longer recovers: %v", err)
+	}
+}
+
+// failRootDelete is a document store whose Delete of one model's root
+// document fails, leaving the store as a process killed between a
+// deletion's side documents and its root document leaves it.
+type failRootDelete struct {
+	docdb.Store
+	id string
+}
+
+func (f failRootDelete) Delete(collection, id string) error {
+	if collection == core.ColModels && id == f.id {
+		return errUnreachable
+	}
+	return f.Store.Delete(collection, id)
+}
+
+// A Delete cut short before the root document leaves a provenance model
+// whose service document is gone, and with it the blobs that document
+// named. The scans still read the model, the collector spares the rest of
+// the store, and a second Delete finishes the first.
+func TestInterruptedDeleteOfAProvenanceModelFinishes(t *testing.T) {
+	stores := testStores(t)
+	root, id, _ := saveProvenance(t, stores, 14)
+	cut := stores
+	cut.Meta = failRootDelete{Store: stores.Meta, id: id}
+	if err := New(cut).Delete(id, false); !errors.Is(err, errUnreachable) {
+		t.Fatalf("interrupted Delete = %v, want the injected error", err)
+	}
+
+	cat := New(stores)
+	if entries, err := cat.List(); err != nil || len(entries) != 2 {
+		t.Fatalf("List = %d entries, %v; want both models", len(entries), err)
+	}
+	if st, err := cat.Stats(); err != nil || st.Models != 2 {
+		t.Fatalf("Stats = %+v, %v", st, err)
+	}
+	if _, _, err := cat.CollectGarbage(); err != nil {
+		t.Fatalf("CollectGarbage: %v", err)
+	}
+	if err := cat.Delete(id, false); err != nil {
+		t.Fatalf("second Delete: %v", err)
+	}
+	if _, err := cat.Get(id); !errors.Is(err, core.ErrModelNotFound) {
+		t.Fatalf("Get after the second Delete = %v, want ErrModelNotFound", err)
+	}
+	m, err := core.ReadModel(stores.Meta, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := stores.Files.Stats(); err != nil || st.Blobs != len(m.Owns.Blobs) {
+		t.Fatalf("%d blobs left, %v; want the root's %d", st.Blobs, err, len(m.Owns.Blobs))
+	}
+	if _, err := core.NewProvenance(stores).Recover(root, core.RecoverOptions{VerifyChecksums: true}); err != nil {
+		t.Fatalf("root no longer recovers: %v", err)
+	}
+}
+
+// deleteOnRead is a document store that deletes a model the first time a
+// scan reads one of its documents, as a concurrent Delete would: a model
+// at its root document, or a provenance model at its service document,
+// which a deletion removes before the root document.
+type deleteOnRead struct {
+	docdb.Store
+	stores  core.Stores       // the undecorated stores the deletion runs on
+	victims map[string]string // "collection/id" read -> model deleted
+	once    sync.Map
+}
+
+func (d *deleteOnRead) Get(collection, id string) (docdb.Document, error) {
+	if model, ok := d.victims[collection+"/"+id]; ok {
+		if _, done := d.once.LoadOrStore(model, true); !done {
+			if err := New(d.stores).Delete(model, true); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return d.Store.Get(collection, id)
+}
+
+// Every scan skips a model deleted between its listing and its read.
+func TestScansSkipAModelDeletedMidScan(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want int // five models less the two deleted; root has one child
+		scan func(c *Catalog, root string) (int, error)
+	}{
+		{"List", 3, func(c *Catalog, _ string) (int, error) { e, err := c.List(); return len(e), err }},
+		{"Children", 1, func(c *Catalog, root string) (int, error) { kids, err := c.Children(root); return len(kids), err }},
+		{"Stats", 3, func(c *Catalog, _ string) (int, error) { st, err := c.Stats(); return st.Models, err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores := testStores(t)
+			root, _, leaf := buildChain(t, stores)
+			_, prov, _ := saveProvenance(t, stores, 13)
+			m, err := core.ReadModel(stores.Meta, prov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var svcID string
+			for _, d := range m.Owns.Docs {
+				if d.Collection == core.ColServices {
+					svcID = d.ID
+				}
+			}
+			racing := stores
+			racing.Meta = &deleteOnRead{Store: stores.Meta, stores: stores, victims: map[string]string{
+				core.ColModels + "/" + leaf:    leaf,
+				core.ColServices + "/" + svcID: prov,
+			}}
+			got, err := tc.scan(New(racing), root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("%s counted %d, want %d", tc.name, got, tc.want)
+			}
+		})
 	}
 }

@@ -32,13 +32,9 @@ type Artifacts struct {
 // CaptureArtifacts reads back everything the save of model id persisted
 // into stores, with random cross-document references neutralized.
 func CaptureArtifacts(stores Stores, id string) (Artifacts, error) {
-	raw, err := stores.Meta.Get(ColModels, id)
+	doc, err := getModelDoc(stores.Meta, id)
 	if err != nil {
 		return Artifacts{}, fmt.Errorf("core: capturing model %s: %w", id, err)
-	}
-	var doc modelDoc
-	if err := mapToDoc(raw, &doc); err != nil {
-		return Artifacts{}, err
 	}
 
 	var art Artifacts

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/docdb"
@@ -40,6 +41,7 @@ import (
 	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/train"
 )
 
 // Approach identifiers.
@@ -224,6 +226,102 @@ type modelDoc struct {
 	TrainablePrefixes []string `json:"trainable_prefixes,omitempty"`
 	// ServiceDocID references the train-service provenance document (MPA).
 	ServiceDocID string `json:"service_doc_id,omitempty"`
+}
+
+// owned returns what the committed model with root document d owns —
+// exactly what its save staged: model code, parameters, the environment,
+// service and layer-hash documents and, named by the service document, the
+// dataset archive unless external and the optimizer state. A service
+// document it cannot read is an error, never a smaller set, since a
+// collector deletes what it leaves out; the rest of the set comes with it.
+func (d modelDoc) owned(meta docdb.Store) (Owned, error) {
+	var o Owned
+	blob := func(ref string) {
+		if ref != "" {
+			o.Blobs = append(o.Blobs, ref)
+		}
+	}
+	blob(d.CodeFileRef)
+	blob(d.ParamsFileRef)
+	for _, ref := range []DocRef{{ColEnvironments, d.EnvDocID}, {ColServices, d.ServiceDocID}, {ColLayerHashes, d.HashDocID}} {
+		if ref.ID != "" {
+			o.Docs = append(o.Docs, ref)
+		}
+	}
+	if d.ServiceDocID != "" {
+		svc, err := loadDoc[train.ServiceDoc](meta, ColServices, d.ServiceDocID)
+		if err != nil {
+			return o, err
+		}
+		if !strings.HasPrefix(svc.DatasetRef, externalPrefix) {
+			blob(svc.DatasetRef)
+		}
+		blob(svc.Wrappers["optimizer"].StateFileRef)
+	}
+	return o, nil
+}
+
+// StoredModel is one committed model as a catalog reports it.
+type StoredModel struct {
+	ID       string `json:"id"`
+	Approach string `json:"approach"`
+	BaseID   string `json:"base_id,omitempty"`
+	// Kind is how the model is materialized: "snapshot" (full parameters),
+	// "update" (parameter update), "provenance", or "unknown".
+	Kind string `json:"kind"`
+	// Owns is what deleting the model removes besides its root document.
+	Owns Owned `json:"-"`
+}
+
+// ReadModel reads the committed model id and what it owns. It returns
+// ErrModelNotFound when the model does not exist, also when it was deleted
+// while being read.
+func ReadModel(meta docdb.Store, id string) (StoredModel, error) {
+	doc, err := getModelDoc(meta, id)
+	if err != nil {
+		return StoredModel{}, err
+	}
+	return storedModel(meta, id, doc)
+}
+
+// ReadChain reads the lineage of model id: id, its base, its base's base,
+// and on past any snapshot down to a model with no base reference.
+func ReadChain(meta docdb.Store, id string) ([]StoredModel, error) {
+	var out []StoredModel
+	lin := newLineage(meta, "")
+	for id != "" {
+		doc, err := lin.read(context.Background(), id)
+		if err != nil {
+			return nil, err
+		}
+		m, err := storedModel(meta, id, doc)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, m)
+		id = doc.BaseID
+	}
+	return out, nil
+}
+
+// storedModel completes model id, whose root document is doc, with what it
+// owns.
+func storedModel(meta docdb.Store, id string, doc modelDoc) (StoredModel, error) {
+	owns, err := doc.owned(meta)
+	if errors.Is(err, docdb.ErrNotFound) {
+		// A deletion removes blobs, then side documents, then the root, so
+		// a service document not found named blobs that are gone. Under a
+		// root gone too, the model was deleted while it was read; under a
+		// root still there, a deletion was cut short, and the rest is left.
+		_, err = meta.Get(ColModels, id)
+		if errors.Is(err, docdb.ErrNotFound) {
+			return StoredModel{}, fmt.Errorf("%w: %s", ErrModelNotFound, id)
+		}
+	}
+	if err != nil {
+		return StoredModel{}, fmt.Errorf("core: model %s: %w", id, err)
+	}
+	return StoredModel{ID: id, Approach: doc.Approach, BaseID: doc.BaseID, Kind: string(doc.kind()), Owns: owns}, nil
 }
 
 // docToMap converts a struct into a docdb document via JSON.

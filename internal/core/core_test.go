@@ -452,7 +452,6 @@ func TestMPADatasetByReference(t *testing.T) {
 	stores := testStores(t)
 	mpa := NewProvenance(stores)
 	ds := tinyDataset(t)
-	mpa.DatasetByReference = true
 	mpa.ResolveDataset = func(ref string) (*dataset.Dataset, error) {
 		if ref != "warehouse/core-test" {
 			t.Fatalf("unexpected ref %q", ref)
@@ -481,17 +480,28 @@ func TestMPADatasetByReference(t *testing.T) {
 	}
 	assertEqualModels(t, net, got.Net)
 
+	// The same service archives the dataset of a record that carries no
+	// reference.
+	rec2 := trainDerived(t, net, ds)
+	res2, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: res.ID, WithChecksums: true, Provenance: rec2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.FileBytes < ds.Spec.SizeBytes()/2 {
+		t.Fatalf("archiving save stored %d B, dataset is %d B", res2.FileBytes, ds.Spec.SizeBytes())
+	}
+	got, err = mpa.Recover(res2.ID, RecoverOptions{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualModels(t, net, got.Net)
+
 	// Missing resolver is an error.
 	mpa.ResolveDataset = nil
 	if _, err := mpa.Recover(res.ID, RecoverOptions{}); err == nil {
 		t.Fatal("expected error without resolver")
 	}
 
-	// Missing external ref at save time is an error.
-	rec2 := trainDerived(t, net, ds)
-	if _, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: u1.ID, Provenance: rec2}); err == nil {
-		t.Fatal("expected error without external ref")
-	}
 }
 
 func TestAdaptivePicksApproachAndRecoversMixedChain(t *testing.T) {

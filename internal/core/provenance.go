@@ -17,30 +17,18 @@ import (
 // environment, training data, and a base-model reference — instead of their
 // parameters. Recovery re-executes the training deterministically, which
 // requires the training service to have been run in deterministic mode.
-type Provenance struct {
-	service
-	// DatasetByReference enables the external-dataset-manager mode of
-	// Section 3.3 ("Managing Data sets"): instead of archiving the dataset
-	// into the file store, only a reference to an externally managed
-	// dataset is recorded. Recovery then resolves the reference through
-	// ResolveDataset.
-	DatasetByReference bool
-}
+type Provenance struct{ service }
 
-// NewProvenance creates a model provenance save service.
+// NewProvenance creates a model provenance save service. Its policy: an
+// initial model is a full snapshot, a derived model its provenance only —
+// no parameters.
 func NewProvenance(stores Stores) *Provenance {
-	p := &Provenance{}
-	p.service = service{stores: stores, name: ProvenanceApproach, plan: p.plan}
-	return p
-}
-
-// plan is the MPA policy: an initial model is a full snapshot, a derived
-// model its provenance only — no parameters.
-func (p *Provenance) plan(info SaveInfo) savePlan {
-	if info.BaseID == "" {
-		return savePlan{kind: snapshotLink, approach: ProvenanceApproach}
-	}
-	return savePlan{kind: provenanceLink, approach: ProvenanceApproach, datasetByRef: p.DatasetByReference}
+	return &Provenance{service{stores: stores, name: ProvenanceApproach, plan: func(info SaveInfo) savePlan {
+		if info.BaseID == "" {
+			return savePlan{kind: snapshotLink, approach: ProvenanceApproach}
+		}
+		return savePlan{kind: provenanceLink, approach: ProvenanceApproach}
+	}}}
 }
 
 // ProvenanceRecord captures everything needed to reproduce a training run:
@@ -78,7 +66,9 @@ func NewProvenanceRecord(svc train.Service) (*ProvenanceRecord, error) {
 }
 
 // SetExternalDatasetRef marks the dataset as externally managed under the
-// given reference (used with Provenance.DatasetByReference).
+// given reference (Section 3.3, "Managing Data sets"): the provenance link
+// then stores the reference, which recovery resolves through
+// ResolveDataset, instead of archiving the dataset.
 func (r *ProvenanceRecord) SetExternalDatasetRef(ref string) { r.externalRef = ref }
 
 // Train runs the recorded service on net and remembers the result hash for
@@ -104,11 +94,10 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 		return SaveResult{}, fmt.Errorf("core: provenance approach needs a ProvenanceRecord for derived saves")
 	case !rec.trained:
 		return SaveResult{}, fmt.Errorf("core: provenance record was not trained; call Train before Save")
-	case plan.datasetByRef && rec.externalRef == "":
-		return SaveResult{}, fmt.Errorf("core: dataset-by-reference mode needs an external dataset reference")
-	case !plan.datasetByRef && rec.ds == nil:
+	case rec.externalRef == "" && rec.ds == nil:
 		return SaveResult{}, fmt.Errorf("core: provenance record has no dataset")
 	}
+	archive := rec.externalRef == ""
 	sv := s.beginSaving(ctx, info, plan)
 	defer func() { sv.txn.end(retErr) }()
 	if info.WithChecksums {
@@ -117,7 +106,7 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 	envID := sv.txn.stageDoc(ColEnvironments)
 	svcID := sv.txn.stageDoc(ColServices)
 	var dsID, optStateID, hashID string
-	if !plan.datasetByRef {
+	if archive {
 		dsID = sv.txn.stageBlob()
 	}
 	if len(rec.optState) > 0 {
@@ -131,9 +120,9 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 	}
 
 	svcDoc := rec.doc
-	svcDoc.DatasetRef = "external:" + rec.externalRef
+	svcDoc.DatasetRef = externalPrefix + rec.externalRef
 	steps := []func() error{func() error { return sv.putEnv(envID, info) }}
-	if !plan.datasetByRef {
+	if archive {
 		svcDoc.DatasetRef = dsID
 		steps = append(steps, func() error {
 			return phase(ctx, "save.dataset", nil, func(*obs.Span) error {

@@ -57,9 +57,6 @@ type savePlan struct {
 	// pairwiseDiff compares layer hashes one by one instead of through
 	// Merkle trees (update links; the ablation of that optimization).
 	pairwiseDiff bool
-	// datasetByRef records an external dataset reference instead of
-	// archiving the dataset (provenance links).
-	datasetByRef bool
 }
 
 // service is what the four approaches share — which is everything but the
@@ -180,13 +177,18 @@ func (s *service) recover(ctx context.Context, id string, opts RecoverOptions, w
 	return rs, net, nil
 }
 
+// externalPrefix marks a service document's dataset reference as one an
+// external dataset manager resolves (Section 3.3, "Managing Data sets");
+// any other reference names a dataset archive in the file store.
+const externalPrefix = "external:"
+
 // loadDataset reads a provenance link's dataset: an archive in the file
-// store, or — "external:" references — whatever ResolveDataset returns.
+// store, or — external references — whatever ResolveDataset returns.
 func (s *service) loadDataset(ref string) (*dataset.Dataset, error) {
 	if ref == "" {
 		return nil, fmt.Errorf("core: provenance document has no dataset reference")
 	}
-	if ext, ok := strings.CutPrefix(ref, "external:"); ok {
+	if ext, ok := strings.CutPrefix(ref, externalPrefix); ok {
 		if s.ResolveDataset == nil {
 			return nil, fmt.Errorf("core: dataset %q is externally managed but no resolver is configured", ref)
 		}

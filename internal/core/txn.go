@@ -85,20 +85,27 @@ var (
 	mTxnRollbackErrs = obs.Default().Counter("core.txn.rollback_errors")
 )
 
-// stagedRef names one staged side document.
-type stagedRef struct {
+// DocRef names one side document.
+type DocRef struct {
 	Collection string `json:"collection"`
 	ID         string `json:"id"`
+}
+
+// Owned is what a model owns besides its root document. A save stages
+// exactly what its committed model then owns, so the staging record and
+// what deleting a model removes share the shape.
+type Owned struct {
+	Blobs []string `json:"blobs,omitempty"`
+	Docs  []DocRef `json:"docs,omitempty"`
 }
 
 // stagingDoc is the write-ahead commit record. It lists every identifier
 // the save may have written and the root document whose presence marks the
 // save committed.
 type stagingDoc struct {
-	RootCollection string      `json:"root_collection"`
-	RootID         string      `json:"root_id"`
-	Blobs          []string    `json:"blobs,omitempty"`
-	Docs           []stagedRef `json:"docs,omitempty"`
+	RootCollection string `json:"root_collection"`
+	RootID         string `json:"root_id"`
+	Owned
 }
 
 // saveTxn is one in-flight transactional save; each save creates its own.
@@ -148,7 +155,7 @@ func (t *saveTxn) stageBlob() string {
 // precede writeAhead.
 func (t *saveTxn) stageDoc(col string) string {
 	id := docdb.NewID()
-	t.rec.Docs = append(t.rec.Docs, stagedRef{Collection: col, ID: id})
+	t.rec.Docs = append(t.rec.Docs, DocRef{Collection: col, ID: id})
 	t.docs[id] = col
 	return id
 }
@@ -315,7 +322,9 @@ func (r OrphanReport) String() string {
 // blobs and documents their records name. It is idempotent — re-running
 // it, or re-running after an interrupted pass, converges on the same
 // store. It must not run concurrently with saves against the same stores;
-// call it at startup (mmserver) or offline (mmctl fsck).
+// call it at startup (mmserver) or offline (mmctl fsck). It is the only
+// collector of what a staging record names: the catalog's collector, which
+// may run beside saves, keeps every blob StagedBlobs lists.
 func RecoverOrphans(stores Stores) (OrphanReport, error) {
 	return sweepStaging(stores, true)
 }
@@ -327,27 +336,45 @@ func ScanOrphans(stores Stores) (OrphanReport, error) {
 	return sweepStaging(stores, false)
 }
 
-func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
-	var rep OrphanReport
-	ids, err := stores.Meta.IDs(ColStaging)
+// StagedBlobs lists the blobs the staging records name: those of saves in
+// flight, crashed, or committed and not yet swept.
+func StagedBlobs(meta docdb.Store) (blobs []string, err error) {
+	err = eachStagingRecord(meta, func(_ string, rec stagingDoc) error {
+		blobs = append(blobs, rec.Blobs...)
+		return nil
+	})
+	return blobs, err
+}
+
+// eachStagingRecord calls fn on every staging record, stopping at the
+// first error. A record deleted after the listing — its save committed and
+// dropped it, or a concurrent sweep did — is skipped.
+func eachStagingRecord(meta docdb.Store, fn func(id string, rec stagingDoc) error) error {
+	ids, err := meta.IDs(ColStaging)
 	if err != nil {
-		return rep, fmt.Errorf("core: listing staging records: %w", err)
+		return fmt.Errorf("core: listing staging records: %w", err)
 	}
 	for _, id := range ids {
-		raw, err := stores.Meta.Get(ColStaging, id)
+		rec, err := loadDoc[stagingDoc](meta, ColStaging, id)
 		if errors.Is(err, docdb.ErrNotFound) {
-			continue // swept by a concurrent fsck
+			continue
 		}
 		if err != nil {
-			return rep, err
+			return fmt.Errorf("core: staging record %s: %w", id, err)
 		}
-		var rec stagingDoc
-		if err := mapToDoc(raw, &rec); err != nil {
-			return rep, fmt.Errorf("core: decoding staging record %s: %w", id, err)
+		if err := fn(id, rec); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
+	var rep OrphanReport
+	err := eachStagingRecord(stores.Meta, func(id string, rec stagingDoc) error {
 		rep.Scanned++
 
-		_, err = stores.Meta.Get(rec.RootCollection, rec.RootID)
+		_, err := stores.Meta.Get(rec.RootCollection, rec.RootID)
 		switch {
 		case err == nil:
 			// Late crash: the root document landed, the save is complete.
@@ -356,7 +383,7 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 			rep.Completed++
 			if apply {
 				if derr := stores.Meta.Delete(ColStaging, id); derr != nil && !errors.Is(derr, docdb.ErrNotFound) {
-					return rep, derr
+					return derr
 				}
 			}
 		case errors.Is(err, docdb.ErrNotFound):
@@ -371,7 +398,7 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 				// in the report.
 				if apply {
 					if derr := stores.Files.DeleteTemps(b); derr != nil {
-						return rep, derr
+						return derr
 					}
 				}
 				size, serr := stores.Files.Size(b)
@@ -379,11 +406,11 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 					continue // never written, or reclaimed by an earlier pass
 				}
 				if serr != nil {
-					return rep, serr
+					return serr
 				}
 				if apply {
 					if derr := stores.Files.Delete(b); derr != nil && !errors.Is(derr, filestore.ErrNotFound) {
-						return rep, derr
+						return derr
 					}
 				}
 				rep.BlobsReclaimed++
@@ -396,7 +423,7 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 						continue
 					}
 					if derr != nil {
-						return rep, derr
+						return derr
 					}
 				} else {
 					if _, gerr := stores.Meta.Get(d.Collection, d.ID); gerr != nil {
@@ -407,16 +434,17 @@ func sweepStaging(stores Stores, apply bool) (OrphanReport, error) {
 			}
 			if apply {
 				if derr := stores.Meta.Delete(ColStaging, id); derr != nil && !errors.Is(derr, docdb.ErrNotFound) {
-					return rep, derr
+					return derr
 				}
 				mTxnRollbacks.Inc()
 			}
 		default:
-			return rep, err
+			return err
 		}
-	}
-	if apply {
+		return nil
+	})
+	if err == nil && apply {
 		mTxnOrphans.Add(int64(rep.BlobsReclaimed + rep.DocsReclaimed))
 	}
-	return rep, nil
+	return rep, err
 }

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/docdb"
 	"repro/internal/filestore"
 	"repro/internal/nn"
@@ -200,4 +203,117 @@ func TestFailedWaveRollsBackAfterSlowBlobs(t *testing.T) {
 			t.Fatalf("documents left in %s after rollback: %v (err %v)", col, ids, err)
 		}
 	}
+}
+
+// What core reports a committed model owns is exactly what its save staged:
+// the staging record, read at the "staged" crash point, names the same
+// blobs and side documents as ReadModel does after the commit — for every
+// kind of link, with and without the optional artifacts.
+func TestOwnedIsWhatTheSaveStaged(t *testing.T) {
+	ds := tinyDataset(t)
+	// The adaptive policy writes a provenance link only for a dataset
+	// smaller than the trainable parameters.
+	small, err := dataset.Generate(dataset.Spec{Name: "owned", Images: 4, H: 8, W: 8, Classes: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withOptState returns a record whose optimizer already has momentum
+	// buffers, so the save stages an optimizer-state blob.
+	withOptState := func(net nn.Module) *ProvenanceRecord {
+		svc := tinyService(t, ds)
+		if _, err := svc.Train(tinyNet(t, 77)); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewProvenanceRecord(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.optState) == 0 {
+			t.Fatal("trained optimizer has no state")
+		}
+		if _, err := rec.Train(net); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	byRef := func(net nn.Module) *ProvenanceRecord {
+		rec := trainDerived(t, net, ds)
+		rec.SetExternalDatasetRef("warehouse/owned")
+		return rec
+	}
+	cases := []struct {
+		name    string
+		svc     func(Stores) SaveService
+		derived func(net nn.Module) *ProvenanceRecord // nil: save a root
+		kind    string
+	}{
+		{"snapshot", func(s Stores) SaveService { return NewBaseline(s) }, nil, "snapshot"},
+		{"snapshot+layerhashes", func(s Stores) SaveService { return NewParamUpdate(s) }, nil, "snapshot"},
+		{"update", func(s Stores) SaveService { return NewParamUpdate(s) }, func(net nn.Module) *ProvenanceRecord {
+			w, _ := nn.StateDictOf(net).Get("fc.weight")
+			w.Data()[0] += 1
+			return nil
+		}, "update"},
+		{"provenance", func(s Stores) SaveService { return NewProvenance(s) },
+			func(net nn.Module) *ProvenanceRecord { return trainDerived(t, net, ds) }, "provenance"},
+		{"provenance+optstate", func(s Stores) SaveService { return NewProvenance(s) }, withOptState, "provenance"},
+		{"provenance+layerhashes", func(s Stores) SaveService { return NewAdaptive(s) },
+			func(net nn.Module) *ProvenanceRecord { return trainDerived(t, net, small) }, "provenance"},
+		{"provenance by reference", func(s Stores) SaveService { return NewProvenance(s) }, byRef, "provenance"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stores := testStores(t)
+			net := tinyNet(t, 78)
+			info := SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true}
+			if tc.derived != nil {
+				base, err := tc.svc(stores).Save(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				info.BaseID = base.ID
+				info.Provenance = tc.derived(net)
+			}
+			var staged Owned
+			capture := stores
+			capture.Crash = func(point string) error {
+				if point != "staged" {
+					return nil
+				}
+				ids, err := stores.Meta.IDs(ColStaging)
+				if err != nil || len(ids) != 1 {
+					return fmt.Errorf("staging records %v: %v", ids, err)
+				}
+				var rec stagingDoc
+				raw, err := stores.Meta.Get(ColStaging, ids[0])
+				if err == nil {
+					err = mapToDoc(raw, &rec)
+				}
+				staged = rec.Owned
+				return err
+			}
+			res, err := tc.svc(capture).Save(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadModel(stores.Meta, res.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Kind != tc.kind {
+				t.Fatalf("kind = %q, want %q", m.Kind, tc.kind)
+			}
+			if want, got := sortedOwned(staged), sortedOwned(m.Owns); !reflect.DeepEqual(got, want) {
+				t.Fatalf("owned %+v, staged %+v", got, want)
+			}
+		})
+	}
+}
+
+func sortedOwned(o Owned) Owned {
+	o.Blobs = append([]string(nil), o.Blobs...)
+	o.Docs = append([]DocRef(nil), o.Docs...)
+	sort.Strings(o.Blobs)
+	sort.Slice(o.Docs, func(i, j int) bool { return o.Docs[i].ID < o.Docs[j].ID })
+	return o
 }

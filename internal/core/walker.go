@@ -22,13 +22,15 @@ import (
 // link's training (Section 3.3). Every service recovers this way, whatever
 // policy it saves with and whatever policies wrote the chain.
 
-// linkKind is how one stored model is represented relative to its base.
-type linkKind int
+// linkKind is how one stored model is represented relative to its base,
+// named as the catalog reports it.
+type linkKind string
 
 const (
-	snapshotLink   linkKind = iota + 1 // model code and all parameters; ends a walk
-	updateLink                         // the parameters of the layers that changed
-	provenanceLink                     // the training run that produced it
+	snapshotLink   linkKind = "snapshot"   // model code and all parameters; ends a walk
+	updateLink     linkKind = "update"     // the parameters of the layers that changed
+	provenanceLink linkKind = "provenance" // the training run that produced it
+	unknownLink    linkKind = "unknown"    // none of these: a damaged document
 )
 
 // kind classifies a root document by what it references. Nothing else
@@ -42,7 +44,62 @@ func (d modelDoc) kind() linkKind {
 	case d.ServiceDocID != "":
 		return provenanceLink
 	}
-	return 0
+	return unknownLink
+}
+
+// lineage reads the root documents from a model toward its root, a chain
+// read at a time: one Chain call returns as much of the lineage as its
+// store holds, and a read is issued again only where an answer stopped
+// short. The recovery walk and the catalog both read lineage through it.
+type lineage struct {
+	meta  docdb.Store
+	stop  string // Chain's stop field: "" reads on past snapshots
+	seen  map[string]bool
+	ahead []docdb.Document // read by the last Chain call, the next read's first
+}
+
+// toSnapshot is the stop field of a lineage that ends at the first
+// snapshot, as a recovery's walk ends: modelDoc's CodeFileRef.
+const toSnapshot = "code_file_ref"
+
+// newLineage returns a lineage reader that stops after a model whose stop
+// field is set; "" reads on to the root.
+func newLineage(meta docdb.Store, stop string) *lineage {
+	return &lineage{meta: meta, stop: stop, seen: make(map[string]bool)}
+}
+
+// read returns the root document of id, which is the first model read or
+// the base of the one read before it ("base_id", modelDoc's BaseID).
+// Reading an id twice is a base-reference cycle. ctx is honoured before
+// every Chain call.
+func (l *lineage) read(ctx context.Context, id string) (modelDoc, error) {
+	if l.seen[id] {
+		return modelDoc{}, fmt.Errorf("core: base-reference cycle at %s", id)
+	}
+	l.seen[id] = true
+	if len(l.ahead) == 0 {
+		if err := ctx.Err(); err != nil {
+			return modelDoc{}, err
+		}
+		var err error
+		l.ahead, err = l.meta.Chain(ColModels, id, "base_id", l.stop)
+		if err == nil && len(l.ahead) == 0 {
+			err = docdb.ErrNotFound // an answer starts with id
+		}
+		if errors.Is(err, docdb.ErrNotFound) {
+			return modelDoc{}, fmt.Errorf("%w: %s", ErrModelNotFound, id)
+		}
+		if err != nil {
+			return modelDoc{}, fmt.Errorf("core: loading %s/%s: %w", ColModels, id, err)
+		}
+	}
+	var doc modelDoc
+	err := mapToDoc(l.ahead[0], &doc)
+	l.ahead = l.ahead[1:]
+	if err != nil {
+		return modelDoc{}, fmt.Errorf("core: model %s: %w", id, err)
+	}
+	return doc, nil
 }
 
 // link is one walked model: its root document and the fetches it needs,
@@ -192,47 +249,22 @@ func (s *service) walk(ctx context.Context, cache *RecoveryCache, id string, opt
 
 // load walks from id toward the root, then waits for what the walk
 // launched: the time a recovery spends on documents and blobs. The root
-// documents come a chain at a time: one Chain call returns as much of the
-// walk as its store holds, up to the snapshot that ends it, and the walk
-// calls again only where an answer stopped short.
+// documents come from a lineage reader that ends at the snapshot ending
+// the walk; a cached ancestor ends it before its document is read.
 func (w *walk) load(ctx context.Context, id string) error {
 	meta, files := w.s.stores.Meta, w.s.stores.Files
-	seen := make(map[string]bool)
-	var ahead []docdb.Document // read by the last Chain call, cur's first
+	lin := newLineage(meta, toSnapshot)
 	for cur := id; ; {
-		if seen[cur] {
-			return fmt.Errorf("core: base-reference cycle at %s", cur)
-		}
-		seen[cur] = true
 		if w.cache != nil && cur != id {
 			if cr, ok := w.cache.Get(cur); ok {
 				w.cached = &cr
 				break
 			}
 		}
-		if len(ahead) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// base_id and code_file_ref are modelDoc's BaseID and
-			// CodeFileRef: follow bases, stop after a snapshot.
-			var err error
-			ahead, err = meta.Chain(ColModels, cur, "base_id", "code_file_ref")
-			if err == nil && len(ahead) == 0 {
-				err = docdb.ErrNotFound // an answer starts with cur
-			}
-			if errors.Is(err, docdb.ErrNotFound) {
-				return fmt.Errorf("%w: %s", ErrModelNotFound, cur)
-			}
-			if err != nil {
-				return fmt.Errorf("core: loading %s/%s: %w", ColModels, cur, err)
-			}
+		doc, err := lin.read(ctx, cur)
+		if err != nil {
+			return err
 		}
-		var doc modelDoc
-		if err := mapToDoc(ahead[0], &doc); err != nil {
-			return fmt.Errorf("core: model %s: %w", cur, err)
-		}
-		ahead = ahead[1:]
 		l := link{id: cur, doc: doc}
 		kind := doc.kind()
 		if cur == id || kind == provenanceLink && w.opts.CheckEnv {

@@ -36,7 +36,7 @@ func buildMixedChain(t *testing.T, stores Stores, seed uint64) (ids, hashes []st
 			t.Fatal(err)
 		}
 		if doc.kind() != want {
-			t.Fatalf("link %d is kind %d, want %d", len(ids), doc.kind(), want)
+			t.Fatalf("link %d is kind %q, want %q", len(ids), doc.kind(), want)
 		}
 		ids = append(ids, res.ID)
 		hashes = append(hashes, nn.StateDictOf(net).Hash())

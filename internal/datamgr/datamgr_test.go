@@ -191,7 +191,6 @@ func TestProvenanceWithDatasetManager(t *testing.T) {
 	mgr := New(mgrFiles)
 
 	mpa := core.NewProvenance(stores)
-	mpa.DatasetByReference = true
 	mpa.ResolveDataset = mgr.Resolve
 
 	spec := models.Spec{Arch: models.TinyCNNName, NumClasses: 3}

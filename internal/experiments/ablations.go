@@ -115,7 +115,6 @@ func AblationDatasetRef(w io.Writer, o Opts) error {
 		}
 		err := o.withStores(func(stores core.Stores) error {
 			mpa := core.NewProvenance(stores)
-			mpa.DatasetByReference = byRef
 			mpa.ResolveDataset = func(string) (*dataset.Dataset, error) { return ds, nil }
 			net, err := models.New(spec.Arch, 1000, 17)
 			if err != nil {
@@ -129,7 +128,9 @@ func AblationDatasetRef(w io.Writer, o Opts) error {
 			if err != nil {
 				return err
 			}
-			rec.SetExternalDatasetRef("warehouse/co-512")
+			if byRef {
+				rec.SetExternalDatasetRef("warehouse/co-512")
+			}
 			res, err := mpa.Save(core.SaveInfo{Spec: spec, Net: net, BaseID: base.ID, WithChecksums: true, Provenance: rec})
 			if err != nil {
 				return err

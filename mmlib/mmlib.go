@@ -11,7 +11,10 @@
 //     via Merkle trees over per-layer parameter hashes.
 //   - Provenance: derived models store their training provenance (train
 //     service, compressed dataset, environment) and are recovered by
-//     re-executing the training deterministically.
+//     re-executing the training deterministically. A provenance record
+//     given SetExternalDatasetRef stores that reference to a dataset an
+//     external manager holds (see NewDatasetManager) instead of archiving
+//     the dataset: by-reference storage is the record's choice.
 //   - Adaptive: per save, whichever of the above is expected to store least.
 //
 // Recovery is the same for all of them — follow base references down to a
@@ -283,8 +286,8 @@ type (
 	Catalog = catalog.Catalog
 	// CatalogEntry summarizes one saved model.
 	CatalogEntry = catalog.Entry
-	// DatasetManager is a content-addressed dataset warehouse backing the
-	// provenance approach's dataset-by-reference mode.
+	// DatasetManager is a content-addressed dataset warehouse holding the
+	// datasets provenance records reference instead of archiving.
 	DatasetManager = datamgr.Manager
 )
 
@@ -295,7 +298,7 @@ var ErrModelInUse = catalog.ErrInUse
 func NewCatalog(s Stores) *Catalog { return catalog.New(s) }
 
 // NewDatasetManager creates a dataset warehouse persisting archives under
-// dir. Wire it to a provenance service with UseDatasetManager.
+// dir, for NewProvenanceWithManager and NewAdaptiveWithManager.
 func NewDatasetManager(dir string) (*DatasetManager, error) {
 	files, err := filestore.Open(dir)
 	if err != nil {
@@ -304,23 +307,23 @@ func NewDatasetManager(dir string) (*DatasetManager, error) {
 	return datamgr.New(files), nil
 }
 
-// NewProvenanceWithManager creates a provenance save service that stores
-// dataset references into mgr instead of archiving datasets per model — the
+// NewProvenanceWithManager creates a provenance save service whose
+// recoveries resolve dataset references through mgr — the
 // external-dataset-manager deployment of the paper's Section 3.3. Publish
 // the training dataset through mgr, pass the returned reference to
-// ProvenanceRecord.SetExternalDatasetRef, and save as usual.
+// ProvenanceRecord.SetExternalDatasetRef, and save as usual; a record
+// without a reference archives its dataset, as with NewProvenance.
 func NewProvenanceWithManager(s Stores, mgr *DatasetManager) SaveService {
 	p := core.NewProvenance(s)
-	p.DatasetByReference = true
 	p.ResolveDataset = mgr.Resolve
 	return p
 }
 
-// NewAdaptiveWithManager creates an adaptive service whose provenance
-// links reference the dataset warehouse instead of archiving datasets.
+// NewAdaptiveWithManager creates an adaptive service whose recoveries
+// resolve dataset references through mgr, as NewProvenanceWithManager.
 func NewAdaptiveWithManager(s Stores, mgr *DatasetManager) SaveService {
 	a := core.NewAdaptive(s)
-	a.SetDatasetResolver(mgr.Resolve)
+	a.ResolveDataset = mgr.Resolve
 	return a
 }
 

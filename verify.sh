@@ -17,15 +17,20 @@
 #                      shared redial and mux loops also run on one P, and
 #                      nn and filestore, whose save paths hash on a second
 #                      goroutine beside the serializer and the file writes
-#   6. bench module  — bench/ is its own module (repro/bench) that ./...
+#   6. examples      — go run each examples/* program: the only end-to-end
+#                      users of mmlib (model_registry drives the catalog's
+#                      Stats, Chain, Delete and CollectGarbage and stores a
+#                      dataset by reference); each exits non-zero on
+#                      any failed call or inexact recovery
+#   7. bench module  — bench/ is its own module (repro/bench) that ./...
 #                      never reaches; vet and test it so an API change in
 #                      models/nn/core that breaks the benchmark fails here
-#   7. big-endian    — cross-build tensor and nn for s390x, the only way
+#   8. big-endian    — cross-build tensor and nn for s390x, the only way
 #                      the staging fallback of alias_fallback.go is compiled
-#   8. non-linux     — cross-build filestore for darwin, the only way the
+#   9. non-linux     — cross-build filestore for darwin, the only way the
 #                      !linux side of its build tags (no mmap, no write-back
 #                      hint) is compiled
-#   9. fuzz smoke    — ten seconds each beyond the checked-in corpora of
+#  10. fuzz smoke    — ten seconds each beyond the checked-in corpora of
 #                      FuzzConvMatchesReference (the convolution kernel must
 #                      stay bit-identical to the direct kernel old models
 #                      replay on), FuzzReadStateDict (no bytes on disk may
@@ -60,6 +65,11 @@ go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/f
 
 echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore"
 GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore
+
+for ex in examples/*/; do
+	echo "==> go run ./$ex"
+	go run "./$ex" >/dev/null
+done
 
 echo "==> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
