@@ -11,13 +11,12 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/docdb"
 	"repro/internal/filestore"
+	"repro/internal/par"
 )
 
 // Catalog wraps the shared stores with read-mostly management operations.
@@ -42,7 +41,9 @@ type Entry struct {
 // ErrInUse is returned when deleting a model that other models derive from.
 var ErrInUse = errors.New("catalog: model is a base of other models")
 
-// listWorkers bounds the models a scan has in flight at once.
+// listWorkers bounds the models a scan has in flight at once. A scan waits
+// on the metadata store, not the CPU, so the bound is fixed rather than
+// GOMAXPROCS.
 const listWorkers = 16
 
 // List returns every saved model with its storage, sorted by identifier
@@ -60,38 +61,26 @@ func (c *Catalog) scan(sized bool) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	out := make([]Entry, len(ids))
-	errs := make([]error, len(ids))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < min(listWorkers, len(ids)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
-				m, err := core.ReadModel(c.stores.Meta, ids[i])
-				out[i], errs[i] = Entry{StoredModel: m}, err
-				if sized && err == nil {
-					out[i] = c.entry(m)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	kept := out[:0]
-	for i, err := range errs {
+	err = par.For(len(ids), listWorkers, func(i int) error {
+		m, err := core.ReadModel(c.stores.Meta, ids[i])
 		switch {
 		case errors.Is(err, core.ErrModelNotFound):
-			continue
+			return nil // out[i] stays empty and is dropped below
 		case err != nil:
-			return nil, err
+			return err
+		case sized:
+			out[i] = c.entry(m)
+		default:
+			out[i] = Entry{StoredModel: m}
 		}
-		kept = append(kept, out[i])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return kept, nil
+	return slices.DeleteFunc(out, func(e Entry) bool { return e.ID == "" }), nil
 }
 
 // Get returns the catalog entry of one model.
@@ -237,7 +226,7 @@ func (c *Catalog) survey(sized bool) ([]Entry, []string, error) {
 			orphans = append(orphans, b)
 		}
 	}
-	sort.Strings(orphans)
+	slices.Sort(orphans)
 	return entries, orphans, nil
 }
 

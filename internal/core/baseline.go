@@ -10,6 +10,7 @@ import (
 	"repro/internal/filestore"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Baseline is the baseline approach (BA, Section 3.1): it saves every model
@@ -42,32 +43,16 @@ type saving struct {
 	res SaveResult
 }
 
-// together runs steps concurrently — one goroutine each but the last,
-// which runs on the caller's — waits for all of them, and returns the
-// first error in step order. A save's steps with no ordering constraint
-// between them go through it as one wave: its document writes overlap on
-// the wire instead of queueing one round trip behind another. It returns
-// only once every step has, so an error path rolls back with nothing still
-// in flight; a blob write that outlived its wave would land after the
-// rollback deleted its id and be an orphan no staging record names.
+// together runs steps concurrently, one worker per step with the caller
+// as one of them, and returns the first error in step order. A save's
+// steps with no ordering constraint between them go through it as one
+// wave: its document writes overlap on the wire instead of queueing one
+// round trip behind another. It returns only once every step has, so an
+// error path rolls back with nothing still in flight; a blob write that
+// outlived its wave would land after the rollback deleted its id and be an
+// orphan no staging record names.
 func together(steps ...func() error) error {
-	errs := make([]error, len(steps))
-	var wg sync.WaitGroup
-	for i := 0; i < len(steps)-1; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = steps[i]()
-		}()
-	}
-	errs[len(steps)-1] = steps[len(steps)-1]()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return par.For(len(steps), len(steps), func(i int) error { return steps[i]() })
 }
 
 // stored accounts the bytes one step wrote.

@@ -124,9 +124,6 @@ type RecoverOptions struct {
 	// VerifyChecksums re-hashes the recovered parameters against stored
 	// checksums when the model was saved with checksums.
 	VerifyChecksums bool
-	// NoCache bypasses the service's RecoveryCache (if one is configured)
-	// for this recovery: nothing is read from or written to the cache.
-	NoCache bool
 }
 
 // RecoverTiming is the recovery-time breakdown of Figure 12.
@@ -331,7 +328,7 @@ func docToMap(v any) (docdb.Document, int64, error) {
 		return nil, 0, fmt.Errorf("core: encoding document: %w", err)
 	}
 	var doc docdb.Document
-	if err := json.Unmarshal(b, &doc); err != nil {
+	if err := docdb.Unmarshal(b, &doc); err != nil {
 		return nil, 0, err
 	}
 	return doc, int64(len(b)), nil

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/merkle"
-	"repro/internal/tensor"
 )
 
 // The regression tests in this file protect the representation invariant
@@ -155,15 +155,14 @@ func TestPUASaveIsByteDeterministic(t *testing.T) {
 // assembles results in entry order, so concurrency must never leak into the
 // representation.
 func TestSaveArtifactsIdenticalAcrossWorkerCounts(t *testing.T) {
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	type workerRun struct {
 		snapshot savedArtifacts
 		update   savedArtifacts
 	}
 	runFor := func(w int) workerRun {
-		tensor.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		stores := testStores(t)
 		pua := NewParamUpdate(stores)
 		ds := tinyDataset(t)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/docdb"
 	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/nn"
@@ -224,55 +226,90 @@ func TestAdaptiveVerifiesOnceAndCatchesCorruptAncestor(t *testing.T) {
 	}
 }
 
-// A seed the provenance document would round cannot be replayed; it is
-// refused when the record is made, before any training or save.
-func TestProvenanceRejectsUnreplayableSeed(t *testing.T) {
+// A provenance seed of 2^60 and more survives every document store — the
+// memory engine, a reopened disk engine, a client over the wire — so the
+// training it names replays bit for bit. A float64 decode would break
+// each of them: 2^60 re-encodes as 1152921504606847000, and 2^64-1 no
+// longer fits a uint64.
+func TestProvenanceLargeSeedReplays(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, tc := range []struct {
-		name                string
-		serviceSeed, loader uint64
-		ok                  bool
-	}{
-		{"largest exact", 1<<53 - 1, 1<<53 - 1, true},
-		{"service seed 2^53", 1 << 53, 31, false},
-		{"loader seed 2^63+1", 41, 1<<63 + 1, false},
-	} {
-		loader, err := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: 4, OutH: 12, OutW: 12, Shuffle: true, Seed: tc.loader})
-		if err != nil {
-			t.Fatal(err)
+	for _, seeds := range [][2]uint64{{1 << 60, 1 << 60}, {1<<60 + 1, 1<<64 - 1}} {
+		for _, engine := range []string{"memory", "disk", "wire"} {
+			t.Run(fmt.Sprintf("%s/%d/%d", engine, seeds[0], seeds[1]), func(t *testing.T) {
+				files, err := filestore.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				meta, reopen := seedTestMeta(t, engine)
+				loader, err := train.NewDataLoader(ds, train.LoaderConfig{BatchSize: 4, OutH: 12, OutW: 12, Shuffle: true, Seed: seeds[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc := train.NewImageClassifierTrainService(
+					train.ServiceConfig{Epochs: 1, BatchesPerEpoch: 2, Seed: seeds[0], Deterministic: true},
+					loader, train.NewSGD(train.SGDConfig{LR: 0.05}))
+				rec, err := NewProvenanceRecord(svc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mpa := NewProvenance(Stores{Meta: meta, Files: files})
+				net := tinyNet(t, 3)
+				root, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := rec.Train(net); err != nil {
+					t.Fatal(err)
+				}
+				res, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: root.ID, WithChecksums: true, Provenance: rec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := NewProvenance(Stores{Meta: reopen(), Files: files}).Recover(res.ID, RecoverOptions{VerifyChecksums: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertEqualModels(t, net, got.Net)
+			})
 		}
-		svc := train.NewImageClassifierTrainService(
-			train.ServiceConfig{Epochs: 1, BatchesPerEpoch: 1, Seed: tc.serviceSeed, Deterministic: true},
-			loader, train.NewSGD(train.SGDConfig{LR: 0.05}))
-		rec, err := NewProvenanceRecord(svc)
-		if !tc.ok {
-			if err == nil {
-				t.Errorf("%s: accepted a seed the document cannot record", tc.name)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// The largest accepted seed really does survive the round trip.
-		stores := testStores(t)
-		mpa := NewProvenance(stores)
-		net := tinyNet(t, 3)
-		root, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rec.Train(net); err != nil {
-			t.Fatal(err)
-		}
-		res, err := mpa.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: root.ID, WithChecksums: true, Provenance: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mpa.Recover(res.ID, RecoverOptions{VerifyChecksums: true})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		assertEqualModels(t, net, got.Net)
 	}
+}
+
+// seedTestMeta returns a document store of the named engine and a function
+// that hands back the store a recovery reads: the disk engine reopened over
+// the same directory, the others unchanged.
+func seedTestMeta(t *testing.T, engine string) (docdb.Store, func() docdb.Store) {
+	t.Helper()
+	switch engine {
+	case "disk":
+		dir := t.TempDir()
+		d, err := docdb.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, func() docdb.Store {
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := docdb.OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return again
+		}
+	case "wire":
+		srv, err := docdb.NewServer(docdb.NewMemStore(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c, err := docdb.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, func() docdb.Store { return c }
+	}
+	m := docdb.NewMemStore()
+	return m, func() docdb.Store { return m }
 }

@@ -154,37 +154,6 @@ func TestRecoveryCacheCorruptHitDropsEntry(t *testing.T) {
 	}
 }
 
-func TestRecoverNoCacheBypasses(t *testing.T) {
-	stores := testStores(t)
-	ba := NewBaseline(stores)
-	cache := NewRecoveryCache(0)
-	ba.SetRecoveryCache(cache)
-	net := tinyNet(t, 7)
-	res, err := ba.Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ba.Recover(res.ID, RecoverOptions{NoCache: true}); err != nil {
-		t.Fatal(err)
-	}
-	if s := cache.Stats(); s.Hits+s.Misses+s.Puts != 0 {
-		t.Fatalf("NoCache recovery touched the cache: %+v", s)
-	}
-	// Without NoCache the same service populates and then hits.
-	if _, err := ba.Recover(res.ID, RecoverOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if s := cache.Stats(); s.Puts != 1 || s.Misses != 1 {
-		t.Fatalf("stats after cached recovery: %+v", s)
-	}
-	if _, err := ba.Recover(res.ID, RecoverOptions{VerifyChecksums: true}); err != nil {
-		t.Fatal(err)
-	}
-	if s := cache.Stats(); s.Hits != 1 {
-		t.Fatalf("stats after warm recovery: %+v", s)
-	}
-}
-
 // resaveArtifacts persists net as a fresh independent snapshot under a
 // pinned environment and captures the stored bytes, so two recovered nets
 // can be compared byte for byte through the storage layer.

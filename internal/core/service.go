@@ -149,12 +149,8 @@ func (s *service) recover(ctx context.Context, id string, opts RecoverOptions, w
 	ctx, sp := obs.StartSpan(ctx, "recover")
 	sp.Arg("model", id)
 	defer sp.End()
-	cache := s.cache
-	if opts.NoCache {
-		cache = nil
-	}
-	rs, err := recoverCoalesced(ctx, cache, id, opts, func() (*RecoveredState, error) {
-		return s.walk(ctx, cache, id, opts)
+	rs, err := recoverCoalesced(ctx, s.cache, id, opts, func() (*RecoveredState, error) {
+		return s.walk(ctx, id, opts)
 	})
 	var net nn.Module
 	if err == nil && wantNet {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -120,10 +121,9 @@ func poke(t *testing.T, net nn.Module, key string, delta float32) {
 // trained derived update, for worker counts 1, 2 and 8 — plus derived
 // saves that reuse stamps, each paired with its stamp-free twin.
 func TestStampFreeTwinDeterminism(t *testing.T) {
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		tensor.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		ba := newTwinned(t, func(s Stores) SaveService { return NewBaseline(s) })
 		net := tinyNet(t, 9)
 		ba.save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})

@@ -118,7 +118,6 @@ type link struct {
 // walk is one cold recovery in progress.
 type walk struct {
 	s      *service
-	cache  *RecoveryCache // nil when none is set or the options bypass it
 	opts   RecoverOptions
 	timing RecoverTiming
 	chain  []link          // requested model first
@@ -144,7 +143,8 @@ func launch[T any](w *walk, fn func() (T, error)) *fetch[T] {
 // apply the chain root to leaf, verify once, fill the cache. ctx is
 // honoured before every chain read, before the fetches are collected and
 // between links; whenever it returns, no goroutine it started is running.
-func (s *service) walk(ctx context.Context, cache *RecoveryCache, id string, opts RecoverOptions) (*RecoveredState, error) {
+func (s *service) walk(ctx context.Context, id string, opts RecoverOptions) (*RecoveredState, error) {
+	cache := s.cache
 	var timing RecoverTiming
 	if cache != nil {
 		var cr CachedRecovery
@@ -157,7 +157,7 @@ func (s *service) walk(ctx context.Context, cache *RecoveryCache, id string, opt
 			return stateFromCache(ctx, id, cr, opts, timing)
 		}
 	}
-	w := &walk{s: s, cache: cache, opts: opts, timing: timing}
+	w := &walk{s: s, opts: opts, timing: timing}
 	defer func() {
 		for _, f := range w.pending {
 			_ = f.settled() // drained, not abandoned; a failure was reported by load or is moot
@@ -255,8 +255,8 @@ func (w *walk) load(ctx context.Context, id string) error {
 	meta, files := w.s.stores.Meta, w.s.stores.Files
 	lin := newLineage(meta, toSnapshot)
 	for cur := id; ; {
-		if w.cache != nil && cur != id {
-			if cr, ok := w.cache.Get(cur); ok {
+		if w.s.cache != nil && cur != id {
+			if cr, ok := w.s.cache.Get(cur); ok {
 				w.cached = &cr
 				break
 			}

@@ -134,7 +134,7 @@ func (s *DiskStore) read(collection, id string) (Document, int, error) {
 		return nil, 0, fmt.Errorf("docdb: reading document: %w", err)
 	}
 	var doc Document
-	if err := json.Unmarshal(b, &doc); err != nil {
+	if err := Unmarshal(b, &doc); err != nil {
 		return nil, 0, fmt.Errorf("docdb: decoding document %s/%s: %w", collection, id, err)
 	}
 	return doc, len(b), nil

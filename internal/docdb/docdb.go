@@ -7,14 +7,35 @@
 package docdb
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Document is a JSON-style document. Values must be JSON-marshalable.
 type Document map[string]any
+
+// Unmarshal decodes the JSON value in b into v as json.Unmarshal does,
+// except that a number bound to an interface — every number in a Document
+// — stays a json.Number: its literal text, which marshals back unchanged,
+// where a float64 would round integers from 2^53 up (a provenance seed
+// among them). The engines, the wire and core decode documents with it.
+func Unmarshal(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	err := dec.Decode(v)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return errors.New("docdb: unexpected end of JSON input")
+	}
+	if err == nil && len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) > 0 {
+		return errors.New("docdb: invalid character after top-level JSON value")
+	}
+	return err
+}
 
 // ErrNotFound is returned when a document or collection does not exist.
 var ErrNotFound = errors.New("docdb: not found")

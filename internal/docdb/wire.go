@@ -156,7 +156,7 @@ func readFrame(r io.Reader, v any) (int, error) {
 			return len(hdr), err
 		}
 		if got == int(n) {
-			return len(hdr) + got, json.Unmarshal(buf, v)
+			return len(hdr) + got, Unmarshal(buf, v)
 		}
 		buf = append(buf, make([]byte, min(int(n)-got, got))...)
 	}

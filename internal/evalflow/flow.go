@@ -80,8 +80,6 @@ type Config struct {
 	// contention; sequential execution reproduces that. Concurrent
 	// execution (the default) stresses the shared stores instead.
 	SequentialNodes bool
-	// RecoverOpts configures the measured recoveries.
-	RecoverOpts core.RecoverOptions
 	// UseRecoveryCache equips the server's save service with a
 	// core.RecoveryCache for the U4 sweep, so each chain prefix is
 	// recovered once instead of once per descendant.
@@ -268,11 +266,12 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 	}
 	res.Measurements = append(res.Measurements, phase2...)
 
-	// U4: recover every saved model, one after another, and record the TTR.
+	// U4: recover every saved model, one after another, and record the TTR;
+	// a model saved with checksums is verified against them.
 	if cfg.MeasureTTR {
 		for i := range res.Measurements {
 			m := &res.Measurements[i]
-			rec, err := serverSvc.RecoverCtx(ctx, m.ModelID, cfg.RecoverOpts)
+			rec, err := serverSvc.RecoverCtx(ctx, m.ModelID, core.RecoverOptions{VerifyChecksums: cfg.WithChecksums})
 			if err != nil {
 				return nil, fmt.Errorf("evalflow: recovering %s (%s): %w", m.ModelID, m.UseCase, err)
 			}

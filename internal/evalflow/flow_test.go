@@ -2,10 +2,9 @@ package evalflow
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -15,7 +14,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/filestore"
 	"repro/internal/models"
-	"repro/internal/tensor"
+	"repro/internal/par"
 )
 
 // tinyFlowConfig returns a fast configuration over the tiny architecture
@@ -28,7 +27,6 @@ func tinyFlowConfig(approach string, rel Relation) Config {
 	cfg.Loader.BatchSize = 4
 	cfg.Loader.OutH, cfg.Loader.OutW = 12, 12
 	cfg.WithChecksums = true
-	cfg.RecoverOpts = core.RecoverOptions{VerifyChecksums: true}
 	return cfg
 }
 
@@ -391,31 +389,19 @@ func TestRelationString(t *testing.T) {
 
 // recoverAll is the concurrent U4 sweep, which a flow runs one model at a
 // time: workers goroutines share svc, each recovering the next unclaimed
-// measurement and recording its TTR.
+// measurement and recording its TTR; the caller is one of them.
 func recoverAll(t *testing.T, svc core.SaveService, res *Result, workers int) {
 	t.Helper()
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int64
-		errs = make([]error, len(res.Measurements))
-	)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(errs); i = int(next.Add(1)) - 1 {
-				m := &res.Measurements[i]
-				rec, err := svc.Recover(m.ModelID, core.RecoverOptions{VerifyChecksums: true})
-				if err != nil {
-					errs[i] = fmt.Errorf("recovering %s: %w", m.UseCase, err)
-					continue
-				}
-				m.TTR, m.Recovered = rec.Timing, true
-			}
-		}()
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	err := par.For(len(res.Measurements), workers, func(i int) error {
+		m := &res.Measurements[i]
+		rec, err := svc.Recover(m.ModelID, core.RecoverOptions{VerifyChecksums: true})
+		if err != nil {
+			return fmt.Errorf("recovering %s: %w", m.UseCase, err)
+		}
+		m.TTR, m.Recovered = rec.Timing, true
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }
@@ -507,9 +493,7 @@ func TestDist5CachedRecoveryArtifactIdentical(t *testing.T) {
 			fast := cfg
 			fast.UseRecoveryCache = true
 			fast.ParanoidCache = true
-			prevW := tensor.Workers()
-			tensor.SetWorkers(4)
-			defer tensor.SetWorkers(prevW)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 			fastProvider, fastCleanup, err := ShardedProvider(t.TempDir(), 1, 0, nil)
 			if err != nil {
 				t.Fatal(err)

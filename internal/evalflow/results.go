@@ -99,15 +99,15 @@ func median[T cmp.Ordered](vs []T) T {
 }
 
 // medianTiming takes the median of every recovery bucket independently.
+// No flow checks the environment, so CheckEnv stays zero.
 func medianTiming(ts []core.RecoverTiming) core.RecoverTiming {
-	var load, rec, env, ver []time.Duration
+	var load, rec, ver []time.Duration
 	for _, t := range ts {
 		load = append(load, t.Load)
 		rec = append(rec, t.Recover)
-		env = append(env, t.CheckEnv)
 		ver = append(ver, t.Verify)
 	}
-	return core.RecoverTiming{Load: median(load), Recover: median(rec), CheckEnv: median(env), Verify: median(ver)}
+	return core.RecoverTiming{Load: median(load), Recover: median(rec), Verify: median(ver)}
 }
 
 // MedianOfRuns aggregates repeated executions of the same experiment the

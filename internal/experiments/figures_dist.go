@@ -77,10 +77,10 @@ func Figure15(w io.Writer, o Opts) error {
 	ucs := cols[0].runs.UseCases()
 	deepest := ucs[len(ucs)-1]
 	tw := newTab(w)
-	fmt.Fprintf(tw, "\nTTR BREAKDOWN (%s)\tLOAD\tRECOVER\tCHECK ENV\tVERIFY\n", deepest)
+	fmt.Fprintf(tw, "\nTTR BREAKDOWN (%s)\tLOAD\tRECOVER\tVERIFY\n", deepest)
 	for _, c := range cols {
 		b := c.runs.TTRBreakdown(deepest)
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", c.name, ms(b.Load), ms(b.Recover), ms(b.CheckEnv), ms(b.Verify))
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", c.name, ms(b.Load), ms(b.Recover), ms(b.Verify))
 	}
 	// Recovery-cache traffic for the U4 sweep: shared hits cost O(1),
 	// COW'd hits additionally copied the tensors their caller mutated.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -145,25 +146,11 @@ func forSamples(ctx *Context, n int, fn func(i int)) {
 }
 
 // forChunks runs fn over samples [0, n): as one chunk in deterministic mode,
-// otherwise as one contiguous chunk per CPU, concurrently.
+// otherwise as one contiguous chunk per P, concurrently.
 func forChunks(ctx *Context, n int, fn func(lo, hi int)) {
-	if ctx.Mode == tensor.Deterministic || n <= 1 {
+	if ctx.Mode == tensor.Deterministic {
 		fn(0, n)
 		return
 	}
-	workers := min(runtime.NumCPU(), n)
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
+	par.Chunks(n, runtime.GOMAXPROCS(0), fn)
 }

@@ -109,7 +109,7 @@ func (sd *StateDict) tensors() []*tensor.Tensor {
 
 // computeDigests hashes every entry tensor afresh with one parallel pass.
 // Results are ordered by entry index, so they are bit-identical for any
-// tensor.Workers() setting.
+// worker count.
 func (sd *StateDict) computeDigests() [][sha256.Size]byte {
 	return tensor.DigestAll(sd.tensors())
 }
@@ -511,8 +511,8 @@ func ReadStateDict(r io.Reader) (*StateDict, error) {
 // ReadStateDictBytes deserializes a state dict from its in-memory
 // serialized form in two phases: a sequential scan locates every key and
 // tensor-frame boundary without decoding data, then the frames are decoded
-// with tensor.DecodeFrames' bounded worker pool (up to tensor.Workers()
-// goroutines). Decoding is positionwise, so the result is bit-identical to a
+// with tensor.DecodeFrames' bounded worker pool (up to GOMAXPROCS
+// workers). Decoding is positionwise, so the result is bit-identical to a
 // sequential read for any worker count. The returned dict's tensors are
 // fresh copies; b is not retained.
 func ReadStateDictBytes(b []byte) (*StateDict, error) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,10 +283,9 @@ func TestReadStateDictWorkerSweepBitIdentical(t *testing.T) {
 	raw := buf.Bytes()
 	wantHash := sd.Hash()
 
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		tensor.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		got, err := ReadStateDictBytes(raw)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -304,9 +304,8 @@ func TestReadStateDictBytesTruncatedWithWorkers(t *testing.T) {
 	var buf bytes.Buffer
 	StateDictOf(m).WriteTo(&buf)
 	raw := buf.Bytes()
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
-	tensor.SetWorkers(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
 	if _, err := ReadStateDictBytes(raw[:len(raw)-3]); err == nil {
 		t.Fatal("expected error for truncated dict under parallel decode")
 	}

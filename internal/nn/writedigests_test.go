@@ -49,10 +49,9 @@ func waitGoroutines(t *testing.T, what string, before int) {
 // DigestAll's digests in the cache, for any worker count; with the cache
 // already filled it writes the same stream and digests nothing.
 func TestWriteToWithDigestsMatchesWriteToAndDigestAll(t *testing.T) {
-	prev := tensor.Workers()
-	defer tensor.SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		tensor.SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		sd := digestTestDict()
 		var plain, digested bytes.Buffer
 		if _, err := sd.WriteTo(&plain); err != nil {

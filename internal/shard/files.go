@@ -2,11 +2,9 @@ package shard
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/filestore"
@@ -61,24 +59,6 @@ func (f *Files) owner(id string) int { return f.ring.Owner("blob/" + id) }
 func (f *Files) observe(i int, t0 time.Time) {
 	//mmlint:ignore hashpurity the clock times the shard op into a histogram; nothing derived from it reaches the digested stream
 	f.hists[i].ObserveDuration(time.Since(t0))
-}
-
-// fanOut runs fn for every shard concurrently — one goroutine per shard,
-// bounded by the counted loop — and joins the per-shard errors.
-func (f *Files) fanOut(fn func(i int) error) error {
-	errs := make([]error, len(f.stores))
-	var wg sync.WaitGroup
-	for i := 0; i < len(f.stores); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			errs[i] = fn(i)
-			f.observe(i, t0)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Save implements filestore.Blobs. As with Meta.Insert, the identifier is
@@ -166,7 +146,7 @@ func (f *Files) Exists(id string) bool {
 // layouts (the contract says unspecified order, but audits diff listings).
 func (f *Files) List() ([]string, error) {
 	parts := make([][]string, len(f.stores))
-	err := f.fanOut(func(i int) error {
+	err := fanOut(f.hists, func(i int) error {
 		ids, err := f.stores[i].List()
 		parts[i] = ids
 		return err
@@ -185,7 +165,7 @@ func (f *Files) List() ([]string, error) {
 // Stats implements filestore.Blobs by summing per-shard stats.
 func (f *Files) Stats() (filestore.Stats, error) {
 	parts := make([]filestore.Stats, len(f.stores))
-	err := f.fanOut(func(i int) error {
+	err := fanOut(f.hists, func(i int) error {
 		st, err := f.stores[i].Stats()
 		parts[i] = st
 		return err

@@ -70,17 +70,18 @@ func (m *Meta) observe(i int, t0 time.Time) {
 }
 
 // fanOut runs fn for every shard concurrently — one goroutine per shard,
-// bounded by the counted loop — and joins the per-shard errors.
-func (m *Meta) fanOut(fn func(i int) error) error {
-	errs := make([]error, len(m.backends))
+// bounded by the counted loop — times each into that shard's histogram and
+// joins the per-shard errors. Meta and Files both fan out through it.
+func fanOut(hists []*obs.Histogram, fn func(i int) error) error {
+	errs := make([]error, len(hists))
 	var wg sync.WaitGroup
-	for i := 0; i < len(m.backends); i++ {
+	for i := 0; i < len(hists); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			t0 := time.Now()
 			errs[i] = fn(i)
-			m.observe(i, t0)
+			hists[i].ObserveDuration(time.Since(t0))
 		}(i)
 	}
 	wg.Wait()
@@ -176,7 +177,7 @@ func (m *Meta) Delete(collection, id string) error {
 // single-backend store returns — regardless of how many shards exist.
 func (m *Meta) IDs(collection string) ([]string, error) {
 	parts := make([][]string, len(m.backends))
-	err := m.fanOut(func(i int) error {
+	err := fanOut(m.hists, func(i int) error {
 		ids, err := m.backends[i].IDs(collection)
 		parts[i] = ids
 		return err
@@ -224,7 +225,7 @@ func (m *Meta) Find(collection string, eq docdb.Document) ([]docdb.Document, err
 // usually spans every shard, and summing would count it N times.
 func (m *Meta) Stats() (docdb.Stats, error) {
 	parts := make([]docdb.Stats, len(m.backends))
-	err := m.fanOut(func(i int) error {
+	err := fanOut(m.hists, func(i int) error {
 		st, err := m.backends[i].Stats()
 		parts[i] = st
 		return err

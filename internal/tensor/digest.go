@@ -5,11 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Content hashing is on the save/recover hot path: every checksummed save
@@ -62,8 +62,8 @@ func (t *Tensor) Digest() [sha256.Size]byte {
 	return d
 }
 
-// DigestAll computes the content digests of ts with up to Workers()
-// goroutines: a fresh pass over every byte, which neither reads nor
+// DigestAll computes the content digests of ts with up to GOMAXPROCS
+// workers: a fresh pass over every byte, which neither reads nor
 // records stamps. Each digest is independent, so out[i] is bit-identical to
 // ts[i].Digest() for any worker count — parallelism changes wall-clock
 // time, never bytes.
@@ -96,41 +96,21 @@ func (t *Tensor) stampedDigest() [sha256.Size]byte {
 	return d
 }
 
-// digestAll is the one worker loop under both passes. Workers claim
-// tensors one at a time off a shared counter, largest first (a stable
-// size-descending order): the biggest tensor — a classifier that comes last
-// in state-dict order — starts at once instead of running alone at the end,
-// and the small ones fill in around it. out[i] stays indexed by position.
+// digestAll runs both passes on the worker pool. Workers claim tensors one
+// at a time, largest first (a stable size-descending order): the biggest
+// tensor — a classifier that comes last in state-dict order — starts at
+// once instead of running alone at the end, and the small ones fill in
+// around it. out[i] stays indexed by position.
 func digestAll(ts []*Tensor, digest func(*Tensor) [sha256.Size]byte) [][sha256.Size]byte {
-	out := make([][sha256.Size]byte, len(ts))
-	w := min(workers, len(ts))
-	if w <= 1 {
-		for i, t := range ts {
-			out[i] = digest(t)
-		}
-		return out
-	}
 	order := make([]int, len(ts))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(ts[b].data), len(ts[a].data)) })
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(order) {
-					return
-				}
-				i := order[j]
-				out[i] = digest(ts[i])
-			}
-		}()
-	}
-	wg.Wait()
+	out := make([][sha256.Size]byte, len(ts))
+	_ = par.For(len(order), runtime.GOMAXPROCS(0), func(j int) error {
+		out[order[j]] = digest(ts[order[j]])
+		return nil
+	})
 	return out
 }

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/hex"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -32,10 +33,9 @@ func TestDigestAllMatchesSerialAcrossWorkerCounts(t *testing.T) {
 	for i, x := range ts {
 		want[i] = x.Digest()
 	}
-	prev := Workers()
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		got := DigestAll(ts)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: got %d digests, want %d", w, len(got), len(want))

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Recovery-side deserialization. A recovered parameter blob is already fully
@@ -151,49 +153,22 @@ func AliasFrames(b []byte, offs []int, ref any) ([]*Tensor, error) {
 }
 
 // DecodeFrames decodes the tensor frames starting at offs[i] in b with up
-// to Workers() goroutines. Frames are independent, so out[i] is
+// to GOMAXPROCS workers. Frames are independent, so out[i] is
 // bit-identical to a sequential ReadFromBytes(b, offs[i]) for any worker
-// count. Workers claim frames one at a time off a shared counter, which
-// load-balances the highly skewed tensor sizes of real architectures
-// better than static chunking — the same shape as DigestAll.
+// count. Workers claim frames one at a time, which load-balances the
+// highly skewed tensor sizes of real architectures better than static
+// chunking — the same pool as DigestAll. A bad frame fails the decode with
+// the lowest such frame's index.
 func DecodeFrames(b []byte, offs []int) ([]*Tensor, error) {
 	out := make([]*Tensor, len(offs))
-	w := workers
-	if w > len(offs) {
-		w = len(offs)
-	}
-	if w <= 1 {
-		for i, off := range offs {
-			t, _, err := ReadFromBytes(b, off)
-			if err != nil {
-				return nil, fmt.Errorf("tensor: decoding frame %d: %w", i, err)
-			}
-			out[i] = t
+	err := par.For(len(offs), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		if out[i], _, err = ReadFromBytes(b, offs[i]); err != nil {
+			return fmt.Errorf("tensor: decoding frame %d: %w", i, err)
 		}
-		return out, nil
-	}
-	errs := make([]error, len(offs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(offs) {
-					return
-				}
-				t, _, err := ReadFromBytes(b, offs[i])
-				out[i], errs[i] = t, err
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("tensor: decoding frame %d: %w", i, err)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

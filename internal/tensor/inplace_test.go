@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -94,10 +95,9 @@ func TestInPlaceMatchesStagingReference(t *testing.T) {
 
 func TestInPlaceDigestAllAcrossWorkerCounts(t *testing.T) {
 	ts := inPlaceTensors()
-	prev := Workers()
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		for i, d := range DigestAll(ts) {
 			if d != refDigest(ts[i]) {
 				t.Errorf("workers=%d: digest of %v differs from the reference", w, ts[i])

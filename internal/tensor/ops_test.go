@@ -270,25 +270,3 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 	parallelFor(0, func(lo, hi int) { t.Fatal("body should not run for n=0") })
 }
-
-func TestSetWorkers(t *testing.T) {
-	old := Workers()
-	defer SetWorkers(old)
-	SetWorkers(0)
-	if Workers() != 1 {
-		t.Fatal("SetWorkers(0) should clamp to 1")
-	}
-	SetWorkers(4)
-	if Workers() != 4 {
-		t.Fatal("SetWorkers(4) failed")
-	}
-	// Single worker parallel paths fall back to serial.
-	SetWorkers(1)
-	a := New([]float32{1, 2, 3}, 3)
-	if Sum(a, Parallel) != 6 {
-		t.Fatal("single-worker parallel sum wrong")
-	}
-	if Dot(a, a, Parallel) != 14 {
-		t.Fatal("single-worker parallel dot wrong")
-	}
-}

@@ -2,61 +2,15 @@ package tensor
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
-// workers is the number of goroutines used for parallel tensor operations.
-// It is fixed at package init so the chunking of parallel reductions does
-// not change while a process runs.
-var workers = maxInt(1, runtime.NumCPU())
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Workers returns the degree of parallelism used by Parallel-mode operations.
-func Workers() int { return workers }
-
-// SetWorkers overrides the degree of parallelism. Intended for tests and
-// benchmarks; n < 1 is clamped to 1.
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	workers = n
-}
-
-// parallelFor splits [0, n) into contiguous chunks and runs body on each
-// chunk concurrently. body must not assume any ordering between chunks.
+// parallelFor splits [0, n) into one contiguous chunk per P and runs body
+// on the chunks concurrently. body must not assume any ordering between
+// chunks.
 func parallelFor(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		body(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.Chunks(n, runtime.GOMAXPROCS(0), body)
 }
 
 // sumParallel sums x with goroutine-parallel partial sums that are combined
@@ -65,10 +19,7 @@ func parallelFor(n int, body func(lo, hi int)) {
 // reduction used to model non-deterministic kernels.
 func sumParallel(x []float32) float32 {
 	n := len(x)
-	w := workers
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		return sumSerial(x)
 	}
@@ -96,10 +47,7 @@ func sumParallel(x []float32) float32 {
 // products combined in completion order (non-deterministic association).
 func dotParallel(x, y []float32) float32 {
 	n := len(x)
-	w := workers
-	if w > n {
-		w = n
-	}
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
 		return dotSerial(x, y)
 	}

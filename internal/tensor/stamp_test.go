@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -176,10 +177,9 @@ func TestConcurrentStampedPassesAgree(t *testing.T) {
 // The save pass is bit-identical to the fresh one for any worker count,
 // whether it hashes or reads stamps.
 func TestDigestAllStampedMatchesDigestAll(t *testing.T) {
-	prev := Workers()
-	defer SetWorkers(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 8} {
-		SetWorkers(w)
+		runtime.GOMAXPROCS(w)
 		ts := digestTensors()
 		want := DigestAll(ts)
 		for pass := 0; pass < 2; pass++ {

@@ -16,7 +16,9 @@
 #                      one), plus docdb, so the client's connection pick,
 #                      shared redial and mux loops also run on one P, and
 #                      nn and filestore, whose save paths hash on a second
-#                      goroutine beside the serializer and the file writes
+#                      goroutine beside the serializer and the file writes,
+#                      and par, tensor and catalog: every CPU pool is sized
+#                      by GOMAXPROCS, so one P runs their one-worker paths
 #   6. examples      — go run each examples/* program: the only end-to-end
 #                      users of mmlib (model_registry drives the catalog's
 #                      Stats, Chain, Delete and CollectGarbage and stores a
@@ -60,11 +62,11 @@ go run ./cmd/mmlint ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog"
-go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog
+echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par"
+go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par
 
-echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore"
-GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore
+echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog"
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog
 
 for ex in examples/*/; do
 	echo "==> go run ./$ex"
