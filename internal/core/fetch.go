@@ -5,11 +5,13 @@ package core
 // (each link's BaseID is only known once its document arrives), but what
 // they reference — parameter files, model code, environment and service
 // documents, dataset archives, optimizer state — is independent. Each of
-// those fetches is launched as soon as its reference is known and runs
-// while the walk continues, so a chain of depth k pays one round-trip
-// ladder for the root documents plus the slowest fetch, not the sum of
-// them all. Over the networked docdb (and under faultnet's injected
-// delays) this is the difference between k serial round-trips and one.
+// those fetches is launched as soon as its reference is known — the
+// requested model's environment document, saved under the model's own id,
+// even before — and runs while the walk continues, so a chain of depth k
+// pays one round-trip ladder for the root documents plus the slowest
+// fetch, not the sum of them all. Over the networked docdb (and under
+// faultnet's injected delays) this is the difference between k serial
+// round-trips and one.
 
 // fetch is a single-use future: goFetch launches fn on its own goroutine
 // and wait blocks until it finishes.

@@ -60,15 +60,8 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 	err := together(
 		sv.txn.writeAhead,
 		func() error {
-			return phase(ctx, "diff.base", nil, func(*obs.Span) error {
-				baseDoc, err := getModelDoc(s.stores.Meta, info.BaseID)
-				if err != nil {
-					return err
-				}
-				if baseDoc.HashDocID == "" {
-					return fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", info.BaseID)
-				}
-				baseHashes, err = loadLayerHashes(s.stores.Meta, baseDoc.HashDocID)
+			return phase(ctx, "diff.base", nil, func(*obs.Span) (err error) {
+				baseHashes, err = s.baseLayerHashes(info.BaseID)
 				return err
 			})
 		},
@@ -102,6 +95,33 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 		return SaveResult{}, err
 	}
 	return sv.commit()
+}
+
+// baseLayerHashes reads the layer hashes of base, the model a parameter
+// update diffs against. The base's layer-hash document is read beside its
+// root document, under the base's own id; the root document's hash_doc_id
+// decides, so a base saved before side documents shared the root id is
+// read again under the id it names, and the early read is dropped unseen.
+func (s *service) baseLayerHashes(base string) ([]nn.KeyHash, error) {
+	meta := s.stores.Meta
+	var (
+		doc      modelDoc
+		early    []nn.KeyHash
+		earlyErr error
+	)
+	err := together(
+		func() (err error) { doc, err = getModelDoc(meta, base); return err },
+		func() error { early, earlyErr = loadLayerHashes(meta, base); return nil },
+	)
+	switch {
+	case err != nil:
+		return nil, err
+	case doc.HashDocID == "":
+		return nil, fmt.Errorf("core: base model %s has no layer hashes; was it saved with the parameter update approach?", base)
+	case doc.HashDocID == base:
+		return early, earlyErr
+	}
+	return loadLayerHashes(meta, doc.HashDocID)
 }
 
 // diffLayerHashes returns the names of layers whose hashes differ. With

@@ -39,10 +39,17 @@ import (
 //     byte-identically; after it, the save is durable and only the
 //     staging record remains to be swept.
 //
-// Serial depth in document round trips, the staging delete aside: 3 for a
-// snapshot or provenance link (staging, wave, root), 4 for a parameter
-// update (base model ‖ staging, then its layer-hash document, the wave,
-// the root).
+// A side document — environment, layer hashes, service — is saved under
+// its model's root id, in its own collection, so a reader that knows a
+// model's id knows its side documents' ids before the root document
+// arrives. The root document still names them, and the name is what
+// counts: a store written before side documents shared the root id names
+// other ids, and a reader whose early read missed reads by the name.
+//
+// Serial depth in document round trips, the staging delete aside: 3 for
+// every save — a snapshot or provenance link (staging, wave, root) and a
+// parameter update alike (its base model ‖ the base's layer hashes ‖
+// staging, the wave, the root).
 //
 // Rollback (on a live error path) and RecoverOrphans (after a crash)
 // delete artifacts before the staging record, so an interrupted cleanup
@@ -115,8 +122,8 @@ type saveTxn struct {
 	stores Stores
 	id     string // staging record id
 	rec    stagingDoc
-	blobs  map[string]bool   // staged blob ids
-	docs   map[string]string // staged doc id -> collection
+	blobs  map[string]bool // staged blob ids
+	docs   map[DocRef]bool // staged side documents
 	// flushed is set once the staging record is durable; writes are
 	// rejected before that, enforcing the write-ahead ordering.
 	flushed   bool
@@ -138,7 +145,7 @@ func beginSave(stores Stores, rootCol, near string) *saveTxn {
 		id:     docdb.NewID(),
 		rec:    stagingDoc{RootCollection: rootCol, RootID: stores.Meta.NewIDNear(rootCol, near)},
 		blobs:  make(map[string]bool),
-		docs:   make(map[string]string),
+		docs:   make(map[DocRef]bool),
 	}
 }
 
@@ -151,19 +158,23 @@ func (t *saveTxn) stageBlob() string {
 	return id
 }
 
-// stageDoc allocates and registers a document identifier in col. Must
-// precede writeAhead.
+// stageDoc registers the side document of col, which is saved under the
+// root id: a save stages at most one document per collection. Must precede
+// writeAhead.
 func (t *saveTxn) stageDoc(col string) string {
-	id := docdb.NewID()
-	t.rec.Docs = append(t.rec.Docs, DocRef{Collection: col, ID: id})
-	t.docs[id] = col
-	return id
+	ref := DocRef{Collection: col, ID: t.rec.RootID}
+	t.rec.Docs = append(t.rec.Docs, ref)
+	t.docs[ref] = true
+	return ref.ID
 }
 
 // writeAhead makes the staging record durable. Every artifact write below
 // requires it; a crash at any later point leaves a record naming exactly
 // what may exist.
 func (t *saveTxn) writeAhead() error {
+	if len(t.docs) != len(t.rec.Docs) {
+		return fmt.Errorf("core: internal: a save staged two documents of one collection")
+	}
 	doc, _, err := docToMap(t.rec)
 	if err != nil {
 		return err
@@ -209,7 +220,7 @@ func (t *saveTxn) saveBlob(id, label string, r io.Reader) (int64, string, error)
 // putDoc writes a staged side document and fires the crash point after the
 // write.
 func (t *saveTxn) putDoc(col, id, label string, doc docdb.Document) error {
-	if !t.flushed || t.docs[id] != col {
+	if !t.flushed || !t.docs[DocRef{col, id}] {
 		return fmt.Errorf("core: internal: document %s/%s written outside its transaction's staging record", col, id)
 	}
 	if err := t.stores.Meta.Put(col, id, doc); err != nil {

@@ -55,6 +55,11 @@ func (l *callLog) Get(col, id string) (docdb.Document, error) {
 	return l.Store.Get(col, id)
 }
 
+func (l *callLog) Chain(col, id, next, stop string) ([]docdb.Document, error) {
+	defer l.record(false)()
+	return l.Store.Chain(col, id, next, stop)
+}
+
 func (l *callLog) Delete(col, id string) error {
 	defer l.record(col == ColStaging)()
 	return l.Store.Delete(col, id)
@@ -97,11 +102,11 @@ func (l *callLog) serialDepth() int {
 
 // TestSaveRoundTripBudget pins how many document round trips each link
 // kind waits for in series: only the staging record before the artifacts
-// and the root document after them are ordered, so a snapshot or a
-// provenance link costs 3 (staging, one wave, root) and a parameter
-// update 4 (its base model alongside the staging record, then the base's
-// layer hashes, the wave, the root), plus the staging record's delete
-// after the commit.
+// and the root document after them are ordered, so every save costs 3 —
+// a snapshot or a provenance link (staging, one wave, root) and a
+// parameter update alike (its base model and the base's layer hashes,
+// read under the base's id, alongside the staging record; the wave; the
+// root) — plus the staging record's delete after the commit.
 func TestSaveRoundTripBudget(t *testing.T) {
 	cases := []struct {
 		name string
@@ -114,7 +119,7 @@ func TestSaveRoundTripBudget(t *testing.T) {
 			_, err := NewBaseline(stores).Save(SaveInfo{Spec: tinySpec(), Net: tinyNet(t, 1), WithChecksums: true})
 			return err
 		}},
-		{"paramupdate/derived", 4, func(t *testing.T, stores Stores, log *callLog) error {
+		{"paramupdate/derived", 3, func(t *testing.T, stores Stores, log *callLog) error {
 			net := tinyNet(t, 1)
 			base, err := NewParamUpdate(stores).Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
 			if err != nil {
@@ -149,6 +154,85 @@ func TestSaveRoundTripBudget(t *testing.T) {
 				t.Errorf("serial depth of the save = %d round trips, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRecoverRoundTripBudget pins how many document round trips a cold
+// recovery waits for in series. The requested model's environment document
+// is read under the model's id beside the chain read, so a snapshot and a
+// parameter update at the end of a chain cost 1; a provenance link's
+// service document is named by its root document, so it costs 2.
+func TestRecoverRoundTripBudget(t *testing.T) {
+	cases := []struct {
+		name string
+		want int
+		// save stores the model to recover and returns its id.
+		save func(t *testing.T, stores Stores) string
+	}{
+		{"baseline", 1, func(t *testing.T, stores Stores) string {
+			res, err := NewBaseline(stores).Save(SaveInfo{Spec: tinySpec(), Net: tinyNet(t, 1), WithChecksums: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.ID
+		}},
+		{"paramupdate/depth3", 1, func(t *testing.T, stores Stores) string {
+			net := tinyNet(t, 1)
+			pua := NewParamUpdate(stores)
+			id := ""
+			for i := 0; i < 3; i++ {
+				nn.StateDictOf(net).Entries()[0].Tensor.Data()[i] += 1
+				res, err := pua.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: id, WithChecksums: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				id = res.ID
+			}
+			return id
+		}},
+		{"provenance/derived", 2, func(t *testing.T, stores Stores) string {
+			net := tinyNet(t, 1)
+			base, err := NewProvenance(stores).Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := trainDerived(t, net, tinyDataset(t))
+			res, err := NewProvenance(stores).Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: base.ID, WithChecksums: true, Provenance: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.ID
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stores := testStores(t)
+			id := tc.save(t, stores)
+			log := &callLog{Store: stores.Meta, lag: 20 * time.Millisecond}
+			stores.Meta = log
+			if _, err := NewBaseline(stores).RecoverState(id, RecoverOptions{VerifyChecksums: true}); err != nil {
+				t.Fatal(err)
+			}
+			if got := log.serialDepth(); got != tc.want {
+				t.Errorf("serial depth of the recovery = %d round trips, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// A save stages at most one document per collection, since each is saved
+// under the root id: a second one fails the transaction before anything
+// is written.
+func TestTxnRejectsTwoDocumentsOfOneCollection(t *testing.T) {
+	stores := testStores(t)
+	txn := beginSave(stores, ColModels, "")
+	txn.stageDoc(ColEnvironments)
+	txn.stageDoc(ColEnvironments)
+	if err := txn.writeAhead(); err == nil {
+		t.Fatal("a transaction staging two environment documents wrote ahead")
+	}
+	if ids, err := stores.Meta.IDs(ColStaging); err != nil || len(ids) != 0 {
+		t.Fatalf("staging records %v (err %v), want none", ids, err)
 	}
 }
 
@@ -314,6 +398,11 @@ func sortedOwned(o Owned) Owned {
 	o.Blobs = append([]string(nil), o.Blobs...)
 	o.Docs = append([]DocRef(nil), o.Docs...)
 	sort.Strings(o.Blobs)
-	sort.Slice(o.Docs, func(i, j int) bool { return o.Docs[i].ID < o.Docs[j].ID })
+	sort.Slice(o.Docs, func(i, j int) bool {
+		if o.Docs[i].Collection != o.Docs[j].Collection {
+			return o.Docs[i].Collection < o.Docs[j].Collection
+		}
+		return o.Docs[i].ID < o.Docs[j].ID
+	})
 	return o
 }

@@ -250,9 +250,19 @@ func (s *service) walk(ctx context.Context, id string, opts RecoverOptions) (*Re
 // load walks from id toward the root, then waits for what the walk
 // launched: the time a recovery spends on documents and blobs. The root
 // documents come from a lineage reader that ends at the snapshot ending
-// the walk; a cached ancestor ends it before its document is read.
+// the walk; a cached ancestor ends it before its document is read. The
+// requested model's environment document is read beside the first chain
+// read, under id, where a save puts it.
 func (w *walk) load(ctx context.Context, id string) error {
 	meta, files := w.s.stores.Meta, w.s.stores.Files
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// Reported only once the root document names id; drained either way.
+	early := goFetch(func() (environment.Info, error) {
+		return loadDoc[environment.Info](meta, ColEnvironments, id)
+	})
+	defer early.settled()
 	lin := newLineage(meta, toSnapshot)
 	for cur := id; ; {
 		if w.s.cache != nil && cur != id {
@@ -267,7 +277,11 @@ func (w *walk) load(ctx context.Context, id string) error {
 		}
 		l := link{id: cur, doc: doc}
 		kind := doc.kind()
-		if cur == id || kind == provenanceLink && w.opts.CheckEnv {
+		switch {
+		case cur == id && doc.EnvDocID == id:
+			l.env = early
+			w.pending = append(w.pending, early)
+		case cur == id || kind == provenanceLink && w.opts.CheckEnv:
 			l.env = launch(w, func() (environment.Info, error) {
 				return loadDoc[environment.Info](meta, ColEnvironments, doc.EnvDocID)
 			})
