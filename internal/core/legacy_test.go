@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -111,6 +112,26 @@ func recoverToHash(t *testing.T, stores core.Stores, id, want string) {
 	}
 	if rs.Env.Framework != environment.Version {
 		t.Fatalf("%s recovered environment %+v", id, rs.Env)
+	}
+}
+
+// setAVX2 is package vec's test seam: it turns the AVX2 kernels on (where
+// the CPU has them) or off.
+//
+//go:linkname setAVX2 repro/internal/vec.setAVX2
+func setAVX2(on bool) (was bool)
+
+// The store's provenance link was trained by the scalar kernels of
+// 45e3924; its replay reaches the recorded hash on the AVX2 kernels and on
+// their scalar twins alike.
+func TestLegacyProvenanceReplaysOnBothKernelPaths(t *testing.T) {
+	stores, byName := openLegacyStore(t)
+	m := byName["provenance"]
+	for _, on := range []bool{true, false} {
+		func() {
+			defer setAVX2(setAVX2(on))
+			recoverToHash(t, stores, m.ID, m.StateHash)
+		}()
 	}
 }
 

@@ -186,7 +186,7 @@ func TestLayerCountsReasonable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(nn.LayerPaths(m)); got < min {
+		if got := len(nn.StateDictOf(m).LayerHashes()); got < min {
 			t.Fatalf("%s: only %d layers", arch, got)
 		}
 	}

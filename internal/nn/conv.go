@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // Conv2d is a 2-D convolution over NCHW tensors with optional grouping
@@ -124,9 +125,7 @@ func (c *Conv2d) Backward(ctx *Context, grad *tensor.Tensor) *tensor.Tensor {
 		}
 		fold.Lock() // arrival order: non-deterministic accumulation
 		defer fold.Unlock()
-		for j, v := range gw {
-			gW[j] += v
-		}
+		vec.Axpy(gW, 1, gw) // 1·v is v: a plain elementwise add
 		for j, v := range gb {
 			gB[j] += v
 		}

@@ -1,6 +1,10 @@
 package nn
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/vec"
+)
 
 // The convolution kernel. It computes bit for bit what the direct kernel
 // of earlier builds computed (conv_ref_test.go keeps it as the oracle that
@@ -16,9 +20,10 @@ import "sync"
 // The speed comes only from layout and loop form, never from splitting or
 // reassociating one element's sum: layout copies that make inner loops
 // contiguous (an output position's taps side by side, weights tap-major,
-// the input gradient channels-last), four output channels' accumulators
+// the input gradient channels-last), eight output channels' accumulators
 // held at once, and for depthwise layers, whose sums are too short to
-// block, all channels advancing side by side.
+// block, all channels advancing side by side. The inner loops are package
+// vec's kernels, which keep that contract across their vector lanes.
 //
 // The direct kernel skips padded taps and, in backward, output gradients
 // that are exactly zero; so does this one. Padded taps are cut out of every
@@ -37,6 +42,8 @@ type convKernel struct {
 	// wt is the weights tap-major, [OutC][KH][KW][cg], for the input
 	// gradient (set by tapMajor; wd itself where the layouts coincide).
 	wt []float32
+	// wc is a depthwise layer's weights channels-last, [KH][KW][OutC].
+	wc []float32
 	// valid lists each output position's unpadded taps, ascending: all
 	// k.taps of them where the window lies inside the input (see tapsAt).
 	valid   []int32
@@ -48,7 +55,7 @@ type convKernel struct {
 // every training step; allocating these layouts per call instead added
 // 5.6% to mixed-adaptive-local's alloc_mb_per_op (0.5% pooled).
 type convBufs struct {
-	f       [3][]float32
+	f       [4][]float32
 	valid   []int32
 	validAt []int
 }
@@ -81,6 +88,9 @@ func (c *Conv2d) newKernel(h, w int) *convKernel {
 	k.wt = k.wd
 	k.taps = k.cg * c.KH * c.KW
 	k.depthwise = k.cg == 1 && k.ocg == 1
+	if k.depthwise {
+		k.wc = transpose(k.bufs.buf(2, len(k.wd)), k.wd, c.OutC, k.taps)
+	}
 	if c.Bias != nil {
 		//mmlint:ignore dataescape the kernel lives for one Forward or Backward call and only reads the bias
 		k.bd = c.Bias.Value.Data()
@@ -185,26 +195,43 @@ func (k *convKernel) forwardSample(b *convBufs, xd, od []float32, i int) {
 	}
 	c := k.c
 	np, nt := k.oh*k.ow, k.taps
-	col := b.buf(0, np*nt)
+	col, acc, scratch := b.buf(0, np*nt), b.buf(1, np*8), b.buf(2, 8*nt)
 	for g := 0; g < c.Groups; g++ {
 		k.patches(xd, i, g, col)
 		end := (g + 1) * k.ocg
-		// Four output channels at a time; a group's last block repeats its
-		// last channel to fill up and stores only the channels it has.
-		for oc := g * k.ocg; oc < end; oc += 4 {
-			r1, r2, r3 := min(oc+1, end-1), min(oc+2, end-1), min(oc+3, end-1)
-			w0, w1, w2, w3 := k.row(oc), k.row(r1), k.row(r2), k.row(r3)
+		// Eight output channels at a time; a group's last block may be
+		// short, and then runs on a copy of its rows padded with zero rows
+		// whose sums are dropped.
+		for oc := g * k.ocg; oc < end; oc += 8 {
+			m := min(8, end-oc)
+			w := k.wd[oc*nt : (oc+m)*nt]
+			if m < 8 {
+				pad := b.buf(3, 8*nt)
+				clear(pad[copy(pad, w):])
+				w = pad
+			}
 			for p := 0; p < np; p++ {
-				s0, s1, s2, s3 := k.bd[oc], k.bd[r1], k.bd[r2], k.bd[r3]
-				x := col[p*nt : (p+1)*nt]
-				if taps := k.tapsAt(p); len(taps) == nt {
-					s0, s1, s2, s3 = dot4(s0, s1, s2, s3, w0, w1, w2, w3, x)
-				} else {
-					s0, s1, s2, s3 = dot4At(s0, s1, s2, s3, w0, w1, w2, w3, x, taps)
+				copy(acc[p*8:p*8+m], k.bd[oc:oc+m])
+			}
+			// Positions whose windows lie inside the input run together;
+			// the others take their unpadded taps one position at a time.
+			for p := 0; p < np; {
+				if taps := k.tapsAt(p); len(taps) < nt {
+					dot8At(acc[p*8:p*8+8], w, col[p*nt:(p+1)*nt], taps)
+					p++
+					continue
 				}
-				out := [4]float32{s0, s1, s2, s3}
-				for j, s := range out[:min(4, end-oc)] {
-					od[(i*c.OutC+oc+j)*np+p] = s
+				q := p + 1
+				for q < np && len(k.tapsAt(q)) == nt {
+					q++
+				}
+				vec.Dot8(acc[p*8:q*8], w, col[p*nt:q*nt], scratch)
+				p = q
+			}
+			for j := 0; j < m; j++ {
+				out := od[(i*c.OutC+oc+j)*np:][:np]
+				for p := range out {
+					out[p] = acc[p*8+j]
 				}
 			}
 		}
@@ -244,7 +271,7 @@ func (k *convKernel) backwardSample(b *convBufs, xd, gd, gxd, gW, gB []float32, 
 				}
 				x := col[p*nt : (p+1)*nt]
 				if taps := k.tapsAt(p); len(taps) == nt {
-					axpy(gw, v, x)
+					vec.Axpy(gw, v, x)
 				} else {
 					axpyAt(gw, v, x, taps)
 				}
@@ -254,7 +281,7 @@ func (k *convKernel) backwardSample(b *convBufs, xd, gd, gxd, gW, gB []float32, 
 				for kh := khLo; kh < khHi && kwLo < kwHi; kh++ {
 					at := ((iy0+kh)*k.w + ix0 + kwLo) * cg
 					wa, n := (kh*c.KW+kwLo)*cg, (kwHi-kwLo)*cg
-					axpy(gx[at:at+n], v, wt[wa:wa+n])
+					vec.Axpy(gx[at:at+n], v, wt[wa:wa+n])
 				}
 			}
 		}
@@ -276,17 +303,15 @@ func (k *convKernel) forwardDepthwise(b *convBufs, xd, od []float32, i int) {
 		iy0, ix0 := k.origin(p)
 		for _, t := range k.tapsAt(p) {
 			at := (iy0+int(t)/c.KW)*k.w + ix0 + int(t)%c.KW
-			x := xt[at*nc : (at+1)*nc]
-			for ch := range s {
-				s[ch] += k.wd[ch*k.taps+int(t)] * x[ch]
-			}
+			vec.MulAdd(s, k.wc[int(t)*nc:(int(t)+1)*nc], xt[at*nc:(at+1)*nc])
 		}
 	}
 	transpose(od[i*nc*np:(i+1)*nc*np], acc, np, nc)
 }
 
 // backwardDepthwise is backwardSample's weight and input gradients for one
-// channel per group, channels-last like forwardDepthwise.
+// channel per group, channels-last like forwardDepthwise: the weight
+// gradient too accumulates channels-last, in a copy written back at the end.
 func (k *convKernel) backwardDepthwise(b *convBufs, xd, gd, gxd, gW []float32, i int) {
 	c := k.c
 	nc, hw, np := c.OutC, k.h*k.w, k.oh*k.ow
@@ -294,20 +319,18 @@ func (k *convKernel) backwardDepthwise(b *convBufs, xd, gd, gxd, gW []float32, i
 	gt := transpose(b.buf(1, np*nc), gd[i*nc*np:(i+1)*nc*np], nc, np)
 	gxt := b.buf(2, hw*nc)
 	clear(gxt)
+	gwt := transpose(b.buf(3, len(gW)), gW, nc, k.taps)
 	for p := 0; p < np; p++ {
 		g := gt[p*nc : (p+1)*nc]
 		iy0, ix0 := k.origin(p)
 		for _, t := range k.tapsAt(p) {
 			at := (iy0+int(t)/c.KW)*k.w + ix0 + int(t)%c.KW
-			x, gx := xt[at*nc:(at+1)*nc], gxt[at*nc:(at+1)*nc]
-			for ch, v := range g {
-				if v != 0 {
-					gW[ch*k.taps+int(t)] += v * x[ch]
-					gx[ch] += v * k.wd[ch*k.taps+int(t)]
-				}
-			}
+			tc := int(t) * nc
+			vec.MulAddNonzero(gwt[tc:tc+nc], g, xt[at*nc:(at+1)*nc])
+			vec.MulAddNonzero(gxt[at*nc:(at+1)*nc], g, k.wc[tc:tc+nc])
 		}
 	}
+	transpose(gW, gwt, k.taps, nc)
 	transpose(gxd[i*nc*hw:(i+1)*nc*hw], gxt, hw, nc)
 }
 
@@ -322,40 +345,25 @@ func transpose(dst, src []float32, rows, cols int) []float32 {
 	return dst
 }
 
-// dot4 adds x's dot products with w0..w3 to four accumulators, one per
-// output element, each taking its terms in order.
-func dot4(s0, s1, s2, s3 float32, w0, w1, w2, w3, x []float32) (float32, float32, float32, float32) {
-	w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
-	for t, v := range x {
-		s0 += w0[t] * v
-		s1 += w1[t] * v
-		s2 += w2[t] * v
-		s3 += w3[t] * v
-	}
-	return s0, s1, s2, s3
-}
-
-// dot4At is dot4 over the taps listed in at only.
-func dot4At(s0, s1, s2, s3 float32, w0, w1, w2, w3, x []float32, at []int32) (float32, float32, float32, float32) {
-	for _, t := range at {
-		v := x[t]
-		s0 += w0[t] * v
-		s1 += w1[t] * v
-		s2 += w2[t] * v
-		s3 += w3[t] * v
-	}
-	return s0, s1, s2, s3
-}
-
-// axpy adds a·x to dst element by element.
-func axpy(dst []float32, a float32, x []float32) {
-	x = x[:len(dst)]
-	for j, v := range x {
-		dst[j] += a * v
+// dot8At is vec.Dot8 for one position over the taps listed in at only,
+// four channels at a time.
+func dot8At(acc, w, x []float32, at []int32) {
+	nt := len(w) / 8
+	for l := 0; l < 8; l += 4 {
+		w0, w1, w2, w3 := w[l*nt:][:nt], w[(l+1)*nt:][:nt], w[(l+2)*nt:][:nt], w[(l+3)*nt:][:nt]
+		s0, s1, s2, s3 := acc[l], acc[l+1], acc[l+2], acc[l+3]
+		for _, t := range at {
+			v := x[t]
+			s0 += w0[t] * v
+			s1 += w1[t] * v
+			s2 += w2[t] * v
+			s3 += w3[t] * v
+		}
+		acc[l], acc[l+1], acc[l+2], acc[l+3] = s0, s1, s2, s3
 	}
 }
 
-// axpyAt is axpy over the elements listed in at only.
+// axpyAt adds a·x to dst at the elements listed in at only.
 func axpyAt(dst []float32, a float32, x []float32, at []int32) {
 	for _, j := range at {
 		dst[j] += a * x[j]

@@ -4,9 +4,27 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"repro/internal/tensor"
 )
+
+// setAVX2 is package vec's test seam: it turns the AVX2 kernels on (where
+// the CPU has them) or off, so the scalar twins, the only kernels off
+// amd64, are checked on amd64 too.
+//
+//go:linkname setAVX2 repro/internal/vec.setAVX2
+func setAVX2(on bool) (was bool)
+
+// onKernelPaths runs check on the AVX2 kernels, then on the scalar twins.
+func onKernelPaths(check func(path string)) {
+	for _, on := range []bool{true, false} {
+		func() {
+			defer setAVX2(setAVX2(on))
+			check(map[bool]string{true: "avx2", false: "scalar"}[on])
+		}()
+	}
+}
 
 // The oracle: the direct convolution every earlier build trained with,
 // kept verbatim. Every accumulation runs serially in a fixed element order;
@@ -129,8 +147,9 @@ func (c *Conv2d) backwardDirect(x, grad *tensor.Tensor, n, h, w, oh, ow int) *te
 
 // FuzzConvMatchesReference draws a convolution geometry and operands and
 // asserts that Forward and Backward in deterministic mode reproduce the
-// direct kernel bit for bit: output, input gradient, and weight and bias
-// gradients accumulated onto nonzero starting values. Operands carry the
+// direct kernel bit for bit, on the AVX2 kernels and on their scalar
+// twins: output, input gradient, and weight and bias gradients accumulated
+// onto nonzero starting values. Operands carry the
 // values where an order or a skipped term shows: exact zeros in the input,
 // the weights and the output gradient, −0 in the bias and the starting
 // gradients.
@@ -152,7 +171,9 @@ func FuzzConvMatchesReference(f *testing.F) {
 			return // no output position
 		}
 		c := NewConv2d(g*wrap(cin, 1, 6), g*wrap(cout, 1, 9), kk, wrap(stride, 1, 3), p, g, bias)
-		checkConvMatchesReference(t, c, wrap(n, 1, 3), ih, iw, seed)
+		onKernelPaths(func(path string) {
+			checkConvMatchesReference(t, path, c, wrap(n, 1, 3), ih, iw, seed)
+		})
 	})
 }
 
@@ -186,7 +207,7 @@ func fuzzValues(rng *tensor.RNG, n, zeroEvery, negZeroAt int) []float32 {
 	return v
 }
 
-func checkConvMatchesReference(t *testing.T, c *Conv2d, n, h, w int, seed uint64) {
+func checkConvMatchesReference(t *testing.T, path string, c *Conv2d, n, h, w int, seed uint64) {
 	t.Helper()
 	rng := tensor.NewRNG(seed)
 	copy(c.Weight.Value.Data(), fuzzValues(rng, c.Weight.Value.Len(), 8, 0))
@@ -220,12 +241,12 @@ func checkConvMatchesReference(t *testing.T, c *Conv2d, n, h, w int, seed uint64
 
 	for j, name := range []string{"output", "input gradient", "weight gradient", "bias gradient"}[:len(want)] {
 		if !got[j].SameShape(want[j]) {
-			t.Fatalf("%s: %s shape %v, want %v", convGeom(c, n, h, w), name, got[j].Shape(), want[j].Shape())
+			t.Fatalf("%s %s: %s shape %v, want %v", path, convGeom(c, n, h, w), name, got[j].Shape(), want[j].Shape())
 		}
 		if at := firstBitDiff(got[j], want[j]); at >= 0 {
 			g, v := got[j].Data()[at], want[j].Data()[at]
-			t.Fatalf("%s: %s differs from the direct kernel at %d: %v (%#x) vs %v (%#x)",
-				convGeom(c, n, h, w), name, at, g, math.Float32bits(g), v, math.Float32bits(v))
+			t.Fatalf("%s %s: %s differs from the direct kernel at %d: %v (%#x) vs %v (%#x)",
+				path, convGeom(c, n, h, w), name, at, g, math.Float32bits(g), v, math.Float32bits(v))
 		}
 	}
 }

@@ -150,23 +150,6 @@ func NamedParams(m Module) []NamedParam {
 	return out
 }
 
-// NamedBuffer is a buffer with its fully qualified dotted path.
-type NamedBuffer struct {
-	Path   string
-	Buffer *Buffer
-}
-
-// NamedBuffers returns all buffers in deterministic depth-first order.
-func NamedBuffers(m Module) []NamedBuffer {
-	var out []NamedBuffer
-	Visit(m, func(path string, mod Module) {
-		for _, b := range mod.OwnBuffers() {
-			out = append(out, NamedBuffer{Path: joinPath(path, b.Name), Buffer: b})
-		}
-	})
-	return out
-}
-
 func joinPath(path, name string) string {
 	if path == "" {
 		return name
@@ -252,20 +235,6 @@ func TrainablePrefixes(m Module) []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// LayerPaths returns the dotted paths of all leaf modules that own at least
-// one parameter or buffer, in deterministic order. These are the "layers" of
-// the paper: the granularity at which the parameter update approach diffs,
-// hashes, and merges model state.
-func LayerPaths(m Module) []string {
-	var out []string
-	Visit(m, func(path string, mod Module) {
-		if len(mod.OwnParams()) > 0 || len(mod.OwnBuffers()) > 0 {
-			out = append(out, path)
-		}
-	})
 	return out
 }
 

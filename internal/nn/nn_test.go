@@ -480,10 +480,6 @@ func TestNamedParamsOrderAndPaths(t *testing.T) {
 			t.Fatalf("param %d path = %q, want %q", i, p.Path, wantPaths[i])
 		}
 	}
-	bufs := NamedBuffers(seq)
-	if len(bufs) != 2 || bufs[0].Path != "bn1.running_mean" {
-		t.Fatalf("buffers = %+v", bufs)
-	}
 }
 
 func TestFreezeAllExcept(t *testing.T) {
@@ -508,18 +504,6 @@ func TestFreezeAllExcept(t *testing.T) {
 	SetTrainable(seq, true)
 	if NumTrainableParams(seq) != NumParams(seq) {
 		t.Fatal("SetTrainable(true) failed")
-	}
-}
-
-func TestLayerPaths(t *testing.T) {
-	seq := NewNamedSequential(
-		Child{Name: "conv1", Module: NewConv2d(1, 2, 3, 1, 1, 1, false)},
-		Child{Name: "relu", Module: NewReLU()},
-		Child{Name: "fc", Module: NewLinear(4, 2)},
-	)
-	got := LayerPaths(seq)
-	if len(got) != 2 || got[0] != "conv1" || got[1] != "fc" {
-		t.Fatalf("LayerPaths = %v", got)
 	}
 }
 

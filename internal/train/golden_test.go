@@ -12,7 +12,9 @@ import (
 // a model saved by any earlier build must still replay to the hash it
 // recorded. These constants were taken from the build before the blocked
 // convolution kernel; a kernel change that moves one bit of a deterministic
-// step fails here, not in a user's recovery.
+// step fails here, not in a user's recovery. Each step runs on the AVX2
+// kernels and on their scalar twins: a model trained on one CPU must
+// replay on another, whichever kernels each has.
 //
 // The step has the benchmark's shape (mixed-adaptive-local's trainOnce):
 // CO-512 at scale 0.04, batch 2 at 32×32, SGD lr 0.001, momentum 0.9,
@@ -31,23 +33,25 @@ func TestDeterministicStepGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.arch, func(t *testing.T) {
-			net, err := models.New(tc.arch, 1000, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loader, err := NewDataLoader(ds, LoaderConfig{BatchSize: 2, OutH: 32, OutW: 32, Shuffle: true, Seed: 500})
-			if err != nil {
-				t.Fatal(err)
-			}
-			svc := NewImageClassifierTrainService(
-				ServiceConfig{Epochs: 1, BatchesPerEpoch: 1, Seed: 500, Deterministic: true},
-				loader, NewSGD(SGDConfig{LR: 0.001, Momentum: 0.9, ClipNorm: 1}))
-			if _, err := svc.Train(net); err != nil {
-				t.Fatal(err)
-			}
-			if got := nn.StateDictOf(net).Hash(); got != tc.want {
-				t.Fatalf("state dict hash after one deterministic step = %s, want %s", got, tc.want)
-			}
+			onKernelPaths(t, func(t *testing.T) {
+				net, err := models.New(tc.arch, 1000, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loader, err := NewDataLoader(ds, LoaderConfig{BatchSize: 2, OutH: 32, OutW: 32, Shuffle: true, Seed: 500})
+				if err != nil {
+					t.Fatal(err)
+				}
+				svc := NewImageClassifierTrainService(
+					ServiceConfig{Epochs: 1, BatchesPerEpoch: 1, Seed: 500, Deterministic: true},
+					loader, NewSGD(SGDConfig{LR: 0.001, Momentum: 0.9, ClipNorm: 1}))
+				if _, err := svc.Train(net); err != nil {
+					t.Fatal(err)
+				}
+				if got := nn.StateDictOf(net).Hash(); got != tc.want {
+					t.Fatalf("state dict hash after one deterministic step = %s, want %s", got, tc.want)
+				}
+			})
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/vec"
 )
 
 // SGDConfig holds the constructor arguments of the SGD optimizer — the
@@ -29,11 +30,11 @@ type SGDConfig struct {
 	ClipNorm float32 `json:"clip_norm,omitempty"`
 }
 
-// clipGradients rescales all trainable gradients so their global L2 norm is
-// at most maxNorm. The norm accumulates in float64 in state-dict order.
-func clipGradients(m nn.Module, maxNorm float32) {
+// clipGradients rescales the trainable gradients of params so their global
+// L2 norm is at most maxNorm. The norm accumulates in float64 in state-dict
+// order, serially: a vector sum would reassociate it.
+func clipGradients(params []nn.NamedParam, maxNorm float32) {
 	var sq float64
-	params := nn.NamedParams(m)
 	for _, p := range params {
 		if !p.Param.Trainable {
 			continue
@@ -77,20 +78,18 @@ func NewSGD(cfg SGDConfig) *SGD {
 // accumulated gradients. Parameters are visited in deterministic state-dict
 // order so updates are reproducible.
 func (s *SGD) Step(m nn.Module) {
+	params := nn.NamedParams(m)
 	if s.Config.ClipNorm > 0 {
-		clipGradients(m, s.Config.ClipNorm)
+		clipGradients(params, s.Config.ClipNorm)
 	}
-	for _, p := range nn.NamedParams(m) {
+	for _, p := range params {
 		if !p.Param.Trainable {
 			continue
 		}
 		w := p.Param.Value.Data()
 		g := p.Param.EnsureGrad().Data()
 		if s.Config.WeightDecay != 0 {
-			wd := s.Config.WeightDecay
-			for i := range g {
-				g[i] += wd * w[i]
-			}
+			vec.Axpy(g, s.Config.WeightDecay, w)
 		}
 		if s.Config.Momentum != 0 {
 			v, ok := s.velocities[p.Path]
@@ -98,13 +97,7 @@ func (s *SGD) Step(m nn.Module) {
 				v = tensor.Zeros(p.Param.Value.Shape()...)
 				s.velocities[p.Path] = v
 			}
-			vd := v.Data()
-			mom := s.Config.Momentum
-			lr := s.Config.LR
-			for i := range g {
-				vd[i] = mom*vd[i] + g[i]
-				w[i] -= lr * vd[i]
-			}
+			vec.Momentum(w, v.Data(), g, s.Config.Momentum, s.Config.LR)
 		} else {
 			lr := s.Config.LR
 			for i := range g {

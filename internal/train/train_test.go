@@ -110,83 +110,91 @@ func TestAccuracy(t *testing.T) {
 }
 
 func TestSGDStepBasics(t *testing.T) {
-	l := nn.NewLinear(2, 1)
-	copy(l.Weight.Value.Data(), []float32{1, 1})
-	l.Weight.EnsureGrad().Data()[0] = 1
-	opt := NewSGD(SGDConfig{LR: 0.1})
-	opt.Step(l)
-	if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)-0.9) > 1e-6 {
-		t.Fatalf("weight = %v, want 0.9", got)
-	}
-	// Untouched weight stays.
-	if l.Weight.Value.Data()[1] != 1 {
-		t.Fatal("zero-grad weight moved")
-	}
+	onKernelPaths(t, func(t *testing.T) {
+		l := nn.NewLinear(2, 1)
+		copy(l.Weight.Value.Data(), []float32{1, 1})
+		l.Weight.EnsureGrad().Data()[0] = 1
+		opt := NewSGD(SGDConfig{LR: 0.1})
+		opt.Step(l)
+		if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)-0.9) > 1e-6 {
+			t.Fatalf("weight = %v, want 0.9", got)
+		}
+		// Untouched weight stays.
+		if l.Weight.Value.Data()[1] != 1 {
+			t.Fatal("zero-grad weight moved")
+		}
+	})
 }
 
 func TestSGDRespectsTrainableFlag(t *testing.T) {
-	l := nn.NewLinear(2, 1)
-	l.Weight.EnsureGrad().Fill(1)
-	l.Bias.EnsureGrad().Fill(1)
-	nn.FreezeAllExcept(l, "bias")
-	before := l.Weight.Value.Clone()
-	NewSGD(SGDConfig{LR: 0.5}).Step(l)
-	if !l.Weight.Value.Equal(before) {
-		t.Fatal("frozen weight was updated")
-	}
-	if l.Bias.Value.Data()[0] == 0 {
-		// bias started at 0 and must have moved by -0.5.
-		t.Log("ok")
-	}
-	if math.Abs(float64(l.Bias.Value.Data()[0])+0.5) > 1e-6 {
-		t.Fatalf("bias = %v, want -0.5", l.Bias.Value.Data()[0])
-	}
+	onKernelPaths(t, func(t *testing.T) {
+		l := nn.NewLinear(2, 1)
+		l.Weight.EnsureGrad().Fill(1)
+		l.Bias.EnsureGrad().Fill(1)
+		nn.FreezeAllExcept(l, "bias")
+		before := l.Weight.Value.Clone()
+		NewSGD(SGDConfig{LR: 0.5}).Step(l)
+		if !l.Weight.Value.Equal(before) {
+			t.Fatal("frozen weight was updated")
+		}
+		if l.Bias.Value.Data()[0] == 0 {
+			// bias started at 0 and must have moved by -0.5.
+			t.Log("ok")
+		}
+		if math.Abs(float64(l.Bias.Value.Data()[0])+0.5) > 1e-6 {
+			t.Fatalf("bias = %v, want -0.5", l.Bias.Value.Data()[0])
+		}
+	})
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	l := nn.NewLinear(1, 1)
-	opt := NewSGD(SGDConfig{LR: 1, Momentum: 0.5})
-	l.Weight.EnsureGrad().Fill(1)
-	opt.Step(l) // v=1, w=-1
-	l.Weight.EnsureGrad().Fill(1)
-	opt.Step(l) // v=1.5, w=-2.5
-	if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)+2.5) > 1e-6 {
-		t.Fatalf("weight = %v, want -2.5", got)
-	}
-	if !opt.HasState() {
-		t.Fatal("momentum optimizer should have state")
-	}
+	onKernelPaths(t, func(t *testing.T) {
+		l := nn.NewLinear(1, 1)
+		opt := NewSGD(SGDConfig{LR: 1, Momentum: 0.5})
+		l.Weight.EnsureGrad().Fill(1)
+		opt.Step(l) // v=1, w=-1
+		l.Weight.EnsureGrad().Fill(1)
+		opt.Step(l) // v=1.5, w=-2.5
+		if got := l.Weight.Value.Data()[0]; math.Abs(float64(got)+2.5) > 1e-6 {
+			t.Fatalf("weight = %v, want -2.5", got)
+		}
+		if !opt.HasState() {
+			t.Fatal("momentum optimizer should have state")
+		}
+	})
 }
 
 func TestSGDStateRoundTrip(t *testing.T) {
-	l := nn.NewLinear(2, 2)
-	opt := NewSGD(SGDConfig{LR: 0.1, Momentum: 0.9})
-	l.Weight.EnsureGrad().Fill(0.5)
-	l.Bias.EnsureGrad().Fill(0.25)
-	opt.Step(l)
+	onKernelPaths(t, func(t *testing.T) {
+		l := nn.NewLinear(2, 2)
+		opt := NewSGD(SGDConfig{LR: 0.1, Momentum: 0.9})
+		l.Weight.EnsureGrad().Fill(0.5)
+		l.Bias.EnsureGrad().Fill(0.25)
+		opt.Step(l)
 
-	var buf bytes.Buffer
-	if _, err := opt.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	opt2 := NewSGD(opt.Config)
-	if err := opt2.ReadState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !opt.StateEqual(opt2) {
-		t.Fatal("state round trip not equal")
-	}
-	// Continuing training from restored state matches continuing original.
-	l2 := nn.NewLinear(2, 2)
-	copy(l2.Weight.Value.Data(), l.Weight.Value.Data())
-	copy(l2.Bias.Value.Data(), l.Bias.Value.Data())
-	l.Weight.EnsureGrad().Fill(0.5)
-	l2.Weight.EnsureGrad().Fill(0.5)
-	opt.Step(l)
-	opt2.Step(l2)
-	if !l.Weight.Value.Equal(l2.Weight.Value) {
-		t.Fatal("restored optimizer diverged")
-	}
+		var buf bytes.Buffer
+		if _, err := opt.WriteState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		opt2 := NewSGD(opt.Config)
+		if err := opt2.ReadState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !opt.StateEqual(opt2) {
+			t.Fatal("state round trip not equal")
+		}
+		// Continuing training from restored state matches continuing original.
+		l2 := nn.NewLinear(2, 2)
+		copy(l2.Weight.Value.Data(), l.Weight.Value.Data())
+		copy(l2.Bias.Value.Data(), l.Bias.Value.Data())
+		l.Weight.EnsureGrad().Fill(0.5)
+		l2.Weight.EnsureGrad().Fill(0.5)
+		opt.Step(l)
+		opt2.Step(l2)
+		if !l.Weight.Value.Equal(l2.Weight.Value) {
+			t.Fatal("restored optimizer diverged")
+		}
+	})
 }
 
 func TestSGDReadStateRejectsGarbage(t *testing.T) {

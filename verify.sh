@@ -32,15 +32,22 @@
 #   7. bench module  — bench/ is its own module (repro/bench) that ./...
 #                      never reaches; vet and test it so an API change in
 #                      models/nn/core that breaks the benchmark fails here
-#   8. big-endian    — cross-build tensor and nn for s390x, the only way
-#                      the staging fallback of alias_fallback.go is compiled
+#   8. other arches  — cross-build tensor, nn, vec and train for s390x, the
+#                      only way the staging fallback of alias_fallback.go
+#                      and vec's scalar-only side (vec_other.go) are
+#                      compiled, and vet nn, train and vec for arm64, so
+#                      the side without assembly is checked too (gate 2's
+#                      asmdecl checks the amd64 assembly's frame offsets)
 #   9. non-linux     — cross-build filestore for darwin, the only way the
 #                      !linux side of its build tags (no mmap, no write-back
 #                      hint) is compiled
 #  10. fuzz smoke    — ten seconds each beyond the checked-in corpora of
 #                      FuzzConvMatchesReference (the convolution kernel must
 #                      stay bit-identical to the direct kernel old models
-#                      replay on), FuzzReadStateDict (no bytes on disk may
+#                      replay on, on the AVX2 kernels and on their scalar
+#                      twins), FuzzVecMatchesScalar (each AVX2 kernel must
+#                      match its scalar twin bit for bit, NaN payloads
+#                      included), FuzzReadStateDict (no bytes on disk may
 #                      panic the state-dict decoders, make them disagree or
 #                      decode a tensor whose shape lies about its size),
 #                      FuzzServerFrame (no bytes a peer sends may panic the
@@ -84,14 +91,20 @@ done
 echo "==> (cd bench && go vet . && go test .)"
 (cd bench && go vet . && go test .)
 
-echo "==> GOARCH=s390x go build ./internal/tensor/... ./internal/nn/..."
-GOARCH=s390x go build ./internal/tensor/... ./internal/nn/...
+echo "==> GOARCH=s390x go build ./internal/tensor/... ./internal/nn/... ./internal/vec/... ./internal/train/..."
+GOARCH=s390x go build ./internal/tensor/... ./internal/nn/... ./internal/vec/... ./internal/train/...
+
+echo "==> GOARCH=arm64 go vet ./internal/nn ./internal/train ./internal/vec"
+GOARCH=arm64 go vet ./internal/nn ./internal/train ./internal/vec
 
 echo "==> GOOS=darwin go build ./internal/filestore/..."
 GOOS=darwin go build ./internal/filestore/...
 
 echo "==> go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn"
 go test -run '^$' -fuzz FuzzConvMatchesReference -fuzztime 10s ./internal/nn
+
+echo "==> go test -run '^$' -fuzz FuzzVecMatchesScalar -fuzztime 10s ./internal/vec"
+go test -run '^$' -fuzz FuzzVecMatchesScalar -fuzztime 10s ./internal/vec
 
 # Minimizing a new input cut from a 17 KB seed takes the rest of the ten
 # seconds at the default -fuzzminimizetime (1.8k execs instead of 30k).
