@@ -87,17 +87,17 @@ func (sv *saving) putBlob(id, label string, b []byte) (hash string, err error) {
 }
 
 // putParams streams a state dict — a full one or an update — into the
-// staged blob id. This is the one write of the parameter bytes: with
-// digests the per-tensor digests are computed beside the serializer, and
-// the file store hashes the blob beside its writes, so the state hash and
-// the layer hashes read the digest cache instead of re-hashing tensors.
-func (sv *saving) putParams(id string, sd *nn.StateDict, withDigests bool) error {
+// staged blob id and records its frames hash. This is the one write of the
+// parameter bytes and they are hashed once, into the per-tensor digests
+// (computed beside the serializer unless sd's cache already holds them):
+// the frames hash, the state hash and the layer hashes all read the cache.
+func (sv *saving) putParams(id string, sd *nn.StateDict) error {
 	return phase(sv.ctx, "save.params", nil, func(*obs.Span) error {
-		size, hash, err := saveStateDict(sv.txn, id, sd, withDigests)
+		size, hash, err := saveStateDict(sv.txn, id, sd)
 		if err != nil {
 			return err
 		}
-		sv.doc.ParamsFileRef, sv.doc.ParamsFileHash = id, hash
+		sv.doc.ParamsFileRef, sv.doc.ParamsFramesHash = id, hash
 		sv.stored(size, 0)
 		return nil
 	})
@@ -195,7 +195,7 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 			return err
 		},
 		func() error {
-			if err := sv.putParams(paramsID, sd, info.WithChecksums || plan.layerHashes); err != nil {
+			if err := sv.putParams(paramsID, sd); err != nil {
 				return err
 			}
 			if info.WithChecksums {
@@ -214,18 +214,14 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 }
 
 // saveStateDict writes a state dict into the transaction's staged blob id
-// and returns the stored size and the content hash the store computed
-// while writing. The dict serializes itself straight into the store's
-// writer, on this goroutine. With withDigests, sd's per-tensor digest cache
-// is filled while it serializes (a no-op when the cache already exists),
-// so subsequent Hash/LayerHashes calls on sd are free of parameter-byte
-// passes.
-func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict, withDigests bool) (int64, string, error) {
-	write := sd.WriteTo
-	if withDigests {
-		write = sd.WriteToWithDigests
-	}
-	size, hash, err := txn.saveBlob(id, "params", filestore.Source(write))
+// and returns the stored size and its frames hash. The dict serializes
+// itself straight into the store's writer, on this goroutine, while its
+// per-tensor digest cache is filled beside it (nothing is digested when
+// the cache already exists); the store hashes no byte and takes the frames
+// hash from that cache, so later Hash/LayerHashes calls on sd are free of
+// parameter-byte passes too.
+func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict) (int64, string, error) {
+	size, hash, err := txn.saveBlob(id, "params", filestore.HashedSource(sd.WriteToWithDigests, sd.FramesHash))
 	if err != nil {
 		return 0, "", fmt.Errorf("core: saving parameters: %w", err)
 	}

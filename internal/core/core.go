@@ -206,10 +206,14 @@ type modelDoc struct {
 	// ParamsFileRef references the serialized parameters: the full state
 	// dict for baseline saves, the parameter update for PUA saves.
 	ParamsFileRef string `json:"params_file_ref,omitempty"`
-	// ParamsFileHash is the content hash of the parameter file. The file
-	// store computes it while streaming the blob to disk, so recording it
-	// costs no extra pass; it lets integrity audits compare stored blobs
-	// against their documents without re-reading them at save time.
+	// ParamsFramesHash is the frames hash of the parameter file (see
+	// nn.FramesHash): built from the per-tensor digests the save computes
+	// anyway, so recording it costs O(entries), and checked against the
+	// stored blob by nn.AuditFramesHash.
+	ParamsFramesHash string `json:"params_frames_hash,omitempty"`
+	// ParamsFileHash is the SHA-256 of the parameter file, which saves
+	// recorded before ParamsFramesHash existed. It is never written now;
+	// where an old document carries it, it still means the file's SHA-256.
 	ParamsFileHash string `json:"params_file_hash,omitempty"`
 	// UpdatedLayers lists the layer paths contained in a parameter update.
 	UpdatedLayers []string `json:"updated_layers,omitempty"`

@@ -155,6 +155,22 @@ func TestLegacyStoreRecoversSavesAndCatalogs(t *testing.T) {
 		}
 		recoverToHash(t, stores, m.ID, m.StateHash)
 	}
+	// Old root documents record the SHA-256 of their parameter file
+	// (params_file_hash), and it still audits as that.
+	withFileHash := 0
+	for _, m := range byName {
+		recorded := rootField(t, stores.Meta, m.ID, "params_file_hash")
+		if recorded == "" {
+			continue
+		}
+		withFileHash++
+		if got, err := stores.Files.Hash(rootField(t, stores.Meta, m.ID, "params_file_ref")); err != nil || got != recorded {
+			t.Fatalf("%s: params_file_hash %s, its blob hashes to %s (err %v)", m.Name, recorded, got, err)
+		}
+	}
+	if withFileHash != 4 {
+		t.Fatalf("%d legacy models record params_file_hash, want the 4 that store parameters", withFileHash)
+	}
 
 	// A parameter update on the old leaf, then one on the new link.
 	leaf := byName["pua2"]
@@ -179,6 +195,18 @@ func TestLegacyStoreRecoversSavesAndCatalogs(t *testing.T) {
 		return res.ID, nn.StateDictOf(net).Hash()
 	}
 	newID, newHash := saveUpdate(leaf.ID)
+	// A model derived from a legacy base records the frames hash, which
+	// audits against its stored blob, and no file hash.
+	if got := rootField(t, stores.Meta, newID, "params_file_hash"); got != "" {
+		t.Fatalf("new model records params_file_hash %s", got)
+	}
+	blob, err := stores.Files.ReadAll(rootField(t, stores.Meta, newID, "params_file_ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audited, err := nn.AuditFramesHash(blob); err != nil || audited != rootField(t, stores.Meta, newID, "params_frames_hash") {
+		t.Fatalf("new model records params_frames_hash %q, its blob audits as %s (err %v)", rootField(t, stores.Meta, newID, "params_frames_hash"), audited, err)
+	}
 	legacyHashDoc := rootField(t, stores.Meta, leaf.ID, "hash_doc_id")
 	for _, want := range []string{core.ColLayerHashes + "/" + leaf.ID, core.ColLayerHashes + "/" + legacyHashDoc} {
 		if !slices.Contains(log.gets, want) {

@@ -84,12 +84,12 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 		sv.doc.StateHash = sd.Hash()
 	}
 	// The architecture is inherited from the base model, but the
-	// environment may differ and is always recorded. The update's digests
-	// are already in sd's cache, so it is written without computing any.
+	// environment may differ and is always recorded. The update's tensors
+	// were stamped by the digest pass above, so writing it digests none.
 	err = together(
 		func() error { return sv.putEnv(envID, info) },
 		func() error { return sv.putLayerHashes(hashID, curHashes) },
-		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers), false) },
+		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers)) },
 	)
 	if err != nil {
 		return SaveResult{}, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/nn"
@@ -9,10 +11,11 @@ import (
 
 // The tests in this file pin the digest budget of a checksummed save, via
 // the tensor.DigestOps counter: every tensor is digested exactly once, and
-// StateHash and — for PUA — the layer hashes read those digests. The
-// digests run beside the serializer (nn.StateDict.WriteToWithDigests), as
-// the blob's content hash runs beside the file writes; a save that digests
-// a tensor again for any of its hashes fails here.
+// StateHash, the parameter blob's frames hash and — for PUA — the layer
+// hashes read those digests. The digests run beside the serializer
+// (nn.StateDict.WriteToWithDigests); a save that digests a tensor again
+// for any of its hashes fails here. The frames hash is then checked
+// against the stored bytes.
 
 // digestOpsDuring returns how many per-tensor digest computations f caused.
 // The counter is global, so these tests cannot run in parallel with other
@@ -78,9 +81,60 @@ func TestPUASavesDigestEachTensorOnce(t *testing.T) {
 	}
 }
 
-// TestSaveRecordsFileContentHashes: the model document keeps the content
-// hashes SaveBytes/SaveAs already computed (they used to be discarded), and
-// they match an independent re-hash of the stored blobs.
+// paramsSave is a saved model that stores parameters: its root document
+// and its stored parameter blob.
+type paramsSave struct {
+	name string
+	doc  modelDoc
+	blob []byte
+}
+
+// paramsSaves saves one model of each shape that stores a parameter blob:
+// a checksummed BA snapshot, an unchecksummed one, a PUA update, and the
+// adaptive policy's snapshot and updates.
+func paramsSaves(t *testing.T) []paramsSave {
+	t.Helper()
+	stores := testStores(t)
+	var out []paramsSave
+	add := func(name, id string) {
+		t.Helper()
+		doc, err := getModelDoc(stores.Meta, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := stores.Files.ReadAll(doc.ParamsFileRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, paramsSave{name, doc, blob})
+	}
+	save := func(svc SaveService, info SaveInfo) string {
+		t.Helper()
+		res, err := svc.Save(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ID
+	}
+	add("BA", save(NewBaseline(stores), SaveInfo{Spec: tinySpec(), Net: tinyNet(t, 9), WithChecksums: true}))
+	add("BA unchecksummed", save(NewBaseline(stores), SaveInfo{Spec: tinySpec(), Net: tinyNet(t, 10)}))
+	pua := NewParamUpdate(stores)
+	net := tinyNet(t, 11)
+	base := save(pua, SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+	trainDerived(t, net, tinyDataset(t))
+	add("PUA update", save(pua, SaveInfo{Spec: tinySpec(), Net: net, BaseID: base, WithChecksums: true}))
+	ids, _ := buildMixedChain(t, stores, 12)
+	add("adaptive snapshot", ids[0])
+	add("adaptive update", ids[1])
+	add("adaptive update after provenance", ids[3])
+	return out
+}
+
+// TestSaveRecordsFileContentHashes: the model document records the content
+// hashes of its blobs, and they match the stored bytes: the model code's is
+// the SHA-256 of the blob the file store re-reads; the parameters' is their
+// frames hash, which nn.AuditFramesHash recomputes from the stored bytes on
+// its own — no digest cache, no stamps, no save-side code.
 func TestSaveRecordsFileContentHashes(t *testing.T) {
 	stores := testStores(t)
 	res, err := NewBaseline(stores).Save(SaveInfo{Spec: tinySpec(), Net: tinyNet(t, 9), WithChecksums: true})
@@ -91,22 +145,76 @@ func TestSaveRecordsFileContentHashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name, ref, hash string
-	}{
-		{"code", doc.CodeFileRef, doc.CodeFileHash},
-		{"params", doc.ParamsFileRef, doc.ParamsFileHash},
-	} {
-		if f.hash == "" {
-			t.Errorf("%s file hash not recorded in model document", f.name)
+	if doc.CodeFileHash == "" {
+		t.Fatal("code file hash not recorded in model document")
+	}
+	if got, err := stores.Files.Hash(doc.CodeFileRef); err != nil || got != doc.CodeFileHash {
+		t.Fatalf("code file hash %s does not match stored blob content %s (err %v)", doc.CodeFileHash, got, err)
+	}
+	for _, s := range paramsSaves(t) {
+		if s.doc.ParamsFramesHash == "" || s.doc.ParamsFileHash != "" {
+			t.Errorf("%s: params_frames_hash %q, params_file_hash %q; want the frames hash alone", s.name, s.doc.ParamsFramesHash, s.doc.ParamsFileHash)
 			continue
 		}
-		got, err := stores.Files.Hash(f.ref)
+		got, err := nn.AuditFramesHash(s.blob)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
-		if got != f.hash {
-			t.Errorf("%s file hash %s does not match stored blob content %s", f.name, f.hash, got)
+		if got != s.doc.ParamsFramesHash {
+			t.Errorf("%s: recorded frames hash %s, the stored blob audits as %s", s.name, s.doc.ParamsFramesHash, got)
+		}
+	}
+}
+
+// blobRegions returns one offset in each region of a version-2 state-dict
+// blob: the entry count, a key, a pad byte, a frame header and frame data.
+func blobRegions(t *testing.T, b []byte) map[string]int {
+	t.Helper()
+	regions := map[string]int{"count": 6, "key": 12}
+	off := 10
+	for i := 0; i < int(binary.LittleEndian.Uint32(b[6:10])); i++ {
+		off += 2 + int(binary.LittleEndian.Uint16(b[off:]))
+		if pad := int(b[off]); pad > 0 {
+			regions["pad"] = off + 1
+		}
+		off += 1 + int(b[off])
+		regions["frame header"] = off + 8 // the first dim
+		ndim := int(binary.LittleEndian.Uint16(b[off+6:]))
+		n := 1
+		for d := 0; d < ndim; d++ {
+			n *= int(binary.LittleEndian.Uint32(b[off+8+4*d:]))
+		}
+		off += 8 + 4*ndim
+		if n > 0 {
+			regions["data"] = off + 4*n - 1
+		}
+		off += 4 * n
+	}
+	if off != len(b) || len(regions) != 5 {
+		t.Fatalf("blob of %d bytes parsed to %d with regions %v", len(b), off, regions)
+	}
+	return regions
+}
+
+// Flipping one byte anywhere in a stored parameter blob changes what it
+// audits as: a flip the scanner still accepts — in a key, a pad byte or
+// tensor data — yields another hash, and one it rejects an error.
+func TestFramesHashAuditCatchesEveryRegion(t *testing.T) {
+	for _, s := range paramsSaves(t) {
+		clean, err := nn.AuditFramesHash(s.blob)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		for region, off := range blobRegions(t, s.blob) {
+			tampered := bytes.Clone(s.blob)
+			tampered[off] ^= 0x01
+			got, err := nn.AuditFramesHash(tampered)
+			if got == clean || got == s.doc.ParamsFramesHash {
+				t.Errorf("%s: a flipped %s byte (offset %d) audits as the untouched blob or its record", s.name, region, off)
+			}
+			if scans := region == "key" || region == "pad" || region == "data"; scans && err != nil {
+				t.Errorf("%s: a flipped %s byte fails the audit (%v) instead of changing the hash", s.name, region, err)
+			}
 		}
 	}
 }

@@ -346,7 +346,7 @@ func FuzzSaveAfterWrites(f *testing.F) {
 					tensor.Axpy(-2, x, tensor.Full(1, x.Shape()...))
 				}
 			case 10:
-				tensor.ScaleInPlace(x, 1.5)
+				tensor.Axpy(0.5, x, x)
 			case 11:
 				x.Reshape(x.Len()).Data()[arg%x.Len()] -= 2
 			case 12:

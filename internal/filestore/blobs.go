@@ -14,7 +14,7 @@ import "io"
 // blob is the store every later reader computes.
 type Blobs interface {
 	// Save streams r into a new blob and returns its identifier, size, and
-	// hex SHA-256 content hash.
+	// content hash, as SaveAs does.
 	Save(r io.Reader) (id string, size int64, hash string, err error)
 	// SaveAs stores the blob r produces under the given identifier,
 	// overwriting any existing blob, and returns size and content hash.
@@ -28,6 +28,13 @@ type Blobs interface {
 	// fails: an implementation must consume r as io.Copy does, and one
 	// that wraps another Blobs must hand r through unwrapped. When WriteTo
 	// or Read fails, SaveAs returns that error and stores nothing.
+	//
+	// The content hash is the hex SHA-256 of the stored bytes, hashed
+	// while they are written — unless r brings its own (HashedSource):
+	// then the store hashes no byte and returns the source's hash, asked
+	// for once every byte is written. A parameter blob brings its frames
+	// hash (nn.AuditFramesHash checks it), so its bytes are hashed once,
+	// into the per-tensor digests.
 	SaveAs(id string, r io.Reader) (int64, string, error)
 	// SaveBytes stores b as a new blob.
 	SaveBytes(b []byte) (id string, size int64, hash string, err error)
@@ -40,7 +47,8 @@ type Blobs interface {
 	ReadAll(id string) ([]byte, error)
 	// Size returns the stored size of a blob.
 	Size(id string) (int64, error)
-	// Hash returns the hex SHA-256 of the blob's content.
+	// Hash returns the hex SHA-256 of the blob's content, whatever hash
+	// SaveAs returned for it.
 	Hash(id string) (string, error)
 	// Delete removes a blob; deleting a missing blob returns ErrNotFound.
 	Delete(id string) error

@@ -245,3 +245,56 @@ func TestSourceReadServesTheBytesWriteToWrites(t *testing.T) {
 		t.Fatalf("WriteTo error = %v, want the writing function's", err)
 	}
 }
+
+// A HashedSource brings its own content hash: every Blobs stores its bytes
+// and returns that hash, asked for once, after the last byte is written —
+// and a hash that fails fails the save, which then stores nothing.
+func TestSaveAsTakesAHashedSourcesHash(t *testing.T) {
+	content := testContent(100_000)
+	for _, c := range everyBlobs(t) {
+		t.Run(c.name, func(t *testing.T) {
+			src := &writerToOnly{t: t, content: content}
+			var written int64
+			write := func(w io.Writer) (n int64, err error) {
+				n, err = src.WriteTo(w)
+				written += n
+				return n, err
+			}
+			asked := 0
+			hash := func() (string, error) {
+				asked++
+				if written != int64(len(content)) {
+					t.Errorf("hash asked for after %d of %d bytes", written, len(content))
+				}
+				return "own hash", nil
+			}
+			id := filestore.NewID()
+			size, got, err := c.blobs.SaveAs(id, filestore.HashedSource(write, hash))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size != int64(len(content)) || got != "own hash" || asked != 1 {
+				t.Fatalf("stored %d bytes with hash %q, asked %d times", size, got, asked)
+			}
+			if stored, err := c.blobs.ReadAll(id); err != nil || !bytes.Equal(stored, content) {
+				t.Fatalf("stored content differs (err %v)", err)
+			}
+			sum := sha256.Sum256(content)
+			if h, err := c.blobs.Hash(id); err != nil || h != hex.EncodeToString(sum[:]) {
+				t.Fatalf("Hash = %s, %v; want the SHA-256 of the stored bytes", h, err)
+			}
+
+			failing := filestore.HashedSource(src.WriteTo, func() (string, error) { return "", errTorn })
+			failed := filestore.NewID()
+			if _, _, err := c.blobs.SaveAs(failed, failing); !errors.Is(err, errTorn) {
+				t.Fatalf("SaveAs error = %v, want the hash's", err)
+			}
+			if c.blobs.Exists(failed) {
+				t.Fatal("a blob exists after its hash failed")
+			}
+			if left := tempFiles(t, c.dirs); len(left) != 0 {
+				t.Fatalf("temp files left behind: %v", left)
+			}
+		})
+	}
+}

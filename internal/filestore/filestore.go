@@ -135,7 +135,9 @@ func (s *Store) Save(r io.Reader) (id string, size int64, hash string, err error
 // SaveAs writes the blob r produces under the given identifier, overwriting
 // any existing blob, and returns the stored size and content hash. It
 // consumes r as io.Copy does (see Blobs.SaveAs): a source that implements
-// io.WriterTo writes straight into the store's writer.
+// io.WriterTo writes straight into the store's writer. The content hash is
+// the SHA-256 of the bytes, computed while they are written, unless r
+// brings its own (HashedSource): then no byte is hashed here.
 //
 // The blob is staged under a uniquely named temp file, fsynced, and then
 // renamed into place. A fixed temp name would let two concurrent saves of
@@ -155,8 +157,18 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 		return 0, "", fmt.Errorf("filestore: staging blob: %w", err)
 	}
 	tmp := f.Name()
-	w := &blobWriter{f: f, h: sha256.New(), l: &s.uplink, bps: s.bandwidth()}
+	w := &blobWriter{f: f, l: &s.uplink, bps: s.bandwidth()}
+	hasher, selfHashed := r.(contentHasher)
+	if !selfHashed {
+		w.h = sha256.New()
+	}
 	_, err = copyPooled(w, r)
+	var sum string
+	if err == nil && selfHashed {
+		sum, err = hasher.ContentHash()
+	} else if err == nil {
+		sum = hex.EncodeToString(w.h.Sum(nil))
+	}
 	//mmlint:ignore hashpurity step timing, as at start
 	written := time.Now()
 	if err == nil {
@@ -187,7 +199,7 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	mSaveAsPublish.ObserveDuration(time.Since(synced))
 	mWrites.Inc()
 	mWriteBytes.Add(w.n)
-	return w.n, hex.EncodeToString(w.h.Sum(nil)), nil
+	return w.n, sum, nil
 }
 
 // writebackStep is how many bytes a SaveAs writes to its temp file between
@@ -202,13 +214,14 @@ const (
 )
 
 // blobWriter is the writer SaveAs hands a blob's source. Every byte goes to
-// the temp file and into the content hash, paced by the store's link when a
-// bandwidth is set; every writebackStep bytes the kernel is asked to start
-// writing the new pages out, so the disk works while the CPU is still
-// hashing the rest of the blob and the final fsync finds little left.
+// the temp file and, unless the source brings its own hash, into the
+// content hash, paced by the store's link when a bandwidth is set; every
+// writebackStep bytes the kernel is asked to start writing the new pages
+// out, so the disk works while the CPU is still serializing and hashing
+// the rest of the blob and the final fsync finds little left.
 type blobWriter struct {
 	f   *os.File
-	h   hash.Hash
+	h   hash.Hash // nil for a source that brings its own hash
 	l   *link
 	bps int64
 	n   int64 // bytes written so far
@@ -221,7 +234,11 @@ type blobWriter struct {
 // p. It returns after the hash has read all of p, on error too, so the
 // caller's buffer is never read after Write returns. A failed write leaves
 // bytes in the hash that the file lacks; SaveAs discards both then.
+// Without a hash, Write is the write loop alone.
 func (w *blobWriter) Write(p []byte) (int, error) {
+	if w.h == nil {
+		return w.write(p)
+	}
 	if len(p) <= writeQuantum {
 		n, err := w.write(p)
 		w.h.Write(p[:n])

@@ -404,6 +404,31 @@ func sdPad(off int64) int {
 	return int((4 - (off+1)%4) % 4)
 }
 
+// appendDictHead appends the stream's first bytes — magic, version and
+// entry count — to b.
+func appendDictHead(b []byte, count int) []byte {
+	b = binary.LittleEndian.AppendUint32(b, sdMagic)
+	b = binary.LittleEndian.AppendUint16(b, sdVersion)
+	return binary.LittleEndian.AppendUint32(b, uint32(count))
+}
+
+// appendEntryHead appends what precedes an entry's tensor frame — key
+// length, key, pad length and pad — to b, for an entry starting at offset
+// off of the stream.
+func appendEntryHead(b []byte, off int64, key string) ([]byte, error) {
+	if len(key) > 0xffff {
+		return b, fmt.Errorf("nn: key %q too long", key)
+	}
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
+	b = append(b, key...)
+	p := sdPad(off + 2 + int64(len(key)))
+	b = append(b, byte(p))
+	for ; p > 0; p-- {
+		b = append(b, 0)
+	}
+	return b, nil
+}
+
 // WriteTo serializes the dict and returns the number of bytes written.
 func (sd *StateDict) WriteTo(w io.Writer) (int64, error) {
 	// The buffer coalesces the header and key writes and the data of small
@@ -411,43 +436,17 @@ func (sd *StateDict) WriteTo(w io.Writer) (int64, error) {
 	// for fills it, and the rest reaches w in one Write straight from
 	// tensor memory.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var n int64
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], sdMagic)
-	binary.LittleEndian.PutUint16(b8[4:6], sdVersion)
-	m, err := bw.Write(b8[:6])
-	n += int64(m)
+	head := appendDictHead(nil, len(sd.entries))
+	m, err := bw.Write(head)
+	n := int64(m)
 	if err != nil {
 		return n, err
 	}
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(sd.entries)))
-	m, err = bw.Write(b8[:4])
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	var pad [4]byte
 	for _, e := range sd.entries {
-		if len(e.Key) > 0xffff {
-			return n, fmt.Errorf("nn: key %q too long", e.Key)
-		}
-		binary.LittleEndian.PutUint16(b8[:2], uint16(len(e.Key)))
-		m, err = bw.Write(b8[:2])
-		n += int64(m)
-		if err != nil {
+		if head, err = appendEntryHead(head[:0], n, e.Key); err != nil {
 			return n, err
 		}
-		m, err = io.WriteString(bw, e.Key)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-		p := sdPad(n)
-		pad[0] = byte(p)
-		for j := 1; j <= p; j++ {
-			pad[j] = 0
-		}
-		m, err = bw.Write(pad[:1+p])
+		m, err = bw.Write(head)
 		n += int64(m)
 		if err != nil {
 			return n, err
@@ -462,8 +461,8 @@ func (sd *StateDict) WriteTo(w io.Writer) (int64, error) {
 }
 
 // WriteToWithDigests serializes the dict like WriteTo and fills the
-// per-entry digest cache, so that a checksummed save digests each tensor
-// at most once: Hash and LayerHashes then read the cache. The digests are
+// per-entry digest cache, so that a save digests each tensor at most once:
+// FramesHash, Hash and LayerHashes then read the cache. The digests are
 // computed by tensor.DigestAllStamped — which re-hashes only the tensors
 // written since their last save — on another goroutine while this one
 // serializes; both only read the entry tensors' bytes, which the caller

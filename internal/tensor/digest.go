@@ -21,8 +21,8 @@ import (
 // A save also skips what it already hashed: each tensor carries a stamp,
 // the digest its last save computed tagged with its write generation, and
 // every write path bumps the generation first (Data, Set, Fill, Zero,
-// AddInPlace, Axpy, ScaleInPlace, CopyFrom's destination, and any Reshape
-// view, which shares the counter). The save path alone reads and records
+// AddInPlace, Axpy, CopyFrom's destination, and any Reshape view, which
+// shares the counter). The save path alone reads and records
 // stamps (DigestAllStamped); Digest, DigestAll and Hash always hash afresh,
 // so every check of stored bytes stays independent of the stamps.
 

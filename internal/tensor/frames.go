@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -81,6 +82,27 @@ func ScanFrame(b []byte, off int) (int, error) {
 	return end, err
 }
 
+// FrameDigest returns the digest of the tensor frame starting at b[off:]
+// — what Digest returns for the tensor it decodes to — computed from the
+// stored bytes without decoding them, with the offsets of the frame's data
+// and of its end. It is an audit of stored bytes, not a save's digest, so
+// DigestOps does not count it.
+func FrameDigest(b []byte, off int) (digest [sha256.Size]byte, dataOff, end int, err error) {
+	_, dataOff, end, err = frameHeader(b, off)
+	if err != nil {
+		return digest, 0, 0, err
+	}
+	// Digest's preamble is the rank as a uint32 and then the dims, which
+	// the header stores as uint32s already.
+	var rank [4]byte
+	binary.LittleEndian.PutUint32(rank[:], uint32(binary.LittleEndian.Uint16(b[off+6:off+8])))
+	h := sha256.New()
+	h.Write(rank[:])
+	h.Write(b[off+8 : end])
+	h.Sum(digest[:0])
+	return digest, dataOff, end, nil
+}
+
 // ReadFromBytes decodes the tensor frame starting at b[off:] and returns
 // the tensor and the offset just past the frame: the inverse of WriteTo,
 // with no intermediate copies.
@@ -109,11 +131,6 @@ var aliasedFrames atomic.Uint64
 // AliasedFrames returns the cumulative number of tensor frames decoded
 // zero-copy by AliasFrames since process start.
 func AliasedFrames() uint64 { return aliasedFrames.Load() }
-
-// CanAlias reports whether this platform can alias float32 tensor data
-// over serialized little-endian bytes at all (per-frame alignment still
-// decides each case).
-func CanAlias() bool { return canAliasFloats }
 
 // AliasFrames decodes the tensor frames starting at offs[i] in b like
 // DecodeFrames, but wherever platform and frame alignment allow, the

@@ -97,23 +97,6 @@ func Axpy(alpha float32, a, b *Tensor) {
 	}
 }
 
-// ScaleInPlace multiplies every element of a by s.
-func ScaleInPlace(a *Tensor, s float32) {
-	a.touch()
-	for i := range a.data {
-		a.data[i] *= s
-	}
-}
-
-// Apply returns a new tensor with f applied to every element of a.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := Zeros(a.shape...)
-	for i := range a.data {
-		out.data[i] = f(a.data[i])
-	}
-	return out
-}
-
 // Sum reduces the whole tensor to a single value using the given mode.
 func Sum(a *Tensor, mode Mode) float32 {
 	if mode == Deterministic {

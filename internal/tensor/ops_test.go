@@ -34,26 +34,6 @@ func TestInPlaceOps(t *testing.T) {
 	if a.Data()[0] != 16 {
 		t.Fatalf("Axpy = %v", a.Data())
 	}
-	ScaleInPlace(a, 2)
-	if a.Data()[0] != 32 {
-		t.Fatalf("ScaleInPlace = %v", a.Data())
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := New([]float32{-1, 2, -3}, 3)
-	relu := Apply(a, func(v float32) float32 {
-		if v < 0 {
-			return 0
-		}
-		return v
-	})
-	want := []float32{0, 2, 0}
-	for i, v := range relu.Data() {
-		if v != want[i] {
-			t.Fatalf("Apply = %v, want %v", relu.Data(), want)
-		}
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {

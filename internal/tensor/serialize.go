@@ -31,18 +31,9 @@ const chunkElems = 4096
 // WriteTo serializes t to w in the binary tensor format and returns the
 // number of bytes written: one Write for the header, one for the data.
 func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	if len(t.shape) > math.MaxUint16 {
-		return 0, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
-	}
-	hdr := make([]byte, 8, 8+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr[:4], magic)
-	binary.LittleEndian.PutUint16(hdr[4:6], formatVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], uint16(len(t.shape)))
-	for _, d := range t.shape {
-		if d > math.MaxUint32 {
-			return 0, fmt.Errorf("tensor: dimension %d too large to serialize", d)
-		}
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
+	hdr, err := t.AppendFrameHeader(make([]byte, 0, 8+4*len(t.shape)))
+	if err != nil {
+		return 0, err
 	}
 	m, err := w.Write(hdr)
 	if err != nil {
@@ -50,6 +41,24 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := writeFloats(t.data, w)
 	return int64(m) + n, err
+}
+
+// AppendFrameHeader appends the header WriteTo writes before t's data —
+// magic, version, rank and dims — to b.
+func (t *Tensor) AppendFrameHeader(b []byte) ([]byte, error) {
+	if len(t.shape) > math.MaxUint16 {
+		return b, fmt.Errorf("tensor: rank %d too large to serialize", len(t.shape))
+	}
+	b = binary.LittleEndian.AppendUint32(b, magic)
+	b = binary.LittleEndian.AppendUint16(b, formatVersion)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.shape)))
+	for _, d := range t.shape {
+		if d > math.MaxUint32 {
+			return b, fmt.Errorf("tensor: dimension %d too large to serialize", d)
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	return b, nil
 }
 
 // SerializedSize returns the exact number of bytes WriteTo will produce.

@@ -28,7 +28,6 @@ var writePaths = []struct {
 	{"Zero", func(t *Tensor) { t.Zero() }},
 	{"AddInPlace", func(t *Tensor) { AddInPlace(t, Full(1, 2, 3)) }},
 	{"Axpy", func(t *Tensor) { Axpy(2, t, Full(1, 2, 3)) }},
-	{"ScaleInPlace", func(t *Tensor) { ScaleInPlace(t, 3) }},
 	{"CopyFrom", func(t *Tensor) { t.CopyFrom(Full(5, 2, 3)) }},
 	{"view Data", func(t *Tensor) { t.Reshape(6).Data()[0] = -1 }},
 	{"view Fill", func(t *Tensor) { t.Reshape(3, 2).Fill(-2) }},

@@ -50,6 +50,9 @@
 #                      included), FuzzReadStateDict (no bytes on disk may
 #                      panic the state-dict decoders, make them disagree or
 #                      decode a tensor whose shape lies about its size),
+#                      FuzzFramesHash (no bytes may panic the parameter
+#                      blob's audit, and the frames hash a save records
+#                      must equal the audit of the bytes it wrote),
 #                      FuzzServerFrame (no bytes a peer sends may panic the
 #                      server, break its answer framing or make a header
 #                      alone allocate more than one read chunk),
@@ -107,9 +110,13 @@ echo "==> go test -run '^$' -fuzz FuzzVecMatchesScalar -fuzztime 10s ./internal/
 go test -run '^$' -fuzz FuzzVecMatchesScalar -fuzztime 10s ./internal/vec
 
 # Minimizing a new input cut from a 17 KB seed takes the rest of the ten
-# seconds at the default -fuzzminimizetime (1.8k execs instead of 30k).
+# seconds at the default -fuzzminimizetime (1.8k execs instead of 30k);
+# FuzzFramesHash seeds from the same corpus.
 echo "==> go test -run '^$' -fuzz '^FuzzReadStateDict$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn"
 go test -run '^$' -fuzz '^FuzzReadStateDict$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
+
+echo "==> go test -run '^$' -fuzz '^FuzzFramesHash$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn"
+go test -run '^$' -fuzz '^FuzzFramesHash$' -fuzztime 10s -fuzzminimizetime 1s ./internal/nn
 
 echo "==> go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb"
 go test -run '^$' -fuzz FuzzServerFrame -fuzztime 10s ./internal/docdb
