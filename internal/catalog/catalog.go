@@ -83,12 +83,6 @@ func (c *Catalog) scan(sized bool) ([]Entry, error) {
 	return slices.DeleteFunc(out, func(e Entry) bool { return e.ID == "" }), nil
 }
 
-// Get returns the catalog entry of one model.
-func (c *Catalog) Get(id string) (Entry, error) {
-	m, err := core.ReadModel(c.stores.Meta, id)
-	return c.entry(m), err
-}
-
 // entry summarizes m, sizing the blobs it owns.
 func (c *Catalog) entry(m core.StoredModel) Entry {
 	e := Entry{StoredModel: m}

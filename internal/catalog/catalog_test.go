@@ -57,6 +57,13 @@ func buildChain(t *testing.T, stores core.Stores) (u1, a, b string) {
 	return r1.ID, ra.ID, rb.ID
 }
 
+// get reads one model's catalog entry the sequential way: one document
+// read, then its blobs sized — the per-model oracle List must agree with.
+func get(c *Catalog, id string) (Entry, error) {
+	m, err := core.ReadModel(c.stores.Meta, id)
+	return c.entry(m), err
+}
+
 func TestListGetAndKinds(t *testing.T) {
 	stores := testStores(t)
 	u1, a, _ := buildChain(t, stores)
@@ -69,21 +76,21 @@ func TestListGetAndKinds(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d, want 3", len(entries))
 	}
-	e, err := cat.Get(u1)
+	e, err := get(cat, u1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind != "snapshot" || e.BaseID != "" || e.StorageBytes <= 0 {
 		t.Fatalf("u1 entry = %+v", e)
 	}
-	e, err = cat.Get(a)
+	e, err = get(cat, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Kind != "update" || e.BaseID != u1 {
 		t.Fatalf("a entry = %+v", e)
 	}
-	if _, err := cat.Get("missing"); !errors.Is(err, core.ErrModelNotFound) {
+	if _, err := get(cat, "missing"); !errors.Is(err, core.ErrModelNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -126,7 +133,7 @@ func saveProvenance(t *testing.T, stores core.Stores, seed uint64) (root, derive
 func TestProvenanceKindAndRefs(t *testing.T) {
 	stores := testStores(t)
 	_, id, ds := saveProvenance(t, stores, 2)
-	e, err := New(stores).Get(id)
+	e, err := get(New(stores), id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestDeleteRefusesBasesAndReclaims(t *testing.T) {
 	if after.Blobs >= before.Blobs {
 		t.Fatal("delete did not remove artifacts")
 	}
-	if _, err := cat.Get(b); !errors.Is(err, core.ErrModelNotFound) {
+	if _, err := get(cat, b); !errors.Is(err, core.ErrModelNotFound) {
 		t.Fatal("model document survived delete")
 	}
 	// Now the chain can be torn down leaf-first.
@@ -307,7 +314,7 @@ func TestForceDeleteAndGarbageCollection(t *testing.T) {
 	}
 	// Live blobs of the remaining models survived.
 	for _, id := range []string{b} {
-		e, err := cat.Get(id)
+		e, err := get(cat, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +364,7 @@ func TestListMatchesSequentialGets(t *testing.T) {
 	sort.Strings(ids)
 	want := make([]Entry, 0, len(ids))
 	for _, id := range ids {
-		e, err := cat.Get(id)
+		e, err := get(cat, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +522,7 @@ func TestInterruptedDeleteOfAProvenanceModelFinishes(t *testing.T) {
 	if err := cat.Delete(id, false); err != nil {
 		t.Fatalf("second Delete: %v", err)
 	}
-	if _, err := cat.Get(id); !errors.Is(err, core.ErrModelNotFound) {
+	if _, err := get(cat, id); !errors.Is(err, core.ErrModelNotFound) {
 		t.Fatalf("Get after the second Delete = %v, want ErrModelNotFound", err)
 	}
 	m, err := core.ReadModel(stores.Meta, root)

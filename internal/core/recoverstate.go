@@ -16,18 +16,18 @@ import (
 // stops one layer earlier: it returns the recovered state dict itself,
 // sealed and shared, so a hot model costs O(1) per request — the serve
 // loop reuses its instantiated net as long as the returned State reports
-// the same Version token as the previous one (sealed dicts never mutate
-// in place, so the shared owner's identity is a version tag).
+// the same Version token as the previous one (a sealed dict is read-only,
+// so its identity is a version tag).
 
 // RecoveredState is the state-level result of a recovery: everything
 // needed to instantiate the model, without the instantiation.
 type RecoveredState struct {
 	ID   string
 	Spec models.Spec
-	// State is the recovered state dict. On a cache hit it is a sealed
-	// copy-on-write view of the cached state: reading is free, mutating
-	// through the dict API detaches privately. Direct Data() writes on a
-	// sealed state are forbidden (see nn.StateDict.Seal).
+	// State is the recovered state dict. With a recovery cache it is the
+	// sealed dict the cache holds, shared by every hit and read-only: Set
+	// on it panics, and direct Data() writes are forbidden (see
+	// nn.StateDict.Seal). Edit a Clone, or Instantiate a net.
 	State *nn.StateDict
 	// BaseID is the recovered model's base reference (empty for roots).
 	BaseID string
@@ -89,10 +89,11 @@ func (cr CachedRecovery) checksumOK() bool {
 }
 
 // stateFromCache turns a cache hit into a RecoveredState. This is the
-// O(1) path: cr.State is already a shared view, environment checking is
-// a field comparison, and checksum verification compares the document
-// hash against the hash the cache verified at insert (re-derived from
-// the bytes on this very hit when the cache is Paranoid).
+// O(1) path: cr.State is the cache's own read-only dict, handed out as
+// is, environment checking is a field comparison, and checksum
+// verification compares the document hash against the hash the cache
+// verified at insert (re-derived from the bytes on this very hit when the
+// cache is Paranoid).
 func stateFromCache(ctx context.Context, id string, cr CachedRecovery, opts RecoverOptions, timing RecoverTiming) (*RecoveredState, error) {
 	if opts.CheckEnv {
 		err := phase(ctx, "env.check", &timing.CheckEnv, func(*obs.Span) error { return environment.Check(cr.Env) })

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/filestore"
@@ -143,10 +145,12 @@ func TestRecoverStateHitIsSharedAndCorrect(t *testing.T) {
 	}
 }
 
-// TestRecoverStateCowNeverAliasesCache is the COW property sweep: for every
-// approach and every chain link, mutate each recovered (shared) state
-// through the dict API and prove the cached copy never changes — the next
-// hit still matches the pristine first recovery.
+// TestRecoverStateCowNeverAliasesCache is the isolation sweep: for every
+// approach and every chain link, concurrent hits each instantiate a net
+// from the shared cached state and overwrite every tensor of that net, and
+// each tries a Set on its hit's State, which panics. None of it may reach
+// the cache: the next hit still hashes, from its bytes and from the
+// digests it was sealed with, to the pristine first recovery.
 func TestRecoverStateCowNeverAliasesCache(t *testing.T) {
 	stores := testStores(t)
 	opts := RecoverOptions{VerifyChecksums: true}
@@ -158,32 +162,64 @@ func TestRecoverStateCowNeverAliasesCache(t *testing.T) {
 				t.Fatalf("%s %s: %v", c.name, id, err)
 			}
 			want := pristine.State.Clone()
+			wantHash := want.Hash()
 
-			victim, err := c.sr.RecoverState(id, opts)
-			if err != nil {
-				t.Fatalf("%s %s warm: %v", c.name, id, err)
+			const hits = 4
+			errs := make([]error, hits)
+			var wg sync.WaitGroup
+			for g := 0; g < hits; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					errs[g] = writeThroughHit(c.sr, id, opts)
+				}(g)
 			}
-			for _, e := range victim.State.Entries() {
-				w, ok := victim.State.MutableTensor(e.Key)
-				if !ok {
-					t.Fatalf("%s: missing %q", c.name, e.Key)
-				}
-				for i := range w.Data() {
-					w.Data()[i] = -1e9
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.name, id, err)
 				}
 			}
 			after, err := c.sr.RecoverState(id, opts)
 			if err != nil {
 				t.Fatalf("%s %s after: %v", c.name, id, err)
 			}
-			if !after.State.Equal(want) {
-				t.Fatalf("%s %s: mutating a recovered state corrupted the cache", c.name, id)
-			}
 			if !after.CacheHit {
-				t.Fatalf("%s %s: expected a hit after mutation (entry must survive)", c.name, id)
+				t.Fatalf("%s %s: expected a hit after the writes (entry must survive)", c.name, id)
+			}
+			if !after.State.Equal(want) || after.State.HashFresh() != wantHash || after.State.Hash() != wantHash {
+				t.Fatalf("%s %s: writes after a hit changed the cached state", c.name, id)
 			}
 		}
 	}
+}
+
+// writeThroughHit recovers id from a warm cache, overwrites every tensor of
+// a net instantiated from the hit, and checks that Set on the hit's State
+// panics.
+func writeThroughHit(sr SaveService, id string, opts RecoverOptions) (err error) {
+	rs, err := sr.RecoverState(id, opts)
+	if err != nil {
+		return err
+	}
+	if !rs.CacheHit || !rs.State.Sealed() {
+		return fmt.Errorf("warm recovery of %s: hit %v, sealed %v", id, rs.CacheHit, rs.State.Sealed())
+	}
+	net, err := rs.Instantiate()
+	if err != nil {
+		return err
+	}
+	for _, e := range nn.StateDictOf(net).Entries() {
+		e.Tensor.Fill(-1e9)
+	}
+	defer func() {
+		if recover() == nil {
+			err = fmt.Errorf("Set on the State of a hit of %s did not panic", id)
+		}
+	}()
+	key := rs.State.Entries()[0].Key
+	rs.State.Set(key, tensor.Zeros(1))
+	return nil
 }
 
 // TestRecoverStateMmapToggleBitIdentical proves the mmap and ReadAll read

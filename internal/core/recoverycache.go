@@ -19,7 +19,6 @@ var (
 	mCachePuts      = obs.Default().Counter("core.cache.puts")
 	mCacheEvictions = obs.Default().Counter("core.cache.evictions")
 	mCacheCorrupt   = obs.Default().Counter("core.cache.corrupt")
-	mCacheCowHits   = obs.Default().Counter("core.cache.cow_hits")
 )
 
 // RecoveryCache memoizes recovered model states keyed by model identifier,
@@ -30,14 +29,13 @@ var (
 // lineage-aware caching MGit applies to the same derivation-chain shape).
 //
 // Safety is non-negotiable — the stores' whole point is exact recovery —
-// but as of the serving-tier work it no longer costs O(model size) per
-// hit. Cached states are sealed (immutable with copy-on-write mutation,
-// nn.StateDict.Seal), so:
+// but it does not cost O(model size) per hit. Cached states are sealed,
+// and a sealed dict is read-only (nn.StateDict.Seal), so:
 //
-//   - Get hands out an O(1) Share view instead of a deep clone. A caller
-//     mutating its recovered state through the dict API detaches the view
-//     and copies only the touched tensors; the cached copy and every
-//     other view are structurally unreachable from the mutation.
+//   - Get hands out the cached dict itself, not a deep clone: Set on it
+//     panics, so no caller can edit the cached state through the dict
+//     API. A caller that wants to edit its recovered state edits a Clone
+//     or an instantiated net, both of which own their tensors.
 //   - The state's content hash is verified once, at insert. The default
 //     cache trusts sealed immutability afterwards; a Paranoid cache
 //     additionally re-hashes the stored tensor bytes on every hit
@@ -67,16 +65,16 @@ type RecoveryCache struct {
 // cacheEntry is immutable after insertion.
 type cacheEntry struct {
 	id    string
-	rec   CachedRecovery // rec.State is sealed and owned by the cache
+	rec   CachedRecovery // rec.State is sealed (read-only) and owned by the cache
 	hash  string         // rec.State.Hash() at insert time
 	bytes int64
 	elem  *list.Element
 }
 
 // CachedRecovery is the cacheable portion of a recovered model. The State
-// a caller receives from Get is an O(1) copy-on-write view of the cache's
-// sealed dict; the State a caller passes to Put is taken zero-copy when
-// already sealed and deep-cloned otherwise.
+// a caller receives from Get is the cache's own sealed, read-only dict;
+// the State a caller passes to Put is taken zero-copy when already sealed
+// and deep-cloned otherwise.
 type CachedRecovery struct {
 	// Spec is the architecture, so a hit rebuilds the net without walking
 	// to the chain's snapshot root for the model code.
@@ -110,15 +108,9 @@ type RecoveryCacheStats struct {
 	// Corrupt counts hits rejected by Paranoid verification: the stored
 	// state no longer hashed to its insert-time hash.
 	Corrupt uint64 `json:"corrupt"`
-	// CowHits counts hits whose shared state was later mutated by its
-	// caller, firing the copy-on-write detach.
-	CowHits uint64 `json:"cow_hits"`
 	// Coalesced counts recoveries that joined an in-flight recovery of the
 	// same model instead of running their own (coalesce.go).
 	Coalesced uint64 `json:"coalesced"`
-	// SharedHits (derived: Hits - CowHits) counts hits whose handed-out
-	// state stayed a zero-copy view for its whole lifetime so far.
-	SharedHits uint64 `json:"shared_hits"`
 	// Entries and Bytes describe current occupancy.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
@@ -155,12 +147,9 @@ func NewParanoidRecoveryCache(maxBytes int64) *RecoveryCache {
 	return c
 }
 
-// Paranoid reports whether the cache verifies entries on every hit.
-func (c *RecoveryCache) Paranoid() bool { return c.paranoid }
-
-// Get returns the cached recovery for id. The returned State is an O(1)
-// copy-on-write view of the cache's sealed dict — mutating it through the
-// dict API can never reach the cached copy. Under Paranoid the stored
+// Get returns the cached recovery for id. The returned State is the
+// cache's own sealed dict, shared by every hit and read-only: Set on it
+// panics, so no caller can reach the cached copy. Under Paranoid the stored
 // state is re-hashed first; on a mismatch the entry is dropped and Get
 // reports a miss.
 func (c *RecoveryCache) Get(id string) (CachedRecovery, bool) {
@@ -187,21 +176,11 @@ func (c *RecoveryCache) Get(id string) (CachedRecovery, bool) {
 	}
 	out := e.rec
 	out.VerifiedHash = e.hash
-	out.State = e.rec.State.Share()
-	out.State.OnDetach(c.noteCow)
 	c.mu.Lock()
 	c.stats.Hits++
 	c.mu.Unlock()
 	mCacheHits.Inc()
 	return out, true
-}
-
-// noteCow counts a shared hit whose caller mutated its view.
-func (c *RecoveryCache) noteCow() {
-	c.mu.Lock()
-	c.stats.CowHits++
-	c.mu.Unlock()
-	mCacheCowHits.Inc()
 }
 
 // drop removes a corrupted entry (if still present) and counts it.
@@ -276,7 +255,6 @@ func (c *RecoveryCache) Stats() RecoveryCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.SharedHits = s.Hits - s.CowHits
 	s.Entries = len(c.entries)
 	s.Bytes = c.curBytes
 	return s

@@ -7,6 +7,7 @@ import (
 	"repro/internal/environment"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -22,11 +23,16 @@ func testCachedRecovery(t *testing.T, seed uint64) CachedRecovery {
 	}
 }
 
+// TestRecoveryCacheCowIsolation: nothing a caller does reaches a cached
+// state. An unsealed Put argument is cloned; every hit hands out the
+// cached dict itself, with one Version, and Set on it panics without
+// changing the entry; a re-Put is a new version.
 func TestRecoveryCacheCowIsolation(t *testing.T) {
 	c := NewRecoveryCache(0)
 	rec := testCachedRecovery(t, 1)
 	key := rec.State.Entries()[0].Key
 	orig := rec.State.Clone()
+	want := orig.Hash()
 
 	c.Put("m1", rec)
 	// The Put argument was unsealed, so the cache cloned it: mutating it
@@ -38,31 +44,48 @@ func TestRecoveryCacheCowIsolation(t *testing.T) {
 		t.Fatal("expected hit")
 	}
 	if !got.State.Sealed() {
-		t.Fatal("Get must hand out a sealed view")
+		t.Fatal("Get must hand out a sealed state")
 	}
 	if !got.State.Equal(orig) {
 		t.Fatal("cached state was corrupted by mutating the Put argument")
 	}
-	// Mutating what Get returned — through the dict API — detaches the
-	// view copy-on-write and must not affect later hits.
-	w, ok := got.State.MutableTensor(key)
-	if !ok {
-		t.Fatalf("missing %q", key)
-	}
-	w.Data()[0] += 100
 	again, ok := c.Get("m1")
 	if !ok {
 		t.Fatal("expected second hit")
 	}
-	if !again.State.Equal(orig) {
-		t.Fatal("cached state was corrupted by mutating a Get result")
+	if again.State != got.State || again.State.Version() != got.State.Version() {
+		t.Fatal("hits of one entry must hand out one dict with one version")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Set on a hit's State must panic")
+			}
+		}()
+		got.State.Set(key, tensor.Zeros(1))
+	}()
+	c.mu.Lock()
+	e := c.entries["m1"]
+	c.mu.Unlock()
+	if e.hash != want || e.rec.State.HashFresh() != want || !e.rec.State.Equal(orig) {
+		t.Fatal("a Set on a hit's State changed the cache entry")
+	}
+
+	// Putting the same id again replaces the entry: a new version.
+	c.Put("m1", testCachedRecovery(t, 1))
+	fresh, ok := c.Get("m1")
+	if !ok {
+		t.Fatal("expected hit after re-Put")
+	}
+	if fresh.State.Version() == got.State.Version() {
+		t.Fatal("a re-Put entry must be a new version")
+	}
+	if !fresh.State.Equal(orig) {
+		t.Fatal("re-Put entry differs")
 	}
 	s := c.Stats()
-	if s.Hits != 2 || s.Puts != 1 || s.Entries != 1 {
+	if s.Hits != 3 || s.Puts != 2 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
-	}
-	if s.CowHits != 1 || s.SharedHits != 1 {
-		t.Fatalf("COW accounting: %+v", s)
 	}
 }
 
@@ -78,14 +101,14 @@ func TestRecoveryCachePutSealedIsZeroCopy(t *testing.T) {
 	if stored != sealed {
 		t.Fatal("Put must take an already-sealed state without cloning")
 	}
-	// Get must still not hand out the owner itself: detaching the owner
-	// would mutate the dict the cache holds.
+	// Get hands out the cached dict itself: it is read-only, so sharing
+	// it costs nothing and risks nothing.
 	got, ok := c.Get("m1")
 	if !ok {
 		t.Fatal("expected hit")
 	}
-	if got.State == sealed {
-		t.Fatal("Get must return a view, not the cached owner")
+	if got.State != sealed {
+		t.Fatal("Get must return the cached dict")
 	}
 	if got.VerifiedHash == "" || got.VerifiedHash != got.StateHash {
 		t.Fatalf("VerifiedHash = %q, StateHash = %q", got.VerifiedHash, got.StateHash)
@@ -130,9 +153,6 @@ func TestRecoveryCacheCorruptHitDropsEntry(t *testing.T) {
 	// (verification on every hit, hashed fresh from the bytes) catches
 	// them. The default cache would serve the corrupted entry.
 	c := NewParanoidRecoveryCache(0)
-	if !c.Paranoid() {
-		t.Fatal("expected a paranoid cache")
-	}
 	c.Put("m1", testCachedRecovery(t, 1))
 
 	// Corrupt the cache's private copy behind its back.

@@ -249,7 +249,7 @@ func batchNorm(t *testing.T, net nn.Module, path string) *nn.BatchNorm2d {
 
 // FuzzSaveAfterWrites interleaves PUA chain saves of a TinyCNN with every
 // kind of write: Data() pokes, SGD steps, train-mode BatchNorm forwards,
-// Clone and LoadInto, MutableTensor on a Share view, the six in-package
+// Clone and LoadInto, a write through a clone's tensor, the six in-package
 // mutators, and a write through a Reshape view. After each save the
 // changed layers it stored must be exactly the layers that differ from its
 // base, and a verified recovery must hash to the net's fresh hash.
@@ -324,10 +324,10 @@ func FuzzSaveAfterWrites(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 6:
-				view := nn.StateDictOf(net).Clone().Share()
-				m, _ := view.MutableTensor(entries[arg%len(entries)].Key)
+				c := nn.StateDictOf(net).Clone()
+				m, _ := c.Get(entries[arg%len(entries)].Key)
 				m.Data()[0] -= 1
-				if err := view.LoadInto(net); err != nil {
+				if err := c.LoadInto(net); err != nil {
 					t.Fatal(err)
 				}
 			case 7:

@@ -229,14 +229,13 @@ func (s *service) walk(ctx context.Context, id string, opts RecoverOptions) (*Re
 	switch {
 	case cache != nil:
 		// The sealed state goes in zero-copy — a replay net's own dict too,
-		// which is why that net is dropped — and the caller gets a view:
-		// mutating the owner would be visible through the cache.
+		// which is why that net is dropped — and the caller gets the same
+		// read-only dict the cache holds, as every later hit does.
 		_ = phase(ctx, "cache.put", &w.timing.Recover, func(*obs.Span) error {
 			cache.Put(id, CachedRecovery{
 				Spec: rs.Spec, BaseID: rs.BaseID, State: state, Env: env,
 				TrainablePrefixes: rs.TrainablePrefixes, StateHash: rs.StateHash,
 			})
-			rs.State = state.Share()
 			return nil
 		})
 	case w.net != nil:

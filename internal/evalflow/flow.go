@@ -136,8 +136,8 @@ type Result struct {
 	Config       Config
 	Measurements []Measurement
 	// CacheStats snapshots the recovery cache after the U4 sweep (nil when
-	// the flow ran without a cache): hits vs misses, shared vs COW'd hits,
-	// Paranoid corruption drops, and final occupancy.
+	// the flow ran without a cache): hits vs misses, Paranoid corruption
+	// drops, and final occupancy.
 	CacheStats *core.RecoveryCacheStats
 	// Metrics is the delta of the process-wide obs registry across this
 	// run: docdb wire traffic, file store and cache counters, digest ops,

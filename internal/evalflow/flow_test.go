@@ -48,8 +48,8 @@ func TestStandardFlowAllApproaches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.NumModels() != 10 {
-					t.Fatalf("models = %d, want 10", res.NumModels())
+				if len(res.Measurements) != 10 {
+					t.Fatalf("models = %d, want 10", len(res.Measurements))
 				}
 				ucs := res.UseCases()
 				want := []string{"U1", "U3-1-1", "U3-1-2", "U3-1-3", "U3-1-4", "U2", "U3-2-1", "U3-2-2", "U3-2-3", "U3-2-4"}
@@ -164,8 +164,8 @@ func TestDistributedFlowCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.NumModels() != 2+5*2*3 {
-				t.Fatalf("models = %d, want 32", res.NumModels())
+			if len(res.Measurements) != 2+5*2*3 {
+				t.Fatalf("models = %d, want 32", len(res.Measurements))
 			}
 			// Every node contributed measurements for each U3 use case.
 			for _, uc := range []string{"U3-1-1", "U3-2-3"} {
@@ -321,8 +321,8 @@ func TestSequentialNodesProduceSameModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rSeq.NumModels() != rCon.NumModels() {
-		t.Fatalf("model counts differ: %d vs %d", rSeq.NumModels(), rCon.NumModels())
+	if len(rSeq.Measurements) != len(rCon.Measurements) {
+		t.Fatalf("model counts differ: %d vs %d", len(rSeq.Measurements), len(rCon.Measurements))
 	}
 	// Per use case and node, the storage footprints match (same models).
 	for _, uc := range rSeq.UseCases() {
@@ -419,8 +419,8 @@ func TestConcurrentU4SweepWithCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.NumModels() != 10 {
-				t.Fatalf("models = %d, want 10", res.NumModels())
+			if len(res.Measurements) != 10 {
+				t.Fatalf("models = %d, want 10", len(res.Measurements))
 			}
 			svc, err := NewService(approach, stores)
 			if err != nil {

@@ -83,10 +83,6 @@ func (r *Result) MedianStorage(useCase string) int64 {
 	return median(vals)
 }
 
-// NumModels returns the number of models the flow saved (10 for the
-// standard flow; 102/202/402 for DIST-5/10/20).
-func (r *Result) NumModels() int { return len(r.Measurements) }
-
 // median returns the middle value of vs (the upper one of an even count),
 // or zero for none. It sorts vs in place.
 func median[T cmp.Ordered](vs []T) T {

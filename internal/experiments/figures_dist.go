@@ -82,14 +82,14 @@ func Figure15(w io.Writer, o Opts) error {
 		b := c.runs.TTRBreakdown(deepest)
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", c.name, ms(b.Load), ms(b.Recover), ms(b.Verify))
 	}
-	// Recovery-cache traffic for the U4 sweep: shared hits cost O(1),
-	// COW'd hits additionally copied the tensors their caller mutated.
+	// Recovery-cache traffic for the U4 sweep: a hit costs O(1), because
+	// it hands out the cache's own read-only state.
 	if o.RecoverCache {
-		fmt.Fprint(tw, "\nCACHE\tHITS\tSHARED\tCOW\tMISSES\tPUTS\tEVICTIONS\tCORRUPT\tBYTES\n")
+		fmt.Fprint(tw, "\nCACHE\tHITS\tMISSES\tPUTS\tEVICTIONS\tCORRUPT\tBYTES\n")
 		for _, c := range cols {
 			if s := c.runs.CacheStats(); s != nil {
-				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-					c.name, s.Hits, s.SharedHits, s.CowHits, s.Misses, s.Puts, s.Evictions, s.Corrupt, s.Bytes)
+				fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
+					c.name, s.Hits, s.Misses, s.Puts, s.Evictions, s.Corrupt, s.Bytes)
 			}
 		}
 	}

@@ -154,6 +154,3 @@ func (t *Tree) VerifyLeaf(index int, hash string) (bool, error) {
 	}
 	return cur == t.Root(), nil
 }
-
-// Height returns the number of levels in the tree (1 for a single leaf).
-func (t *Tree) Height() int { return len(t.levels) }

@@ -39,8 +39,8 @@ func TestSingleLeaf(t *testing.T) {
 	if tr.Root() != leafHash("x") {
 		t.Fatal("single-leaf root must equal the leaf hash")
 	}
-	if tr.Height() != 1 || tr.NumLeaves() != 1 {
-		t.Fatalf("bad height/leaves: %d/%d", tr.Height(), tr.NumLeaves())
+	if len(tr.levels) != 1 || tr.NumLeaves() != 1 {
+		t.Fatalf("bad height/leaves: %d/%d", len(tr.levels), tr.NumLeaves())
 	}
 }
 

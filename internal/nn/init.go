@@ -20,15 +20,6 @@ func KaimingNormal(rng *tensor.RNG, t *tensor.Tensor, fanOut int) {
 	}
 }
 
-// XavierUniform fills t with values from U(-a, a), a = sqrt(6/(fanIn+fanOut)).
-func XavierUniform(rng *tensor.RNG, t *tensor.Tensor, fanIn, fanOut int) {
-	a := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
-	d := t.Data()
-	for i := range d {
-		d[i] = a * (2*rng.Float32() - 1)
-	}
-}
-
 // UniformFan fills t with the PyTorch Linear default U(-1/sqrt(fanIn),
 // 1/sqrt(fanIn)).
 func UniformFan(rng *tensor.RNG, t *tensor.Tensor, fanIn int) {

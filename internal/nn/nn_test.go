@@ -14,9 +14,9 @@ func numGrad(f func(*tensor.Tensor) *tensor.Tensor, x *tensor.Tensor, eps float3
 	for i := range xd {
 		orig := xd[i]
 		xd[i] = orig + eps
-		up := float64(tensor.Sum(f(x), tensor.Deterministic))
+		up := float64(tensor.Sum(f(x)))
 		xd[i] = orig - eps
-		down := float64(tensor.Sum(f(x), tensor.Deterministic))
+		down := float64(tensor.Sum(f(x)))
 		xd[i] = orig
 		gd[i] = float32((up - down) / (2 * float64(eps)))
 	}
@@ -64,9 +64,9 @@ func paramGradCheck(t *testing.T, name string, m Module, p *Param, x *tensor.Ten
 	for i := range pd {
 		orig := pd[i]
 		pd[i] = orig + eps
-		up := float64(tensor.Sum(m.Forward(ctx, x), tensor.Deterministic))
+		up := float64(tensor.Sum(m.Forward(ctx, x)))
 		pd[i] = orig - eps
-		down := float64(tensor.Sum(m.Forward(ctx, x), tensor.Deterministic))
+		down := float64(tensor.Sum(m.Forward(ctx, x)))
 		pd[i] = orig
 		nd[i] = float32((up - down) / (2 * float64(eps)))
 	}

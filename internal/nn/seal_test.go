@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -16,107 +17,86 @@ func sealTestDict() *StateDict {
 	return sd
 }
 
-func TestSealShareCopyOnWrite(t *testing.T) {
+// mustPanicSet runs sd.Set and fails t unless it panics with a message
+// that names Clone().
+func mustPanicSet(t *testing.T, sd *StateDict, key string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("Set(%q) on a sealed dict did not panic", key)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "Clone()") {
+			t.Fatalf("Set panic %q does not name Clone()", r)
+		}
+	}()
+	sd.Set(key, tensor.New([]float32{9, 9, 9, 9}, 2, 2))
+}
+
+func TestSealedDictIsReadOnly(t *testing.T) {
 	owner := sealTestDict()
 	orig := owner.Clone()
+	want := owner.Hash()
 	owner.Seal()
 	if !owner.Sealed() {
 		t.Fatal("Seal did not seal")
 	}
-
-	v1 := owner.Share()
-	v2 := owner.Share()
-	if !v1.Sealed() || !v2.Sealed() {
-		t.Fatal("shares must be sealed")
+	// Replacing an entry and adding one both panic, and neither reaches
+	// the dict.
+	mustPanicSet(t, owner, "a.weight")
+	mustPanicSet(t, owner, "c.weight")
+	if owner.Len() != orig.Len() || !owner.Equal(orig) {
+		t.Fatal("a panicking Set changed the sealed dict")
 	}
-	// Shares alias the owner's tensors — zero copy.
-	ot, _ := owner.Get("a.weight")
-	vt, _ := v1.Get("a.weight")
-	if &ot.Data()[0] != &vt.Data()[0] {
-		t.Fatal("share copied tensor data")
+	if owner.Hash() != want || owner.HashFresh() != want {
+		t.Fatal("a panicking Set changed the sealed dict's hash")
 	}
 
-	// Mutating one view via Set detaches it; owner and sibling unaffected.
-	v1.Set("a.weight", tensor.New([]float32{9, 9, 9, 9}, 2, 2))
-	if v1.Sealed() {
-		t.Fatal("mutated view should be detached (unsealed)")
+	// A dict decoded over retained bytes is born sealed, so it is
+	// read-only too.
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if !owner.Equal(orig) || !v2.Equal(orig) {
-		t.Fatal("mutation through a view reached the owner or a sibling")
+	mapped, err := ReadStateDictMapped(buf.Bytes(), buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	w, ok := v1.Get("a.weight")
-	if !ok || w.Data()[0] != 9 {
-		t.Fatal("view mutation lost")
+	mustPanicSet(t, mapped, "a.weight")
+	if mapped.Hash() != want {
+		t.Fatal("a panicking Set changed the mapped dict's hash")
 	}
 
-	// MutableTensor on the other view clones only the touched tensor.
-	mt, ok := v2.MutableTensor("b.weight")
-	if !ok {
-		t.Fatal("missing b.weight")
+	// Clone is the way to edit: the copy is unsealed and writable, and
+	// writing it leaves the sealed owner untouched.
+	c := owner.Clone()
+	if c.Sealed() {
+		t.Fatal("Clone of a sealed dict must be unsealed")
 	}
-	mt.Data()[0] = 42
-	if !owner.Equal(orig) {
-		t.Fatal("MutableTensor mutation reached the owner")
+	c.Set("a.weight", tensor.New([]float32{9, 9, 9, 9}, 2, 2))
+	w, _ := c.Get("a.bias")
+	w.Data()[0] = 42
+	if c.Hash() == want {
+		t.Fatal("writes to the clone were lost")
 	}
-	// Untouched entries still alias the owner after detach.
-	ob, _ := owner.Get("a.bias")
-	vb, _ := v2.Get("a.bias")
-	if &ob.Data()[0] != &vb.Data()[0] {
-		t.Fatal("detach cloned untouched tensors")
-	}
-	// A second MutableTensor on the same key must return the same private
-	// clone, not re-clone from the (already replaced) entry.
-	mt2, _ := v2.MutableTensor("b.weight")
-	if mt2.Data()[0] != 42 {
-		t.Fatal("second MutableTensor lost the first mutation")
+	if owner.HashFresh() != want || !owner.Equal(orig) {
+		t.Fatal("writing a clone reached the sealed owner")
 	}
 }
 
 func TestSealVersionTokens(t *testing.T) {
 	owner := sealTestDict().Seal()
-	v1 := owner.Share()
-	v2 := owner.Share()
 	if owner.Version() != owner {
-		t.Fatal("owner's version must be itself")
+		t.Fatal("a sealed dict's version must be itself")
 	}
-	if v1.Version() != owner || v2.Version() != owner {
-		t.Fatal("views of one owner must share its version token")
-	}
-	// A view of a view still reports the root owner.
-	if v1.Share().Version() != owner {
-		t.Fatal("share-of-share lost the owner token")
-	}
-	// Detaching makes the view a new version; siblings are unaffected.
-	if _, ok := v1.MutableTensor("a.bias"); !ok {
-		t.Fatal("missing a.bias")
-	}
-	if v1.Version() != v1 {
-		t.Fatal("detached view must be its own version")
-	}
-	if v2.Version() != owner {
-		t.Fatal("sibling version changed by another view's detach")
+	// A clone holds the same contents but is another version.
+	if c := owner.Clone(); c.Version() == owner.Version() || c.Version() != c {
+		t.Fatal("a clone must be its own version")
 	}
 	// A fresh unsealed dict is its own version.
 	fresh := sealTestDict()
 	if fresh.Version() != fresh {
 		t.Fatal("unsealed dict must be its own version")
-	}
-}
-
-func TestSealOnDetachFiresOnce(t *testing.T) {
-	owner := sealTestDict().Seal()
-	v := owner.Share()
-	calls := 0
-	v.OnDetach(func() { calls++ })
-	if _, ok := v.MutableTensor("a.bias"); !ok {
-		t.Fatal("missing a.bias")
-	}
-	if _, ok := v.MutableTensor("a.weight"); !ok {
-		t.Fatal("missing a.weight")
-	}
-	v.Set("b.weight", tensor.New([]float32{0, 0, 0}, 3))
-	if calls != 1 {
-		t.Fatalf("onDetach fired %d times, want 1", calls)
 	}
 }
 
@@ -164,15 +144,17 @@ func TestReadStateDictMappedMatchesBytes(t *testing.T) {
 	if copied.Hash() != mapped.Hash() {
 		t.Fatal("hash mismatch between copied and mapped decode")
 	}
-	// Mutation through the API never writes the backing bytes.
+	// The API never writes the backing bytes: Set panics, and a write
+	// through a clone's tensor lands in the clone's own copy.
 	before := append([]byte(nil), b...)
-	w, ok := mapped.MutableTensor("a.weight")
+	mustPanicSet(t, mapped, "a.weight")
+	w, ok := mapped.Clone().Get("a.weight")
 	if !ok {
 		t.Fatal("missing a.weight")
 	}
 	w.Data()[0] = -1
 	if !bytes.Equal(b, before) {
-		t.Fatal("mutating a mapped dict wrote through to the backing bytes")
+		t.Fatal("writing a mapped dict's clone wrote through to the backing bytes")
 	}
 }
 

@@ -33,22 +33,9 @@ type StateDict struct {
 	// filled: the save path fills it on the dict of one save, and a sealed
 	// dict is never written.
 	digests [][sha256.Size]byte
-	// sealed marks a frozen dict (see Seal): mutation through the dict
-	// API detaches into private index structures first, so sealed owners
-	// and their Share views never observe each other's changes.
+	// sealed marks a read-only dict (see Seal): Set panics on it, so a
+	// sealed dict's entries and digest cache never change.
 	sealed bool
-	// onDetach fires (once) when the first copy-on-write detach happens;
-	// the recovery cache uses it to count COW'd hits.
-	onDetach func()
-	// cowShared marks entries whose tensors are still shared with the
-	// sealed dict this one detached from; such tensors are cloned before
-	// MutableTensor hands them out. nil when no tensors are shared.
-	cowShared []bool
-	// origin points at the sealed dict a Share view was taken from; all
-	// views of the same owner report it through Version, so serve loops
-	// can recognize "same contents as last time" in O(1). nil for owners
-	// and for detached (now private) dicts.
-	origin *StateDict
 }
 
 // Entry is one named tensor of a state dict.
@@ -79,19 +66,14 @@ func StateDictOf(m Module) *StateDict {
 }
 
 // Set appends (or replaces) the entry for key and drops the digest cache.
-// On a sealed dict Set detaches first (copy-on-write): the dict gets
-// private index structures and only this entry changes, so the sealed
-// owner and every other view keep their frozen state.
+// A sealed dict is read-only: Set on it panics. Edit a Clone instead.
 func (sd *StateDict) Set(key string, t *tensor.Tensor) {
 	if sd.sealed {
-		sd.detach()
+		panic(fmt.Sprintf("nn: Set(%q) on a sealed state dict; Set on its Clone() instead", key))
 	}
 	sd.digests = nil
 	if i, ok := sd.index[key]; ok {
 		sd.entries[i].Tensor = t
-		if sd.cowShared != nil && i < len(sd.cowShared) {
-			sd.cowShared[i] = false
-		}
 		return
 	}
 	sd.index[key] = len(sd.entries)
@@ -159,16 +141,8 @@ func (sd *StateDict) Len() int { return len(sd.entries) }
 // Entries returns the entries in order. The slice must not be mutated.
 func (sd *StateDict) Entries() []Entry { return sd.entries }
 
-// Keys returns the keys in order.
-func (sd *StateDict) Keys() []string {
-	out := make([]string, len(sd.entries))
-	for i, e := range sd.entries {
-		out[i] = e.Key
-	}
-	return out
-}
-
-// Clone returns a deep copy (tensors included, each with its stamp).
+// Clone returns a deep copy (tensors included, each with its stamp). The
+// copy is unsealed, so it is how a caller edits a sealed dict's state.
 func (sd *StateDict) Clone() *StateDict {
 	out := NewStateDict()
 	for _, e := range sd.entries {
@@ -538,10 +512,10 @@ func ReadStateDictBytes(b []byte) (*StateDict, error) {
 // being copied, and the aliasing tensors retain ref, so a mapping stays
 // reachable — and mapped — while any tensor still reads from it.
 //
-// The returned dict is born sealed (without precomputed digests):
-// mutation through the dict API copy-on-writes, so the aliased bytes —
-// possibly a read-only mapping, where a stray write would fault — can
-// never be written through the dict.
+// The returned dict is born sealed (without precomputed digests), so it
+// is read-only: Set panics, and the aliased bytes — possibly a read-only
+// mapping, where a stray write would fault — can never be written through
+// the dict. Edit a Clone instead.
 func ReadStateDictMapped(b []byte, ref any) (*StateDict, error) {
 	keys, offs, err := scanStateDict(b)
 	if err != nil {

@@ -32,13 +32,13 @@ func TestStateDictOfOrderAndContent(t *testing.T) {
 		"bn1.weight", "bn1.bias", "bn1.running_mean", "bn1.running_var",
 		"fc.weight", "fc.bias",
 	}
-	keys := sd.Keys()
-	if len(keys) != len(want) {
-		t.Fatalf("keys = %v", keys)
+	entries := sd.Entries()
+	if len(entries) != len(want) {
+		t.Fatalf("%d entries, want %d", len(entries), len(want))
 	}
 	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys[%d] = %q, want %q", i, keys[i], want[i])
+		if entries[i].Key != want[i] {
+			t.Fatalf("key %d = %q, want %q", i, entries[i].Key, want[i])
 		}
 	}
 	if sd.NumScalars() != 2*1*3*3+2+2+2+2+3*8+3 {
@@ -174,7 +174,7 @@ func TestMergeAppliesUpdateWithPriority(t *testing.T) {
 		t.Fatal("merge did not prioritize update")
 	}
 	// Other entries come from base, order preserved.
-	if merged.Keys()[0] != base.Keys()[0] || merged.Len() != base.Len() {
+	if merged.Entries()[0].Key != base.Entries()[0].Key || merged.Len() != base.Len() {
 		t.Fatal("merge broke base order")
 	}
 	baseConv, _ := base.Get("conv1.weight")
@@ -236,7 +236,7 @@ func TestEntryHashes(t *testing.T) {
 		t.Fatal("entry hash count mismatch")
 	}
 	for i, h := range hashes {
-		if h.Key != sd.Keys()[i] || len(h.Hash) != 64 {
+		if h.Key != sd.Entries()[i].Key || len(h.Hash) != 64 {
 			t.Fatalf("bad entry hash %+v", h)
 		}
 	}

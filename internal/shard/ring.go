@@ -48,7 +48,6 @@ type point struct {
 type Ring struct {
 	points []point
 	nodes  int
-	vnodes int
 }
 
 // NewRing builds a ring over the given number of nodes. vnodes <= 0
@@ -60,7 +59,7 @@ func NewRing(nodes, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{nodes: nodes, vnodes: vnodes, points: make([]point, 0, nodes*vnodes)}
+	r := &Ring{nodes: nodes, points: make([]point, 0, nodes*vnodes)}
 	for n := 0; n < nodes; n++ {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{hash: hashKey(fmt.Sprintf("node/%d/vnode/%d", n, v)), node: n})
@@ -79,9 +78,6 @@ func NewRing(nodes, vnodes int) (*Ring, error) {
 
 // Nodes returns the number of backends the ring routes across.
 func (r *Ring) Nodes() int { return r.nodes }
-
-// VNodes returns the virtual-node count per backend.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Owner maps a key to its backend: the first virtual node at or clockwise
 // of the key's hash.

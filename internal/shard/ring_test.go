@@ -74,8 +74,18 @@ func TestRingDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Nodes() != 3 || r.VNodes() != shard.DefaultVNodes {
-		t.Fatalf("nodes=%d vnodes=%d", r.Nodes(), r.VNodes())
+	if r.Nodes() != 3 {
+		t.Fatalf("nodes=%d", r.Nodes())
+	}
+	want, err := shard.NewRing(3, shard.DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if r.Owner(k) != want.Owner(k) {
+			t.Fatalf("vnodes 0 routes %q to %d, DefaultVNodes to %d", k, r.Owner(k), want.Owner(k))
+		}
 	}
 	if _, err := shard.NewRing(0, 0); err == nil {
 		t.Fatal("expected error for 0 nodes")

@@ -70,7 +70,7 @@ func TestAliasFramesZeroCopyAndRef(t *testing.T) {
 		t.Fatalf("aliased %d frames, want 2", delta)
 	}
 	for i, tt := range ts {
-		if !tt.Aliased() {
+		if tt.ref == nil {
 			t.Fatalf("tensor %d not marked aliased", i)
 		}
 	}
@@ -81,7 +81,7 @@ func TestAliasFramesZeroCopyAndRef(t *testing.T) {
 		t.Fatal("tensor data does not alias the source buffer")
 	}
 	// Reshape must keep the backing reference pinned.
-	if !ts[0].Reshape(3, 1).Aliased() {
+	if ts[0].Reshape(3, 1).ref == nil {
 		t.Fatal("reshape dropped the alias ref")
 	}
 }
@@ -109,7 +109,7 @@ func TestAliasFramesMisalignedFallsBack(t *testing.T) {
 		if AliasedFrames() != before {
 			t.Fatal("misaligned frame must not alias")
 		}
-		if ts[0].Aliased() {
+		if ts[0].ref != nil {
 			t.Fatal("misaligned tensor marked aliased")
 		}
 	}

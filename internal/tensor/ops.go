@@ -60,25 +60,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns a new tensor a * b (elementwise).
-func Mul(a, b *Tensor) *Tensor {
-	checkSameShape("Mul", a, b)
-	out := Zeros(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * b.data[i]
-	}
-	return out
-}
-
-// Scale returns a new tensor with every element of a multiplied by s.
-func Scale(a *Tensor, s float32) *Tensor {
-	out := Zeros(a.shape...)
-	for i := range a.data {
-		out.data[i] = a.data[i] * s
-	}
-	return out
-}
-
 // AddInPlace adds b into a elementwise.
 func AddInPlace(a, b *Tensor) {
 	checkSameShape("AddInPlace", a, b)
@@ -97,28 +78,14 @@ func Axpy(alpha float32, a, b *Tensor) {
 	}
 }
 
-// Sum reduces the whole tensor to a single value using the given mode.
-func Sum(a *Tensor, mode Mode) float32 {
-	if mode == Deterministic {
-		return sumSerial(a.data)
-	}
-	return sumParallel(a.data)
-}
-
-func sumSerial(x []float32) float32 {
+// Sum reduces the whole tensor to a single value, accumulating serially
+// in index order.
+func Sum(a *Tensor) float32 {
 	var s float32
-	for _, v := range x {
+	for _, v := range a.data {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func Mean(a *Tensor, mode Mode) float32 {
-	if a.Len() == 0 {
-		return 0
-	}
-	return Sum(a, mode) / float32(a.Len())
 }
 
 // Dot computes the inner product of two equal-length tensors using the given
@@ -179,21 +146,6 @@ func MaxAbs(a *Tensor) float32 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the index of the maximum element in a flattened view of a.
-// Ties resolve to the lowest index, keeping the result deterministic.
-func ArgMax(a *Tensor) int {
-	if a.Len() == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best := 0
-	for i, v := range a.data {
-		if v > a.data[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // MatMul computes the matrix product of a (m×k) and b (k×n) producing an

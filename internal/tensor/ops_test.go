@@ -15,12 +15,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data(); got[0] != 9 {
 		t.Fatalf("Sub = %v", got)
 	}
-	if got := Mul(a, b).Data(); got[2] != 90 {
-		t.Fatalf("Mul = %v", got)
-	}
-	if got := Scale(a, 2).Data(); got[1] != 4 {
-		t.Fatalf("Scale = %v", got)
-	}
 }
 
 func TestInPlaceOps(t *testing.T) {
@@ -48,15 +42,11 @@ func TestShapeMismatchPanics(t *testing.T) {
 
 func TestSumAndMean(t *testing.T) {
 	a := New([]float32{1, 2, 3, 4}, 4)
-	if s := Sum(a, Deterministic); s != 10 {
+	if s := Sum(a); s != 10 {
 		t.Fatalf("Sum = %v", s)
 	}
-	if m := Mean(a, Deterministic); m != 2.5 {
-		t.Fatalf("Mean = %v", m)
-	}
-	empty := Zeros(0)
-	if m := Mean(empty, Deterministic); m != 0 {
-		t.Fatalf("Mean(empty) = %v", m)
+	if s := Sum(Zeros(0)); s != 0 {
+		t.Fatalf("Sum(empty) = %v", s)
 	}
 }
 
@@ -72,22 +62,11 @@ func TestDotSerialMatchesKnown(t *testing.T) {
 func TestDeterministicSumIsStable(t *testing.T) {
 	r := NewRNG(7)
 	a := Uniform(r, -1, 1, 100000)
-	first := Sum(a, Deterministic)
+	first := Sum(a)
 	for i := 0; i < 20; i++ {
-		if got := Sum(a, Deterministic); got != first {
+		if got := Sum(a); got != first {
 			t.Fatalf("deterministic Sum varied: %v vs %v", got, first)
 		}
-	}
-}
-
-// Parallel reductions are approximately equal but may differ in low bits.
-func TestParallelSumClose(t *testing.T) {
-	r := NewRNG(11)
-	a := Uniform(r, -1, 1, 100000)
-	det := float64(Sum(a, Deterministic))
-	par := float64(Sum(a, Parallel))
-	if math.Abs(det-par) > 1e-1 {
-		t.Fatalf("parallel sum too far off: %v vs %v", par, det)
 	}
 }
 
@@ -171,13 +150,6 @@ func TestMaxAbsArgMax(t *testing.T) {
 	a := New([]float32{-5, 2, 4, -1}, 4)
 	if MaxAbs(a) != 5 {
 		t.Fatalf("MaxAbs = %v", MaxAbs(a))
-	}
-	if ArgMax(a) != 2 {
-		t.Fatalf("ArgMax = %d", ArgMax(a))
-	}
-	ties := New([]float32{3, 3, 3}, 3)
-	if ArgMax(ties) != 0 {
-		t.Fatal("ArgMax should resolve ties to lowest index")
 	}
 }
 

@@ -133,11 +133,6 @@ func (t *Tensor) Data() []float32 {
 	return t.data
 }
 
-// Aliased reports whether the tensor's data aliases external backing
-// storage (a mapped or retained parameter blob) rather than owning it.
-// Clone returns an owning copy.
-func (t *Tensor) Aliased() bool { return t.ref != nil }
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.data[t.offset(idx)]

@@ -49,9 +49,6 @@ func (s *StepLR) Step(opt *SGD) {
 	opt.Config.LR = lr
 }
 
-// EpochCount returns the scheduler's internal epoch counter.
-func (s *StepLR) EpochCount() int { return s.epochCount }
-
 // schedulerState is the serialized internal state (the "state file").
 type schedulerState struct {
 	BaseLR     float32 `json:"base_lr"`

@@ -31,8 +31,8 @@ func TestStepLRDecay(t *testing.T) {
 			t.Fatalf("after epoch %d: lr = %v, want %v", i+1, opt.Config.LR, w)
 		}
 	}
-	if s.EpochCount() != 5 {
-		t.Fatalf("epoch count = %d", s.EpochCount())
+	if s.epochCount != 5 {
+		t.Fatalf("epoch count = %d", s.epochCount)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestStepLRStateRoundTrip(t *testing.T) {
 	if err := s2.UnmarshalState(b); err != nil {
 		t.Fatal(err)
 	}
-	if s2.EpochCount() != 3 {
-		t.Fatalf("restored epoch count = %d", s2.EpochCount())
+	if s2.epochCount != 3 {
+		t.Fatalf("restored epoch count = %d", s2.epochCount)
 	}
 	s.Step(opt)
 	lrAfter := opt.Config.LR
@@ -138,8 +138,8 @@ func TestSchedulerMidScheduleProvenance(t *testing.T) {
 	if _, err := svc.Train(warm); err != nil {
 		t.Fatal(err)
 	}
-	if sched.EpochCount() != 2 {
-		t.Fatalf("epoch count = %d", sched.EpochCount())
+	if sched.epochCount != 2 {
+		t.Fatalf("epoch count = %d", sched.epochCount)
 	}
 
 	// Provenance captured now must reproduce the SECOND window exactly.

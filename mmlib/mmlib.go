@@ -69,8 +69,9 @@ type (
 	RecoverOptions = core.RecoverOptions
 	// RecoveredModel is a recovered model with its TTR breakdown.
 	RecoveredModel = core.RecoveredModel
-	// RecoveredState is a recovered state dict — sealed and shared when it
-	// came from a cache — with everything needed to Instantiate a net.
+	// RecoveredState is a recovered state dict — sealed, shared and
+	// read-only when a cache holds it — with everything needed to
+	// Instantiate a net.
 	RecoveredState = core.RecoveredState
 	// RecoveryCache memoizes recovered states by model id; set one with
 	// SaveService.SetRecoveryCache.

@@ -9,11 +9,13 @@
 #                      save stamped); see cmd/mmlint
 #   4. go test       — unit and integration tests
 #   5. go test -race — the concurrency-heavy packages under the race detector,
-#                      then the round-trip, walker, transaction, rollback
-#                      and legacy-store tests of core three times more: the
-#                      walker reads a model's environment document on its
-#                      own goroutine beside the chain read, and a save
-#                      reads its base's layer hashes beside the base
+#                      then the round-trip, walker, transaction, rollback,
+#                      legacy-store and concurrent cache-hit tests of core
+#                      three times more: the walker reads a model's
+#                      environment document on its own goroutine beside the
+#                      chain read, a save reads its base's layer hashes
+#                      beside the base, and concurrent hits share the
+#                      cache's one read-only state
 #      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
 #                      disturb on a single P, so "byte-identical" and
 #                      "pipelined" are not properties of one scheduler
@@ -80,8 +82,8 @@ go test ./...
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par
 
-echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy' ./internal/core"
-go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy' ./internal/core
+echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache' ./internal/core"
+go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache' ./internal/core
 
 echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog"
 GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog
