@@ -159,6 +159,9 @@ type RecoveredModel struct {
 	Net nn.Module
 	// BaseID is the recovered model's base reference (empty for roots).
 	BaseID string
+	// Links is the number of stored models the recovery walked (see
+	// RecoveredState.Links).
+	Links int
 	// Timing is the TTR breakdown over the whole chain.
 	Timing RecoverTiming
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/filestore"
 	"repro/internal/models"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/train"
 )
 
@@ -51,16 +55,29 @@ func TestRecoverThroughUninitialisedNetAllArchitectures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// check recovers id uncached, then through a cache: the miss
+			// that fills it and the hit that instantiates from it.
 			check := func(name string, svc SaveService, id string) {
 				t.Helper()
 				want := nn.StateDictOf(net).Hash()
-				got, err := svc.Recover(id, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				recoverAs := func(how string, hit bool) {
+					t.Helper()
+					got, err := svc.Recover(id, opts)
+					if err != nil {
+						t.Fatalf("%s, %s: %v", name, how, err)
+					}
+					if h := nn.StateDictOf(got.Net).Hash(); h != want {
+						t.Fatalf("%s, %s: recovered net hashes to %s, saved %s", name, how, h, want)
+					}
+					if (got.Links == 0) != hit {
+						t.Fatalf("%s, %s: the recovery walked %d links", name, how, got.Links)
+					}
 				}
-				if h := nn.StateDictOf(got.Net).Hash(); h != want {
-					t.Fatalf("%s: recovered net hashes to %s, saved %s", name, h, want)
-				}
+				recoverAs("uncached", false)
+				svc.SetRecoveryCache(NewRecoveryCache(1 << 30))
+				defer svc.SetRecoveryCache(nil)
+				recoverAs("cache miss", false)
+				recoverAs("cache hit", true)
 			}
 			save := func(name string, svc SaveService, info SaveInfo) string {
 				t.Helper()
@@ -96,6 +113,126 @@ func TestRecoverThroughUninitialisedNetAllArchitectures(t *testing.T) {
 			check("MPA link", mpa, save("MPA link", mpa, link))
 			adLink := save("adaptive link", ad, link)
 			check("adaptive link", ad, adLink)
+		})
+	}
+}
+
+// A recovered state that does not fit its architecture — a key missing, a
+// shape changed, a key added — fails to instantiate, and no net is handed
+// out; a stored model whose code names another class count than its
+// parameters hold fails to recover the same way.
+func TestInstantiateRejectsAStateThatDoesNotFit(t *testing.T) {
+	stores := testStores(t)
+	ba := NewBaseline(stores)
+	net := tinyNet(t, 8)
+	res, err := ba.Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := ba.RecoverState(res.ID, RecoverOptions{VerifyChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var layers []string
+	for _, kh := range rs.State.LayerHashes() {
+		if kh.Key != "fc" {
+			layers = append(layers, kh.Key)
+		}
+	}
+	missing := rs.State.SubsetByLayers(layers) // no fc.weight, no fc.bias
+	missing.Set("a", tensor.Zeros(1))
+	missing.Set("b", tensor.Zeros(1))
+	reshaped := rs.State.Clone()
+	reshaped.Set("fc.bias", tensor.Zeros(5))
+	extra := rs.State.Clone()
+	extra.Set("fc.extra", tensor.Zeros(1))
+	for name, sd := range map[string]*nn.StateDict{"missing key": missing, "wrong shape": reshaped, "extra key": extra} {
+		bad := *rs
+		bad.State = sd
+		if got, err := bad.Instantiate(); err == nil || got != nil {
+			t.Fatalf("%s: Instantiate handed out a net (%v)", name, err)
+		}
+	}
+
+	other := tinySpec()
+	other.NumClasses++
+	res, err = ba.Save(SaveInfo{Spec: other, Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ba.Recover(res.ID, RecoverOptions{}); err == nil || got != nil || !strings.Contains(err.Error(), "shape mismatch") {
+		t.Fatalf("a %d-class state recovered into a %d-class net (%v)", tinySpec().NumClasses, other.NumClasses, err)
+	}
+}
+
+// Every tensor of a recovered net owns its storage. Writing every one of
+// them leaves the stored blobs and a cached state as they were: recovering
+// again, cold or from the cache, gives the saved hash. TinyCNN's state is
+// filled on the caller's goroutine, MobileNetV2's on the worker pool.
+func TestRecoveredNetOwnsItsStorage(t *testing.T) {
+	for _, spec := range []models.Spec{tinySpec(), {Arch: models.MobileNetV2Name, NumClasses: 10}} {
+		t.Run(spec.Arch, func(t *testing.T) {
+			stores := testStores(t)
+			pua := NewParamUpdate(stores)
+			net, err := models.New(spec.Arch, spec.NumClasses, 71)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, err := pua.Save(SaveInfo{Spec: spec, Net: net, WithChecksums: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := nn.StateDictOf(net).Get(models.ClassifierPrefix(spec.Arch) + ".bias")
+			b.Data()[1] += 0.5
+			leaf, err := pua.Save(SaveInfo{Spec: spec, Net: net, BaseID: root.ID, WithChecksums: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs := func() map[string]string {
+				out := make(map[string]string)
+				for _, id := range []string{root.ID, leaf.ID} {
+					doc, err := getModelDoc(stores.Meta, id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := stores.Files.ReadAll(doc.ParamsFileRef)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[id] = fmt.Sprintf("%x", sha256.Sum256(b))
+				}
+				return out
+			}
+			stored := blobs()
+			want := nn.StateDictOf(net).Hash()
+			opts := RecoverOptions{VerifyChecksums: true}
+			for _, cached := range []bool{false, true} {
+				svc := NewParamUpdate(stores)
+				if cached {
+					svc.SetRecoveryCache(NewRecoveryCache(0))
+				}
+				for round := 0; round < 2; round++ {
+					got, err := svc.Recover(leaf.ID, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h := nn.StateDictOf(got.Net).Hash(); h != want {
+						t.Fatalf("cached=%v, round %d: recovery gives %s, want %s", cached, round, h, want)
+					}
+					if hit := got.Links == 0; hit != (cached && round == 1) {
+						t.Fatalf("cached=%v, round %d: the recovery walked %d links", cached, round, got.Links)
+					}
+					for _, e := range nn.StateDictOf(got.Net).Entries() {
+						d := e.Tensor.Data()
+						for i := range d {
+							d[i] = -d[i] - 1
+						}
+					}
+				}
+			}
+			if got := blobs(); !maps.Equal(got, stored) {
+				t.Fatal("writing recovered nets changed the stored parameter blobs")
+			}
 		})
 	}
 }

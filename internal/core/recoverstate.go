@@ -39,6 +39,10 @@ type RecoveredState struct {
 	StateHash string
 	// CacheHit reports whether the state came from the recovery cache.
 	CacheHit bool
+	// Links is the number of stored models the recovery walked: 1 for a
+	// snapshot, one more per derived link above it, fewer when a cached
+	// ancestor ended the walk, 0 on a cache hit.
+	Links int
 	// Timing is the TTR breakdown for this recovery.
 	Timing RecoverTiming
 	// net is the net a recovery that replayed training ended up with, when
@@ -49,11 +53,13 @@ type RecoveredState struct {
 
 // Instantiate builds a fresh net from the recovered state: architecture
 // construction, parameter copy-in, layer freezing. The architecture is
-// built without weight initialization — LoadInto is strict (every key,
-// every shape), so it overwrites whatever an initializer would have drawn
-// — and without gradient tensors, which the net allocates if it is ever
-// trained. The net owns its tensors — it never aliases the recovered
-// (possibly shared) state.
+// built with no parameter storage at all, and each tensor's storage is
+// made once, as a copy of the state's tensor (models.Spec.BuildFrom): no
+// weight initialization, no zero-fill the copy would overwrite, and no
+// gradient tensors, which the net allocates if it is ever trained. The
+// fill is strict — every key, every shape, no extras — so a state that
+// does not fit yields an error and no net. The net owns its tensors — it
+// never aliases the recovered (possibly shared) state.
 func (rs *RecoveredState) Instantiate() (nn.Module, error) {
 	net, err := instantiate(rs.Spec, rs.State, rs.ID)
 	if err != nil {
@@ -63,13 +69,10 @@ func (rs *RecoveredState) Instantiate() (nn.Module, error) {
 	return net, nil
 }
 
-// instantiate builds spec's architecture and copies state into it.
+// instantiate builds spec's architecture holding a copy of state.
 func instantiate(spec models.Spec, state *nn.StateDict, id string) (nn.Module, error) {
-	net, err := spec.Build()
+	net, err := spec.BuildFrom(state)
 	if err != nil {
-		return nil, err
-	}
-	if err := state.LoadInto(net); err != nil {
 		return nil, fmt.Errorf("core: restoring recovered state for %s: %w", id, err)
 	}
 	return net, nil

@@ -127,7 +127,7 @@ func (s *service) RecoverCtx(ctx context.Context, id string, opts RecoverOptions
 	if err != nil {
 		return nil, err
 	}
-	return &RecoveredModel{ID: rs.ID, Spec: rs.Spec, Net: net, BaseID: rs.BaseID, Timing: rs.Timing}, nil
+	return &RecoveredModel{ID: rs.ID, Spec: rs.Spec, Net: net, BaseID: rs.BaseID, Links: rs.Links, Timing: rs.Timing}, nil
 }
 
 // RecoverState implements SaveService.

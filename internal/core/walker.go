@@ -225,6 +225,7 @@ func (s *service) walk(ctx context.Context, id string, opts RecoverOptions) (*Re
 	rs := &RecoveredState{
 		ID: id, Spec: w.spec, State: state, BaseID: leaf.doc.BaseID, Env: env,
 		TrainablePrefixes: leaf.doc.TrainablePrefixes, StateHash: leaf.doc.StateHash,
+		Links: len(w.chain),
 	}
 	switch {
 	case cache != nil:

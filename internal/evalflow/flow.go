@@ -129,6 +129,9 @@ type Measurement struct {
 	TTR core.RecoverTiming
 	// Recovered reports whether TTR was measured.
 	Recovered bool
+	// Links is the number of stored models that recovery walked (see
+	// core.RecoveredModel.Links).
+	Links int
 }
 
 // Result is the outcome of one flow execution.
@@ -237,11 +240,8 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 
 	// U2: the server improves the initial model (derived from U1) and
 	// deploys the update.
-	u2Net, err := spec.Build()
+	u2Net, err := spec.BuildFrom(u1State)
 	if err != nil {
-		return nil, err
-	}
-	if err := u1State.LoadInto(u2Net); err != nil {
 		return nil, err
 	}
 	applyRelation(cfg, u2Net)
@@ -275,7 +275,7 @@ func runFlow(ctx context.Context, provider StoreProvider, cfg Config) (*Result, 
 			if err != nil {
 				return nil, fmt.Errorf("evalflow: recovering %s (%s): %w", m.ModelID, m.UseCase, err)
 			}
-			m.TTR, m.Recovered = rec.Timing, true
+			m.TTR, m.Recovered, m.Links = rec.Timing, true, rec.Links
 		}
 	}
 	if cache != nil {
@@ -378,11 +378,8 @@ func runOneNode(ctx context.Context, provider StoreProvider, cfg Config, spec mo
 		return nil, err
 	}
 
-	net, err := spec.Build()
+	net, err := spec.BuildFrom(baseState)
 	if err != nil {
-		return nil, err
-	}
-	if err := baseState.LoadInto(net); err != nil {
 		return nil, err
 	}
 	applyRelation(cfg, net)

@@ -11,11 +11,11 @@ import (
 // average pooling, and a dropout+linear classifier.
 
 // convBNReLU6 is the ConvBNReLU fragment of torchvision's MobileNetV2.
-func convBNReLU6(in, out, kernel, stride, groups int) nn.Module {
+func convBNReLU6(l nn.Layers, in, out, kernel, stride, groups int) nn.Module {
 	padding := (kernel - 1) / 2
 	return nn.NewNamedSequential(
-		nn.Child{Name: "conv", Module: nn.NewConv2d(in, out, kernel, stride, padding, groups, false)},
-		nn.Child{Name: "bn", Module: nn.NewBatchNorm2d(out)},
+		nn.Child{Name: "conv", Module: l.Conv2d(in, out, kernel, stride, padding, groups, false)},
+		nn.Child{Name: "bn", Module: l.BatchNorm2d(out)},
 		nn.Child{Name: "relu6", Module: nn.NewReLU6()},
 	)
 }
@@ -23,7 +23,7 @@ func convBNReLU6(in, out, kernel, stride, groups int) nn.Module {
 // invertedResidual builds one MobileNetV2 block: optional 1×1 expansion,
 // 3×3 depthwise convolution, and a linear 1×1 projection, with a residual
 // connection when the block preserves shape.
-func invertedResidual(in, out, stride, expand int) nn.Module {
+func invertedResidual(l nn.Layers, in, out, stride, expand int) nn.Module {
 	hidden := in * expand
 	var children []nn.Child
 	idx := 0
@@ -32,11 +32,11 @@ func invertedResidual(in, out, stride, expand int) nn.Module {
 		idx++
 	}
 	if expand != 1 {
-		add(convBNReLU6(in, hidden, 1, 1, 1)) // pointwise expansion
+		add(convBNReLU6(l, in, hidden, 1, 1, 1)) // pointwise expansion
 	}
-	add(convBNReLU6(hidden, hidden, 3, stride, hidden)) // depthwise
-	add(nn.NewConv2d(hidden, out, 1, 1, 0, 1, false))   // linear projection
-	add(nn.NewBatchNorm2d(out))
+	add(convBNReLU6(l, hidden, hidden, 3, stride, hidden)) // depthwise
+	add(l.Conv2d(hidden, out, 1, 1, 0, 1, false))          // linear projection
+	add(l.BatchNorm2d(out))
 	body := nn.NewNamedSequential(children...)
 	if stride == 1 && in == out {
 		return nn.NewResidual(body, nil, nil)
@@ -44,7 +44,7 @@ func invertedResidual(in, out, stride, expand int) nn.Module {
 	return body
 }
 
-func buildMobileNetV2(numClasses int) nn.Module {
+func buildMobileNetV2(l nn.Layers, numClasses int) nn.Module {
 	// (expansion t, output channels c, repeats n, first stride s)
 	cfg := [][4]int{
 		{1, 16, 1, 1},
@@ -55,7 +55,7 @@ func buildMobileNetV2(numClasses int) nn.Module {
 		{6, 160, 3, 2},
 		{6, 320, 1, 1},
 	}
-	features := nn.NewSequential(convBNReLU6(3, 32, 3, 2, 1))
+	features := nn.NewSequential(convBNReLU6(l, 3, 32, 3, 2, 1))
 	in := 32
 	for _, c := range cfg {
 		t, out, n, s := c[0], c[1], c[2], c[3]
@@ -64,15 +64,15 @@ func buildMobileNetV2(numClasses int) nn.Module {
 			if i == 0 {
 				stride = s
 			}
-			features.Append(invertedResidual(in, out, stride, t))
+			features.Append(invertedResidual(l, in, out, stride, t))
 			in = out
 		}
 	}
-	features.Append(convBNReLU6(in, 1280, 1, 1, 1))
+	features.Append(convBNReLU6(l, in, 1280, 1, 1, 1))
 
 	classifier := nn.NewSequential(
 		nn.NewDropout(0.2),
-		nn.NewLinear(1280, numClasses),
+		l.Linear(1280, numClasses),
 	)
 	return nn.NewNamedSequential(
 		nn.Child{Name: "features", Module: features},

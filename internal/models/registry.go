@@ -39,15 +39,17 @@ type Spec struct {
 	NumClasses int    `json:"num_classes"`
 }
 
-// builder constructs an uninitialized (zero-weight) instance.
-type builder func(numClasses int) nn.Module
+// builder constructs an uninitialized instance, its tensor-owning layers
+// made by l: zero weights (the zero Layers), or no storage yet
+// (nn.BuildFrom's).
+type builder func(l nn.Layers, numClasses int) nn.Module
 
 var registry = map[string]builder{
 	MobileNetV2Name: buildMobileNetV2,
 	GoogLeNetName:   buildGoogLeNet,
-	ResNet18Name:    func(nc int) nn.Module { return buildResNet(basicBlockKind, []int{2, 2, 2, 2}, nc) },
-	ResNet50Name:    func(nc int) nn.Module { return buildResNet(bottleneckKind, []int{3, 4, 6, 3}, nc) },
-	ResNet152Name:   func(nc int) nn.Module { return buildResNet(bottleneckKind, []int{3, 8, 36, 3}, nc) },
+	ResNet18Name:    func(l nn.Layers, nc int) nn.Module { return buildResNet(l, basicBlockKind, []int{2, 2, 2, 2}, nc) },
+	ResNet50Name:    func(l nn.Layers, nc int) nn.Module { return buildResNet(l, bottleneckKind, []int{3, 4, 6, 3}, nc) },
+	ResNet152Name:   func(l nn.Layers, nc int) nn.Module { return buildResNet(l, bottleneckKind, []int{3, 8, 36, 3}, nc) },
 	TinyCNNName:     buildTinyCNN,
 }
 
@@ -70,15 +72,39 @@ func EvaluationNames() []string {
 // Build constructs an architecture with zero weights; parameters are
 // expected to be loaded from a state dict afterwards.
 func (s Spec) Build() (nn.Module, error) {
+	b, nc, err := s.builder()
+	if err != nil {
+		return nil, err
+	}
+	return b(nn.Layers{}, nc), nil
+}
+
+// BuildFrom constructs the architecture holding a copy of sd: the net is
+// built with no parameter storage, and each tensor's storage is then made
+// as a copy of sd's, in one pass (nn.BuildFrom). It is Build followed by
+// sd.LoadInto — the same rules, the same net, the same stamps — without
+// the zero-fill the load would overwrite. A state that does not fit the
+// architecture yields an error and no net.
+func (s Spec) BuildFrom(sd *nn.StateDict) (nn.Module, error) {
+	b, nc, err := s.builder()
+	if err != nil {
+		return nil, err
+	}
+	return nn.BuildFrom(sd, func(l nn.Layers) nn.Module { return b(l, nc) })
+}
+
+// builder returns the architecture's builder and the class count to build
+// it with.
+func (s Spec) builder() (builder, int, error) {
 	b, ok := registry[s.Arch]
 	if !ok {
-		return nil, fmt.Errorf("models: unknown architecture %q", s.Arch)
+		return nil, 0, fmt.Errorf("models: unknown architecture %q", s.Arch)
 	}
 	nc := s.NumClasses
 	if nc <= 0 {
 		nc = 1000
 	}
-	return b(nc), nil
+	return b, nc, nil
 }
 
 // MarshalText encodes the spec as its canonical JSON "model code".
@@ -120,7 +146,7 @@ func ParseSpec(b []byte) (Spec, error) {
 // "disproportional[ly] high computation time for ... initialization"
 // (torchvision's scipy truncated normal), which our GoogLeNet initializer
 // reproduces. Recovery here does not call it — a strict state-dict load
-// overwrites every initialized weight, so core builds with Spec.Build —
+// overwrites every initialized weight, so core builds with Spec.BuildFrom —
 // and Figure 12 times it as its own column.
 func Instantiate(s Spec) (nn.Module, error) {
 	m, err := s.Build()
@@ -195,16 +221,16 @@ func FreezeForPartialUpdate(arch string, m nn.Module) {
 // buildTinyCNN is a deliberately small architecture (2 conv layers + head)
 // used by tests and examples that need fast end-to-end runs through the
 // same code paths as the evaluation models.
-func buildTinyCNN(numClasses int) nn.Module {
+func buildTinyCNN(l nn.Layers, numClasses int) nn.Module {
 	return nn.NewNamedSequential(
-		nn.Child{Name: "conv1", Module: nn.NewConv2d(3, 8, 3, 1, 1, 1, false)},
-		nn.Child{Name: "bn1", Module: nn.NewBatchNorm2d(8)},
+		nn.Child{Name: "conv1", Module: l.Conv2d(3, 8, 3, 1, 1, 1, false)},
+		nn.Child{Name: "bn1", Module: l.BatchNorm2d(8)},
 		nn.Child{Name: "relu1", Module: nn.NewReLU()},
-		nn.Child{Name: "conv2", Module: nn.NewConv2d(8, 16, 3, 2, 1, 1, false)},
-		nn.Child{Name: "bn2", Module: nn.NewBatchNorm2d(16)},
+		nn.Child{Name: "conv2", Module: l.Conv2d(8, 16, 3, 2, 1, 1, false)},
+		nn.Child{Name: "bn2", Module: l.BatchNorm2d(16)},
 		nn.Child{Name: "relu2", Module: nn.NewReLU()},
 		nn.Child{Name: "avgpool", Module: nn.NewGlobalAvgPool2d()},
 		nn.Child{Name: "flatten", Module: nn.NewFlatten()},
-		nn.Child{Name: "fc", Module: nn.NewLinear(16, numClasses)},
+		nn.Child{Name: "fc", Module: l.Linear(16, numClasses)},
 	)
 }

@@ -25,48 +25,48 @@ func (k blockKind) expansion() int {
 }
 
 // basicBlock: 3×3 conv – bn – relu – 3×3 conv – bn, residual add, relu.
-func basicBlock(inplanes, planes, stride int) nn.Module {
+func basicBlock(l nn.Layers, inplanes, planes, stride int) nn.Module {
 	body := nn.NewNamedSequential(
-		nn.Child{Name: "conv1", Module: nn.NewConv2d(inplanes, planes, 3, stride, 1, 1, false)},
-		nn.Child{Name: "bn1", Module: nn.NewBatchNorm2d(planes)},
+		nn.Child{Name: "conv1", Module: l.Conv2d(inplanes, planes, 3, stride, 1, 1, false)},
+		nn.Child{Name: "bn1", Module: l.BatchNorm2d(planes)},
 		nn.Child{Name: "relu1", Module: nn.NewReLU()},
-		nn.Child{Name: "conv2", Module: nn.NewConv2d(planes, planes, 3, 1, 1, 1, false)},
-		nn.Child{Name: "bn2", Module: nn.NewBatchNorm2d(planes)},
+		nn.Child{Name: "conv2", Module: l.Conv2d(planes, planes, 3, 1, 1, 1, false)},
+		nn.Child{Name: "bn2", Module: l.BatchNorm2d(planes)},
 	)
 	var shortcut nn.Module
 	if stride != 1 || inplanes != planes {
 		shortcut = nn.NewNamedSequential(
-			nn.Child{Name: "conv", Module: nn.NewConv2d(inplanes, planes, 1, stride, 0, 1, false)},
-			nn.Child{Name: "bn", Module: nn.NewBatchNorm2d(planes)},
+			nn.Child{Name: "conv", Module: l.Conv2d(inplanes, planes, 1, stride, 0, 1, false)},
+			nn.Child{Name: "bn", Module: l.BatchNorm2d(planes)},
 		)
 	}
 	return nn.NewResidual(body, shortcut, nn.NewReLU())
 }
 
 // bottleneck: 1×1 reduce – 3×3 – 1×1 expand (×4), residual add, relu.
-func bottleneck(inplanes, planes, stride int) nn.Module {
+func bottleneck(l nn.Layers, inplanes, planes, stride int) nn.Module {
 	out := planes * 4
 	body := nn.NewNamedSequential(
-		nn.Child{Name: "conv1", Module: nn.NewConv2d(inplanes, planes, 1, 1, 0, 1, false)},
-		nn.Child{Name: "bn1", Module: nn.NewBatchNorm2d(planes)},
+		nn.Child{Name: "conv1", Module: l.Conv2d(inplanes, planes, 1, 1, 0, 1, false)},
+		nn.Child{Name: "bn1", Module: l.BatchNorm2d(planes)},
 		nn.Child{Name: "relu1", Module: nn.NewReLU()},
-		nn.Child{Name: "conv2", Module: nn.NewConv2d(planes, planes, 3, stride, 1, 1, false)},
-		nn.Child{Name: "bn2", Module: nn.NewBatchNorm2d(planes)},
+		nn.Child{Name: "conv2", Module: l.Conv2d(planes, planes, 3, stride, 1, 1, false)},
+		nn.Child{Name: "bn2", Module: l.BatchNorm2d(planes)},
 		nn.Child{Name: "relu2", Module: nn.NewReLU()},
-		nn.Child{Name: "conv3", Module: nn.NewConv2d(planes, out, 1, 1, 0, 1, false)},
-		nn.Child{Name: "bn3", Module: nn.NewBatchNorm2d(out)},
+		nn.Child{Name: "conv3", Module: l.Conv2d(planes, out, 1, 1, 0, 1, false)},
+		nn.Child{Name: "bn3", Module: l.BatchNorm2d(out)},
 	)
 	var shortcut nn.Module
 	if stride != 1 || inplanes != out {
 		shortcut = nn.NewNamedSequential(
-			nn.Child{Name: "conv", Module: nn.NewConv2d(inplanes, out, 1, stride, 0, 1, false)},
-			nn.Child{Name: "bn", Module: nn.NewBatchNorm2d(out)},
+			nn.Child{Name: "conv", Module: l.Conv2d(inplanes, out, 1, stride, 0, 1, false)},
+			nn.Child{Name: "bn", Module: l.BatchNorm2d(out)},
 		)
 	}
 	return nn.NewResidual(body, shortcut, nn.NewReLU())
 }
 
-func buildResNet(kind blockKind, layers []int, numClasses int) nn.Module {
+func buildResNet(l nn.Layers, kind blockKind, layers []int, numClasses int) nn.Module {
 	makeBlock := basicBlock
 	if kind == bottleneckKind {
 		makeBlock = bottleneck
@@ -79,15 +79,15 @@ func buildResNet(kind blockKind, layers []int, numClasses int) nn.Module {
 			if i == 0 {
 				s = stride
 			}
-			children = append(children, nn.Child{Name: strconv.Itoa(i), Module: makeBlock(inplanes, planes, s)})
+			children = append(children, nn.Child{Name: strconv.Itoa(i), Module: makeBlock(l, inplanes, planes, s)})
 			inplanes = planes * kind.expansion()
 		}
 		return nn.NewNamedSequential(children...)
 	}
 
 	children := []nn.Child{
-		{Name: "conv1", Module: nn.NewConv2d(3, 64, 7, 2, 3, 1, false)},
-		{Name: "bn1", Module: nn.NewBatchNorm2d(64)},
+		{Name: "conv1", Module: l.Conv2d(3, 64, 7, 2, 3, 1, false)},
+		{Name: "bn1", Module: l.BatchNorm2d(64)},
 		{Name: "relu", Module: nn.NewReLU()},
 		{Name: "maxpool", Module: nn.NewMaxPool2d(3, 2, 1, false)},
 		{Name: "layer1", Module: stage(64, layers[0], 1)},
@@ -96,7 +96,7 @@ func buildResNet(kind blockKind, layers []int, numClasses int) nn.Module {
 		{Name: "layer4", Module: stage(512, layers[3], 2)},
 		{Name: "avgpool", Module: nn.NewGlobalAvgPool2d()},
 		{Name: "flatten", Module: nn.NewFlatten()},
-		{Name: "fc", Module: nn.NewLinear(512*kind.expansion(), numClasses)},
+		{Name: "fc", Module: l.Linear(512*kind.expansion(), numClasses)},
 	}
 	return nn.NewNamedSequential(children...)
 }

@@ -32,14 +32,19 @@ type BatchNorm2d struct {
 // hyperparameters (eps 1e-5, momentum 0.1), gamma=1, beta=0, running mean 0,
 // running variance 1.
 func NewBatchNorm2d(c int) *BatchNorm2d {
+	return Layers{}.BatchNorm2d(c)
+}
+
+// BatchNorm2d makes a batch-norm layer (see NewBatchNorm2d).
+func (l Layers) BatchNorm2d(c int) *BatchNorm2d {
 	return &BatchNorm2d{
 		C:           c,
 		Eps:         1e-5,
 		Momentum:    0.1,
-		Weight:      NewParam("weight", tensor.Full(1, c)),
-		Bias:        NewParam("bias", tensor.Zeros(c)),
-		RunningMean: &Buffer{Name: "running_mean", Value: tensor.Zeros(c)},
-		RunningVar:  &Buffer{Name: "running_var", Value: tensor.Full(1, c)},
+		Weight:      l.param("weight", 1, c),
+		Bias:        l.param("bias", 0, c),
+		RunningMean: l.buffer("running_mean", 0, c),
+		RunningVar:  l.buffer("running_var", 1, c),
 	}
 }
 

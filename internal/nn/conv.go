@@ -26,10 +26,16 @@ type Conv2d struct {
 }
 
 // NewConv2d creates a convolution layer with zero-initialized weights; call
-// an initializer from init.go (or LoadStateDict) before use. bias selects
-// whether the layer has a bias term — the paper's architectures follow the
-// torchvision convention of bias-free convolutions in front of BatchNorm.
+// an initializer from init.go (or load a state dict) before use. bias
+// selects whether the layer has a bias term — the paper's architectures
+// follow the torchvision convention of bias-free convolutions in front of
+// BatchNorm.
 func NewConv2d(inC, outC, kernel, stride, padding, groups int, bias bool) *Conv2d {
+	return Layers{}.Conv2d(inC, outC, kernel, stride, padding, groups, bias)
+}
+
+// Conv2d makes a convolution layer (see NewConv2d).
+func (l Layers) Conv2d(inC, outC, kernel, stride, padding, groups int, bias bool) *Conv2d {
 	if inC%groups != 0 || outC%groups != 0 {
 		panic(fmt.Sprintf("nn: conv channels %d->%d not divisible by groups %d", inC, outC, groups))
 	}
@@ -37,10 +43,10 @@ func NewConv2d(inC, outC, kernel, stride, padding, groups int, bias bool) *Conv2
 		InC: inC, OutC: outC,
 		KH: kernel, KW: kernel,
 		Stride: stride, Padding: padding, Groups: groups,
-		Weight: NewParam("weight", tensor.Zeros(outC, inC/groups, kernel, kernel)),
+		Weight: l.param("weight", 0, outC, inC/groups, kernel, kernel),
 	}
 	if bias {
-		c.Bias = NewParam("bias", tensor.Zeros(outC))
+		c.Bias = l.param("bias", 0, outC)
 	}
 	return c
 }

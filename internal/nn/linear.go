@@ -17,10 +17,15 @@ type Linear struct {
 
 // NewLinear creates a fully connected layer with zero-initialized weights.
 func NewLinear(in, out int) *Linear {
+	return Layers{}.Linear(in, out)
+}
+
+// Linear makes a fully connected layer (see NewLinear).
+func (l Layers) Linear(in, out int) *Linear {
 	return &Linear{
 		In: in, Out: out,
-		Weight: NewParam("weight", tensor.Zeros(out, in)),
-		Bias:   NewParam("bias", tensor.Zeros(out)),
+		Weight: l.param("weight", 0, out, in),
+		Bias:   l.param("bias", 0, out),
 	}
 }
 

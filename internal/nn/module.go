@@ -61,12 +61,6 @@ type Param struct {
 	Trainable bool
 }
 
-// NewParam creates a trainable parameter initialized with v. Its gradient
-// tensor is allocated on demand (see EnsureGrad).
-func NewParam(name string, v *tensor.Tensor) *Param {
-	return &Param{Name: name, Value: v, Trainable: true}
-}
-
 // EnsureGrad returns the gradient accumulator, allocating it zero-filled
 // on first use.
 func (p *Param) EnsureGrad() *tensor.Tensor {

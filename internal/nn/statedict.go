@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/tensor"
@@ -54,14 +55,9 @@ func NewStateDict() *StateDict {
 // references the live tensors; use Clone for a snapshot.
 func StateDictOf(m Module) *StateDict {
 	sd := NewStateDict()
-	Visit(m, func(path string, mod Module) {
-		for _, p := range mod.OwnParams() {
-			sd.Set(joinPath(path, p.Name), p.Value)
-		}
-		for _, b := range mod.OwnBuffers() {
-			sd.Set(joinPath(path, b.Name), b.Value)
-		}
-	})
+	for _, s := range slotsOf(m) {
+		sd.Set(s.key, *s.field)
+	}
 	return sd
 }
 
@@ -183,21 +179,36 @@ func (sd *StateDict) Equal(o *StateDict) bool {
 // too, so an unexpected mismatch between saved state and architecture code
 // fails loudly.
 func (sd *StateDict) LoadInto(m Module) error {
-	model := StateDictOf(m)
-	if len(model.entries) != len(sd.entries) {
-		return fmt.Errorf("nn: state dict has %d entries, model needs %d", len(sd.entries), len(model.entries))
+	slots := slotsOf(m)
+	srcs, err := sd.sources(slots, func(s slot) []int { return (*s.field).Shape() })
+	if err != nil {
+		return err
 	}
-	for _, me := range model.entries {
-		src, ok := sd.Get(me.Key)
-		if !ok {
-			return fmt.Errorf("nn: state dict missing key %q", me.Key)
-		}
-		if !src.SameShape(me.Tensor) {
-			return fmt.Errorf("nn: shape mismatch for %q: %v vs %v", me.Key, src.Shape(), me.Tensor.Shape())
-		}
-		me.Tensor.CopyFrom(src)
+	for i, s := range slots {
+		(*s.field).CopyFrom(srcs[i])
 	}
 	return nil
+}
+
+// sources returns sd's tensor for each of a net's slots, in slot order,
+// under the rules of a load: every slot's key present with the shape
+// shape(slot) gives, and no entry without a slot.
+func (sd *StateDict) sources(slots []slot, shape func(slot) []int) ([]*tensor.Tensor, error) {
+	if len(slots) != len(sd.entries) {
+		return nil, fmt.Errorf("nn: state dict has %d entries, model needs %d", len(sd.entries), len(slots))
+	}
+	srcs := make([]*tensor.Tensor, len(slots))
+	for i, s := range slots {
+		src, ok := sd.Get(s.key)
+		if !ok {
+			return nil, fmt.Errorf("nn: state dict missing key %q", s.key)
+		}
+		if want := shape(s); !slices.Equal(src.Shape(), want) {
+			return nil, fmt.Errorf("nn: shape mismatch for %q: %v vs %v", s.key, src.Shape(), want)
+		}
+		srcs[i] = src
+	}
+	return srcs, nil
 }
 
 // LayerOf returns the layer path of a state-dict key (the key minus its

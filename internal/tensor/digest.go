@@ -1,12 +1,10 @@
 package tensor
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
 	"runtime"
-	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -96,17 +94,10 @@ func (t *Tensor) stampedDigest() [sha256.Size]byte {
 	return d
 }
 
-// digestAll runs both passes on the worker pool. Workers claim tensors one
-// at a time, largest first (a stable size-descending order): the biggest
-// tensor — a classifier that comes last in state-dict order — starts at
-// once instead of running alone at the end, and the small ones fill in
-// around it. out[i] stays indexed by position.
+// digestAll runs both passes on the worker pool, largest tensor first (see
+// largestFirst). out[i] stays indexed by position.
 func digestAll(ts []*Tensor, digest func(*Tensor) [sha256.Size]byte) [][sha256.Size]byte {
-	order := make([]int, len(ts))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(ts[b].data), len(ts[a].data)) })
+	order := largestFirst(ts)
 	out := make([][sha256.Size]byte, len(ts))
 	_ = par.For(len(order), runtime.GOMAXPROCS(0), func(j int) error {
 		out[order[j]] = digest(ts[order[j]])

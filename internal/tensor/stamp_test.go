@@ -191,3 +191,37 @@ func TestDigestAllStampedMatchesDigestAll(t *testing.T) {
 		}
 	}
 }
+
+// CloneAll is Clone of each tensor, on one worker or many: equal values in
+// storage of its own, the current stamps carried and no stale one, for a
+// state below serialCloneBytes and for one above it.
+func TestCloneAllMatchesCloneOnAnyWorkerCount(t *testing.T) {
+	big := Uniform(NewRNG(3), -1, 1, serialCloneBytes/4+5)
+	small := []*Tensor{stampTestTensor(), Scalar(2), Zeros(0), Zeros(4, 1)}
+	stale := stampTestTensor()
+	stampedOps(stale)
+	stale.Data()[0] = 9
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	stampedOps(append([]*Tensor{big}, small...)...)
+	for _, w := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(w)
+		// The second set holds the one tensor whose stamp is stale.
+		for stales, ts := range [][]*Tensor{small, append([]*Tensor{stale, big}, small...)} {
+			out := CloneAll(ts)
+			if _, ops := stampedOps(out...); ops != uint64(stales) {
+				t.Errorf("workers=%d, %d tensors: the copies' save pass hashed %d, want %d", w, len(ts), ops, stales)
+			}
+			for i, c := range out {
+				if !c.Equal(ts[i]) {
+					t.Fatalf("workers=%d: copy %d differs from its source", w, i)
+				}
+				if c.Len() > 0 {
+					c.Data()[0]++
+					if c.Equal(ts[i]) {
+						t.Fatalf("workers=%d: copy %d shares its source's storage", w, i)
+					}
+				}
+			}
+		}
+	}
+}

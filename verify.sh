@@ -10,12 +10,14 @@
 #   4. go test       — unit and integration tests
 #   5. go test -race — the concurrency-heavy packages under the race detector,
 #                      then the round-trip, walker, transaction, rollback,
-#                      legacy-store and concurrent cache-hit tests of core
-#                      three times more: the walker reads a model's
+#                      legacy-store, concurrent cache-hit and net-fill tests
+#                      of core three times more: the walker reads a model's
 #                      environment document on its own goroutine beside the
 #                      chain read, a save reads its base's layer hashes
-#                      beside the base, and concurrent hits share the
-#                      cache's one read-only state
+#                      beside the base, concurrent hits share the cache's
+#                      one read-only state, and a recovered net's tensors
+#                      are copied in by the worker pool, each worker writing
+#                      tensors of its own
 #      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
 #                      disturb on a single P, so "byte-identical" and
 #                      "pipelined" are not properties of one scheduler
@@ -24,8 +26,10 @@
 #                      shared redial and mux loops also run on one P, and
 #                      nn and filestore, whose save paths hash on a second
 #                      goroutine beside the serializer and the file writes,
-#                      and par, tensor and catalog: every CPU pool is sized
-#                      by GOMAXPROCS, so one P runs their one-worker paths
+#                      and par, tensor, catalog and models: every CPU pool
+#                      is sized by GOMAXPROCS, so one P runs their one-worker
+#                      paths (models builds a recovered net, whose fill is
+#                      such a pool)
 #   6. examples      — go run each examples/* program: the only end-to-end
 #                      users of mmlib (model_registry drives the catalog's
 #                      Stats, Chain, Delete and CollectGarbage and stores a
@@ -82,11 +86,11 @@ go test ./...
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par
 
-echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache' ./internal/core"
-go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache' ./internal/core
+echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize' ./internal/core"
+go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize' ./internal/core
 
-echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog"
-GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog
+echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog ./internal/models"
+GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog ./internal/models
 
 for ex in examples/*/; do
 	echo "==> go run ./$ex"
