@@ -86,21 +86,41 @@ func (sv *saving) putBlob(id, label string, b []byte) (hash string, err error) {
 	return hash, err
 }
 
+// paramsBlob is a written parameter blob: its stored size and frames hash.
+type paramsBlob struct {
+	size int64
+	hash string
+}
+
 // putParams streams a state dict — a full one or an update — into the
-// staged blob id and records its frames hash. This is the one write of the
-// parameter bytes and they are hashed once, into the per-tensor digests
-// (computed beside the serializer unless sd's cache already holds them):
-// the frames hash, the state hash and the layer hashes all read the cache.
+// staged blob id and records it as the link's parameters. The parameter
+// bytes are hashed once, into the per-tensor digests (computed beside the
+// serializer unless sd's cache already holds them): the frames hash, the
+// state hash and the layer hashes all read the cache.
 func (sv *saving) putParams(id string, sd *nn.StateDict) error {
-	return phase(sv.ctx, "save.params", nil, func(*obs.Span) error {
-		size, hash, err := saveStateDict(sv.txn, id, sd)
-		if err != nil {
-			return err
-		}
-		sv.doc.ParamsFileRef, sv.doc.ParamsFramesHash = id, hash
-		sv.stored(size, 0)
-		return nil
+	b, err := sv.writeParams(id, sd, nil)
+	if err != nil {
+		return err
+	}
+	sv.adoptParams(id, b)
+	return nil
+}
+
+// writeParams writes sd into the staged blob id (see saveStateDict for
+// digested) without recording it as the link's: a parameter update written
+// before its diff is only adopted once the diff agrees with it.
+func (sv *saving) writeParams(id string, sd *nn.StateDict, digested <-chan struct{}) (b paramsBlob, err error) {
+	err = phase(sv.ctx, "save.params", nil, func(*obs.Span) (err error) {
+		b.size, b.hash, err = saveStateDict(sv.txn, id, sd, digested)
+		return err
 	})
+	return b, err
+}
+
+// adoptParams records the written blob b as the link's parameters.
+func (sv *saving) adoptParams(id string, b paramsBlob) {
+	sv.doc.ParamsFileRef, sv.doc.ParamsFramesHash = id, b.hash
+	sv.stored(b.size, 0)
 }
 
 // putDoc writes one side document under its staged id.
@@ -220,8 +240,22 @@ func (s *service) writeSnapshot(ctx context.Context, info SaveInfo, plan savePla
 // the cache already exists); the store hashes no byte and takes the frames
 // hash from that cache, so later Hash/LayerHashes calls on sd are free of
 // parameter-byte passes too.
-func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict) (int64, string, error) {
-	size, hash, err := txn.saveBlob(id, "params", filestore.HashedSource(sd.WriteToWithDigests, sd.FramesHash))
+//
+// A non-nil digested marks a dict written while the save's own digest pass
+// over the whole net is still running, to be closed when that pass is
+// over: sd then only serializes, and the frames hash, which the store asks
+// for once the bytes are durable, is read from the stamps that pass
+// recorded: no tensor it stamped is digested twice.
+func saveStateDict(txn *saveTxn, id string, sd *nn.StateDict, digested <-chan struct{}) (int64, string, error) {
+	src := filestore.HashedSource(sd.WriteToWithDigests, sd.FramesHash)
+	if digested != nil {
+		src = filestore.HashedSource(sd.WriteTo, func() (string, error) {
+			<-digested
+			sd.PrecomputeDigests()
+			return sd.FramesHash()
+		})
+	}
+	size, hash, err := txn.saveBlob(id, "params", src)
 	if err != nil {
 		return 0, "", fmt.Errorf("core: saving parameters: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/merkle"
 	"repro/internal/nn"
@@ -40,25 +41,66 @@ func (p *ParamUpdate) plan(info SaveInfo) savePlan {
 	return plan
 }
 
+// earlyWriteFloor is the smallest guessed update, in serialized bytes,
+// that a save writes before its diff. A smaller one digests in less time
+// than the staging round trip, so writing it early would hide nothing and
+// only risk a second write.
+const earlyWriteFloor = 1 << 20
+
+// mUpdateRewrites counts parameter updates written twice: the early write
+// held other layers than the diff named, so the update was written again.
+var mUpdateRewrites = obs.Default().Counter("core.save.update_rewrites")
+
 // writeUpdate writes a parameter-update link: the tensors of the layers
 // whose hashes differ from the base model's, and this model's own layer
 // hashes so the next derived save can diff against it.
+//
+// The update is guessed before anything is hashed: the layers written
+// since their tensors were last stamped (nn.WrittenLayers). When the guess
+// serializes to earlyWriteFloor or more, it is written as soon as the
+// staging record is durable, beside the base reads, the digest pass and
+// the side-document wave, and its frames hash is read from the digests
+// once they exist. It is joined before the root commit, and before any
+// rollback. When the diff names exactly the guessed layers, the early
+// write is the update; otherwise the update is written again, under the
+// same staged id, once the early write has landed. Either way the stored
+// bytes are the diff's.
 func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan) (_ SaveResult, retErr error) {
 	sv := s.beginSaving(ctx, info, plan)
-	defer func() { sv.txn.end(retErr) }()
+	var early *fetch[paramsBlob]
+	defer func() {
+		if early != nil {
+			early.settled() // a rollback must not race a write in flight
+		}
+		sv.txn.end(retErr)
+	}()
 	paramsID := sv.txn.stageBlob()
 	envID := sv.txn.stageDoc(ColEnvironments)
 	hashID := sv.txn.stageDoc(ColLayerHashes)
 
-	// One wave of three things that only read: the staging record, the
-	// base model's layer hashes (never its parameters), and the save's one
-	// digest pass, which re-hashes only the tensors written since their last
-	// save. The record names nothing the diff decides. LayerHashes, the
-	// state hash and the diff then read the same per-tensor digests.
+	// The guess is read before the digest pass makes every stamp current.
 	sd := nn.StateDictOf(info.Net)
+	guess := nn.WrittenLayers(info.Net)
+	guessed := sd.SubsetByLayers(guess)
+	digested := make(chan struct{})
+
+	// One wave of three things that only read: the staging record (and,
+	// once it is durable, the early write), the base model's layer hashes
+	// (never its parameters), and the save's one digest pass, which
+	// re-hashes only the tensors written since their last save. The record
+	// names nothing the diff decides. LayerHashes, the state hash and the
+	// diff then read the same per-tensor digests.
 	var baseHashes []nn.KeyHash
 	err := together(
-		sv.txn.writeAhead,
+		func() error {
+			if err := sv.txn.writeAhead(); err != nil {
+				return err
+			}
+			if guessed.SerializedSize() >= earlyWriteFloor {
+				early = goFetch(func() (paramsBlob, error) { return sv.writeParams(paramsID, guessed, digested) })
+			}
+			return nil
+		},
 		func() error {
 			return phase(ctx, "diff.base", nil, func(*obs.Span) (err error) {
 				baseHashes, err = s.baseLayerHashes(info.BaseID)
@@ -66,6 +108,7 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 			})
 		},
 		func() error {
+			defer close(digested)
 			return phase(ctx, "digest", nil, func(*obs.Span) error { sd.PrecomputeDigests(); return nil })
 		},
 	)
@@ -89,7 +132,20 @@ func (s *service) writeUpdate(ctx context.Context, info SaveInfo, plan savePlan)
 	err = together(
 		func() error { return sv.putEnv(envID, info) },
 		func() error { return sv.putLayerHashes(hashID, curHashes) },
-		func() error { return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers)) },
+		func() error {
+			if early != nil {
+				b, err := early.wait()
+				if err != nil {
+					return err
+				}
+				if slices.Equal(guess, sv.doc.UpdatedLayers) {
+					sv.adoptParams(paramsID, b)
+					return nil
+				}
+				mUpdateRewrites.Inc()
+			}
+			return sv.putParams(paramsID, sd.SubsetByLayers(sv.doc.UpdatedLayers))
+		},
 	)
 	if err != nil {
 		return SaveResult{}, err

@@ -72,14 +72,19 @@ func NewProvenanceRecord(svc train.Service) (*ProvenanceRecord, error) {
 func (r *ProvenanceRecord) SetExternalDatasetRef(ref string) { r.externalRef = ref }
 
 // Train runs the recorded service on net and remembers the result hash for
-// recovery verification.
+// recovery verification. The hash is taken through a save's stamped pass,
+// so the trained tensors are stamped: the provenance save reads its layer
+// hashes from those stamps, and a parameter update after it re-hashes only
+// what is written after training.
 func (r *ProvenanceRecord) Train(net nn.Module) (train.Stats, error) {
 	stats, err := r.service.Train(net)
 	if err != nil {
 		return stats, err
 	}
 	r.trained = true
-	r.resultHash = nn.StateDictOf(net).Hash()
+	sd := nn.StateDictOf(net)
+	sd.PrecomputeDigests()
+	r.resultHash = sd.Hash()
 	return stats, nil
 }
 
@@ -134,10 +139,14 @@ func (s *service) writeProvenance(ctx context.Context, info SaveInfo, plan saveP
 	}
 	// Layer hashes on the adaptive policy's behalf, inside the same
 	// transaction: a later parameter update can then diff against this
-	// model although it stores no parameters.
+	// model although it stores no parameters. They are read from the
+	// stamps Train recorded, so a net saved as it was trained is not
+	// hashed again.
 	if plan.layerHashes {
 		steps = append(steps, func() error {
-			return sv.putLayerHashes(hashID, nn.StateDictOf(info.Net).LayerHashes())
+			sd := nn.StateDictOf(info.Net)
+			sd.PrecomputeDigests()
+			return sv.putLayerHashes(hashID, sd.LayerHashes())
 		})
 	}
 	// The optimizer's state is the wrapper object's state file; its content

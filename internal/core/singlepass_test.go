@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/tensor"
+	"repro/internal/train"
 )
 
 // The tests in this file pin the digest budget of a checksummed save, via
@@ -49,7 +51,10 @@ func TestBaselineSaveDigestsEachTensorOnce(t *testing.T) {
 // TestPUASavesDigestEachTensorOnce: both PUA save shapes stay single-pass.
 // The initial snapshot needs the state hash AND per-layer hashes; a derived
 // save needs current layer hashes for diffing AND digests for the stored
-// subset — all of it must come from one digest per tensor.
+// subset — all of it must come from one digest per tensor. A derived
+// model's training run takes its result hash through the same stamped
+// pass, so training and the save together digest each tensor once, and
+// the save itself none.
 func TestPUASavesDigestEachTensorOnce(t *testing.T) {
 	stores := testStores(t)
 	pua := NewParamUpdate(stores)
@@ -69,16 +74,76 @@ func TestPUASavesDigestEachTensorOnce(t *testing.T) {
 		t.Errorf("initial PUA save computed %d tensor digests, want exactly %d", ops, want)
 	}
 
-	trainDerived(t, net, ds)
+	var saveOps uint64
 	ops = digestOpsDuring(func() {
-		_, err = pua.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: base.ID, WithChecksums: true})
+		trainDerived(t, net, ds)
+		saveOps = digestOpsDuring(func() {
+			_, err = pua.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: base.ID, WithChecksums: true})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops != want {
-		t.Errorf("derived PUA save computed %d tensor digests, want exactly %d", ops, want)
+	if ops != want || saveOps != 0 {
+		t.Errorf("training and the derived PUA save computed %d tensor digests, the save %d; want exactly %d and 0", ops, saveOps, want)
 	}
+}
+
+// An adaptive snapshot → provenance → update chain: the provenance save
+// reads its layer hashes from the stamps its training recorded and digests
+// nothing, and the update after it digests only the tensors written since.
+func TestAdaptiveChainDigestsOnlyWrittenTensors(t *testing.T) {
+	stores := testStores(t)
+	ad := NewAdaptive(stores)
+	net := tinyNet(t, 9)
+	save := func(label, base string, rec *ProvenanceRecord, kind linkKind, want uint64) string {
+		t.Helper()
+		var res SaveResult
+		var err error
+		ops := digestOpsDuring(func() {
+			res, err = ad.Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: base, WithChecksums: true, Provenance: rec})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := getModelDoc(stores.Meta, res.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.kind() != kind {
+			t.Fatalf("%s: saved a %q link, want %q", label, doc.kind(), kind)
+		}
+		if ops != want {
+			t.Errorf("%s: the save computed %d tensor digests, want %d", label, ops, want)
+		}
+		return res.ID
+	}
+	root := save("snapshot", "", nil, snapshotLink, uint64(nn.StateDictOf(net).Len()))
+
+	// Everything trainable and a tiny dataset: a provenance link.
+	nn.SetTrainable(net, true)
+
+	tinyDS, err := dataset.Generate(dataset.Spec{Name: "tiny", Images: 4, H: 8, W: 8, Classes: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader, err := train.NewDataLoader(tinyDS, train.LoaderConfig{BatchSize: 2, OutH: 8, OutW: 8, Shuffle: true, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewProvenanceRecord(train.NewImageClassifierTrainService(
+		train.ServiceConfig{Epochs: 1, Seed: 6, Deterministic: true}, loader, train.NewSGD(train.SGDConfig{LR: 0.01, Momentum: 0.9})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Train(net); err != nil {
+		t.Fatal(err)
+	}
+	prov := save("provenance", root, rec, provenanceLink, 0)
+
+	poke(t, net, "fc.weight", 0.5)
+	poke(t, net, "fc.bias", 0.5)
+	save("update", prov, nil, updateLink, 2)
 }
 
 // paramsSave is a saved model that stores parameters: its root document

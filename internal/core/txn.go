@@ -32,7 +32,10 @@ import (
 //     all at once (together). Each is individually durable (temp file +
 //     fsync + rename) but the model does not exist yet — the root document
 //     is absent. The wave is joined before anything else happens, so a
-//     rollback never races a write still in flight.
+//     rollback never races a write still in flight. A parameter update's
+//     blob may start earlier, on a guess, the moment the staging record is
+//     durable (see writeUpdate); it is joined as a step of the wave, and
+//     settled before any rollback.
 //  3. Commit: one atomic root-document insert makes the model visible,
 //     then the staging record is deleted. The root insert is the commit
 //     point: before it, rolling back the staged ids restores the store

@@ -130,6 +130,15 @@ func TestSaveRoundTripBudget(t *testing.T) {
 			_, err = NewParamUpdate(stores).Save(SaveInfo{Spec: tinySpec(), Net: net, BaseID: base.ID, WithChecksums: true})
 			return err
 		}},
+		// The update's blob is written on a guess beside the first wave:
+		// taken as it is, or written again after the diff, it waits for
+		// no document.
+		{"paramupdate/early", 3, func(t *testing.T, stores Stores, log *callLog) error {
+			return saveWideUpdate(t, stores, log, "fc")
+		}},
+		{"paramupdate/rewrite", 3, func(t *testing.T, stores Stores, log *callLog) error {
+			return saveWideUpdate(t, stores, log, "fc", "conv1")
+		}},
 		{"provenance/derived", 3, func(t *testing.T, stores Stores, log *callLog) error {
 			net := tinyNet(t, 1)
 			base, err := NewProvenance(stores).Save(SaveInfo{Spec: tinySpec(), Net: net, WithChecksums: true})
@@ -155,6 +164,26 @@ func TestSaveRoundTripBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// saveWideUpdate saves a wide net's PUA snapshot, takes the weights of
+// each of the layers written through Data() — changing only the first
+// one's — resets log and saves the derived update: an update written
+// early, and again when more than one layer is written.
+func saveWideUpdate(t *testing.T, stores Stores, log *callLog, written ...string) error {
+	t.Helper()
+	net := wideNet(t, 1)
+	base, err := NewParamUpdate(stores).Save(SaveInfo{Spec: wideSpec(), Net: net, WithChecksums: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensorOf(t, net, written[0]+".weight").Data()[0] += 1
+	for _, layer := range written[1:] {
+		tensorOf(t, net, layer+".weight").Data()
+	}
+	log.reset()
+	_, err = NewParamUpdate(stores).Save(SaveInfo{Spec: wideSpec(), Net: net, BaseID: base.ID, WithChecksums: true})
+	return err
 }
 
 // TestRecoverRoundTripBudget pins how many document round trips a cold

@@ -16,6 +16,9 @@ var pinnedPoints = map[string][]string{
 	"baseline":            {"staged", "blob:code", "blob:params", "doc:env", "commit.before", "commit.window"},
 	"paramupdate/root":    {"staged", "blob:code", "blob:params", "doc:env", "doc:layerhashes", "commit.before", "commit.window"},
 	"paramupdate/derived": {"staged", "blob:params", "doc:env", "doc:layerhashes", "commit.before", "commit.window"},
+	// An update written early, then again because the diff named other
+	// layers than the guess: its blob reaches blob:params twice.
+	"paramupdate/rewrite": {"staged", "blob:params", "blob:params", "doc:env", "doc:layerhashes", "commit.before", "commit.window"},
 	"provenance/derived":  {"staged", "blob:dataset", "doc:env", "doc:service", "commit.before", "commit.window"},
 	// The tiny net's trainable parameters are smaller than the dataset, so
 	// the adaptive policy writes a parameter update here.

@@ -32,9 +32,9 @@ type Blobs interface {
 	// The content hash is the hex SHA-256 of the stored bytes, hashed
 	// while they are written — unless r brings its own (HashedSource):
 	// then the store hashes no byte and returns the source's hash, asked
-	// for once every byte is written. A parameter blob brings its frames
-	// hash (nn.AuditFramesHash checks it), so its bytes are hashed once,
-	// into the per-tensor digests.
+	// for once every byte is written and durable. A parameter blob brings
+	// its frames hash (nn.AuditFramesHash checks it), so its bytes are
+	// hashed once, into the per-tensor digests.
 	SaveAs(id string, r io.Reader) (int64, string, error)
 	// SaveBytes stores b as a new blob.
 	SaveBytes(b []byte) (id string, size int64, hash string, err error)

@@ -137,7 +137,8 @@ func (s *Store) Save(r io.Reader) (id string, size int64, hash string, err error
 // consumes r as io.Copy does (see Blobs.SaveAs): a source that implements
 // io.WriterTo writes straight into the store's writer. The content hash is
 // the SHA-256 of the bytes, computed while they are written, unless r
-// brings its own (HashedSource): then no byte is hashed here.
+// brings its own (HashedSource): then no byte is hashed here, and r is
+// asked for its hash once the bytes are fsynced.
 //
 // The blob is staged under a uniquely named temp file, fsynced, and then
 // renamed into place. A fixed temp name would let two concurrent saves of
@@ -163,12 +164,6 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 		w.h = sha256.New()
 	}
 	_, err = copyPooled(w, r)
-	var sum string
-	if err == nil && selfHashed {
-		sum, err = hasher.ContentHash()
-	} else if err == nil {
-		sum = hex.EncodeToString(w.h.Sum(nil))
-	}
 	//mmlint:ignore hashpurity step timing, as at start
 	written := time.Now()
 	if err == nil {
@@ -179,6 +174,16 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	// A source that brings its own hash is asked for it only now: one that
+	// is still computing it runs beside the write and the fsync.
+	var sum string
+	if err == nil && selfHashed {
+		sum, err = hasher.ContentHash()
+	} else if err == nil {
+		sum = hex.EncodeToString(w.h.Sum(nil))
+	}
+	//mmlint:ignore hashpurity step timing, as at start
+	hashed := time.Now()
 	if err != nil {
 		os.Remove(tmp)
 		return 0, "", fmt.Errorf("filestore: writing blob: %w", err)
@@ -196,7 +201,7 @@ func (s *Store) SaveAs(id string, r io.Reader) (int64, string, error) {
 	mSaveAsWrite.ObserveDuration(written.Sub(start))
 	mSaveAsFsync.ObserveDuration(synced.Sub(written))
 	//mmlint:ignore hashpurity step timing, as at start
-	mSaveAsPublish.ObserveDuration(time.Since(synced))
+	mSaveAsPublish.ObserveDuration(time.Since(hashed))
 	mWrites.Inc()
 	mWriteBytes.Add(w.n)
 	return w.n, sum, nil

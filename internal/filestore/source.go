@@ -19,10 +19,11 @@ func Source(write func(io.Writer) (int64, error)) io.Reader {
 
 // HashedSource is Source for a blob that brings its own content hash. A
 // store writes it without hashing its bytes and, once write has written
-// all of them, records what hash returns as the blob's content hash; an
-// error from hash fails the save. hash must describe the bytes write
-// wrote, and Blobs.Hash, which always hashes the stored content with
-// SHA-256, does not check it.
+// all of them and they are durable, records what hash returns as the
+// blob's content hash; an error from hash fails the save. A hash still
+// being computed when write returns thus runs beside the store's fsync.
+// hash must describe the bytes write wrote, and Blobs.Hash, which always
+// hashes the stored content with SHA-256, does not check it.
 func HashedSource(write func(io.Writer) (int64, error), hash func() (string, error)) io.Reader {
 	return hashedSource{source(write), hash}
 }

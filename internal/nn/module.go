@@ -208,6 +208,31 @@ func FreezeAllExcept(m Module, prefixes ...string) {
 	}
 }
 
+// WrittenLayers returns, in state-dict order, the layers that own a
+// trainable parameter or a buffer whose stamp is not current (see
+// tensor.StampCurrent): the layers written since the save or the training
+// run that last digested them. Frozen parameters do not count, since a
+// forward pass that reads them through Data() stales their stamps without
+// changing a byte. It is a guess at a derived model's changed layers, read
+// before a save's digest pass makes every stamp current; the layer-hash
+// diff decides.
+func WrittenLayers(m Module) []string {
+	var out []string
+	Visit(m, func(path string, mod Module) {
+		written := false
+		for _, p := range mod.OwnParams() {
+			written = written || p.Trainable && !p.Value.StampCurrent()
+		}
+		for _, b := range mod.OwnBuffers() {
+			written = written || !b.Value.StampCurrent()
+		}
+		if written {
+			out = append(out, path)
+		}
+	})
+	return out
+}
+
 // TrainablePrefixes returns the sorted set of leaf-layer paths that contain
 // at least one trainable parameter. It is recorded in save metadata so a
 // recovered model restores the same freezing.

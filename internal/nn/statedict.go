@@ -25,8 +25,9 @@ type StateDict struct {
 	// re-hashing every tensor; Set drops it. Two paths fill it:
 	//   - the save path (PrecomputeDigests, WriteToWithDigests) through
 	//     tensor.DigestAllStamped, which re-hashes only the tensors written
-	//     since their last save and stamps them — the only code that reads
-	//     or records tensor stamps;
+	//     since their last save and stamps them — with core's training
+	//     record, which takes a trained net's result hash the same way, the
+	//     only code that reads or records tensor stamps;
 	//   - Seal, through a fresh tensor.DigestAll.
 	// Without a cache, Hash, LayerHashes and EntryHashes hash afresh and
 	// cache nothing, so they — like HashFresh and a recovery's verify —

@@ -20,9 +20,12 @@ import (
 // the digest its last save computed tagged with its write generation, and
 // every write path bumps the generation first (Data, Set, Fill, Zero,
 // AddInPlace, Axpy, CopyFrom's destination, and any Reshape view, which
-// shares the counter). The save path alone reads and records
-// stamps (DigestAllStamped); Digest, DigestAll and Hash always hash afresh,
-// so every check of stored bytes stays independent of the stamps.
+// shares the counter). Stamps are recorded by the save path and by a
+// provenance record's training run, which takes the trained net's result
+// hash through the same pass (DigestAllStamped), and read by the save path
+// alone, whose parameter update also guesses its changed layers from them
+// (StampCurrent); Digest, DigestAll and Hash always hash afresh, so every
+// check of stored bytes stays independent of the stamps.
 
 // digestOps counts per-tensor digest computations process-wide, on the
 // shared obs registry. It exists so tests can assert the single-pass save
@@ -74,8 +77,9 @@ func DigestAll(ts []*Tensor) [][sha256.Size]byte {
 // digest without hashing, and every other tensor is hashed and stamped
 // with the generation read before its hashing began. A write that races
 // the pass moves the generation past the stamp, so it is re-hashed by the
-// next save. Only the save path calls this; every check of stored bytes
-// against a hash goes through DigestAll.
+// next save. Only the save path and a provenance record's training run
+// call this; every check of stored bytes against a hash goes through
+// DigestAll.
 func DigestAllStamped(ts []*Tensor) [][sha256.Size]byte {
 	return digestAll(ts, (*Tensor).stampedDigest)
 }

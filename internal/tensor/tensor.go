@@ -186,6 +186,13 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	}
 }
 
+// StampCurrent reports whether t holds a stamp that no write has staled
+// since it was recorded: false for a tensor written since the last save
+// (or training run) that digested it, and for one never stamped. A save
+// of a parameter update guesses its changed layers from it before it
+// digests anything.
+func (t *Tensor) StampCurrent() bool { return t.currentStamp() != nil }
+
 // currentStamp returns t's stamp if no write has moved its generation
 // since the stamp was recorded, or nil.
 func (t *Tensor) currentStamp() *stamp {

@@ -10,14 +10,17 @@
 #   4. go test       — unit and integration tests
 #   5. go test -race — the concurrency-heavy packages under the race detector,
 #                      then the round-trip, walker, transaction, rollback,
-#                      legacy-store, concurrent cache-hit and net-fill tests
-#                      of core three times more: the walker reads a model's
-#                      environment document on its own goroutine beside the
-#                      chain read, a save reads its base's layer hashes
-#                      beside the base, concurrent hits share the cache's
-#                      one read-only state, and a recovered net's tensors
-#                      are copied in by the worker pool, each worker writing
-#                      tensors of its own
+#                      legacy-store, concurrent cache-hit, net-fill and
+#                      early-write tests of core three times more: the
+#                      walker reads a model's environment document on its
+#                      own goroutine beside the chain read, a save reads its
+#                      base's layer hashes beside the base, concurrent hits
+#                      share the cache's one read-only state, a recovered
+#                      net's tensors are copied in by the worker pool, each
+#                      worker writing tensors of its own, and a parameter
+#                      update is written on its own goroutine beside the
+#                      digest pass and the side-document wave, and written
+#                      again when the diff disagrees with its guess
 #      GOMAXPROCS=1  — and the suites the recovery walker's goroutines could
 #                      disturb on a single P, so "byte-identical" and
 #                      "pipelined" are not properties of one scheduler
@@ -67,7 +70,9 @@
 #                      be allocated) and FuzzSaveAfterWrites (every way a
 #                      tensor is written must make the next save re-hash
 #                      it: the stored update and the recovered model match
-#                      a save that reuses no digest)
+#                      a save that reuses no digest, whether the update was
+#                      written early on a guess that held, written again,
+#                      or written after the diff)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -86,8 +91,8 @@ go test ./...
 echo "==> go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par"
 go test -race ./internal/docdb ./internal/shard ./internal/evalflow ./internal/filestore ./internal/faultnet ./internal/train ./internal/tensor ./internal/nn ./internal/merkle ./internal/core ./internal/crashtest ./internal/obs ./internal/catalog ./internal/par
 
-echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize' ./internal/core"
-go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize' ./internal/core
+echo "==> go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize|EarlyWrite|UpdateRewrites' ./internal/core"
+go test -race -count=3 -run 'RoundTrip|Walk|Txn|Rollback|Legacy|NeverAliasesCache|NotFit|OwnsItsStorage|OneStateSize|EarlyWrite|UpdateRewrites' ./internal/core
 
 echo "==> GOMAXPROCS=1 go test ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog ./internal/models"
 GOMAXPROCS=1 go test -count=1 ./internal/core ./internal/shard ./internal/crashtest ./internal/docdb ./internal/nn ./internal/filestore ./internal/par ./internal/tensor ./internal/catalog ./internal/models
