@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -84,34 +83,19 @@ func (p *Package) findingAt(pos token.Pos, analyzer, format string, args ...any)
 	}
 }
 
-// runPackage runs the enabled analyzers on p — concurrently, they share no
-// mutable state — and applies //mmlint:ignore suppressions. Malformed
-// directives are reported as findings themselves (analyzer "mmlint") so a
-// typo cannot silently disable a gate; well-formed directives that suppress
-// nothing are reported as deadignore findings so stale suppressions cannot
-// accumulate.
+// runPackage runs the enabled analyzers on p, one after another, and
+// applies //mmlint:ignore suppressions. Malformed directives are reported
+// as findings themselves (analyzer "mmlint") so a typo cannot silently
+// disable a gate; well-formed directives that suppress nothing are reported
+// as deadignore findings so stale suppressions cannot accumulate.
 func runPackage(prog *Program, p *Package, enabled map[string]bool) []Finding {
 	dirs, bad := p.directives()
-	var (
-		raw []Finding
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-	)
+	var raw []Finding
 	for _, a := range analyzers {
-		if !enabled[a.Name] {
-			continue
+		if enabled[a.Name] {
+			raw = append(raw, a.Run(prog, p)...)
 		}
-		wg.Add(1)
-		//mmlint:ignore boundedgo the loop is over the fixed analyzer slice; its length is the bound
-		go func(a *Analyzer) {
-			defer wg.Done()
-			fs := a.Run(prog, p)
-			mu.Lock()
-			raw = append(raw, fs...)
-			mu.Unlock()
-		}(a)
 	}
-	wg.Wait()
 	sortFindings(raw)
 
 	used := make([]bool, len(dirs))

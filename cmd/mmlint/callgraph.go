@@ -4,27 +4,30 @@ package main
 // analyzers (hashpurity, lockheld, deadlinecheck, boundedgo, panicfree).
 //
 // Identity: a function is identified by types.Func.FullName() of its
-// generic origin. Packages under analysis are type-checked from source
-// while their imports are satisfied from compiler export data, so the
-// *types.Func for one function can exist as two distinct objects (the
-// source-checked declaration and the imported view); FullName is identical
-// for both and is therefore the graph's key.
+// generic origin, the text every message prints.
 //
 // Facts: every declared function gets one funcFacts record — its resolved
 // outgoing calls plus the locally detectable events the analyzers care
 // about (nondeterminism sources, blocking operations, unsuppressed panics,
 // net.Conn reads/writes, deadline arms). Facts are computed once per
-// package, in parallel, and cached on the Program; every analyzer then
-// reads the same graph instead of re-walking the ASTs.
+// package on the internal/par pool and kept on the Program; every analyzer
+// then reads the same graph instead of re-walking the ASTs.
 //
 // Calls: static calls resolve to their callee directly. A call through an
 // interface method declared in this module is over-approximated by the
-// method set: it may reach every analyzed named type whose methods match
-// the interface's by name and printed signature (see implementation). Dispatch through a standard-library interface (io.Writer,
-// most prominently) is deliberately not expanded — the digest path writes
-// *through* io.Writer, and what the destination does with the bytes can
-// change neither the bytes nor the caller's locks. Calls through plain
-// function values are invisible to the graph (documented limitation).
+// method set: it may reach every analyzed named type whose pointer
+// implements the interface (types.Implements: the loader checks the whole
+// module from source, so one interface is one object). Dispatch through a
+// standard-library interface (io.Writer, most prominently) is deliberately
+// not expanded — the digest path writes *through* io.Writer, and what the
+// destination does with the bytes can change neither the bytes nor the
+// caller's locks. Calls through plain function values are invisible to the
+// graph (documented limitation).
+//
+// Propagation: the interprocedural rules are one breadth-first pass each
+// (propagate) over the resolved calls — hashpurity forward from the digest
+// entry points, lockheld and panicfree backward from the functions that
+// block or panic — run once in buildProgram.
 
 import (
 	"fmt"
@@ -35,7 +38,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // FuncID is the stable cross-package identity of a function: the FullName
@@ -61,6 +65,9 @@ type callSite struct {
 	// expands it over the analyzed method sets when the interface is
 	// declared in this module.
 	iface bool
+	// targets are the analyzed functions the call may reach: the static
+	// callee, or the implementations an interface call dispatches to.
+	targets []FuncID
 	// async marks calls made from a go-launched function literal (or the
 	// call a go statement itself launches): they run concurrently, so they
 	// do not block the spawning function and their panics do not unwind
@@ -110,27 +117,17 @@ type funcFacts struct {
 }
 
 // Program is the analyzed package set plus the shared call graph and the
-// lazily computed whole-program facts derived from it.
+// whole-program facts propagated along it.
 type Program struct {
 	pkgs       []*Package
 	modulePath string
 	fns        map[FuncID]*funcFacts
-	pkgFns     map[*Package][]*funcFacts
-	// named holds every named non-interface type declared in the analyzed
-	// packages, for interface method-set over-approximation.
-	named []types.Type
+	ids        []FuncID // the keys of fns, sorted
 
-	implMu sync.Mutex
-	impl   map[FuncID][]FuncID
-
-	digestOnce  sync.Once
-	digestReach map[FuncID]*reachNode
-
-	blockOnce sync.Once
-	blockInfo map[FuncID]*blockNode
-
-	panicOnce sync.Once
-	panicInfo map[FuncID]*panicNode
+	// What the interprocedural rules propagate: the functions reachable
+	// from a digest entry point, those whose call can block, and those that
+	// let a panic escape.
+	digest, blocking, panics map[FuncID]*witness
 }
 
 func (prog *Program) inModule(path string) bool {
@@ -144,137 +141,104 @@ func (prog *Program) shortID(id FuncID) string {
 }
 
 // position renders a pos as "file.go:line" for message text (finding
-// anchors carry full paths; in-message references stay short).
+// anchors carry full paths; in-message references stay short). Every
+// package shares the loader's one FileSet, so any package renders any pos.
 func (p *Package) position(pos token.Pos) string {
 	position := p.Fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(position.Filename), position.Line)
 }
 
-// buildProgram computes per-package facts in parallel and assembles the
-// shared graph.
+// buildProgram computes per-package facts on the internal/par pool,
+// resolves every call site and propagates the interprocedural facts.
 func buildProgram(pkgs []*Package, modulePath string) *Program {
-	prog := &Program{
-		pkgs:       pkgs,
-		modulePath: modulePath,
-		fns:        make(map[FuncID]*funcFacts),
-		pkgFns:     make(map[*Package][]*funcFacts),
-		impl:       make(map[FuncID][]FuncID),
-	}
+	prog := &Program{pkgs: pkgs, modulePath: modulePath, fns: make(map[FuncID]*funcFacts)}
+	_ = par.For(len(pkgs), runtime.GOMAXPROCS(0), func(i int) error {
+		pkgs[i].fns = pkgs[i].buildFacts()
+		return nil
+	})
 	for _, p := range pkgs {
-		scope := p.Pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if types.IsInterface(tn.Type()) {
-				continue
-			}
-			prog.named = append(prog.named, tn.Type())
+		for _, f := range p.fns {
+			prog.fns[f.id] = f
 		}
 	}
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
-	)
-	for _, p := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			facts := p.buildFacts()
-			mu.Lock()
-			prog.pkgFns[p] = facts
-			for _, f := range facts {
-				prog.fns[f.id] = f
-			}
-			mu.Unlock()
-		}(p)
+	for id := range prog.fns {
+		prog.ids = append(prog.ids, id)
 	}
-	wg.Wait()
+	sort.Strings(prog.ids)
+	prog.resolveCalls()
+
+	digest := map[FuncID]*witness{}
+	blocking := map[FuncID]*witness{}
+	panics := map[FuncID]*witness{}
+	for id, f := range prog.fns {
+		if isDigestEntry(f) {
+			digest[id] = &witness{}
+		}
+		if op := firstSyncFact(append(append([]factPos{}, f.blocking...), f.connIO...)); op != nil {
+			blocking[id] = &witness{desc: op.desc, pos: op.pos}
+		}
+		if !panicAllowlisted(f.pkg.ImportPath) && !f.recovers && len(f.panics) > 0 {
+			panics[id] = &witness{pos: f.panics[0].pos}
+		}
+	}
+	prog.digest = prog.propagate(digest, true, func(*funcFacts, callSite) bool { return true })
+	// A spawned goroutine's waiting does not block its spawner.
+	prog.blocking = prog.propagate(blocking, false, func(_ *funcFacts, cs callSite) bool { return !cs.async })
+	// A panic escapes through synchronous static calls, unless the caller
+	// recovers or is allowed to panic itself.
+	prog.panics = prog.propagate(panics, false, func(f *funcFacts, cs callSite) bool {
+		return !cs.async && !cs.iface && !f.recovers && !panicAllowlisted(f.pkg.ImportPath)
+	})
 	return prog
 }
 
-// resolve expands one call site to the analyzed functions it may reach:
-// the static callee, or — for dispatch through a module-declared
-// interface — every analyzed implementation of the method.
-func (prog *Program) resolve(cs callSite) []FuncID {
-	if !cs.iface {
-		return []FuncID{cs.id}
+// resolveCalls sets every call site's targets: the static callee, or — for
+// dispatch through a module-declared interface — the method of that name
+// of every analyzed named type whose pointer implements the interface.
+func (prog *Program) resolveCalls() {
+	var named []types.Type
+	for _, p := range prog.pkgs {
+		scope := p.Pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				named = append(named, types.NewPointer(tn.Type()))
+			}
+		}
 	}
-	if cs.callee.Pkg() == nil || !prog.inModule(cs.callee.Pkg().Path()) {
-		return nil
-	}
-	return prog.implementers(cs.callee)
-}
-
-// implementers returns the analyzed methods that a call to the given
-// interface method may dispatch to, memoized per method.
-func (prog *Program) implementers(fn *types.Func) []FuncID {
-	id := funcID(fn)
-	prog.implMu.Lock()
-	defer prog.implMu.Unlock()
-	if out, ok := prog.impl[id]; ok {
+	impl := map[FuncID][]FuncID{}
+	implementers := func(fn *types.Func) []FuncID {
+		id := funcID(fn)
+		if out, ok := impl[id]; ok {
+			return out
+		}
+		var out []FuncID
+		iface, _ := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		for _, t := range named {
+			if iface == nil || !types.Implements(t, iface) {
+				continue
+			}
+			obj, _, _ := types.LookupFieldOrMethod(t, true, fn.Pkg(), fn.Name())
+			if m, ok := obj.(*types.Func); ok {
+				out = append(out, funcID(m))
+			}
+		}
+		sort.Strings(out)
+		impl[id] = out
 		return out
 	}
-	var out []FuncID
-	sig, _ := fn.Type().(*types.Signature)
-	if sig != nil && sig.Recv() != nil {
-		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-			for _, t := range prog.named {
-				if m := implementation(t, iface, fn.Name()); m != nil {
-					out = append(out, funcID(m))
+	for _, p := range prog.pkgs {
+		for _, f := range p.fns {
+			for i := range f.calls {
+				cs := &f.calls[i]
+				switch {
+				case !cs.iface:
+					cs.targets = []FuncID{cs.id}
+				case cs.callee.Pkg() != nil && prog.inModule(cs.callee.Pkg().Path()):
+					cs.targets = implementers(cs.callee)
 				}
 			}
 		}
 	}
-	sort.Strings(out)
-	prog.impl[id] = out
-	return out
-}
-
-// implementation returns *t's method of the given name when *t has every
-// method of iface, else nil. Signatures are compared as printed — package
-// path and type name — not by object identity: the interface a call site
-// sees comes from export data while t was type-checked from source, so a
-// signature that mentions a type of t's own package (filestore.Blobs'
-// OpenMapped returns *filestore.Mapping) names two different objects and
-// types.Implements would report that *filestore.Store is not a Blobs. A
-// parameter of function type matches only when its own parameter names do.
-func implementation(t types.Type, iface *types.Interface, name string) *types.Func {
-	var found *types.Func
-	for i := 0; i < iface.NumMethods(); i++ {
-		want := iface.Method(i)
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, want.Pkg(), want.Name())
-		got, _ := obj.(*types.Func)
-		if got == nil || sigKey(got) != sigKey(want) {
-			return nil
-		}
-		if want.Name() == name {
-			found = got
-		}
-	}
-	return found
-}
-
-// sigKey renders a method's parameter and result types with full package
-// paths and without the parameters' names.
-func sigKey(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	var b strings.Builder
-	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
-		for i := 0; i < tuple.Len(); i++ {
-			b.WriteString(types.TypeString(tuple.At(i).Type(), nil))
-			b.WriteByte(',')
-		}
-		b.WriteByte(';')
-	}
-	if sig.Variadic() {
-		b.WriteString("...")
-	}
-	return b.String()
 }
 
 // ---- per-package fact extraction ----
@@ -685,57 +649,67 @@ func isConnMethodDecl(p *Package, fd *ast.FuncDecl) bool {
 	return isConnType(p.Info.TypeOf(fd.Recv.List[0].Type))
 }
 
-// ---- whole-program derived facts ----
+// ---- whole-program propagation ----
 
-// reachNode records how the digest path reaches a function: the caller it
-// was first discovered from and the call position there.
-type reachNode struct {
-	parent FuncID
-	site   token.Pos
+// witness records why a function is in a propagated set. A seed carries
+// its own fact, desc at pos; a function reached from a seed carries the
+// seed's fact and via, the neighbour it was reached through, so following
+// via links walks back to the seed.
+type witness struct {
+	desc string
+	pos  token.Pos
+	via  FuncID
 }
 
-// digestReachable computes the set of functions reachable from the
-// digest/serialization entry points, with breadth-first parent links for
-// chain reporting. Traversal is deterministic: entries and adjacency are
-// visited in sorted/lexical order.
-func (prog *Program) digestReachable() map[FuncID]*reachNode {
-	prog.digestOnce.Do(func() {
-		reach := make(map[FuncID]*reachNode)
-		var queue []FuncID
-		var entries []FuncID
-		for id, f := range prog.fns {
-			if isDigestEntry(f) {
-				entries = append(entries, id)
-			}
-		}
-		sort.Strings(entries)
-		for _, id := range entries {
-			reach[id] = &reachNode{}
-			queue = append(queue, id)
-		}
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			f := prog.fns[id]
-			if f == nil {
+// propagate grows seeds breadth-first along the calls follow accepts,
+// forward from caller to callee or backward from callee to caller, and
+// returns it. Seeds are visited in sorted order, a caller's callees in call
+// order and a callee's callers in sorted order, so every witness is
+// deterministic. Only functions with an analyzed body are reached.
+func (prog *Program) propagate(seeds map[FuncID]*witness, forward bool, follow func(*funcFacts, callSite) bool) map[FuncID]*witness {
+	next := map[FuncID][]FuncID{}
+	for _, id := range prog.ids {
+		f := prog.fns[id]
+		for _, cs := range f.calls {
+			if !follow(f, cs) {
 				continue
 			}
-			for _, cs := range f.calls {
-				for _, callee := range prog.resolve(cs) {
-					if _, seen := reach[callee]; seen {
-						continue
-					}
-					if prog.fns[callee] == nil {
-						continue // no analyzed body
-					}
-					reach[callee] = &reachNode{parent: id, site: cs.pos}
-					queue = append(queue, callee)
+			for _, t := range cs.targets {
+				if forward {
+					next[id] = append(next[id], t)
+				} else {
+					next[t] = append(next[t], id)
 				}
 			}
 		}
-		prog.digestReach = reach
-	})
-	return prog.digestReach
+	}
+	var queue []FuncID
+	for id := range seeds {
+		queue = append(queue, id)
+	}
+	sort.Strings(queue)
+	for len(queue) > 0 {
+		id := queue[0]
+		queue = queue[1:]
+		for _, n := range next[id] {
+			if seeds[n] != nil || prog.fns[n] == nil {
+				continue
+			}
+			seeds[n] = &witness{desc: seeds[id].desc, pos: seeds[id].pos, via: id}
+			queue = append(queue, n)
+		}
+	}
+	return seeds
+}
+
+// path returns the functions id's via links pass through on the way to its
+// seed, nearest first: at most limit of them, or all when limit < 0.
+func (prog *Program) path(ws map[FuncID]*witness, id FuncID, limit int) []string {
+	var hops []string
+	for w := ws[id]; w != nil && w.via != "" && len(hops) != limit; w = ws[w.via] {
+		hops = append(hops, prog.shortID(w.via))
+	}
+	return hops
 }
 
 // isDigestEntry reports whether f is a digest/serialization entry point:
@@ -763,87 +737,6 @@ func isDigestEntry(f *funcFacts) bool {
 // when the repository's core package has no function of this name.
 const coreDigestEntry = "saveStateDict"
 
-// chain renders the entry → … → fn call path recorded in reach.
-func (prog *Program) chain(reach map[FuncID]*reachNode, id FuncID) string {
-	var ids []string
-	for cur := id; cur != ""; {
-		ids = append(ids, prog.shortID(cur))
-		node := reach[cur]
-		if node == nil {
-			break
-		}
-		cur = node.parent
-	}
-	if len(ids) > 6 {
-		ids = append(ids[:5], "…", ids[len(ids)-1])
-	}
-	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-		ids[i], ids[j] = ids[j], ids[i]
-	}
-	return strings.Join(ids, " → ")
-}
-
-// blockNode records why a function blocks: a direct operation, or the
-// first callee on a path to one.
-type blockNode struct {
-	desc string
-	pos  token.Pos // where the direct operation is (in its own package's fset)
-	via  FuncID    // first callee toward the operation ("" when direct)
-}
-
-// blockingInfo computes, for every analyzed function, whether calling it
-// can block (transitively through analyzed callees), by reverse BFS from
-// the directly blocking functions. Only synchronous calls propagate: a
-// spawned goroutine's waiting does not block its spawner.
-func (prog *Program) blockingInfo() map[FuncID]*blockNode {
-	prog.blockOnce.Do(func() {
-		info := make(map[FuncID]*blockNode)
-		type callerEdge struct {
-			caller FuncID
-			pos    token.Pos
-		}
-		callers := make(map[FuncID][]callerEdge)
-		var seeds []FuncID
-		for id, f := range prog.fns {
-			for _, cs := range f.calls {
-				if cs.async {
-					continue
-				}
-				for _, callee := range prog.resolve(cs) {
-					callers[callee] = append(callers[callee], callerEdge{id, cs.pos})
-				}
-			}
-			if op := firstSyncFact(append(append([]factPos{}, f.blocking...), f.connIO...)); op != nil {
-				info[id] = &blockNode{desc: op.desc, pos: op.pos}
-				seeds = append(seeds, id)
-			}
-		}
-		for _, edges := range callers {
-			sort.Slice(edges, func(i, j int) bool {
-				if edges[i].caller != edges[j].caller {
-					return edges[i].caller < edges[j].caller
-				}
-				return edges[i].pos < edges[j].pos
-			})
-		}
-		sort.Strings(seeds)
-		queue := seeds
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			for _, e := range callers[id] {
-				if _, seen := info[e.caller]; seen {
-					continue
-				}
-				info[e.caller] = &blockNode{desc: info[id].desc, via: id}
-				queue = append(queue, e.caller)
-			}
-		}
-		prog.blockInfo = info
-	})
-	return prog.blockInfo
-}
-
 // firstSyncFact returns the lexically first non-async fact, or nil.
 func firstSyncFact(facts []factPos) *factPos {
 	var best *factPos
@@ -856,123 +749,4 @@ func firstSyncFact(facts []factPos) *factPos {
 		}
 	}
 	return best
-}
-
-// blockDescription renders why calling id blocks, following via links.
-func (prog *Program) blockDescription(id FuncID) string {
-	info := prog.blockingInfo()
-	node := info[id]
-	if node == nil {
-		return ""
-	}
-	var hops []string
-	cur := id
-	for node != nil && node.via != "" && len(hops) < 5 {
-		hops = append(hops, prog.shortID(node.via))
-		cur = node.via
-		node = info[cur]
-	}
-	f := prog.fns[cur]
-	where := ""
-	if node != nil && f != nil {
-		where = " at " + f.pkg.position(node.pos)
-	}
-	desc := "blocks"
-	if node != nil {
-		desc = node.desc
-	}
-	if len(hops) > 0 {
-		return fmt.Sprintf("via %s: %s%s", strings.Join(hops, " → "), desc, where)
-	}
-	return desc + where
-}
-
-// panicNode records an escaping panic: its site, or the first callee on a
-// synchronous path to one.
-type panicNode struct {
-	pos token.Pos // panic site (in its own package's fset)
-	via FuncID
-}
-
-// panicEscapes computes which functions let a panic escape to their
-// callers: a non-suppressed panic site, or a synchronous static call to
-// such a function, with no recover in between. Panics originating in the
-// allowlisted shape-check packages (internal/nn, internal/tensor) are a
-// sanctioned contract and do not taint; neither do suppressed sites.
-func (prog *Program) panicEscapes() map[FuncID]*panicNode {
-	prog.panicOnce.Do(func() {
-		info := make(map[FuncID]*panicNode)
-		type callerEdge struct {
-			caller FuncID
-			pos    token.Pos
-		}
-		callers := make(map[FuncID][]callerEdge)
-		var seeds []FuncID
-		for id, f := range prog.fns {
-			if panicAllowlisted(f.pkg.ImportPath) {
-				continue
-			}
-			if !f.recovers {
-				for _, cs := range f.calls {
-					if cs.async || cs.iface {
-						continue
-					}
-					callers[cs.id] = append(callers[cs.id], callerEdge{id, cs.pos})
-				}
-			}
-			if f.recovers || len(f.panics) == 0 {
-				continue
-			}
-			info[id] = &panicNode{pos: f.panics[0].pos}
-			seeds = append(seeds, id)
-		}
-		for _, edges := range callers {
-			sort.Slice(edges, func(i, j int) bool {
-				if edges[i].caller != edges[j].caller {
-					return edges[i].caller < edges[j].caller
-				}
-				return edges[i].pos < edges[j].pos
-			})
-		}
-		sort.Strings(seeds)
-		queue := seeds
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			for _, e := range callers[id] {
-				if _, seen := info[e.caller]; seen {
-					continue
-				}
-				info[e.caller] = &panicNode{pos: info[id].pos, via: id}
-				queue = append(queue, e.caller)
-			}
-		}
-		prog.panicInfo = info
-	})
-	return prog.panicInfo
-}
-
-// panicDescription renders where a call to id ends up panicking.
-func (prog *Program) panicDescription(id FuncID) string {
-	info := prog.panicEscapes()
-	node := info[id]
-	if node == nil {
-		return ""
-	}
-	var hops []string
-	cur := id
-	for node != nil && node.via != "" && len(hops) < 5 {
-		hops = append(hops, prog.shortID(node.via))
-		cur = node.via
-		node = info[cur]
-	}
-	f := prog.fns[cur]
-	where := ""
-	if node != nil && f != nil {
-		where = "panic at " + f.pkg.position(node.pos)
-	}
-	if len(hops) > 0 {
-		return fmt.Sprintf("%s via %s", where, strings.Join(hops, " → "))
-	}
-	return where
 }

@@ -30,7 +30,7 @@ func runDeadlineCheck(prog *Program, p *Package) []Finding {
 		return nil
 	}
 	var out []Finding
-	for _, f := range prog.pkgFns[p] {
+	for _, f := range p.fns {
 		for _, io := range f.connIO {
 			armed := false
 			for _, d := range f.deadlines {

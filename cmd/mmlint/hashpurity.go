@@ -1,5 +1,10 @@
 package main
 
+import (
+	"slices"
+	"strings"
+)
+
 // hashpurity: the paper's bit-identical recovery claim (BA/PUA/MPA chains
 // replayed on any node must reproduce the exact parameter bytes and their
 // digests) dies the moment anything nondeterministic leaks into a digest or
@@ -25,17 +30,21 @@ var hashPurityAnalyzer = &Analyzer{
 }
 
 func runHashPurity(prog *Program, p *Package) []Finding {
-	reach := prog.digestReachable()
 	var out []Finding
-	for _, f := range prog.pkgFns[p] {
-		node := reach[f.id]
-		if node == nil {
+	for _, f := range p.fns {
+		if prog.digest[f.id] == nil || len(f.nondet) == 0 {
 			continue
 		}
+		// The chain runs entry → … → f, eliding the middle past six.
+		ids := append([]string{prog.shortID(f.id)}, prog.path(prog.digest, f.id, -1)...)
+		if len(ids) > 6 {
+			ids = append(ids[:5], "…", ids[len(ids)-1])
+		}
+		slices.Reverse(ids)
 		for _, nd := range f.nondet {
 			out = append(out, p.findingAt(nd.pos, nameHashPurity,
 				"%s %s, inside the digest path %s; digested bytes must be identical across runs and machines",
-				f.fn.Name(), nd.desc, prog.chain(reach, f.id)))
+				f.fn.Name(), nd.desc, strings.Join(ids, " → ")))
 		}
 	}
 	return out

@@ -47,6 +47,10 @@ type Package struct {
 	Pkg        *types.Package
 	Info       *types.Info
 
+	// fns holds the call-graph facts of the package's declared functions,
+	// in declaration order (see buildProgram).
+	fns []*funcFacts
+
 	// Parsed //mmlint:ignore directives, cached because both the analyzers
 	// and the call-graph fact builder consult them.
 	dirOnce sync.Once
@@ -54,13 +58,17 @@ type Package struct {
 	dirBad  []Finding
 }
 
-// loadPackages resolves the patterns with `go list -export -deps -json`,
-// then parses and type-checks every matched (non-dependency) package from
-// source. Imports — both standard library and intra-module — are satisfied
-// from the compiler export data go list writes into the build cache, so the
-// loader needs nothing beyond the standard library and the go tool. The
-// second result is the module path of the analyzed packages, which scopes
-// the call graph's in-module reasoning.
+// loadPackages resolves the patterns with `go list -export -deps -json` and
+// type-checks every package outside the standard library from source, in
+// the order go list prints them (dependencies first). An import of such a
+// package is satisfied by the package checked before it, so each of the
+// module's types is one object wherever it is seen and types.Implements
+// holds across packages. Only the standard library is imported from the
+// compiler export data go list writes into the build cache, so the loader
+// needs nothing beyond the standard library and the go tool. The matched
+// (non-dependency) packages are returned for analysis, sorted by import
+// path; the second result is their module path, which scopes the call
+// graph's in-module reasoning.
 func loadPackages(patterns []string) ([]*Package, string, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -71,54 +79,63 @@ func loadPackages(patterns []string) ([]*Package, string, error) {
 		return nil, "", fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
 	}
 
-	exports := map[string]string{}
-	modulePath := ""
-	var targets []*listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, "", fmt.Errorf("decoding go list output: %v", err)
-		}
-		if p.Error != nil {
-			return nil, "", fmt.Errorf("package %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			if modulePath == "" && p.Module != nil {
-				modulePath = p.Module.Path
-			}
-			targets = append(targets, &p)
-		}
-	}
-	if len(targets) == 0 {
-		return nil, "", fmt.Errorf("no packages matched %v", patterns)
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	exports := map[string]string{}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(file)
 	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return std.Import(path)
+	})
 
+	modulePath := ""
 	var pkgs []*Package
-	for _, t := range targets {
-		p, err := checkPackage(fset, imp, t)
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, "", fmt.Errorf("decoding go list output: %v", err)
+		}
+		if lp.Error != nil {
+			return nil, "", fmt.Errorf("package %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
+		}
+		p, err := checkPackage(fset, imp, &lp)
 		if err != nil {
 			return nil, "", err
 		}
-		pkgs = append(pkgs, p)
+		checked[lp.ImportPath] = p.Pkg
+		if !lp.DepOnly {
+			if modulePath == "" && lp.Module != nil {
+				modulePath = lp.Module.Path
+			}
+			pkgs = append(pkgs, p)
+		}
 	}
+	if len(pkgs) == 0 {
+		return nil, "", fmt.Errorf("no packages matched %v", patterns)
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, modulePath, nil
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // checkPackage parses and type-checks one listed package.
 func checkPackage(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Package, error) {

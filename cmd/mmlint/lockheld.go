@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // lockheld: a mutex held across a blocking call — file or network I/O, a
@@ -38,7 +39,7 @@ type lockEvent struct {
 
 func runLockHeld(prog *Program, p *Package) []Finding {
 	var out []Finding
-	for _, f := range prog.pkgFns[p] {
+	for _, f := range p.fns {
 		// The enclosing function's synchronous code is one scope; every
 		// go-launched literal body is its own scope (its locks and its
 		// blocking are that goroutine's).
@@ -62,7 +63,6 @@ func (p *Package) lockScope(prog *Program, f *funcFacts, body *ast.BlockStmt, as
 	if len(events) == 0 {
 		return nil
 	}
-	blockInfo := prog.blockingInfo()
 	var out []Finding
 	for i, ev := range events {
 		if !ev.lock {
@@ -104,9 +104,13 @@ func (p *Package) lockScope(prog *Program, f *funcFacts, body *ast.BlockStmt, as
 			if cs.async != async {
 				continue
 			}
-			for _, callee := range prog.resolve(cs) {
-				if blockInfo[callee] != nil {
-					consider(cs.pos, prog.shortID(callee)+" "+prog.blockDescription(callee))
+			for _, callee := range cs.targets {
+				if w := prog.blocking[callee]; w != nil {
+					desc := w.desc + " at " + p.position(w.pos)
+					if hops := prog.path(prog.blocking, callee, 5); len(hops) > 0 {
+						desc = "via " + strings.Join(hops, " → ") + ": " + desc
+					}
+					consider(cs.pos, prog.shortID(callee)+" "+desc)
 					break
 				}
 			}

@@ -46,7 +46,8 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/par"
 )
 
 func main() {
@@ -148,7 +149,8 @@ func selectAnalyzers(only, skip string) (map[string]bool, error) {
 
 // run loads the packages, builds the shared call graph, and produces the
 // sorted, path-relativized list of findings across every enabled analyzer.
-// Packages are analyzed concurrently; enabled == nil means all analyzers.
+// Packages are analyzed on the internal/par pool; enabled == nil means all
+// analyzers.
 func run(patterns []string, enabled map[string]bool) ([]Finding, error) {
 	if enabled == nil {
 		enabled = allEnabled()
@@ -159,18 +161,10 @@ func run(patterns []string, enabled map[string]bool) ([]Finding, error) {
 	}
 	prog := buildProgram(pkgs, modulePath)
 	results := make([][]Finding, len(pkgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, p := range pkgs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p *Package) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = runPackage(prog, p, enabled)
-		}(i, p)
-	}
-	wg.Wait()
+	_ = par.For(len(pkgs), runtime.GOMAXPROCS(0), func(i int) error {
+		results[i] = runPackage(prog, pkgs[i], enabled)
+		return nil
+	})
 	var findings []Finding
 	for _, fs := range results {
 		findings = append(findings, fs...)

@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // panicfree: library packages in this repo must surface failures as errors
@@ -61,8 +62,7 @@ func runPanicFree(prog *Program, p *Package) []Finding {
 	// Cross-package calls into functions whose panics escape. Same-package
 	// escapes are not re-reported: the panic site itself is already the
 	// finding there, and the fix is local.
-	escapes := prog.panicEscapes()
-	for _, f := range prog.pkgFns[p] {
+	for _, f := range p.fns {
 		if f.recovers {
 			continue // this caller converts panics to errors itself
 		}
@@ -74,12 +74,17 @@ func runPanicFree(prog *Program, p *Package) []Finding {
 			if callee == nil || callee.pkg == p {
 				continue
 			}
-			if escapes[cs.id] == nil {
+			w := prog.panics[cs.id]
+			if w == nil {
 				continue
+			}
+			where := "panic at " + p.position(w.pos)
+			if hops := prog.path(prog.panics, cs.id, 5); len(hops) > 0 {
+				where += " via " + strings.Join(hops, " → ")
 			}
 			out = append(out, p.findingAt(cs.pos, namePanicFree,
 				"call to %s can panic (%s); recover, or have it return an error",
-				prog.shortID(cs.id), prog.panicDescription(cs.id)))
+				prog.shortID(cs.id), where))
 		}
 	}
 	return out

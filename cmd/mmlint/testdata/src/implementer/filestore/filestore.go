@@ -1,8 +1,8 @@
 // Package filestore is an mmlint fixture: an interface and its implementer
 // in one package, where a method signature mentions a type of that package.
-// A caller in another package sees Blobs through export data while Store is
-// type-checked from source, so Stats is two objects and Store implements
-// Blobs only when methods are matched by package path and name.
+// Store implements Blobs for a caller in another package only if that
+// caller sees the Stats object Store's signature names: the loader checks
+// the whole module from source, so there is one.
 package filestore
 
 import "time"

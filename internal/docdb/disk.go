@@ -2,7 +2,9 @@ package docdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -63,9 +65,7 @@ func (s *DiskStore) Put(collection, id string, doc Document) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("docdb: creating collection: %w", err)
-	}
+	dir := filepath.Dir(path)
 	b, err := json.Marshal(doc)
 	if err != nil {
 		return fmt.Errorf("docdb: marshaling document: %w", err)
@@ -74,7 +74,19 @@ func (s *DiskStore) Put(collection, id string, doc Document) error {
 	// the renamed-in document must never be observable with truncated
 	// content after a crash, and concurrent writers (two stores on one
 	// directory) must never interleave into a shared temp file.
-	f, err := os.CreateTemp(filepath.Dir(path), id+".*.tmp")
+	f, err := os.CreateTemp(dir, id+".*.tmp")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The collection's first document creates its directory. Its entry
+		// in the store root must reach the disk too, or a power loss
+		// forgets the whole collection with every fsynced document in it.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("docdb: creating collection: %w", err)
+		}
+		if err := fsx.SyncDir(s.root); err != nil {
+			return fmt.Errorf("docdb: syncing store root: %w", err)
+		}
+		f, err = os.CreateTemp(dir, id+".*.tmp")
+	}
 	if err != nil {
 		return fmt.Errorf("docdb: staging document: %w", err)
 	}
@@ -97,7 +109,7 @@ func (s *DiskStore) Put(collection, id string, doc Document) error {
 	// The rename is an entry in the collection directory; without flushing
 	// it a power loss can forget the committed document even though its
 	// content was fsynced above.
-	if err := fsx.SyncDir(filepath.Dir(path)); err != nil {
+	if err := fsx.SyncDir(dir); err != nil {
 		return fmt.Errorf("docdb: syncing collection directory: %w", err)
 	}
 	return nil

@@ -1,7 +1,10 @@
 package docdb
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -191,6 +194,44 @@ func TestDiskStorePersistsAcrossReopen(t *testing.T) {
 	}
 	if doc["k"] != "v" {
 		t.Fatalf("persisted doc = %v", doc)
+	}
+}
+
+// TestDiskStoreRecreatesMissingCollection removes a collection's directory
+// between two Puts: the second Put finds it missing when it stages the
+// document, creates it again and commits.
+func TestDiskStoreRecreatesMissingCollection(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("c", "a", Document{"k": "v"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("c", "b", Document{"k": "w"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("c", "a"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the removed document: err = %v, want ErrNotFound", err)
+	}
+	doc, err := s.Get("c", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc["k"] != "w" {
+		t.Fatalf("recreated collection holds %v", doc)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "b.json" {
+		t.Fatalf("collection directory holds %v, want only b.json", entries)
 	}
 }
 

@@ -148,44 +148,6 @@ func MaxAbs(a *Tensor) float32 {
 	return m
 }
 
-// MatMul computes the matrix product of a (m×k) and b (k×n) producing an
-// m×n tensor. Row blocks are computed in parallel in Parallel mode; the
-// per-element accumulation order is fixed either way, so MatMul itself is
-// reproducible — the mode only controls concurrency for throughput.
-func MatMul(a, b *Tensor, mode Mode) *Tensor {
-	if a.NDim() != 2 || b.NDim() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D operands, got %v and %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v x %v", a.shape, b.shape))
-	}
-	out := Zeros(m, n)
-	mulRows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			orow := out.data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b.data[p*n : (p+1)*n]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
-		}
-	}
-	if mode == Deterministic {
-		mulRows(0, m)
-	} else {
-		parallelFor(m, mulRows)
-	}
-	return out
-}
-
 // Transpose2D returns the transpose of a 2-D tensor.
 func Transpose2D(a *Tensor) *Tensor {
 	if a.NDim() != 2 {

@@ -101,40 +101,6 @@ func TestDotLengthMismatchPanics(t *testing.T) {
 	Dot(Zeros(2), Zeros(3), Deterministic)
 }
 
-func TestMatMulKnown(t *testing.T) {
-	a := New([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := New([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
-	c := MatMul(a, b, Deterministic)
-	want := []float32{58, 64, 139, 154}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Fatalf("MatMul = %v, want %v", c.Data(), want)
-		}
-	}
-}
-
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	r := NewRNG(3)
-	a := Uniform(r, -1, 1, 37, 53)
-	b := Uniform(r, -1, 1, 53, 29)
-	det := MatMul(a, b, Deterministic)
-	par := MatMul(a, b, Parallel)
-	// Row-parallel matmul keeps per-element accumulation order fixed, so the
-	// results must be bit-identical.
-	if !det.Equal(par) {
-		t.Fatal("parallel MatMul differs from serial")
-	}
-}
-
-func TestMatMulShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(Zeros(2, 3), Zeros(4, 2), Deterministic)
-}
-
 func TestTranspose2D(t *testing.T) {
 	a := New([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	at := Transpose2D(a)
@@ -206,19 +172,4 @@ func TestSubSelfZeroProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestParallelForCoversRange(t *testing.T) {
-	seen := make([]int32, 1000)
-	parallelFor(len(seen), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-	parallelFor(0, func(lo, hi int) { t.Fatal("body should not run for n=0") })
 }

@@ -49,13 +49,6 @@ func CloneAll(ts []*Tensor) []*Tensor {
 	return out
 }
 
-// parallelFor splits [0, n) into one contiguous chunk per P and runs body
-// on the chunks concurrently. body must not assume any ordering between
-// chunks.
-func parallelFor(n int, body func(lo, hi int)) {
-	par.Chunks(n, runtime.GOMAXPROCS(0), body)
-}
-
 // dotParallel computes the inner product with goroutine-parallel partial
 // products combined in completion order (non-deterministic association).
 func dotParallel(x, y []float32) float32 {

@@ -39,8 +39,10 @@
 #                      dataset by reference); each exits non-zero on
 #                      any failed call or inexact recovery
 #   7. bench module  — bench/ is its own module (repro/bench) that ./...
-#                      never reaches; vet and test it so an API change in
-#                      models/nn/core that breaks the benchmark fails here
+#                      never reaches; vet, test and mmlint it so an API
+#                      change in models/nn/core that breaks the benchmark,
+#                      or a benchmark change that breaks an invariant,
+#                      fails here
 #   8. other arches  — cross-build tensor, nn, vec and train for s390x, the
 #                      only way the staging fallback of alias_fallback.go
 #                      and vec's scalar-only side (vec_other.go) are
@@ -102,8 +104,8 @@ for ex in examples/*/; do
 	go run "./$ex" >/dev/null
 done
 
-echo "==> (cd bench && go vet . && go test .)"
-(cd bench && go vet . && go test .)
+echo "==> (cd bench && go vet . && go test . && go run repro/cmd/mmlint ./...)"
+(cd bench && go vet . && go test . && go run repro/cmd/mmlint ./...)
 
 echo "==> GOARCH=s390x go build ./internal/tensor/... ./internal/nn/... ./internal/vec/... ./internal/train/..."
 GOARCH=s390x go build ./internal/tensor/... ./internal/nn/... ./internal/vec/... ./internal/train/...
