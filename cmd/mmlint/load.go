@@ -58,30 +58,41 @@ type Package struct {
 	dirBad  []Finding
 }
 
-// loadPackages resolves the patterns with `go list -export -deps -json` and
+// loadPackages resolves the patterns with `go list -deps -json` and
 // type-checks every package outside the standard library from source, in
 // the order go list prints them (dependencies first). An import of such a
 // package is satisfied by the package checked before it, so each of the
 // module's types is one object wherever it is seen and types.Implements
-// holds across packages. Only the standard library is imported from the
-// compiler export data go list writes into the build cache, so the loader
-// needs nothing beyond the standard library and the go tool. The matched
-// (non-dependency) packages are returned for analysis, sorted by import
-// path; the second result is their module path, which scopes the call
-// graph's in-module reasoning.
+// holds across packages. Only the standard library is imported from
+// compiler export data, which a second `go list -export` builds for the
+// standard-library packages alone, so the loader needs nothing beyond the
+// standard library and the go tool. The matched (non-dependency) packages
+// are returned for analysis, sorted by import path; the second result is
+// their module path, which scopes the call graph's in-module reasoning.
 func loadPackages(patterns []string) ([]*Package, string, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(append([]string{"-deps", "-json"}, patterns...))
 	if err != nil {
-		return nil, "", fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
+		return nil, "", err
+	}
+	var std []string
+	for _, lp := range listed {
+		if lp.Standard {
+			std = append(std, lp.ImportPath)
+		}
+	}
+	exports := map[string]string{}
+	if len(std) > 0 {
+		built, err := goList(append([]string{"-export", "-json=ImportPath,Export,Error"}, std...))
+		if err != nil {
+			return nil, "", err
+		}
+		for _, lp := range built {
+			exports[lp.ImportPath] = lp.Export
+		}
 	}
 
 	fset := token.NewFileSet()
-	exports := map[string]string{}
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	stdImp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -93,27 +104,17 @@ func loadPackages(patterns []string) ([]*Package, string, error) {
 		if pkg, ok := checked[path]; ok {
 			return pkg, nil
 		}
-		return std.Import(path)
+		return stdImp.Import(path)
 	})
 
 	modulePath := ""
 	var pkgs []*Package
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, "", fmt.Errorf("decoding go list output: %v", err)
-		}
-		if lp.Error != nil {
-			return nil, "", fmt.Errorf("package %s: %s", lp.ImportPath, lp.Error.Err)
-		}
+	for i := range listed {
+		lp := &listed[i]
 		if lp.Standard {
-			exports[lp.ImportPath] = lp.Export
 			continue
 		}
-		p, err := checkPackage(fset, imp, &lp)
+		p, err := checkPackage(fset, imp, lp)
 		if err != nil {
 			return nil, "", err
 		}
@@ -130,6 +131,31 @@ func loadPackages(patterns []string) ([]*Package, string, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, modulePath, nil
+}
+
+// goList runs `go list -e` with args and decodes the packages it prints,
+// failing on the first one that carries an error.
+func goList(args []string) ([]listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e"}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list failed: %v\n%s", err, stderr.String())
+	}
+	var listed []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("decoding go list output: %v", err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("package %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		listed = append(listed, lp)
+	}
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -195,7 +195,7 @@ func TestProvenanceChainVerifiesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcRaw["config"].(docdb.Document)["epochs"] = float64(1)
+	svcRaw["config"].(map[string]any)["epochs"] = float64(1)
 	if err := stores.Meta.Put(ColServices, doc.ServiceDocID, svcRaw); err != nil {
 		t.Fatal(err)
 	}

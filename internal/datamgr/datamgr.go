@@ -108,19 +108,6 @@ func (m *Manager) Resolve(ref string) (*dataset.Dataset, error) {
 	return ds, nil
 }
 
-// AddRef acquires an additional reference (e.g. when a second model starts
-// depending on an already-published dataset).
-func (m *Manager) AddRef(ref string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.refs[ref]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownRef, ref)
-	}
-	e.refCount++
-	return nil
-}
-
 // Release drops one reference; the archive is deleted with the last one.
 func (m *Manager) Release(ref string) error {
 	m.mu.Lock()

@@ -110,22 +110,6 @@ func TestReleaseDeletesLastReference(t *testing.T) {
 	}
 }
 
-func TestAddRef(t *testing.T) {
-	m, _ := newManager(t)
-	ds := testDS(t, 4)
-	ref, _, _ := m.Publish(ds)
-	if err := m.AddRef(ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddRef("bogus"); !errors.Is(err, ErrUnknownRef) {
-		t.Fatal("AddRef on unknown ref must fail")
-	}
-	m.Release(ref)
-	if _, err := m.Resolve(ref); err != nil {
-		t.Fatal("ref count broken")
-	}
-}
-
 func TestList(t *testing.T) {
 	m, _ := newManager(t)
 	m.Publish(testDS(t, 5))

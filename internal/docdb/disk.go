@@ -1,14 +1,12 @@
 package docdb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/fsx"
 )
@@ -17,30 +15,30 @@ import (
 // file at <root>/<collection>/<id>.json, which makes stored metadata easy to
 // inspect and gives an honest on-disk byte count for the storage-consumption
 // experiments.
-type DiskStore struct {
-	root string
-	mu   sync.RWMutex
-}
+type DiskStore struct{ engine }
 
 // OpenDisk opens (creating if necessary) a disk store rooted at dir.
 func OpenDisk(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docdb: creating root: %w", err)
 	}
-	return &DiskStore{root: dir}, nil
+	return &DiskStore{engine{t: diskTable{root: dir}}}, nil
 }
 
 var _ Store = (*DiskStore)(nil)
 
-func (s *DiskStore) colDir(collection string) (string, error) {
+// diskTable holds each encoding as the file <root>/<collection>/<id>.json.
+type diskTable struct{ root string }
+
+func (t diskTable) colDir(collection string) (string, error) {
 	if collection == "" || strings.ContainsAny(collection, "/\\") {
 		return "", fmt.Errorf("docdb: invalid collection name %q", collection)
 	}
-	return filepath.Join(s.root, collection), nil
+	return filepath.Join(t.root, collection), nil
 }
 
-func (s *DiskStore) docPath(collection, id string) (string, error) {
-	dir, err := s.colDir(collection)
+func (t diskTable) docPath(collection, id string) (string, error) {
+	dir, err := t.colDir(collection)
 	if err != nil {
 		return "", err
 	}
@@ -50,26 +48,12 @@ func (s *DiskStore) docPath(collection, id string) (string, error) {
 	return filepath.Join(dir, id+".json"), nil
 }
 
-// Insert implements Store.
-func (s *DiskStore) Insert(collection string, doc Document) (string, error) {
-	id := NewID()
-	return id, s.Put(collection, id, doc)
-}
-
-// Put implements Store.
-func (s *DiskStore) Put(collection, id string, doc Document) error {
-	//mmlint:ignore lockheld whole-store serialization over small per-document files is this engine's consistency model; see the DiskStore doc comment
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path, err := s.docPath(collection, id)
+func (t diskTable) put(collection, id string, b []byte) error {
+	path, err := t.docPath(collection, id)
 	if err != nil {
 		return err
 	}
 	dir := filepath.Dir(path)
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("docdb: marshaling document: %w", err)
-	}
 	// Stage in a uniquely named temp file and fsync before the rename:
 	// the renamed-in document must never be observable with truncated
 	// content after a crash, and concurrent writers (two stores on one
@@ -82,7 +66,7 @@ func (s *DiskStore) Put(collection, id string, doc Document) error {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("docdb: creating collection: %w", err)
 		}
-		if err := fsx.SyncDir(s.root); err != nil {
+		if err := fsx.SyncDir(t.root); err != nil {
 			return fmt.Errorf("docdb: syncing store root: %w", err)
 		}
 		f, err = os.CreateTemp(dir, id+".*.tmp")
@@ -115,52 +99,23 @@ func (s *DiskStore) Put(collection, id string, doc Document) error {
 	return nil
 }
 
-// Get implements Store.
-func (s *DiskStore) Get(collection, id string) (Document, error) {
-	//mmlint:ignore lockheld readers share the RLock while reading one small document file; only writers wait
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	doc, _, err := s.read(collection, id)
-	return doc, err
-}
-
-// Chain implements Store. A document's size is its file's.
-func (s *DiskStore) Chain(collection, id, next, stop string) ([]Document, error) {
-	//mmlint:ignore lockheld readers share the RLock while reading one chain of small document files; only writers wait
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return WalkChain(id, next, stop, func(id string) (Document, int, error) { return s.read(collection, id) })
-}
-
-// read loads one document and its size on disk. The caller holds s.mu.
-func (s *DiskStore) read(collection, id string) (Document, int, error) {
-	path, err := s.docPath(collection, id)
+func (t diskTable) get(collection, id string) ([]byte, error) {
+	path, err := t.docPath(collection, id)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	b, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("docdb: reading document: %w", err)
+		return nil, fmt.Errorf("docdb: reading document: %w", err)
 	}
-	var doc Document
-	if err := Unmarshal(b, &doc); err != nil {
-		return nil, 0, fmt.Errorf("docdb: decoding document %s/%s: %w", collection, id, err)
-	}
-	return doc, len(b), nil
+	return b, nil
 }
 
-// NewIDNear implements Store: one directory is one placement.
-func (s *DiskStore) NewIDNear(string, string) string { return NewID() }
-
-// Delete implements Store.
-func (s *DiskStore) Delete(collection, id string) error {
-	//mmlint:ignore lockheld whole-store serialization over small per-document files is this engine's consistency model; see the DiskStore doc comment
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path, err := s.docPath(collection, id)
+func (t diskTable) del(collection, id string) error {
+	path, err := t.docPath(collection, id)
 	if err != nil {
 		return err
 	}
@@ -171,35 +126,9 @@ func (s *DiskStore) Delete(collection, id string) error {
 	return err
 }
 
-// Find implements Store.
-func (s *DiskStore) Find(collection string, eq Document) ([]Document, error) {
-	ids, err := s.IDs(collection)
-	if err != nil {
-		return nil, err
-	}
-	var out []Document
-	for _, id := range ids {
-		doc, err := s.Get(collection, id)
-		if err == ErrNotFound {
-			continue // raced with a delete
-		}
-		if err != nil {
-			return nil, err
-		}
-		if matches(doc, eq) {
-			out = append(out, doc)
-		}
-	}
-	return out, nil
-}
-
-// IDs implements Store. os.ReadDir sorts entries by name, so identifiers
-// come back in the lexicographic order the Store contract requires.
-func (s *DiskStore) IDs(collection string) ([]string, error) {
-	//mmlint:ignore lockheld readers share the RLock while listing one collection directory; only writers wait
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	dir, err := s.colDir(collection)
+// ids relies on os.ReadDir sorting entries by name.
+func (t diskTable) ids(collection string) ([]string, error) {
+	dir, err := t.colDir(collection)
 	if err != nil {
 		return nil, err
 	}
@@ -220,13 +149,9 @@ func (s *DiskStore) IDs(collection string) ([]string, error) {
 	return ids, nil
 }
 
-// Stats implements Store.
-func (s *DiskStore) Stats() (Stats, error) {
-	//mmlint:ignore lockheld readers share the RLock while walking the store tree; a consistent point-in-time count needs writers excluded
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+func (t diskTable) stats() (Stats, error) {
 	var st Stats
-	entries, err := os.ReadDir(s.root)
+	entries, err := os.ReadDir(t.root)
 	if err != nil {
 		return Stats{}, fmt.Errorf("docdb: listing root: %w", err)
 	}
@@ -235,7 +160,7 @@ func (s *DiskStore) Stats() (Stats, error) {
 			continue
 		}
 		st.Collections++
-		docs, err := os.ReadDir(filepath.Join(s.root, col.Name()))
+		docs, err := os.ReadDir(filepath.Join(t.root, col.Name()))
 		if err != nil {
 			return Stats{}, err
 		}
@@ -253,6 +178,3 @@ func (s *DiskStore) Stats() (Stats, error) {
 	}
 	return st, nil
 }
-
-// Close implements Store. It is a no-op for the disk engine.
-func (s *DiskStore) Close() error { return nil }

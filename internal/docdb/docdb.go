@@ -43,6 +43,13 @@ var ErrNotFound = errors.New("docdb: not found")
 // Store is the common interface implemented by the in-memory engine, the
 // on-disk engine, and the network client. All implementations are safe for
 // concurrent use.
+//
+// Every implementation stores a document's JSON encoding and returns
+// documents decoded from it by Unmarshal: numbers are json.Number, nested
+// objects map[string]any and arrays []any. A document that cannot be
+// encoded (a NaN, say) is rejected by Put. No returned document shares
+// memory with the store or with a caller, so writing to a document or a
+// slice after its Put, or to a returned one, changes nothing stored.
 type Store interface {
 	// Insert stores doc in the named collection under a freshly generated
 	// identifier and returns that identifier.
@@ -85,9 +92,9 @@ type Store interface {
 	Close() error
 }
 
-// Stats summarizes a store's contents. SizeBytes counts the serialized JSON
-// size of every document; it is the metadata share of the paper's storage
-// consumption metric.
+// Stats summarizes a store's contents. SizeBytes sums the stored JSON
+// encodings of every document; it is the metadata share of the paper's
+// storage consumption metric.
 type Stats struct {
 	Collections int   `json:"collections"`
 	Documents   int   `json:"documents"`
@@ -116,7 +123,7 @@ const maxChainBytes = readChunk
 
 // WalkChain is Store.Chain over documents fetched one at a time by read,
 // which returns the document under an id and its encoded size (0 exempts it
-// from the byte bound). The engines call it under their lock; it is
+// from the byte bound). The engine calls it under its read lock; it is
 // exported for Store compositions (the shard router), so that their chains
 // end exactly where an engine's would.
 func WalkChain(id, next, stop string, read func(id string) (Document, int, error)) ([]Document, error) {
@@ -155,8 +162,8 @@ func WalkChain(id, next, stop string, read func(id string) (Document, int, error
 func Matches(doc, eq Document) bool { return matches(doc, eq) }
 
 // matches reports whether doc satisfies all equality constraints in eq.
-// Comparison is by fmt.Sprint rendering so numeric types that JSON decodes
-// differently (int vs float64) still compare equal.
+// Comparison is by fmt.Sprint rendering so a filter's int still compares
+// equal to a stored json.Number of the same value.
 func matches(doc, eq Document) bool {
 	for k, want := range eq {
 		got, ok := doc[k]
@@ -168,34 +175,4 @@ func matches(doc, eq Document) bool {
 		}
 	}
 	return true
-}
-
-// clone deep-copies a document one level deep plus nested maps/slices that
-// came from JSON decoding, so callers can mutate results safely.
-func clone(doc Document) Document {
-	if doc == nil {
-		return nil
-	}
-	out := make(Document, len(doc))
-	for k, v := range doc {
-		out[k] = cloneValue(v)
-	}
-	return out
-}
-
-func cloneValue(v any) any {
-	switch x := v.(type) {
-	case Document:
-		return clone(x)
-	case map[string]any:
-		return clone(Document(x))
-	case []any:
-		c := make([]any, len(x))
-		for i, e := range x {
-			c[i] = cloneValue(e)
-		}
-		return c
-	default:
-		return v
-	}
 }

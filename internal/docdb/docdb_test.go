@@ -126,12 +126,7 @@ func storeTest(t *testing.T, s Store) {
 	}
 	env, ok := got["env"].(map[string]any)
 	if !ok {
-		// MemStore returns Document, which is a map[string]any underneath.
-		if envDoc, ok2 := got["env"].(Document); ok2 {
-			env = map[string]any(envDoc)
-		} else {
-			t.Fatalf("nested env lost: %#v", got["env"])
-		}
+		t.Fatalf("nested env lost: %#v", got["env"])
 	}
 	if env["go"] != "1.22" {
 		t.Fatalf("nested value lost: %v", env)

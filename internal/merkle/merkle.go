@@ -74,11 +74,6 @@ func (t *Tree) Root() string {
 	return top[0]
 }
 
-// Leaves returns a copy of the tree's leaves in order.
-func (t *Tree) Leaves() []Leaf {
-	return append([]Leaf(nil), t.leaves...)
-}
-
 // NumLeaves returns the number of leaves.
 func (t *Tree) NumLeaves() int { return len(t.leaves) }
 
@@ -128,29 +123,4 @@ func Diff(t, other *Tree) (DiffResult, error) {
 	}
 	visit(node{level: len(t.levels) - 1, idx: 0})
 	return res, nil
-}
-
-// VerifyLeaf recomputes the root from the given leaf and its authentication
-// path and reports whether it matches the tree's root. It allows a node to
-// prove a single layer's parameters to the server without transferring the
-// whole model.
-func (t *Tree) VerifyLeaf(index int, hash string) (bool, error) {
-	if index < 0 || index >= len(t.leaves) {
-		return false, fmt.Errorf("merkle: leaf index %d out of range", index)
-	}
-	cur := hash
-	idx := index
-	for level := 0; level < len(t.levels)-1; level++ {
-		nodes := t.levels[level]
-		if idx%2 == 0 {
-			if idx+1 < len(nodes) {
-				cur = combine(cur, nodes[idx+1])
-			}
-			// else: promoted unchanged
-		} else {
-			cur = combine(nodes[idx-1], cur)
-		}
-		idx /= 2
-	}
-	return cur == t.Root(), nil
 }

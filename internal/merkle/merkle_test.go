@@ -151,47 +151,6 @@ func TestOddLeafCounts(t *testing.T) {
 	}
 }
 
-func TestVerifyLeaf(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8, 9} {
-		tr, _ := Build(makeLeaves(n, n, ""))
-		for i := 0; i < n; i++ {
-			ok, err := tr.VerifyLeaf(i, leafHash(fmt.Sprintf("layer-%d-v0", i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("n=%d leaf %d: valid proof rejected", n, i)
-			}
-			ok, err = tr.VerifyLeaf(i, leafHash("tampered"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				t.Fatalf("n=%d leaf %d: tampered proof accepted", n, i)
-			}
-		}
-	}
-}
-
-func TestVerifyLeafBadIndex(t *testing.T) {
-	tr, _ := Build(makeLeaves(4, 4, ""))
-	if _, err := tr.VerifyLeaf(-1, "x"); err == nil {
-		t.Fatal("expected error for negative index")
-	}
-	if _, err := tr.VerifyLeaf(4, "x"); err == nil {
-		t.Fatal("expected error for out-of-range index")
-	}
-}
-
-func TestLeavesReturnsCopy(t *testing.T) {
-	tr, _ := Build(makeLeaves(4, 4, ""))
-	ls := tr.Leaves()
-	ls[0].Hash = "mutated"
-	if tr.Leaves()[0].Hash == "mutated" {
-		t.Fatal("Leaves must return a copy")
-	}
-}
-
 // Property: for any leaf count and any single changed leaf index, Diff finds
 // exactly that leaf.
 func TestDiffFindsSingleChangeProperty(t *testing.T) {
